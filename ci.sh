@@ -36,11 +36,13 @@ cargo test -q --offline --test golden_batched
 cargo test -q -p cyclesteal-markov --offline batch
 
 echo "==> (k, m) fleet reduction gate (1x1 bit-identity + {1,2,4}^2 analysis-vs-sim grid)"
-# The fleet generalization is only trusted through its reduction: the
-# differential suite proves the (1, 1) fleet chain IS the 2-host chain
-# (same QBD signature, same solution bits, same golden Figure-4 curve),
-# then cross-validates every {1,2,4}^2 shape against the fleet simulator;
-# the property suite shrinks random workloads over the same invariants.
+# The fleet chain is the only CS-CQ builder, trusted through its
+# reduction: the differential suite proves the (1, 1) fleet chain IS the
+# paper's 2-host chain as the reference builder in tests/support builds
+# it (same QBD signature, solution bits, reports and distribution, for
+# Poisson and MAP arrivals), then cross-validates every {1,2,4}^2 shape
+# against the fleet simulator; the property suite shrinks random
+# workloads over the same invariants.
 cargo test -q --offline --test km_reduction
 cargo test -q --offline --test km_props
 
@@ -48,6 +50,11 @@ echo "==> clippy (incl. unwrap-free non-test code in core and sweep)"
 # core and sweep deny clippy::unwrap_used outside tests; warnings anywhere
 # in the workspace are promoted to errors so the gate cannot rot.
 cargo clippy -q --workspace --offline -- -D warnings
+
+echo "==> benchmark harness builds (perfbench, outside the workspace)"
+# perfbench is outside the workspace: without this step a break in the
+# core API it calls would only surface when the benchmark runs.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "==> bench smoke (--quick)"
 cargo bench -p cyclesteal-bench --offline --bench solver -- --quick

@@ -104,10 +104,8 @@ impl CacheStats {
 type FitKey = (u64, u64, u64, u8);
 /// Whole-report key: quantized workload bits, fit tag, and the `(k, m)`
 /// host counts. The host counts are exact integers — never quantized — so
-/// two scenarios differing only in fleet shape cannot collide; the 2-host
-/// analysis keys itself as `(1, 1)` and shares entries with the `(k, m)`
-/// generalization at that point (where the two paths are bit-identical by
-/// the `km_reduction` differential suite).
+/// two scenarios differing only in fleet shape cannot collide; the paper's
+/// 2-host system is the `(1, 1)` key.
 ///
 /// Public because the persistence layer (`cyclesteal-svc`'s durable WAL)
 /// serializes report entries by this key; the key is plain bits, so the

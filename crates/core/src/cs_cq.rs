@@ -37,14 +37,20 @@
 //! The paper's further approximations are inherited and documented in
 //! DESIGN.md: three-moment busy periods, and independence between the `R5`
 //! sojourn and the subsequent `B_{N+1}`.
+//!
+//! # Implementation
+//!
+//! This chain is the `(k, m) = (1, 1)` instance of [`crate::cs_cq_km`],
+//! which builds and solves it in the phase order of the table above (MAP
+//! phase innermost); every function here is a facade at [`Hosts::paper`].
 
-use cyclesteal_dist::match3::{self, MatchQuality};
-use cyclesteal_dist::{busy, DistError, Map, Moments3, Ph};
-use cyclesteal_linalg::{Matrix, Workspace};
+use cyclesteal_dist::match3::MatchQuality;
+use cyclesteal_dist::{DistError, Map, Moments3};
+use cyclesteal_linalg::Workspace;
 use cyclesteal_markov::Qbd;
-use cyclesteal_mg1::mg1;
 
-use crate::cache::{quantize, SolveCache};
+use crate::cache::SolveCache;
+use crate::cs_cq_km::{self, Hosts};
 use crate::stability::{self, Policy};
 use crate::{AnalysisError, PolicyMeans, SystemParams};
 
@@ -142,7 +148,7 @@ impl From<CsCqReport> for PolicyMeans {
 /// # }
 /// ```
 pub fn analyze(params: &SystemParams) -> Result<CsCqReport, AnalysisError> {
-    analyze_with(params, BusyPeriodFit::ThreeMoment)
+    cs_cq_km::analyze(Hosts::paper(), params)
 }
 
 /// Analyzes CS-CQ with a chosen busy-period moment-matching order
@@ -155,8 +161,7 @@ pub fn analyze_with(
     params: &SystemParams,
     fit: BusyPeriodFit,
 ) -> Result<CsCqReport, AnalysisError> {
-    let poisson = Map::poisson(params.lambda_s())?;
-    analyze_inner(params, fit, &poisson, None, &mut Workspace::new())
+    cs_cq_km::analyze_with(Hosts::paper(), params, fit)
 }
 
 /// Analyzes CS-CQ through a [`SolveCache`]: the workload is snapped onto
@@ -192,7 +197,7 @@ pub fn analyze_cached(
     fit: BusyPeriodFit,
     cache: &SolveCache,
 ) -> Result<CsCqReport, AnalysisError> {
-    analyze_cached_in(params, fit, cache, &mut Workspace::new())
+    cs_cq_km::analyze_cached(Hosts::paper(), params, fit, cache)
 }
 
 /// [`analyze_cached`] solving out of a caller-owned scratch [`Workspace`].
@@ -212,12 +217,7 @@ pub fn analyze_cached_in(
     cache: &SolveCache,
     ws: &mut Workspace,
 ) -> Result<CsCqReport, AnalysisError> {
-    let snapped = snap_params(params);
-    let key = report_key(&snapped, fit);
-    cache.report(key, || {
-        let poisson = Map::poisson(snapped.lambda_s())?;
-        analyze_inner(&snapped, fit, &poisson, Some(cache), ws)
-    })
+    cs_cq_km::analyze_cached_in(Hosts::paper(), params, fit, cache, ws)
 }
 
 /// The [`crate::cache::ReportKey`] under which [`analyze_cached`] memoizes
@@ -226,37 +226,7 @@ pub fn analyze_cached_in(
 /// applied here, so callers may pass un-quantized parameters and still get
 /// the exact key the cached analysis uses.
 pub fn report_key(params: &SystemParams, fit: BusyPeriodFit) -> crate::cache::ReportKey {
-    let snapped = snap_params(params);
-    (
-        [
-            snapped.lambda_s().to_bits(),
-            snapped.mu_s().to_bits(),
-            snapped.lambda_l().to_bits(),
-            snapped.long_moments().mean().to_bits(),
-            snapped.long_moments().m2().to_bits(),
-            snapped.long_moments().m3().to_bits(),
-        ],
-        fit.tag(),
-        (1, 1),
-    )
-}
-
-/// Snaps every workload parameter onto the cache quantization grid; keeps
-/// the original parameters if the snapped triple happens to fall outside
-/// the feasible set (only possible exactly on a feasibility boundary).
-pub(crate) fn snap_params(params: &SystemParams) -> SystemParams {
-    let long = params.long_moments();
-    Moments3::new(quantize(long.mean()), quantize(long.m2()), quantize(long.m3()))
-        .map_err(AnalysisError::from)
-        .and_then(|m| {
-            SystemParams::new(
-                quantize(params.lambda_s()),
-                quantize(params.mu_s()),
-                quantize(params.lambda_l()),
-                m,
-            )
-        })
-        .unwrap_or(*params)
+    cs_cq_km::report_key(Hosts::paper(), params, fit)
 }
 
 /// Analyzes CS-CQ with **MAP short arrivals** — the generalization the
@@ -289,94 +259,18 @@ pub(crate) fn snap_params(params: &SystemParams) -> SystemParams {
 /// # }
 /// ```
 pub fn analyze_map(params: &SystemParams, arrivals: &Map) -> Result<CsCqReport, AnalysisError> {
+    check_map_rate(params, arrivals)?;
+    let (hosts, fit) = (Hosts::paper(), BusyPeriodFit::ThreeMoment);
+    cs_cq_km::analyze_inner(hosts, params, fit, arrivals, None, &mut Workspace::new())
+}
+
+fn check_map_rate(params: &SystemParams, arrivals: &Map) -> Result<(), AnalysisError> {
     if (arrivals.rate() - params.lambda_s()).abs() > 1e-9 * params.lambda_s() {
         return Err(AnalysisError::Param(DistError::Inconsistent {
             reason: "MAP arrival rate must equal params.lambda_s()",
         }));
     }
-    analyze_inner(
-        params,
-        BusyPeriodFit::ThreeMoment,
-        arrivals,
-        None,
-        &mut Workspace::new(),
-    )
-}
-
-fn analyze_inner(
-    params: &SystemParams,
-    fit: BusyPeriodFit,
-    arrivals: &Map,
-    cache: Option<&SolveCache>,
-    ws: &mut Workspace,
-) -> Result<CsCqReport, AnalysisError> {
-    cyclesteal_obs::span!("core.cs_cq.analyze");
-    cyclesteal_obs::counter!("core.cs_cq.analyze");
-    let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
-    if !stability::is_stable(Policy::CsCq, rho_s, rho_l) {
-        return Err(AnalysisError::Unstable {
-            policy: "CS-CQ",
-            rho_s,
-            rho_l,
-            rho_s_max: stability::max_rho_s(Policy::CsCq, rho_l),
-        });
-    }
-
-    let (bl_ph, bl_match) = fit_busy_period_cached(bl_moments(params)?, fit, cache)?;
-    let (bn_ph, bn_match) = fit_busy_period_cached(bn_moments(params)?, fit, cache)?;
-    let chain = ChainLayout::new(&bl_ph, &bn_ph);
-    let qbd = match cache {
-        // The plan key carries no arrival-MAP information, so it is only
-        // sound on the cached path, which always drives the chain with
-        // Poisson arrivals at the snapped `lambda_s` (see
-        // [`analyze_cached_in`]; [`analyze_map`] passes no cache).
-        Some(c) => c.qbd_plan(report_key(params, fit), || {
-            build_qbd(params, &chain, &bl_ph, &bn_ph, arrivals)
-        })?,
-        None => build_qbd(params, &chain, &bl_ph, &bn_ph, arrivals)?,
-    };
-    let sol = match cache {
-        Some(c) => c.qbd_solution(&qbd, ws)?,
-        None => qbd.solve_in(ws)?,
-    };
-
-    // E[N_S]: boundary level 1 contributes one short per unit mass;
-    // repeating level k corresponds to k + 2 shorts.
-    let ka = arrivals.dim();
-    let nl = chain.nl * ka;
-    let level1_mass: f64 = sol.boundary()[nl..].iter().sum();
-    let mean_shorts = level1_mass + 2.0 * sol.repeating_mass() + sol.expected_level_index();
-    let short_response = mean_shorts / params.lambda_s();
-
-    // Long jobs: M/G/1 with setup. The busy-period-starting long sees
-    // region 1 (both W states of the boundary) or region 2 (the W phase of
-    // any repeating level); sum over the arrival-MAP phases. Long arrivals
-    // are Poisson, so PASTA applies regardless of the short-arrival MAP.
-    let phase_mass = sol.phase_mass();
-    let mut p_region1 = 0.0;
-    let mut p_region2 = 0.0;
-    let mut p_region5 = 0.0;
-    for a in 0..ka {
-        p_region1 += sol.boundary()[chain.bw(0) * ka + a];
-        p_region1 += sol.boundary()[chain.bw(1) * ka + a];
-        p_region2 += phase_mass[chain.w() * ka + a];
-        p_region5 += phase_mass[chain.r5() * ka + a];
-    }
-    let setup_probability = p_region2 / (p_region1 + p_region2);
-    let long_response = long_response_with_setup_prob(params, setup_probability)?;
-
-    Ok(CsCqReport {
-        short_response,
-        long_response,
-        mean_shorts_in_system: mean_shorts,
-        p_region1,
-        p_region2,
-        p_region5,
-        setup_probability,
-        bl_match,
-        bn_match,
-        total_mass: sol.total_mass(),
-    })
+    Ok(())
 }
 
 /// Long-job mean response time in the *saturated-shorts* regime: when
@@ -389,7 +283,7 @@ fn analyze_inner(
 ///
 /// [`AnalysisError::Param`] if `ρ_L ≥ 1`.
 pub fn long_response_saturated(params: &SystemParams) -> Result<f64, AnalysisError> {
-    long_response_with_setup_prob(params, 1.0)
+    cs_cq_km::long_response_with_setup(Hosts::paper(), params, 1.0)
 }
 
 /// Long-job mean response time, choosing the full chain solution when the
@@ -443,45 +337,7 @@ pub fn long_response_auto(params: &SystemParams) -> Result<f64, AnalysisError> {
 /// # }
 /// ```
 pub fn shorts_distribution(params: &SystemParams, n_max: usize) -> Result<Vec<f64>, AnalysisError> {
-    let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
-    if !stability::is_stable(Policy::CsCq, rho_s, rho_l) {
-        return Err(AnalysisError::Unstable {
-            policy: "CS-CQ",
-            rho_s,
-            rho_l,
-            rho_s_max: stability::max_rho_s(Policy::CsCq, rho_l),
-        });
-    }
-    let (bl_ph, _) = fit_busy_period(bl_moments(params)?, BusyPeriodFit::ThreeMoment)?;
-    let (bn_ph, _) = fit_busy_period(bn_moments(params)?, BusyPeriodFit::ThreeMoment)?;
-    let chain = ChainLayout::new(&bl_ph, &bn_ph);
-    let arrivals = Map::poisson(params.lambda_s())?;
-    let qbd = build_qbd(params, &chain, &bl_ph, &bn_ph, &arrivals)?;
-    let sol = qbd.solve()?;
-
-    let nl = chain.nl;
-    let mut dist = Vec::with_capacity(n_max + 1);
-    dist.push(sol.boundary()[..nl].iter().sum());
-    if n_max >= 1 {
-        dist.push(sol.boundary()[nl..].iter().sum());
-    }
-    if n_max >= 2 {
-        dist.extend(sol.level_masses(n_max - 1));
-    }
-    // Refuse to return a silently truncated distribution: the emitted mass
-    // must account for everything but a negligible tail (relative to the
-    // chain's own total mass, which is 1 up to solver roundoff).
-    let emitted: f64 = dist.iter().sum();
-    let tail = (sol.total_mass() - emitted).max(0.0);
-    const TAIL_TOL: f64 = 1e-6;
-    if tail > TAIL_TOL {
-        return Err(AnalysisError::Truncated {
-            n_max,
-            tail_mass: tail,
-            tolerance: TAIL_TOL,
-        });
-    }
-    Ok(dist)
+    cs_cq_km::shorts_distribution(Hosts::paper(), params, n_max)
 }
 
 /// Builds the CS-CQ quasi-birth-death chain for `params` **without solving
@@ -510,24 +366,25 @@ pub fn shorts_distribution(params: &SystemParams, n_max: usize) -> Result<Vec<f6
 /// # }
 /// ```
 pub fn build_qbd_model(params: &SystemParams, fit: BusyPeriodFit) -> Result<Qbd, AnalysisError> {
-    let (bl_ph, _) = fit_busy_period(bl_moments(params)?, fit)?;
-    let (bn_ph, _) = fit_busy_period(bn_moments(params)?, fit)?;
-    let chain = ChainLayout::new(&bl_ph, &bn_ph);
-    let arrivals = Map::poisson(params.lambda_s())?;
-    build_qbd(params, &chain, &bl_ph, &bn_ph, &arrivals)
+    cs_cq_km::build_qbd_model(Hosts::paper(), params, fit)
+}
+
+/// Builds the MAP-arrival CS-CQ QBD exactly as [`analyze_map`] constructs
+/// it, **without solving it** — the chain the reduction suite compares,
+/// bit for bit, against an independently written 2-host builder.
+///
+/// # Errors
+///
+/// As for [`analyze_map`], minus the solver errors.
+pub fn build_qbd_model_map(params: &SystemParams, arrivals: &Map) -> Result<Qbd, AnalysisError> {
+    check_map_rate(params, arrivals)?;
+    let (hosts, fit) = (Hosts::paper(), BusyPeriodFit::ThreeMoment);
+    cs_cq_km::build_model(hosts, params, fit, arrivals, None)
 }
 
 /// Builds the CS-CQ QBD exactly as [`analyze_cached`] would build it on a
-/// cache miss — parameters snapped onto the quantization grid, busy-period
-/// fits served through the cache's fit layer — **without solving it**.
-///
-/// This is the sweep engine's batch-planner hook: the planner constructs
-/// the chain for every pending grid point, groups the chains by shape,
-/// solves each group through the batched QBD solver, and seeds the
-/// solutions back via [`SolveCache::seed_qbd_solution`]. Because the
-/// construction path is shared with [`analyze_cached_in`] down to the bit,
-/// the planned chain's [`Qbd::signature`] matches the one the evaluation
-/// path will look up.
+/// cache miss, **without solving it** — [`cs_cq_km::plan_qbd_cached`], the
+/// batch planner's hook, at `(1, 1)`.
 ///
 /// # Errors
 ///
@@ -539,23 +396,7 @@ pub fn plan_qbd_cached(
     fit: BusyPeriodFit,
     cache: &SolveCache,
 ) -> Result<Qbd, AnalysisError> {
-    let snapped = snap_params(params);
-    let (rho_s, rho_l) = (snapped.rho_s(), snapped.rho_l());
-    if !stability::is_stable(Policy::CsCq, rho_s, rho_l) {
-        return Err(AnalysisError::Unstable {
-            policy: "CS-CQ",
-            rho_s,
-            rho_l,
-            rho_s_max: stability::max_rho_s(Policy::CsCq, rho_l),
-        });
-    }
-    cache.qbd_plan(report_key(&snapped, fit), || {
-        let (bl_ph, _) = fit_busy_period_cached(bl_moments(&snapped)?, fit, Some(cache))?;
-        let (bn_ph, _) = fit_busy_period_cached(bn_moments(&snapped)?, fit, Some(cache))?;
-        let chain = ChainLayout::new(&bl_ph, &bn_ph);
-        let arrivals = Map::poisson(snapped.lambda_s())?;
-        build_qbd(&snapped, &chain, &bl_ph, &bn_ph, &arrivals)
-    })
+    cs_cq_km::plan_qbd_cached(Hosts::paper(), params, fit, cache)
 }
 
 /// Moments of `B_L`: the ordinary M/G/1 busy period of long jobs.
@@ -564,7 +405,7 @@ pub fn plan_qbd_cached(
 ///
 /// [`AnalysisError::Param`] if `ρ_L ≥ 1`.
 pub fn bl_moments(params: &SystemParams) -> Result<Moments3, AnalysisError> {
-    Ok(busy::mg1_busy(params.lambda_l(), params.long_moments())?)
+    cs_cq_km::bl_moments(Hosts::paper(), params)
 }
 
 /// Moments of `B_{N+1}`: the busy period started by the work of `N+1` long
@@ -574,347 +415,13 @@ pub fn bl_moments(params: &SystemParams) -> Result<Moments3, AnalysisError> {
 ///
 /// [`AnalysisError::Param`] if `ρ_L ≥ 1`.
 pub fn bn_moments(params: &SystemParams) -> Result<Moments3, AnalysisError> {
-    Ok(busy::bn1(
-        params.lambda_l(),
-        params.long_moments(),
-        2.0 * params.mu_s(),
-    )?)
-}
-
-fn long_response_with_setup_prob(
-    params: &SystemParams,
-    p_setup: f64,
-) -> Result<f64, AnalysisError> {
-    // K = I = Exp(2 mu_s) with probability p_setup, else 0.
-    let theta = 2.0 * params.mu_s();
-    let k1 = p_setup / theta;
-    let k2 = 2.0 * p_setup / (theta * theta);
-    Ok(mg1::mean_response_with_setup(
-        params.lambda_l(),
-        params.long_moments(),
-        k1,
-        k2,
-    )?)
-}
-
-pub(crate) fn fit_busy_period_cached(
-    m: Moments3,
-    fit: BusyPeriodFit,
-    cache: Option<&SolveCache>,
-) -> Result<(Ph, MatchQuality), AnalysisError> {
-    match cache {
-        Some(c) => c.fit(m, fit.tag(), || fit_busy_period(m, fit)),
-        None => fit_busy_period(m, fit),
-    }
-}
-
-fn fit_busy_period(m: Moments3, fit: BusyPeriodFit) -> Result<(Ph, MatchQuality), AnalysisError> {
-    match fit {
-        BusyPeriodFit::MeanOnly => Ok((Ph::exponential(1.0 / m.mean())?, MatchQuality::MeanOnly)),
-        BusyPeriodFit::TwoMoment => {
-            // Re-derive a feasible triple with the right mean and scv but a
-            // conventional third moment, then match it exactly.
-            let doctored = Moments3::from_mean_scv_balanced(m.mean(), m.scv().max(1e-9))?;
-            let f = match3::fit_ph(doctored)?;
-            Ok((f.ph, MatchQuality::ExactTwo))
-        }
-        BusyPeriodFit::ThreeMoment => {
-            let f = match3::fit_ph(m)?;
-            Ok((f.ph, f.quality))
-        }
-    }
-}
-
-/// Phase indexing of the repeating levels and the boundary.
-struct ChainLayout {
-    /// Number of `B_L` phases.
-    k1: usize,
-    /// Number of `B_{N+1}` phases.
-    k2: usize,
-    /// Phases per boundary level (no `R5` at levels 0–1).
-    nl: usize,
-}
-
-impl ChainLayout {
-    fn new(bl: &Ph, bn: &Ph) -> Self {
-        let (k1, k2) = (bl.dim(), bn.dim());
-        ChainLayout {
-            k1,
-            k2,
-            nl: 1 + k1 + k2,
-        }
-    }
-
-    /// Repeating-phase count.
-    fn m(&self) -> usize {
-        2 + self.k1 + self.k2
-    }
-
-    /// Phase `W` (no longs).
-    fn w(&self) -> usize {
-        0
-    }
-
-    /// Phase of `B_L` stage `i`.
-    fn bl(&self, i: usize) -> usize {
-        1 + i
-    }
-
-    /// Phase of `B_{N+1}` stage `i`.
-    fn bn(&self, i: usize) -> usize {
-        1 + self.k1 + i
-    }
-
-    /// Phase `R5` (longs waiting behind two shorts).
-    fn r5(&self) -> usize {
-        1 + self.k1 + self.k2
-    }
-
-    /// Boundary index of the `W` state at boundary level 0 or 1.
-    fn bw(&self, level: usize) -> usize {
-        level * self.nl
-    }
-
-    /// Boundary index of `B_L` stage `i` at boundary level 0 or 1.
-    fn bbl(&self, level: usize, i: usize) -> usize {
-        level * self.nl + 1 + i
-    }
-
-    /// Boundary index of `B_{N+1}` stage `i` at boundary level 0 or 1.
-    fn bbn(&self, level: usize, i: usize) -> usize {
-        level * self.nl + 1 + self.k1 + i
-    }
-}
-
-/// Fills `diag` so that the row sums of the concatenated blocks vanish.
-pub(crate) fn fix_diagonal(local: &mut Matrix, others: &[&Matrix]) {
-    for i in 0..local.rows() {
-        let mut out: f64 = 0.0;
-        for j in 0..local.cols() {
-            if j != i {
-                out += local[(i, j)];
-            }
-        }
-        for b in others {
-            out += b.row(i).iter().sum::<f64>();
-        }
-        local[(i, i)] = -out;
-    }
-}
-
-/// Builds the CS-CQ QBD. The short arrival process is a MAP (`Poisson` is
-/// the one-phase special case used by [`analyze`]); the full phase space is
-/// the Kronecker product of the chain phases and the MAP phases. Long
-/// arrivals remain Poisson — the busy-period transforms require it.
-fn build_qbd(
-    params: &SystemParams,
-    chain: &ChainLayout,
-    bl: &Ph,
-    bn: &Ph,
-    arrivals: &Map,
-) -> Result<Qbd, AnalysisError> {
-    for ph in [bl, bn] {
-        let mass: f64 = ph.initial().iter().sum();
-        if (mass - 1.0).abs() > 1e-9 {
-            return Err(AnalysisError::Param(DistError::Inconsistent {
-                reason: "busy-period phase-type has an atom at zero",
-            }));
-        }
-    }
-
-    let (mu_s, lambda_l) = (params.mu_s(), params.lambda_l());
-    let (k1, k2) = (chain.k1, chain.k2);
-    let ka = arrivals.dim();
-    let m = chain.m() * ka;
-    let nl = chain.nl * ka;
-    let nb = 2 * nl;
-
-    // Inserts `rate * I_ka` (a MAP-phase-preserving transition).
-    let eye = |mat: &mut Matrix, from: usize, to: usize, rate: f64| {
-        for a in 0..ka {
-            mat[(from * ka + a, to * ka + a)] += rate;
-        }
-    };
-    // Inserts a D1 block (short arrival; MAP phase may change).
-    let arr = |mat: &mut Matrix, from: usize, to: usize| {
-        for a in 0..ka {
-            for b in 0..ka {
-                mat[(from * ka + a, to * ka + b)] += arrivals.d1()[(a, b)];
-            }
-        }
-    };
-    // Inserts D0 off-diagonals (MAP internal moves) for the given phases.
-    let map_internal = |mat: &mut Matrix, phases: &[usize]| {
-        for &p in phases {
-            for a in 0..ka {
-                for b in 0..ka {
-                    if a != b {
-                        mat[(p * ka + a, p * ka + b)] += arrivals.d0()[(a, b)];
-                    }
-                }
-            }
-        }
-    };
-
-    // ---- Repeating blocks -------------------------------------------------
-    let mut a0 = Matrix::zeros(m, m);
-    for p in 0..chain.m() {
-        arr(&mut a0, p, p);
-    }
-
-    let mut a2 = Matrix::zeros(m, m);
-    eye(&mut a2, chain.w(), chain.w(), 2.0 * mu_s);
-    for i in 0..k1 {
-        eye(&mut a2, chain.bl(i), chain.bl(i), mu_s);
-    }
-    for i in 0..k2 {
-        eye(&mut a2, chain.bn(i), chain.bn(i), mu_s);
-    }
-    // R5 exit: one of two shorts completes; the freed (renamed) host starts
-    // B_{N+1} in its initial phase distribution.
-    for j in 0..k2 {
-        eye(
-            &mut a2,
-            chain.r5(),
-            chain.bn(j),
-            2.0 * mu_s * bn.initial()[j],
-        );
-    }
-
-    let mut a1 = Matrix::zeros(m, m);
-    eye(&mut a1, chain.w(), chain.r5(), lambda_l); // long arrival in region 2
-    for (ph, base) in [(bl, 0), (bn, k1)] {
-        for i in 0..ph.dim() {
-            let from = 1 + base + i;
-            for j in 0..ph.dim() {
-                if i != j {
-                    eye(&mut a1, from, 1 + base + j, ph.subgenerator()[(i, j)]);
-                }
-            }
-            eye(&mut a1, from, chain.w(), ph.exit_rates()[i]);
-        }
-    }
-    map_internal(&mut a1, &(0..chain.m()).collect::<Vec<_>>());
-    fix_diagonal(&mut a1, &[&a0, &a2]);
-
-    // ---- Boundary blocks --------------------------------------------------
-    // Levels 0 and 1 (zero or one short); no R5 phase there.
-    let mut b00 = Matrix::zeros(nb, nb);
-    let mut b01 = Matrix::zeros(nb, m);
-    let mut b10 = Matrix::zeros(m, nb);
-
-    // Level 0, W (empty system): short arrival to level 1; a long arrival
-    // starts B_L (region 1 -> region 3).
-    arr(&mut b00, chain.bw(0), chain.bw(1));
-    for j in 0..k1 {
-        eye(
-            &mut b00,
-            chain.bw(0),
-            chain.bbl(0, j),
-            lambda_l * bl.initial()[j],
-        );
-    }
-    // Level 0, busy-period phases: short arrivals move up; PH dynamics.
-    for i in 0..k1 {
-        arr(&mut b00, chain.bbl(0, i), chain.bbl(1, i));
-        for j in 0..k1 {
-            if i != j {
-                eye(
-                    &mut b00,
-                    chain.bbl(0, i),
-                    chain.bbl(0, j),
-                    bl.subgenerator()[(i, j)],
-                );
-            }
-        }
-        eye(&mut b00, chain.bbl(0, i), chain.bw(0), bl.exit_rates()[i]);
-    }
-    for i in 0..k2 {
-        arr(&mut b00, chain.bbn(0, i), chain.bbn(1, i));
-        for j in 0..k2 {
-            if i != j {
-                eye(
-                    &mut b00,
-                    chain.bbn(0, i),
-                    chain.bbn(0, j),
-                    bn.subgenerator()[(i, j)],
-                );
-            }
-        }
-        eye(&mut b00, chain.bbn(0, i), chain.bw(0), bn.exit_rates()[i]);
-    }
-
-    // Level 1, W (one short in service, no longs).
-    arr(&mut b01, chain.bw(1), chain.w()); // to level 2 (two shorts)
-    eye(&mut b00, chain.bw(1), chain.bw(0), mu_s); // the short completes
-    for j in 0..k1 {
-        eye(
-            &mut b00,
-            chain.bw(1),
-            chain.bbl(1, j),
-            lambda_l * bl.initial()[j],
-        );
-    }
-    // Level 1, busy-period phases: one short in service at the other host.
-    for i in 0..k1 {
-        arr(&mut b01, chain.bbl(1, i), chain.bl(i));
-        eye(&mut b00, chain.bbl(1, i), chain.bbl(0, i), mu_s);
-        for j in 0..k1 {
-            if i != j {
-                eye(
-                    &mut b00,
-                    chain.bbl(1, i),
-                    chain.bbl(1, j),
-                    bl.subgenerator()[(i, j)],
-                );
-            }
-        }
-        eye(&mut b00, chain.bbl(1, i), chain.bw(1), bl.exit_rates()[i]);
-    }
-    for i in 0..k2 {
-        arr(&mut b01, chain.bbn(1, i), chain.bn(i));
-        eye(&mut b00, chain.bbn(1, i), chain.bbn(0, i), mu_s);
-        for j in 0..k2 {
-            if i != j {
-                eye(
-                    &mut b00,
-                    chain.bbn(1, i),
-                    chain.bbn(1, j),
-                    bn.subgenerator()[(i, j)],
-                );
-            }
-        }
-        eye(&mut b00, chain.bbn(1, i), chain.bw(1), bn.exit_rates()[i]);
-    }
-    // MAP internal transitions within every boundary state.
-    map_internal(&mut b00, &(0..2 * chain.nl).collect::<Vec<_>>());
-
-    // Level 2 -> level 1 (B10): mirrors A2 but lands in boundary indices.
-    eye(&mut b10, chain.w(), chain.bw(1), 2.0 * mu_s);
-    for i in 0..k1 {
-        eye(&mut b10, chain.bl(i), chain.bbl(1, i), mu_s);
-    }
-    for i in 0..k2 {
-        eye(&mut b10, chain.bn(i), chain.bbn(1, i), mu_s);
-    }
-    for j in 0..k2 {
-        eye(
-            &mut b10,
-            chain.r5(),
-            chain.bbn(1, j),
-            2.0 * mu_s * bn.initial()[j],
-        );
-    }
-
-    fix_diagonal(&mut b00, &[&b01]);
-
-    Ok(Qbd::new(b00, b01, b10, a0, a1, a2)?)
+    cs_cq_km::bn_moments(Hosts::paper(), params)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cyclesteal_mg1::mmc;
+    use cyclesteal_mg1::{mg1, mmc};
 
     fn exp_params(rho_s: f64, rho_l: f64) -> SystemParams {
         SystemParams::exponential(rho_s, 1.0, rho_l, 1.0).unwrap()
@@ -1120,17 +627,6 @@ mod tests {
         let dist = shorts_distribution(&p, 2000).unwrap();
         let total: f64 = dist.iter().sum();
         assert!(total > 1.0 - 1e-6, "total {total}");
-    }
-
-    #[test]
-    fn map_poisson_reduces_to_base_analysis() {
-        let p = exp_params(1.1, 0.5);
-        let base = analyze(&p).unwrap();
-        let pois = Map::poisson(p.lambda_s()).unwrap();
-        let via_map = analyze_map(&p, &pois).unwrap();
-        assert!((via_map.short_response - base.short_response).abs() < 1e-10);
-        assert!((via_map.long_response - base.long_response).abs() < 1e-10);
-        assert!((via_map.setup_probability - base.setup_probability).abs() < 1e-10);
     }
 
     #[test]

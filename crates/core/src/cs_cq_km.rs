@@ -1,6 +1,7 @@
 //! CS-CQ for a **fleet**: `k` short hosts plus `m` stealing (long) hosts
 //! under one central queue — the many-server generalization of the paper's
-//! 2-host chain (`crate::cs_cq` is the `k = m = 1` instance).
+//! 2-host chain, and the only CS-CQ chain builder in the crate
+//! (`crate::cs_cq` is a thin facade over the `k = m = 1` instance).
 //!
 //! # The model
 //!
@@ -16,15 +17,16 @@
 //! # The chain
 //!
 //! * **Level** — number of short jobs in system (tracked exactly).
-//! * **Phase** — the *multiset* of per-slot states over the `m` slots.
+//! * **Phase** — the *multiset* of per-slot states over the `m` slots,
+//!   times the phase of the short-arrival MAP (one phase for Poisson).
 //!   Each slot is in one of `2 + k1 + k2` states: `F` (empty), a `B_L`
 //!   Coxian stage, a `B_{N+1}` stage, or `R5` (a long waits for a server).
-//!   Phases are enumerated as **non-decreasing slot-state tuples in
-//!   lexicographic order** — at `m = 1` this is exactly the 2-host phase
-//!   order `[W, BL…, BN…, R5]`, which makes the `(1, 1)` chain reduce
-//!   **bit-for-bit** to `crate::cs_cq` (same QBD signature, same
-//!   solution). The enumeration order is therefore part of the public
-//!   contract; see DESIGN §11.
+//!   Slot multisets are enumerated as **non-decreasing slot-state tuples
+//!   in lexicographic order**, and the MAP phase is the **innermost**
+//!   factor (index `multiset · ka + a`). At `m = 1` this is exactly the
+//!   paper's phase order `[W, BL…, BN…, R5] ⊗ MAP`, so the `(1, 1)` chain
+//!   is the paper's Figure-2 chain bit for bit; the enumeration order is
+//!   part of the public contract (see DESIGN §11).
 //! * **Boundary** — levels `0 .. k + m − 1`, each restricted to the phases
 //!   reachable there: with `r` slots in `R5` and `b` slots busy on longs,
 //!   all `k + m − b` short-capable servers are busy whenever a long waits,
@@ -36,7 +38,7 @@
 //!   oldest waiting slot (`R5 → B_{N+1}` stage `j` w.p. `β_j`);
 //! * a draining busy period while a long waits likewise rescues the oldest
 //!   waiting slot (impossible at `(1, 1)`, where `b ≥ 1` and `r ≥ 1`
-//!   cannot coexist — the reduction is untouched);
+//!   cannot coexist);
 //! * a long arriving at an empty slot starts `B_L` iff a server is idle
 //!   (`n < k + f + r` with `f` free slots), else the slot enters `R5`.
 //!
@@ -45,21 +47,22 @@
 //!
 //! # Outputs
 //!
-//! [`CsCqReport`], exactly as the 2-host analysis: shorts via `E[N_S]` and
-//! Little's law; longs as a per-slot M/G/1 with arrival rate `λ_L / m` and
-//! an `Exp((k + m) μ_S)` setup paid with the chain's conditional
-//! probability that an arriving long finds its slot free but every server
-//! busy (PASTA).
+//! [`CsCqReport`]: shorts via `E[N_S]` and Little's law; longs as a
+//! per-slot M/G/1 with arrival rate `λ_L / m` and an `Exp((k + m) μ_S)`
+//! setup paid with the chain's conditional probability that an arriving
+//! long finds its slot free but every server busy (PASTA — long arrivals
+//! stay Poisson whatever the short-arrival MAP).
 
-use cyclesteal_dist::{busy, DistError, Moments3, Ph};
+use std::ops::Range;
+
+use cyclesteal_dist::match3::{self, MatchQuality};
+use cyclesteal_dist::{busy, DistError, Map, Moments3, Ph};
 use cyclesteal_linalg::{Matrix, Workspace};
 use cyclesteal_markov::Qbd;
 use cyclesteal_mg1::mg1;
 
-use crate::cache::SolveCache;
-use crate::cs_cq::{
-    fit_busy_period_cached, fix_diagonal, snap_params, BusyPeriodFit, CsCqReport,
-};
+use crate::cache::{quantize, SolveCache};
+use crate::cs_cq::{BusyPeriodFit, CsCqReport};
 use crate::{stability, AnalysisError, SystemParams};
 
 /// Fleet shape: `k` short hosts and `m` stealing (long) hosts.
@@ -145,17 +148,15 @@ pub fn analyze_with(
     params: &SystemParams,
     fit: BusyPeriodFit,
 ) -> Result<CsCqReport, AnalysisError> {
-    analyze_inner(hosts, params, fit, None, &mut Workspace::new())
+    let poisson = Map::poisson(params.lambda_s())?;
+    analyze_inner(hosts, params, fit, &poisson, None, &mut Workspace::new())
 }
 
 /// [`analyze_with`] through a [`SolveCache`] (parameters snapped onto the
 /// quantization grid; fits, QBD solutions and whole reports memoized).
 /// The report key carries `(k, m)` verbatim — host counts are integers and
 /// are never quantized, so scenarios differing only in fleet shape cannot
-/// collide. At `(1, 1)` the key coincides with the 2-host
-/// [`crate::cs_cq::analyze_cached`] key, which is sound because the two
-/// construction paths are bit-identical there (the `km_reduction` suite
-/// is the gate).
+/// collide.
 ///
 /// # Errors
 ///
@@ -183,13 +184,15 @@ pub fn analyze_cached_in(
 ) -> Result<CsCqReport, AnalysisError> {
     let snapped = snap_params(params);
     let key = report_key(hosts, &snapped, fit);
-    cache.report(key, || analyze_inner(hosts, &snapped, fit, Some(cache), ws))
+    cache.report(key, || {
+        let poisson = Map::poisson(snapped.lambda_s())?;
+        analyze_inner(hosts, &snapped, fit, &poisson, Some(cache), ws)
+    })
 }
 
 /// The [`crate::cache::ReportKey`] under which [`analyze_cached`] memoizes
 /// (and the persistence layer stores) this `(k, m)` workload. Parameters
-/// are snapped here; host counts are carried verbatim. At `(1, 1)` this is
-/// exactly [`crate::cs_cq::report_key`].
+/// are snapped here; host counts are carried verbatim.
 pub fn report_key(
     hosts: Hosts,
     params: &SystemParams,
@@ -210,9 +213,67 @@ pub fn report_key(
     )
 }
 
+/// Snaps every workload parameter onto the cache quantization grid; keeps
+/// the original parameters if the snapped triple happens to fall outside
+/// the feasible set (only possible exactly on a feasibility boundary).
+fn snap_params(params: &SystemParams) -> SystemParams {
+    let long = params.long_moments();
+    Moments3::new(quantize(long.mean()), quantize(long.m2()), quantize(long.m3()))
+        .map_err(AnalysisError::from)
+        .and_then(|m| {
+            SystemParams::new(
+                quantize(params.lambda_s()),
+                quantize(params.mu_s()),
+                quantize(params.lambda_l()),
+                m,
+            )
+        })
+        .unwrap_or(*params)
+}
+
+/// The stationary distribution `P(N_S = n)`, `n = 0 ..= n_max`, of the
+/// fleet with Poisson arrivals and three-moment fits — the body of
+/// [`crate::cs_cq::shorts_distribution`], which documents the contract.
+/// Boundary level `n` holds `n` shorts; repeating level `j` holds
+/// `k + m + j`.
+pub(crate) fn shorts_distribution(
+    hosts: Hosts,
+    params: &SystemParams,
+    n_max: usize,
+) -> Result<Vec<f64>, AnalysisError> {
+    check_stable(hosts, params)?;
+    let fits = fit_slot_busy_periods(hosts, params, BusyPeriodFit::ThreeMoment, None)?;
+    let phs = slot_phs(&fits);
+    let poisson = Map::poisson(params.lambda_s())?;
+    let layout = KmLayout::new(hosts, phs, poisson.dim());
+    let sol = build_with_layout(&layout, params, phs, &poisson)?.solve()?;
+
+    let levels = hosts.k + hosts.m;
+    let mut dist: Vec<f64> = (0..levels.min(n_max + 1))
+        .map(|n| sol.boundary()[layout.level_range(n)].iter().sum())
+        .collect();
+    if n_max >= levels {
+        dist.extend(sol.level_masses(n_max + 1 - levels));
+    }
+    // Refuse to return a silently truncated distribution: the emitted mass
+    // must account for everything but a negligible tail (relative to the
+    // chain's own total mass, which is 1 up to solver roundoff).
+    let emitted: f64 = dist.iter().sum();
+    let tail = (sol.total_mass() - emitted).max(0.0);
+    const TAIL_TOL: f64 = 1e-6;
+    if tail > TAIL_TOL {
+        return Err(AnalysisError::Truncated {
+            n_max,
+            tail_mass: tail,
+            tolerance: TAIL_TOL,
+        });
+    }
+    Ok(dist)
+}
+
 /// Builds the fleet QBD exactly as [`analyze_with`] constructs it,
-/// **without solving** — the `(k, m)` counterpart of
-/// [`crate::cs_cq::build_qbd_model`].
+/// **without solving** — so benchmarks and diagnostics can isolate the
+/// QBD *solve* from the model *construction*.
 ///
 /// # Errors
 ///
@@ -222,14 +283,13 @@ pub fn build_qbd_model(
     params: &SystemParams,
     fit: BusyPeriodFit,
 ) -> Result<Qbd, AnalysisError> {
-    let fits = fit_slot_busy_periods(hosts, params, fit, None)?;
-    build_qbd(hosts, params, fits.as_ref().map(|f| (&f.0 .0, &f.1 .0)))
+    build_model(hosts, params, fit, &Map::poisson(params.lambda_s())?, None)
 }
 
 /// Builds the fleet QBD exactly as [`analyze_cached_in`] would on a cache
 /// miss — parameters snapped, fits served through the cache — without
-/// solving. The sweep batch planner's `(k, m)` hook: construction is
-/// bit-shared with the cached analysis path, so the planned chain's
+/// solving. The sweep batch planner's hook: construction is bit-shared
+/// with the cached analysis path, so the planned chain's
 /// [`Qbd::signature`] matches the one evaluation will look up.
 ///
 /// # Errors
@@ -243,19 +303,15 @@ pub fn plan_qbd_cached(
     cache: &SolveCache,
 ) -> Result<Qbd, AnalysisError> {
     let snapped = snap_params(params);
-    let (rho_s, rho_l) = (snapped.rho_s(), snapped.rho_l());
-    if !stability::is_stable_km(hosts.k, hosts.m, rho_s, rho_l) {
-        return Err(unstable_error(hosts, rho_s, rho_l));
-    }
+    check_stable(hosts, &snapped)?;
     cache.qbd_plan(report_key(hosts, &snapped, fit), || {
-        let fits = fit_slot_busy_periods(hosts, &snapped, fit, Some(cache))?;
-        build_qbd(hosts, &snapped, fits.as_ref().map(|f| (&f.0 .0, &f.1 .0)))
+        let poisson = Map::poisson(snapped.lambda_s())?;
+        build_model(hosts, &snapped, fit, &poisson, Some(cache))
     })
 }
 
 /// Moments of a slot's `B_L`: the M/G/1 busy period of the slot's own
-/// Poisson(`λ_L / m`) long stream. At `m = 1` this is exactly
-/// [`crate::cs_cq::bl_moments`].
+/// Poisson(`λ_L / m`) long stream.
 ///
 /// # Errors
 ///
@@ -274,8 +330,7 @@ pub fn bl_moments(hosts: Hosts, params: &SystemParams) -> Result<Moments3, Analy
 
 /// Moments of a slot's `B_{N+1}`: the busy period started by the longs
 /// accumulated while waiting `I ~ Exp((k + m) μ_S)` for a short completion
-/// (all `k + m` servers busy with shorts). At `m = 1` this is exactly
-/// [`crate::cs_cq::bn_moments`].
+/// (all `k + m` servers busy with shorts).
 ///
 /// # Errors
 ///
@@ -293,24 +348,46 @@ pub fn bn_moments(hosts: Hosts, params: &SystemParams) -> Result<Moments3, Analy
     )?)
 }
 
-fn unstable_error(hosts: Hosts, rho_s: f64, rho_l: f64) -> AnalysisError {
+/// Long-job mean response time of a slot: an M/G/1 with arrival rate
+/// `λ_L / m` whose busy periods start after a setup `K = Exp((k + m) μ_S)`
+/// with probability `p_setup` (else `K = 0`). At `(1, 1)`, `λ_L / 1.0`
+/// and `(1 + 1) as f64 · μ_S` are bitwise the paper's `λ_L` and `2μ_S`.
+pub(crate) fn long_response_with_setup(
+    hosts: Hosts,
+    params: &SystemParams,
+    p_setup: f64,
+) -> Result<f64, AnalysisError> {
+    let theta = (hosts.k + hosts.m) as f64 * params.mu_s();
+    let k1 = p_setup / theta;
+    let k2 = 2.0 * p_setup / (theta * theta);
+    Ok(mg1::mean_response_with_setup(
+        params.lambda_l() / hosts.m as f64,
+        params.long_moments(),
+        k1,
+        k2,
+    )?)
+}
+
+/// [`AnalysisError::Unstable`] outside the fleet stability region.
+fn check_stable(hosts: Hosts, params: &SystemParams) -> Result<(), AnalysisError> {
+    let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
+    if stability::is_stable_km(hosts.k, hosts.m, rho_s, rho_l) {
+        return Ok(());
+    }
     let rho_s_max = if hosts.m == 0 {
         hosts.k as f64
     } else {
         stability::max_rho_s_km(hosts.k, hosts.m, rho_l)
     };
-    AnalysisError::Unstable {
+    Err(AnalysisError::Unstable {
         policy: "CS-CQ",
         rho_s,
         rho_l,
         rho_s_max,
-    }
+    })
 }
 
-type SlotFits = (
-    (Ph, cyclesteal_dist::match3::MatchQuality),
-    (Ph, cyclesteal_dist::match3::MatchQuality),
-);
+type SlotFits = ((Ph, MatchQuality), (Ph, MatchQuality));
 
 /// Fits both per-slot busy periods, or `None` for `m = 0` (no long class).
 fn fit_slot_busy_periods(
@@ -327,32 +404,81 @@ fn fit_slot_busy_periods(
     Ok(Some((bl, bn)))
 }
 
-fn analyze_inner(
+/// The fitted `(B_L, B_{N+1})` phase-type pair the builder consumes.
+fn slot_phs(fits: &Option<SlotFits>) -> Option<(&Ph, &Ph)> {
+    fits.as_ref().map(|((bl, _), (bn, _))| (bl, bn))
+}
+
+fn fit_busy_period_cached(
+    m: Moments3,
+    fit: BusyPeriodFit,
+    cache: Option<&SolveCache>,
+) -> Result<(Ph, MatchQuality), AnalysisError> {
+    match cache {
+        Some(c) => c.fit(m, fit.tag(), || fit_busy_period(m, fit)),
+        None => fit_busy_period(m, fit),
+    }
+}
+
+fn fit_busy_period(m: Moments3, fit: BusyPeriodFit) -> Result<(Ph, MatchQuality), AnalysisError> {
+    match fit {
+        BusyPeriodFit::MeanOnly => Ok((Ph::exponential(1.0 / m.mean())?, MatchQuality::MeanOnly)),
+        BusyPeriodFit::TwoMoment => {
+            // Re-derive a feasible triple with the right mean and scv but a
+            // conventional third moment, then match it exactly.
+            let doctored = Moments3::from_mean_scv_balanced(m.mean(), m.scv().max(1e-9))?;
+            let f = match3::fit_ph(doctored)?;
+            Ok((f.ph, MatchQuality::ExactTwo))
+        }
+        BusyPeriodFit::ThreeMoment => {
+            let f = match3::fit_ph(m)?;
+            Ok((f.ph, f.quality))
+        }
+    }
+}
+
+/// Fits the busy periods and assembles the chain, unsolved.
+pub(crate) fn build_model(
     hosts: Hosts,
     params: &SystemParams,
     fit: BusyPeriodFit,
+    arrivals: &Map,
+    cache: Option<&SolveCache>,
+) -> Result<Qbd, AnalysisError> {
+    let fits = fit_slot_busy_periods(hosts, params, fit, cache)?;
+    let phs = slot_phs(&fits);
+    let layout = KmLayout::new(hosts, phs, arrivals.dim());
+    build_with_layout(&layout, params, phs, arrivals)
+}
+
+/// The analysis behind every public entry point: `cache` is `Some` only
+/// on the Poisson-arrival cached path.
+pub(crate) fn analyze_inner(
+    hosts: Hosts,
+    params: &SystemParams,
+    fit: BusyPeriodFit,
+    arrivals: &Map,
     cache: Option<&SolveCache>,
     ws: &mut Workspace,
 ) -> Result<CsCqReport, AnalysisError> {
-    cyclesteal_obs::span!("core.cs_cq_km.analyze");
-    cyclesteal_obs::counter!("core.cs_cq_km.analyze");
-    let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
-    if !stability::is_stable_km(hosts.k, hosts.m, rho_s, rho_l) {
-        return Err(unstable_error(hosts, rho_s, rho_l));
-    }
+    cyclesteal_obs::span!("core.cs_cq.analyze");
+    cyclesteal_obs::counter!("core.cs_cq.analyze");
+    check_stable(hosts, params)?;
 
     let fits = fit_slot_busy_periods(hosts, params, fit, cache)?;
-    let phs = fits.as_ref().map(|f| (&f.0 .0, &f.1 .0));
-    let layout = KmLayout::new(hosts, phs);
+    let phs = slot_phs(&fits);
+    let layout = KmLayout::new(hosts, phs, arrivals.dim());
     let qbd = match cache {
-        // Sound because the cached path always sees the same snapped
-        // workload the key encodes (see [`analyze_cached_in`]); a plan
-        // seeded by a batch presolve is reused here instead of assembling
-        // the block matrices a second time.
+        // The plan key carries no arrival-MAP information. It is sound
+        // because every cached caller ([`analyze_cached_in`],
+        // [`plan_qbd_cached`]) drives the chain with Poisson arrivals at
+        // the snapped `λ_S` the key encodes; MAP analyses pass no cache.
+        // A plan seeded by a batch presolve is reused here instead of
+        // assembling the block matrices a second time.
         Some(c) => c.qbd_plan(report_key(hosts, params, fit), || {
-            build_with_layout(&layout, params, phs)
+            build_with_layout(&layout, params, phs, arrivals)
         })?,
-        None => build_with_layout(&layout, params, phs)?,
+        None => build_with_layout(&layout, params, phs, arrivals)?,
     };
     let sol = match cache {
         Some(c) => c.qbd_solution(&qbd, ws)?,
@@ -360,14 +486,12 @@ fn analyze_inner(
     };
 
     // E[N_S]: boundary level n holds n shorts; repeating level j holds
-    // (k + m) + j. At (1, 1) this is exactly the 2-host expression
+    // (k + m) + j. At (1, 1) this is the paper's expression
     // `level1_mass + 2·repeating_mass + expected_level_index`.
-    let (k, m) = (hosts.k, hosts.m);
+    let (k, m, ka) = (hosts.k, hosts.m, layout.ka);
     let mut mean_shorts = 0.0;
     for n in 1..(k + m) {
-        let mass: f64 = sol.boundary()[layout.offsets[n]..layout.offsets[n + 1]]
-            .iter()
-            .sum();
+        let mass: f64 = sol.boundary()[layout.level_range(n)].iter().sum();
         mean_shorts += n as f64 * mass;
     }
     mean_shorts += (k + m) as f64 * sol.repeating_mass();
@@ -377,62 +501,53 @@ fn analyze_inner(
     // Region probabilities, slot-averaged (PASTA over the uniformly chosen
     // slot of an arriving long): region 1 = slot free and a server idle,
     // region 2 = slot free but every server busy, region 5 = a long waits
-    // at the slot. Boundary first, then the repeating aggregate, so the
-    // (1, 1) accumulation order matches the 2-host loop term for term.
+    // at the slot. Per arrival phase, boundary first and then the
+    // repeating aggregate: at (1, 1) this accumulates term for term in the
+    // paper chain's order.
     let mut p_region1 = 0.0;
     let mut p_region2 = 0.0;
     let mut p_region5 = 0.0;
     let (setup_probability, long_response) = if m == 0 {
         (0.0, 0.0)
     } else {
-        for n in 0..(k + m) {
-            for (pos, &p) in layout.levels[n].iter().enumerate() {
-                let x = sol.boundary()[layout.offsets[n] + pos];
-                let info = layout.info[p];
-                if info.free >= 1 {
-                    let w = info.free as f64 / m as f64;
-                    if n < layout.avail(p) {
-                        p_region1 += w * x;
-                    } else {
-                        p_region2 += w * x;
+        let phase_mass = sol.phase_mass();
+        for a in 0..ka {
+            for n in 0..(k + m) {
+                for (pos, &p) in layout.levels[n].iter().enumerate() {
+                    let x = sol.boundary()[(layout.offsets[n] + pos) * ka + a];
+                    let info = layout.info[p];
+                    if info.free >= 1 {
+                        let w = info.free as f64 / m as f64;
+                        if n < layout.avail(p) {
+                            p_region1 += w * x;
+                        } else {
+                            p_region2 += w * x;
+                        }
                     }
+                    if info.r5 >= 1 {
+                        p_region5 += info.r5 as f64 / m as f64 * x;
+                    }
+                }
+            }
+            for (p, info) in layout.info.iter().enumerate() {
+                let x = phase_mass[p * ka + a];
+                if info.free >= 1 {
+                    // No server is ever idle at repeating levels (n ≥ k + m).
+                    p_region2 += info.free as f64 / m as f64 * x;
                 }
                 if info.r5 >= 1 {
                     p_region5 += info.r5 as f64 / m as f64 * x;
                 }
             }
         }
-        let phase_mass = sol.phase_mass();
-        for (info, &x) in layout.info.iter().zip(&phase_mass) {
-            if info.free >= 1 {
-                // No server is ever idle at repeating levels (n ≥ k + m).
-                p_region2 += info.free as f64 / m as f64 * x;
-            }
-            if info.r5 >= 1 {
-                p_region5 += info.r5 as f64 / m as f64 * x;
-            }
-        }
         let p_setup = p_region2 / (p_region1 + p_region2);
-        // Per-slot M/G/1 with setup K = Exp((k + m) μ_S) w.p. p_setup.
-        let theta = (k + m) as f64 * params.mu_s();
-        let k1 = p_setup / theta;
-        let k2 = 2.0 * p_setup / (theta * theta);
-        let long_response = mg1::mean_response_with_setup(
-            params.lambda_l() / m as f64,
-            params.long_moments(),
-            k1,
-            k2,
-        )?;
-        (p_setup, long_response)
+        (p_setup, long_response_with_setup(hosts, params, p_setup)?)
     };
 
     let (bl_match, bn_match) = match &fits {
         Some(((_, blq), (_, bnq))) => (*blq, *bnq),
         // m = 0: no busy periods exist; report the trivial quality.
-        None => (
-            cyclesteal_dist::match3::MatchQuality::MeanOnly,
-            cyclesteal_dist::match3::MatchQuality::MeanOnly,
-        ),
+        None => (MatchQuality::MeanOnly, MatchQuality::MeanOnly),
     };
     Ok(CsCqReport {
         short_response,
@@ -462,14 +577,19 @@ struct PhaseInfo {
 /// Phase enumeration and boundary layout of the `(k, m)` chain.
 ///
 /// Slot-state ids: `F = 0`, `BL(i) = 1 + i`, `BN(j) = 1 + k1 + j`,
-/// `R5 = 1 + k1 + k2`. Phases are the sorted (non-decreasing) slot-state
-/// tuples of length `m`, in lexicographic order — the bit-identity
-/// contract with the 2-host chain at `m = 1`.
+/// `R5 = 1 + k1 + k2`. Slot phases are the sorted (non-decreasing)
+/// slot-state tuples of length `m`, in lexicographic order; each expands
+/// into `ka` chain phases, one per short-arrival MAP phase, innermost —
+/// the bit-identity contract with the paper's chain at `m = 1`. Every
+/// index below (`levels`, `offsets`, `bidx`) counts slot phases; chain
+/// index = slot-phase index · `ka` + MAP phase.
 struct KmLayout {
     k: usize,
     m: usize,
     k1: usize,
     k2: usize,
+    /// Phases of the short-arrival MAP (1 for Poisson).
+    ka: usize,
     phases: Vec<Vec<u8>>,
     info: Vec<PhaseInfo>,
     /// Valid phase ids per boundary level `0 .. k + m`, ascending.
@@ -483,7 +603,7 @@ struct KmLayout {
 }
 
 impl KmLayout {
-    fn new(hosts: Hosts, phs: Option<(&Ph, &Ph)>) -> Self {
+    fn new(hosts: Hosts, phs: Option<(&Ph, &Ph)>, ka: usize) -> Self {
         let (k, m) = (hosts.k, hosts.m);
         let (k1, k2) = match phs {
             Some((bl, bn)) => (bl.dim(), bn.dim()),
@@ -533,12 +653,18 @@ impl KmLayout {
             m,
             k1,
             k2,
+            ka,
             phases,
             info,
             levels,
             offsets,
             level_pos,
         }
+    }
+
+    /// Chain indices of boundary level `n` (all its phases × MAP phases).
+    fn level_range(&self, n: usize) -> Range<usize> {
+        self.offsets[n] * self.ka..self.offsets[n + 1] * self.ka
     }
 
     /// Servers available to shorts in phase `p`: `k + m` minus the slots
@@ -631,24 +757,33 @@ fn enumerate_multisets(out: &mut Vec<Vec<u8>>, cur: &mut Vec<u8>, start: u8, lef
     }
 }
 
-fn build_qbd(
-    hosts: Hosts,
-    params: &SystemParams,
-    phs: Option<(&Ph, &Ph)>,
-) -> Result<Qbd, AnalysisError> {
-    let layout = KmLayout::new(hosts, phs);
-    build_with_layout(&layout, params, phs)
+/// Fills `diag` so that the row sums of the concatenated blocks vanish.
+fn fix_diagonal(local: &mut Matrix, others: &[&Matrix]) {
+    for i in 0..local.rows() {
+        let mut out: f64 = 0.0;
+        for j in 0..local.cols() {
+            if j != i {
+                out += local[(i, j)];
+            }
+        }
+        for b in others {
+            out += b.row(i).iter().sum::<f64>();
+        }
+        local[(i, i)] = -out;
+    }
 }
 
 /// Assembles the six generator blocks. Every rate expression is written so
-/// that at `(k, m) = (1, 1)` it evaluates **bitwise** to the corresponding
-/// 2-host expression in `crate::cs_cq::build_qbd` (`1.0 · x ≡ x`,
-/// `λ_L · (1/1) ≡ λ_L`, `2 as f64 · μ_S ≡ 2.0 · μ_S`), making the two
-/// chains share their [`Qbd::signature`].
+/// that at `(k, m) = (1, 1)` it evaluates **bitwise** to the paper chain's
+/// expression (`1.0 · x ≡ x`, `λ_L · (1/1) ≡ λ_L`,
+/// `2 as f64 · μ_S ≡ 2.0 · μ_S`), and every entry is written once, so the
+/// `(1, 1)` chain shares its [`Qbd::signature`] with the 2-host reference
+/// builder kept in the `km_reduction` test suite.
 fn build_with_layout(
     layout: &KmLayout,
     params: &SystemParams,
     phs: Option<(&Ph, &Ph)>,
+    arrivals: &Map,
 ) -> Result<Qbd, AnalysisError> {
     if let Some((bl, bn)) = phs {
         for ph in [bl, bn] {
@@ -661,15 +796,44 @@ fn build_with_layout(
         }
     }
 
-    let (k, m) = (layout.k, layout.m);
-    let (lambda_s, mu_s, lambda_l) = (params.lambda_s(), params.mu_s(), params.lambda_l());
+    let (k, m, ka) = (layout.k, layout.m, layout.ka);
+    let (mu_s, lambda_l) = (params.mu_s(), params.lambda_l());
+    let (d0, d1) = (arrivals.d0(), arrivals.d1());
     let np = layout.phases.len();
     let nb = layout.offsets[k + m];
     let bn_initial = phs.map(|(_, bn)| bn.initial());
 
+    // A slot-phase transition `row → col` that leaves the arrival phase
+    // alone: `rate · I_ka`.
+    let put = |mat: &mut Matrix, row: usize, col: usize, rate: f64| {
+        for a in 0..ka {
+            mat[(row * ka + a, col * ka + a)] += rate;
+        }
+    };
+    // A short arrival `row → col`: the MAP's `D1` block (the arrival
+    // phase may change).
+    let arrive = |mat: &mut Matrix, row: usize, col: usize| {
+        for a in 0..ka {
+            for b in 0..ka {
+                mat[(row * ka + a, col * ka + b)] += d1[(a, b)];
+            }
+        }
+    };
+    // The MAP's arrival-free phase changes (`D0` off-diagonals) within
+    // slot phase `row`.
+    let map_internal = |mat: &mut Matrix, row: usize| {
+        for a in 0..ka {
+            for b in 0..ka {
+                if a != b {
+                    mat[(row * ka + a, row * ka + b)] += d0[(a, b)];
+                }
+            }
+        }
+    };
+
     // Down-transitions from phase `p` with `s` shorts in service: the
     // completion frees a server, which rescues the oldest waiting slot
-    // when one exists (`R5 → BN(j)` w.p. β_j). Emits into `mat` at
+    // when one exists (`R5 → BN(j)` w.p. β_j). Emits at
     // `(row, col_of(target phase))`.
     let emit_completion =
         |mat: &mut Matrix, row: usize, p: usize, s: usize, col_of: &dyn Fn(usize) -> usize| {
@@ -677,18 +841,19 @@ fn build_with_layout(
                 return;
             }
             if layout.info[p].r5 == 0 {
-                mat[(row, col_of(p))] += s as f64 * mu_s;
+                put(mat, row, col_of(p), s as f64 * mu_s);
             } else {
                 let init = bn_initial.expect("R5 slots require a long class");
                 for (j, &beta) in init.iter().enumerate().take(layout.k2) {
                     let q = layout.replace(p, layout.st_r5(), layout.st_bn(j));
-                    mat[(row, col_of(q))] += s as f64 * mu_s * beta;
+                    put(mat, row, col_of(q), s as f64 * mu_s * beta);
                 }
             }
         };
 
     // Within-level transitions of phase `p` at a level with `idle` servers
-    // available (boundary levels can have idle servers; repeating cannot).
+    // available (boundary levels can have idle servers; repeating cannot),
+    // plus the arrival MAP's own phase changes.
     let emit_local =
         |mat: &mut Matrix, row: usize, p: usize, idle: bool, col_of: &dyn Fn(usize) -> usize| {
             let info = layout.info[p];
@@ -698,13 +863,14 @@ fn build_with_layout(
                     // A long starts B_L on an idle server (region 1 → 3).
                     for j in 0..layout.k1 {
                         let q = layout.replace(p, 0, layout.st_bl(j));
-                        mat[(row, col_of(q))] +=
-                            lambda_l * (info.free as f64 / m as f64) * bl.initial()[j];
+                        let rate = lambda_l * (info.free as f64 / m as f64) * bl.initial()[j];
+                        put(mat, row, col_of(q), rate);
                     }
                 } else {
                     // Every server is busy: the long waits (region 2 → 5).
                     let q = layout.replace(p, 0, layout.st_r5());
-                    mat[(row, col_of(q))] += lambda_l * (info.free as f64 / m as f64);
+                    let rate = lambda_l * (info.free as f64 / m as f64);
+                    put(mat, row, col_of(q), rate);
                 }
             }
             // Busy-period Coxian dynamics, per distinct occupied stage.
@@ -726,7 +892,8 @@ fn build_with_layout(
                             layout.st_bn(j)
                         };
                         let q = layout.replace(p, state, to);
-                        mat[(row, col_of(q))] += count as f64 * ph.subgenerator()[(i, j)];
+                        let rate = count as f64 * ph.subgenerator()[(i, j)];
+                        put(mat, row, col_of(q), rate);
                     }
                 }
                 // Busy period ends: the slot empties; the freed server
@@ -734,40 +901,40 @@ fn build_with_layout(
                 // (impossible at (1, 1), where b and r cannot coexist).
                 if info.r5 == 0 {
                     let q = layout.replace(p, state, 0);
-                    mat[(row, col_of(q))] += count as f64 * ph.exit_rates()[i];
+                    put(mat, row, col_of(q), count as f64 * ph.exit_rates()[i]);
                 } else {
                     let init = bn_initial.expect("R5 slots require a long class");
                     for (j, &beta) in init.iter().enumerate().take(layout.k2) {
-                        let q =
-                            layout.replace2(p, state, 0, layout.st_r5(), layout.st_bn(j));
-                        mat[(row, col_of(q))] +=
-                            count as f64 * ph.exit_rates()[i] * beta;
+                        let q = layout.replace2(p, state, 0, layout.st_r5(), layout.st_bn(j));
+                        let rate = count as f64 * ph.exit_rates()[i] * beta;
+                        put(mat, row, col_of(q), rate);
                     }
                 }
             }
+            map_internal(mat, row);
         };
 
     // ---- Repeating blocks (levels n ≥ k + m: no server is ever idle) ----
-    let mut a0 = Matrix::zeros(np, np);
+    let mut a0 = Matrix::zeros(np * ka, np * ka);
     for p in 0..np {
-        a0[(p, p)] += lambda_s;
+        arrive(&mut a0, p, p);
     }
 
-    let mut a2 = Matrix::zeros(np, np);
+    let mut a2 = Matrix::zeros(np * ka, np * ka);
     for p in 0..np {
         emit_completion(&mut a2, p, p, layout.avail(p), &|q| q);
     }
 
-    let mut a1 = Matrix::zeros(np, np);
+    let mut a1 = Matrix::zeros(np * ka, np * ka);
     for p in 0..np {
         emit_local(&mut a1, p, p, false, &|q| q);
     }
     fix_diagonal(&mut a1, &[&a0, &a2]);
 
     // ---- Boundary blocks (levels 0 .. k + m − 1) ------------------------
-    let mut b00 = Matrix::zeros(nb, nb);
-    let mut b01 = Matrix::zeros(nb, np);
-    let mut b10 = Matrix::zeros(np, nb);
+    let mut b00 = Matrix::zeros(nb * ka, nb * ka);
+    let mut b01 = Matrix::zeros(nb * ka, np * ka);
+    let mut b10 = Matrix::zeros(np * ka, nb * ka);
 
     for n in 0..(k + m) {
         for &p in &layout.levels[n] {
@@ -775,9 +942,9 @@ fn build_with_layout(
             // Short arrival: up one level (into the repeating portion from
             // the last boundary level).
             if n + 1 < k + m {
-                b00[(row, layout.bidx(n + 1, p))] += lambda_s;
+                arrive(&mut b00, row, layout.bidx(n + 1, p));
             } else {
-                b01[(row, p)] += lambda_s;
+                arrive(&mut b01, row, p);
             }
             // Short completion: down one level.
             let s = n.min(layout.avail(p));
@@ -806,28 +973,10 @@ fn build_with_layout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cs_cq;
     use cyclesteal_mg1::mmc;
 
     fn exp_params(rho_s: f64, rho_l: f64) -> SystemParams {
         SystemParams::exponential(rho_s, 1.0, rho_l, 1.0).unwrap()
-    }
-
-    #[test]
-    fn one_one_chain_is_bit_identical_to_the_2host_chain() {
-        for (rho_s, rho_l) in [(0.5, 0.5), (1.2, 0.5), (1.45, 0.5), (0.9, 0.9)] {
-            let p = exp_params(rho_s, rho_l);
-            let two_host = cs_cq::build_qbd_model(&p, BusyPeriodFit::ThreeMoment).unwrap();
-            let fleet =
-                build_qbd_model(Hosts::paper(), &p, BusyPeriodFit::ThreeMoment).unwrap();
-            assert_eq!(fleet.boundary_dim(), two_host.boundary_dim());
-            assert_eq!(fleet.phase_dim(), two_host.phase_dim());
-            assert_eq!(
-                fleet.signature(),
-                two_host.signature(),
-                "({rho_s}, {rho_l}): the (1,1) fleet chain must reduce bit-for-bit"
-            );
-        }
     }
 
     #[test]

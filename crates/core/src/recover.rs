@@ -8,11 +8,13 @@
 //! where a cheaper-but-sound method exists, and into attributed failures
 //! where it does not:
 //!
-//! * [`analyze_cs_cq_cached`] — degrades the busy-period fit order
+//! * [`analyze_cached`] — degrades the busy-period fit order
 //!   (three-moment → two-moment → mean-only) when a fit is infeasible or
 //!   the QBD `R`-iteration exhausts both algorithms. Degraded results are
 //!   flagged (`degraded: true`) so reports never pass an approximation off
-//!   as the paper's method.
+//!   as the paper's method. One entry family serves every fleet shape
+//!   (keyed by [`Hosts`]); [`analyze_deadline_cached_in`] runs the same
+//!   ladder under a time budget.
 //! * [`shorts_distribution`] — geometrically grows the truncation depth
 //!   `n_max` up to a budget when the tail mass is still non-negligible.
 //!
@@ -25,7 +27,7 @@
 
 use crate::cache::SolveCache;
 use crate::cs_cq::{self, BusyPeriodFit, CsCqReport};
-use crate::cs_cq_km;
+use crate::cs_cq_km::{self, Hosts};
 use crate::{AnalysisError, SystemParams};
 use cyclesteal_dist::DistError;
 use cyclesteal_linalg::Workspace;
@@ -165,36 +167,10 @@ fn fit_retryable(e: &AnalysisError) -> bool {
     )
 }
 
-fn run_fit_ladder(
-    mut attempt: impl FnMut(BusyPeriodFit) -> Result<CsCqReport, AnalysisError>,
-) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    for (rung, &fit) in FIT_LADDER.iter().enumerate() {
-        let recovery = Recovery {
-            attempts: rung as u32 + 1,
-            degraded: rung > 0,
-            fit,
-        };
-        cyclesteal_obs::counter!("core.recover.attempts");
-        match attempt(fit) {
-            Ok(report) => {
-                cyclesteal_obs::histogram!("core.recover.ladder_depth", u64::from(recovery.attempts));
-                if recovery.degraded {
-                    cyclesteal_obs::counter!("core.recover.degraded");
-                }
-                return (Ok(report), recovery);
-            }
-            Err(e) if rung + 1 < FIT_LADDER.len() && fit_retryable(&e) => continue,
-            Err(e) => {
-                cyclesteal_obs::counter!("core.recover.exhausted");
-                return (Err(e), recovery);
-            }
-        }
-    }
-    unreachable!("the ladder returns from its last rung")
-}
-
-/// The fit ladder under a time budget. Same escalation rules as
-/// [`run_fit_ladder`], with three deadline-specific behaviours:
+/// The fit-order ladder: on a retryable failure ([`fit_retryable`]) the
+/// next, weaker fit is tried, until one succeeds or the last rung fails.
+/// With `deadline: None` that is the whole story (and `steered` is always
+/// `false`). A [`Deadline`] adds three behaviours:
 ///
 /// 1. **Expired at a rung boundary** → `DeadlineExceeded { stage }`
 ///    naming the rung that could not start (so an expired-on-arrival
@@ -212,8 +188,8 @@ fn run_fit_ladder(
 ///
 /// Budget decisions depend only on the injected [`Clock`] readings, so a
 /// scripted clock makes every branch of this ladder deterministic.
-fn run_fit_ladder_deadline(
-    deadline: &Deadline<'_>,
+fn run_fit_ladder(
+    deadline: Option<&Deadline<'_>>,
     mut attempt: impl FnMut(BusyPeriodFit) -> Result<CsCqReport, AnalysisError>,
 ) -> (Result<CsCqReport, AnalysisError>, DeadlineRecovery) {
     let mut steered = false;
@@ -222,7 +198,7 @@ fn run_fit_ladder_deadline(
     let last = FIT_LADDER.len() - 1;
     loop {
         let fit = FIT_LADDER[rung];
-        if deadline.expired() {
+        if let Some(deadline) = deadline.filter(|d| d.expired()) {
             cyclesteal_obs::counter!("core.recover.deadline_exceeded");
             return (
                 Err(AnalysisError::DeadlineExceeded {
@@ -246,7 +222,7 @@ fn run_fit_ladder_deadline(
             fit,
         };
         cyclesteal_obs::counter!("core.recover.attempts");
-        let before = deadline.elapsed_ns();
+        let before = deadline.map(Deadline::elapsed_ns);
         match attempt(fit) {
             Ok(report) => {
                 cyclesteal_obs::histogram!("core.recover.ladder_depth", u64::from(attempts));
@@ -256,14 +232,16 @@ fn run_fit_ladder_deadline(
                 return (Ok(report), DeadlineRecovery { recovery, steered });
             }
             Err(e) if rung < last && fit_retryable(&e) => {
-                let cost = deadline.elapsed_ns().saturating_sub(before);
-                if rung + 1 < last && deadline.remaining_ns() < cost {
-                    rung = last;
-                    steered = true;
-                    cyclesteal_obs::counter!("core.recover.deadline_steered");
-                } else {
-                    rung += 1;
+                if let Some((deadline, before)) = deadline.zip(before) {
+                    let cost = deadline.elapsed_ns().saturating_sub(before);
+                    if rung + 1 < last && deadline.remaining_ns() < cost {
+                        rung = last;
+                        steered = true;
+                        cyclesteal_obs::counter!("core.recover.deadline_steered");
+                        continue;
+                    }
                 }
+                rung += 1;
             }
             Err(e) => {
                 cyclesteal_obs::counter!("core.recover.exhausted");
@@ -273,106 +251,71 @@ fn run_fit_ladder_deadline(
     }
 }
 
-/// CS-CQ analysis through a [`SolveCache`] with automatic fit-order
-/// degradation (see the [module docs](self)).
+/// CS-CQ analysis of the `hosts` fleet through a [`SolveCache`] with
+/// automatic fit-order degradation (see the [module docs](self)).
 ///
 /// Returns the outcome *and* the [`Recovery`] describing how it was
 /// reached; a degraded success reports `degraded: true` and the fit order
-/// actually used. The cache is keyed on `(params, fit)` exactly as
-/// [`cs_cq::analyze_cached`] keys it, so a degraded result can never
+/// actually used. The cache is keyed on `(hosts, params, fit)` exactly as
+/// [`cs_cq_km::analyze_cached`] keys it, so a degraded result can never
 /// shadow a full-order one.
 ///
 /// # Examples
 ///
 /// ```
 /// use cyclesteal_core::cache::SolveCache;
+/// use cyclesteal_core::cs_cq_km::Hosts;
 /// use cyclesteal_core::{recover, SystemParams};
 ///
 /// # fn main() -> Result<(), cyclesteal_core::AnalysisError> {
 /// let cache = SolveCache::new();
 /// let p = SystemParams::exponential(1.1, 1.0, 0.5, 1.0)?;
-/// let (report, recovery) = recover::analyze_cs_cq_cached(&p, &cache);
+/// let (report, recovery) = recover::analyze_cached(Hosts::paper(), &p, &cache);
 /// assert!(report?.short_response.is_finite());
 /// assert_eq!(recovery.attempts, 1); // well-conditioned: no escalation
 /// assert!(!recovery.degraded);
 /// # Ok(())
 /// # }
 /// ```
-pub fn analyze_cs_cq_cached(
+pub fn analyze_cached(
+    hosts: Hosts,
     params: &SystemParams,
     cache: &SolveCache,
 ) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    analyze_cs_cq_cached_in(params, cache, &mut Workspace::new())
+    analyze_cached_in(hosts, params, cache, &mut Workspace::new())
 }
 
-/// [`analyze_cs_cq_cached`] solving out of a caller-owned scratch
-/// [`Workspace`] (see [`cs_cq::analyze_cached_in`]). Every rung of the fit
-/// ladder reuses the same workspace; results are bit-identical to the
+/// [`analyze_cached`] solving out of a caller-owned scratch
+/// [`Workspace`] (see [`cs_cq_km::analyze_cached_in`]). Every rung of the
+/// fit ladder reuses the same workspace; results are bit-identical to the
 /// plain variant.
-pub fn analyze_cs_cq_cached_in(
+pub fn analyze_cached_in(
+    hosts: Hosts,
     params: &SystemParams,
     cache: &SolveCache,
     ws: &mut Workspace,
 ) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    run_fit_ladder(|fit| cs_cq::analyze_cached_in(params, fit, cache, ws))
+    let (res, rec) = run_fit_ladder(None, |fit| {
+        cs_cq_km::analyze_cached_in(hosts, params, fit, cache, ws)
+    });
+    (res, rec.recovery)
 }
 
-/// Uncached variant of [`analyze_cs_cq_cached`] (same ladder over
-/// [`cs_cq::analyze_with`]).
-pub fn analyze_cs_cq(params: &SystemParams) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    run_fit_ladder(|fit| cs_cq::analyze_with(params, fit))
-}
-
-/// The `(k, m)` fleet analysis through a [`SolveCache`] with the same
-/// fit-order degradation ladder as [`analyze_cs_cq_cached`]. At
-/// `Hosts::paper()` every rung calls a construction that is bit-identical
-/// to the 2-host one, so the ladder outcome matches too.
-pub fn analyze_cs_cq_km_cached(
-    hosts: cs_cq_km::Hosts,
-    params: &SystemParams,
-    cache: &SolveCache,
-) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    analyze_cs_cq_km_cached_in(hosts, params, cache, &mut Workspace::new())
-}
-
-/// [`analyze_cs_cq_km_cached`] solving out of a caller-owned scratch
-/// [`Workspace`]; results are bit-identical to the plain variant.
-pub fn analyze_cs_cq_km_cached_in(
-    hosts: cs_cq_km::Hosts,
-    params: &SystemParams,
-    cache: &SolveCache,
-    ws: &mut Workspace,
-) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    run_fit_ladder(|fit| cs_cq_km::analyze_cached_in(hosts, params, fit, cache, ws))
-}
-
-/// [`analyze_cs_cq_cached_in`] under a time budget: the fit ladder is
-/// steered by the [`Deadline`] (see [`run_fit_ladder_deadline`]'s rules —
-/// expired budgets fail with [`AnalysisError::DeadlineExceeded`], tight
-/// budgets jump straight to the mean-only rung and flag the result
-/// `steered` + `degraded`). Results that *are* produced remain pure
-/// functions of `(params, fit)`: the deadline picks which rung answers,
-/// never what a rung computes, so cached bit-identity survives.
-pub fn analyze_cs_cq_deadline_cached_in(
+/// [`analyze_cached_in`] under a time budget: the fit ladder is steered
+/// by the [`Deadline`] (see [`run_fit_ladder`]'s rules — expired budgets
+/// fail with [`AnalysisError::DeadlineExceeded`], tight budgets jump
+/// straight to the mean-only rung and flag the result `steered` +
+/// `degraded`). Results that *are* produced remain pure functions of
+/// `(hosts, params, fit)`: the deadline picks which rung answers, never
+/// what a rung computes, so cached bit-identity survives.
+pub fn analyze_deadline_cached_in(
+    hosts: Hosts,
     params: &SystemParams,
     cache: &SolveCache,
     ws: &mut Workspace,
     deadline: &Deadline<'_>,
 ) -> (Result<CsCqReport, AnalysisError>, DeadlineRecovery) {
-    run_fit_ladder_deadline(deadline, |fit| {
-        cs_cq::analyze_cached_in(params, fit, cache, ws)
-    })
-}
-
-/// The `(k, m)` fleet counterpart of [`analyze_cs_cq_deadline_cached_in`].
-pub fn analyze_cs_cq_km_deadline_cached_in(
-    hosts: cs_cq_km::Hosts,
-    params: &SystemParams,
-    cache: &SolveCache,
-    ws: &mut Workspace,
-    deadline: &Deadline<'_>,
-) -> (Result<CsCqReport, AnalysisError>, DeadlineRecovery) {
-    run_fit_ladder_deadline(deadline, |fit| {
+    run_fit_ladder(Some(deadline), |fit| {
         cs_cq_km::analyze_cached_in(hosts, params, fit, cache, ws)
     })
 }
@@ -450,7 +393,7 @@ mod tests {
     fn clean_point_needs_no_escalation_and_matches_direct() {
         let cache = SolveCache::new();
         let p = SystemParams::exponential(1.1, 1.0, 0.5, 1.0).unwrap();
-        let (res, rec) = analyze_cs_cq_cached(&p, &cache);
+        let (res, rec) = analyze_cached(Hosts::paper(), &p, &cache);
         let ladder = res.unwrap();
         assert_eq!(
             rec,
@@ -473,7 +416,7 @@ mod tests {
         let cache = SolveCache::new();
         // rho_s = 1.8 > 2 - rho_l = 1.5: genuinely unstable for CS-CQ.
         let p = SystemParams::exponential(1.8, 1.0, 0.5, 1.0).unwrap();
-        let (res, rec) = analyze_cs_cq_cached(&p, &cache);
+        let (res, rec) = analyze_cached(Hosts::paper(), &p, &cache);
         assert!(matches!(res, Err(AnalysisError::Unstable { .. })));
         assert_eq!(rec.attempts, 1, "instability is not retryable");
         assert!(!rec.degraded);
@@ -488,7 +431,7 @@ mod tests {
         let p = SystemParams::exponential(1.1, 1.0, 0.5, 1.0).unwrap();
         let armed = fault::arm(fault::FaultPlan::new(21, 1.0, &["qbd.solve"]));
         let _scope = fault::Scope::enter("recover-unit");
-        let (res, rec) = analyze_cs_cq_cached(&p, &cache);
+        let (res, rec) = analyze_cached(Hosts::paper(), &p, &cache);
         // Every rung's QBD solve is injected to fail, so the ladder must
         // exhaust all three fit orders and surface the chain error.
         assert!(matches!(
@@ -501,7 +444,7 @@ mod tests {
         assert!(rec.degraded);
         assert_eq!(rec.fit, BusyPeriodFit::MeanOnly);
         drop(armed);
-        let (res, rec) = analyze_cs_cq_cached(&p, &cache);
+        let (res, rec) = analyze_cached(Hosts::paper(), &p, &cache);
         assert!(res.is_ok(), "disarmed: clean analysis");
         assert_eq!(rec.attempts, 1);
     }
@@ -561,7 +504,7 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 0);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |_| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |_| {
                 panic!("an expired budget must not start work")
             });
             assert!(matches!(
@@ -580,7 +523,7 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 1_000);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |fit| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |fit| {
                 clock.advance(10);
                 assert_eq!(fit, BusyPeriodFit::ThreeMoment);
                 Ok(report_tagged(3.0))
@@ -600,7 +543,7 @@ mod tests {
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 100);
             let mut tried = Vec::new();
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |fit| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |fit| {
                 tried.push(fit);
                 match fit {
                     BusyPeriodFit::ThreeMoment => {
@@ -634,7 +577,7 @@ mod tests {
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 1_000);
             let mut tried = Vec::new();
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |fit| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |fit| {
                 tried.push(fit);
                 clock.advance(60);
                 if fit == BusyPeriodFit::MeanOnly {
@@ -657,7 +600,7 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 100);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |fit| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |fit| {
                 assert_eq!(fit, BusyPeriodFit::ThreeMoment);
                 clock.advance(100);
                 Err(retryable())
@@ -680,7 +623,7 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 50);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |_| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |_| {
                 clock.advance(500);
                 Ok(report_tagged(3.0))
             });
@@ -694,7 +637,7 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 1_000);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |_| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |_| {
                 Err(AnalysisError::Unstable {
                     policy: "CS-CQ",
                     rho_s: 1.9,
@@ -715,7 +658,7 @@ mod tests {
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, u64::MAX);
             let mut ws = Workspace::new();
-            let (res, rec) = analyze_cs_cq_deadline_cached_in(&p, &cache, &mut ws, &deadline);
+            let (res, rec) = analyze_deadline_cached_in(Hosts::paper(), &p, &cache, &mut ws, &deadline);
             let budgeted = res.unwrap();
             let direct = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
             assert_eq!(

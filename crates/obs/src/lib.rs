@@ -60,6 +60,32 @@ pub use registry::{
 };
 pub use snapshot::{DeltaWindow, ObsSnapshot, SpanEntry};
 
+/// Writes `s` as a JSON string literal, surrounding quotes included —
+/// the one escaper every JSON writer in the workspace uses. `"` and `\`
+/// are backslash-escaped; `\n`, `\r` and `\t` get their two-character
+/// escapes and every other control character a `\u00XX` escape; all
+/// other characters pass through as UTF-8.
+pub fn json_str(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Adds to a counter: `counter!("name")` adds 1, `counter!("name", n)`
 /// adds `n`. The name must be a `&'static str`; for runtime-built names
 /// use [`record_counter_owned`] behind an [`is_active`] check.

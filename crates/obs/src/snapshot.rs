@@ -4,6 +4,8 @@
 use crate::hist::Hist;
 use std::fmt::Write as _;
 
+use crate::json_str;
+
 /// One aggregated span path.
 ///
 /// `path` is the `;`-joined chain of open span names on the recording
@@ -39,28 +41,6 @@ pub struct ObsSnapshot {
     pub histograms: Vec<(String, Hist)>,
     /// Aggregated spans, sorted by path.
     pub spans: Vec<SpanEntry>,
-}
-
-/// Escapes `s` as a JSON string literal body (same dialect as the sweep
-/// report writer).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn hist_json(h: &Hist) -> String {

@@ -9,6 +9,8 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use cyclesteal_obs::json_str;
+
 use crate::json::{self, Value};
 use crate::proto;
 
@@ -67,7 +69,7 @@ impl QueryRequest {
             self.mean_s,
             self.long_mean,
             self.long_scv,
-            json::escape(self.policy),
+            json_str(self.policy),
             self.hosts.0,
             self.hosts.1,
             self.extend_longs,

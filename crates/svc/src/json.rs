@@ -1,11 +1,12 @@
-//! A minimal, dependency-free JSON reader/writer for the wire protocol.
+//! A minimal, dependency-free JSON reader for the wire protocol.
 //!
 //! The daemon speaks a small, fixed vocabulary of flat objects; this
 //! module parses exactly the JSON grammar (objects, arrays, strings with
 //! escapes, `f64` numbers, literals) and nothing more. Serialization of
 //! *responses* lives with the code that owns their determinism contract
-//! ([`crate::server`]); here we only provide [`escape`] and the [`Value`]
-//! tree readers the request path needs.
+//! ([`crate::server`]), escaping strings with the workspace's one
+//! escaper, [`cyclesteal_obs::json_str`]; here we only provide the
+//! [`Value`] tree readers the request path needs.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -109,27 +110,6 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
-}
-
-/// Escapes `s` as a JSON string literal, including the surrounding quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Nesting deeper than this is rejected (the protocol needs depth 2).
@@ -354,10 +334,12 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let original = "a \"quoted\"\nline\twith \\ and \u{1}";
-        let lit = escape(original);
+        // Every control character, plus quotes and backslashes.
+        let controls: String = (0..0x20).filter_map(char::from_u32).collect();
+        let original = format!("a \"quoted\"\nline\twith \\ and {controls}");
+        let lit = cyclesteal_obs::json_str(&original);
         let back = parse(&lit).unwrap();
-        assert_eq!(back.as_str(), Some(original));
+        assert_eq!(back.as_str(), Some(original.as_str()));
     }
 
     #[test]

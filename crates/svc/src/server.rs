@@ -50,7 +50,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use cyclesteal_core::cache::SolveCache;
 use cyclesteal_core::recover::{Clock, Deadline, MonotonicClock};
 use cyclesteal_core::stability::Policy;
-use cyclesteal_obs::ObsSnapshot;
+use cyclesteal_obs::{json_str, ObsSnapshot};
 use cyclesteal_sweep::{presolve_points, run_query, Evaluator, LongLaw, Point, QueryOutcome};
 
 use crate::admission::{AdmitError, Admission};
@@ -333,7 +333,7 @@ impl Shared {
         };
         let line = format!(
             "{{\"ts_ms\":{ts_ms},\"id\":{},\"admission_wait_ns\":{},\"queue_wait_ns\":{},\"service_ns\":{},\"total_ns\":{total_ns},\"budget_ns\":{budget},\"headroom_ns\":{headroom},\"attempts\":{},\"degraded\":{},\"steered\":{},\"failure\":{failure},\"trace\":{}}}",
-            json::escape(&row.id),
+            json_str(&row.id),
             job.admitted_ns.saturating_sub(job.received_ns),
             t0.saturating_sub(job.admitted_ns),
             t1.saturating_sub(t0),
@@ -962,7 +962,7 @@ fn query_response(outcome: &QueryOutcome) -> String {
     };
     format!(
         "{{\"ok\": true, \"id\": {}, \"short_response\": {}, \"long_response\": {}, \"attempts\": {}, \"degraded\": {}, \"steered\": {}, \"failure\": {}}}",
-        json::escape(&row.id),
+        json_str(&row.id),
         fmt_opt(row.short_response),
         fmt_opt(row.long_response),
         row.attempts,
@@ -979,7 +979,7 @@ fn shed_response(reason: &str, retry_after_ms: Option<u64>) -> String {
     };
     format!(
         "{{\"ok\": false, \"error\": \"shed\", \"reason\": {}{}}}",
-        json::escape(reason),
+        json_str(reason),
         retry
     )
 }
@@ -987,8 +987,8 @@ fn shed_response(reason: &str, retry_after_ms: Option<u64>) -> String {
 fn error_response(error: &str, detail: &str) -> String {
     format!(
         "{{\"ok\": false, \"error\": {}, \"detail\": {}}}",
-        json::escape(error),
-        json::escape(detail)
+        json_str(error),
+        json_str(detail)
     )
 }
 

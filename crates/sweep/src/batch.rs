@@ -10,8 +10,8 @@
 //! per lane (every batched kernel replays the scalar floating-point
 //! sequence, and every convergence/fallback decision is per-lane — see
 //! `cyclesteal_markov::qbd`), and the planner builds each chain through
-//! [`cs_cq::plan_qbd_cached`], the exact construction path the cached
-//! evaluation uses on a miss. A seeded solution is therefore the same
+//! [`cs_cq_km::plan_qbd_cached`], the exact construction path the cached
+//! evaluation uses on a miss, for every fleet shape alike. A seeded solution is therefore the same
 //! bits evaluation would have computed itself; the presolve phase is a
 //! pure reordering of work. Error results are never seeded — a failing
 //! point re-runs the scalar pipeline (recovery ladder included) during
@@ -23,9 +23,9 @@
 //! would let a clean presolve mask an injection site.
 
 use cyclesteal_core::cache::SolveCache;
-use cyclesteal_core::cs_cq::{self, BusyPeriodFit};
-use cyclesteal_core::cs_cq_km;
-use cyclesteal_core::stability::{self, Policy};
+use cyclesteal_core::cs_cq::BusyPeriodFit;
+use cyclesteal_core::cs_cq_km::{self, Hosts};
+use cyclesteal_core::stability::Policy;
 use cyclesteal_core::SystemParams;
 use cyclesteal_linalg::Workspace;
 use cyclesteal_markov::Qbd;
@@ -50,7 +50,11 @@ pub struct BatchStats {
     /// counted before deduplication).
     pub eligible: usize,
     /// Distinct chain signatures planned and not already cached — the
-    /// solves the presolve phase actually performed.
+    /// solves the presolve phase actually performed. An eligible point
+    /// whose whole three-moment report is already cached (say, recovered
+    /// from the daemon's WAL) is not planned at all, so it never counts
+    /// here; the daemon's `svc_batch_dedup_hits`, computed as
+    /// `points − unique`, counts it as a dedup hit.
     pub unique: usize,
     /// Same-shape groups (≥ 2 chains) dispatched to the batched solver.
     pub batches: usize,
@@ -102,8 +106,9 @@ pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
 }
 
 /// The planning half of a presolve: filter to batch-eligible points,
-/// build each chain through the exact cached construction path
-/// evaluation uses, and return the uncached plans (tallying `stats`).
+/// skip those whose report is already cached, build each remaining chain
+/// through the exact cached construction path evaluation uses, and return
+/// the uncached plans (tallying `stats`).
 /// Each plan carries its [`Qbd::signature`], computed exactly once here —
 /// hashing every block of a chain costs tens of microseconds, so the
 /// solving half keys all sorting, deduplication, and seeding off the
@@ -111,22 +116,14 @@ pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
 fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u128, Qbd)> {
     let mut planned: Vec<(u128, Qbd)> = Vec::new();
     for point in points {
-        if point.evaluator != Evaluator::Analysis || point.policy != Policy::CsCq {
-            continue;
-        }
-        // Non-(1,1) points also block on extend_longs, which the fleet
-        // evaluator rejects outright — nothing would consume a presolve.
-        if point.hosts != (1, 1) && point.extend_longs {
-            continue;
-        }
-        // Same Theorem-1 precheck as the evaluator: genuinely unstable
-        // points never reach the QBD solver at all.
-        let stable = if point.hosts == (1, 1) {
-            stability::is_stable(Policy::CsCq, point.rho_s, point.rho_l)
-        } else {
-            stability::is_stable_km(point.hosts.0, point.hosts.1, point.rho_s, point.rho_l)
-        };
-        if !stable {
+        // Only what the evaluator would solve: CS-CQ analysis points with
+        // a model on their fleet shape that pass the same Theorem-1
+        // precheck (genuinely unstable points never reach the QBD solver).
+        if point.evaluator != Evaluator::Analysis
+            || point.policy != Policy::CsCq
+            || !crate::engine::has_fleet_model(point)
+            || !crate::engine::point_stable(point)
+        {
             continue;
         }
         if fault::planned_site(&SweepRow::id_of(point)).is_some() {
@@ -134,28 +131,25 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u1
             continue;
         }
         stats.eligible += 1;
-        let Ok(params) = SystemParams::from_loads(
-            point.rho_s,
-            point.mean_s,
-            point.rho_l,
-            point.long.moments(),
+        let (k, m) = point.hosts;
+        let (Ok(hosts), Ok(params)) = (
+            Hosts::new(k, m),
+            SystemParams::from_loads(point.rho_s, point.mean_s, point.rho_l, point.long.moments()),
         ) else {
-            // Evaluation attributes the parameter failure; nothing to plan.
+            // Evaluation attributes the failure; nothing to plan.
             continue;
         };
         // The first rung of the recovery ladder — the fit the evaluator
-        // will try first; deeper rungs are rare and stay scalar. Fleet
-        // points plan through the (k, m) builder, whose block shapes —
-        // and therefore the shape groups formed below — depend on the
-        // fleet dimensions, not just the workload.
-        let qbd = if point.hosts == (1, 1) {
-            cs_cq::plan_qbd_cached(&params, BusyPeriodFit::ThreeMoment, cache)
-        } else {
-            cs_cq_km::Hosts::new(point.hosts.0, point.hosts.1).and_then(|hosts| {
-                cs_cq_km::plan_qbd_cached(hosts, &params, BusyPeriodFit::ThreeMoment, cache)
-            })
-        };
-        let Ok(qbd) = qbd else {
+        // will try first; deeper rungs are rare and stay scalar. An answer
+        // already in the cache needs no chain at all.
+        let fit = BusyPeriodFit::ThreeMoment;
+        if cache
+            .peek_report(&cs_cq_km::report_key(hosts, &params, fit))
+            .is_some()
+        {
+            continue;
+        }
+        let Ok(qbd) = cs_cq_km::plan_qbd_cached(hosts, &params, fit, cache) else {
             continue;
         };
         let signature = qbd.signature();
@@ -270,6 +264,34 @@ mod tests {
         fwd.reverse();
         let b = presolve(&fwd, &cache_b, &mut ws);
         assert_eq!(a, b);
+    }
+
+    /// Regression: answers already in the cache (e.g. reports restored
+    /// from a daemon's WAL, with no chain or solution beside them) used to
+    /// be fitted, built, hashed and solved again by the planner.
+    #[test]
+    fn points_with_a_cached_report_are_not_planned() {
+        let points = cs_cq_points();
+        let warm = SolveCache::new();
+        for point in &points {
+            let params = SystemParams::from_loads(
+                point.rho_s,
+                point.mean_s,
+                point.rho_l,
+                point.long.moments(),
+            )
+            .unwrap();
+            cs_cq_km::analyze_cached(Hosts::paper(), &params, BusyPeriodFit::ThreeMoment, &warm)
+                .unwrap();
+        }
+        let restored = SolveCache::new();
+        for (key, report) in warm.export_reports() {
+            restored.insert_report(key, report);
+        }
+        let stats = presolve(&points, &restored, &mut Workspace::new());
+        assert_eq!(stats.eligible, points.len());
+        assert_eq!(stats.unique, 0, "{stats:?}");
+        assert_eq!(stats.seeded, 0, "{stats:?}");
     }
 
     #[cfg(debug_assertions)]

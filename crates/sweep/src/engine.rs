@@ -18,9 +18,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cyclesteal_core::cache::SolveCache;
+use cyclesteal_core::cs_cq_km::Hosts;
 use cyclesteal_core::stability::{self, Policy};
-use cyclesteal_core::{cs_cq, cs_cq_km, cs_id, dedicated, recover, AnalysisError, SystemParams};
-use cyclesteal_dist::{DistError, Exp, HyperExp2};
+use cyclesteal_core::{cs_cq, cs_id, dedicated, recover, AnalysisError, PolicyMeans, SystemParams};
+use cyclesteal_dist::{DistError, Distribution, Exp, HyperExp2};
 use cyclesteal_linalg::{LinalgError, Workspace};
 use cyclesteal_markov::MarkovError;
 use cyclesteal_sim::{
@@ -281,102 +282,65 @@ fn classify_chain(c: &MarkovError) -> FailureKind {
     }
 }
 
-/// Evaluates a non-`(1, 1)` fleet point analytically. CS-CQ only: the
-/// fleet generalization exists for the central-queue policy alone, so any
-/// other policy here is an attributed infeasible configuration (never a
-/// silent drop). The `(1, 1)` path never enters this function — those
-/// points keep the exact 2-host pipeline (and its bit-level behavior)
-/// they always had.
-fn evaluate_analysis_km(
-    point: &Point,
-    cache: &SolveCache,
-    row: &mut SweepRow,
-    deadline: Option<&recover::Deadline<'_>>,
-) -> bool {
+/// Whether `point` has an analytic model on its fleet shape. The fleet
+/// generalization exists for the central-queue analysis alone: Dedicated,
+/// CS-ID and the `extend_longs` long-only formulas are the paper's 2-host
+/// results, so on any other shape they are attributed infeasible
+/// configurations (never silent drops).
+pub(crate) fn has_fleet_model(point: &Point) -> bool {
+    point.hosts == (1, 1) || (point.policy == Policy::CsCq && !point.extend_longs)
+}
+
+/// Why `point` has no analytic model; only for points that fail
+/// [`has_fleet_model`].
+fn no_fleet_model_reason(point: &Point) -> String {
     let (k, m) = point.hosts;
     if point.policy != Policy::CsCq {
-        row.record_failure(FailureKind::InfeasibleFit {
-            reason: format!(
-                "policy {} has no (k, m) fleet model (hosts {k}x{m})",
-                crate::grid::policy_name(point.policy)
-            ),
-        });
-        return false;
+        format!(
+            "policy {} has no (k, m) fleet model (hosts {k}x{m})",
+            crate::grid::policy_name(point.policy)
+        )
+    } else {
+        "extend_longs has no long-only formula for (k, m) fleets".to_string()
     }
-    if point.extend_longs {
-        row.record_failure(FailureKind::InfeasibleFit {
-            reason: "extend_longs has no long-only formula for (k, m) fleets".to_string(),
-        });
-        return false;
+}
+
+/// The Theorem-1 precheck on the point's fleet shape: `is_stable_km` for
+/// CS-CQ (bitwise `is_stable(CsCq)` at `(1, 1)`), the 2-host condition for
+/// the other policies.
+pub(crate) fn point_stable(point: &Point) -> bool {
+    let (k, m) = point.hosts;
+    match point.policy {
+        Policy::CsCq => stability::is_stable_km(k, m, point.rho_s, point.rho_l),
+        policy => stability::is_stable(policy, point.rho_s, point.rho_l),
     }
-    let hosts = match cs_cq_km::Hosts::new(k, m) {
-        Ok(h) => h,
-        Err(e) => {
-            row.record_failure(classify(&e));
-            return false;
-        }
-    };
-    let params = match SystemParams::from_loads(
-        point.rho_s,
-        point.mean_s,
-        point.rho_l,
-        point.long.moments(),
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            row.record_failure(classify(&e));
-            return false;
-        }
-    };
-    // Same contract as the 2-host path: genuine (precheck) instability is
-    // data, not a failure.
-    if !stability::is_stable_km(k, m, point.rho_s, point.rho_l) {
-        return false;
-    }
-    let (res, rec, steered) = WORKSPACE.with(|ws| match deadline {
-        Some(d) => {
-            let (res, dr) = recover::analyze_cs_cq_km_deadline_cached_in(
-                hosts,
-                &params,
-                cache,
-                &mut ws.borrow_mut(),
-                d,
-            );
-            (res, dr.recovery, dr.steered)
-        }
-        None => {
-            let (res, rec) =
-                recover::analyze_cs_cq_km_cached_in(hosts, &params, cache, &mut ws.borrow_mut());
-            (res, rec, false)
-        }
-    });
-    row.attempts = rec.attempts;
-    row.degraded = rec.degraded;
-    match res {
-        Ok(r) => {
-            row.short_response = Some(r.short_response);
-            row.long_response = Some(r.long_response);
-        }
-        Err(e) => row.record_failure(classify(&e)),
-    }
-    steered
 }
 
 /// Evaluates an analysis point into `row`. With `deadline: Some`, the
 /// CS-CQ recovery ladder is budget-steered (see
-/// [`recover::analyze_cs_cq_deadline_cached_in`]); `None` is the sweep
-/// engine's un-budgeted path, bit-identical to what it always produced.
-/// Returns `true` when the deadline steered the ladder to a cheaper rung
-/// (always `false` un-budgeted).
+/// [`recover::analyze_deadline_cached_in`]); `None` is the sweep engine's
+/// un-budgeted path. Returns `true` when the deadline steered the ladder
+/// to a cheaper rung (always `false` un-budgeted).
 pub(crate) fn evaluate_analysis(
     point: &Point,
     cache: &SolveCache,
     row: &mut SweepRow,
     deadline: Option<&recover::Deadline<'_>>,
 ) -> bool {
-    if point.hosts != (1, 1) {
-        return evaluate_analysis_km(point, cache, row, deadline);
+    if !has_fleet_model(point) {
+        row.record_failure(FailureKind::InfeasibleFit {
+            reason: no_fleet_model_reason(point),
+        });
+        return false;
     }
+    let (k, m) = point.hosts;
+    let hosts = match Hosts::new(k, m) {
+        Ok(h) => h,
+        Err(e) => {
+            row.record_failure(classify(&e));
+            return false;
+        }
+    };
     let mut steered = false;
     let params = match SystemParams::from_loads(
         point.rho_s,
@@ -393,13 +357,10 @@ pub(crate) fn evaluate_analysis(
     // Theorem-1 precheck: a genuinely unstable point is data, not a
     // failure — leave the values as silent `None`s. A point that passes
     // here but still errors below is a solver problem and gets a record.
-    if stability::is_stable(point.policy, point.rho_s, point.rho_l) {
+    if point_stable(point) {
         let means = match point.policy {
             Policy::Dedicated => dedicated::analyze(&params),
-            Policy::CsId => cs_id::analyze(&params).map(|r| cyclesteal_core::PolicyMeans {
-                short_response: r.short_response,
-                long_response: r.long_response,
-            }),
+            Policy::CsId => cs_id::analyze(&params).map(PolicyMeans::from),
             Policy::CsCq => {
                 // CS-CQ goes through the recovery ladder: infeasible
                 // three-moment fits and exhausted R-iterations degrade the
@@ -407,29 +368,24 @@ pub(crate) fn evaluate_analysis(
                 // Each worker thread owns one scratch workspace for the QBD
                 // solver; buffers are canonically reset on checkout, so rows
                 // stay bit-identical across thread counts and sweep orders.
-                let (res, rec, s) = WORKSPACE.with(|ws| match deadline {
-                    Some(d) => {
-                        let (res, dr) = recover::analyze_cs_cq_deadline_cached_in(
-                            &params,
-                            cache,
-                            &mut ws.borrow_mut(),
-                            d,
-                        );
-                        (res, dr.recovery, dr.steered)
-                    }
-                    None => {
-                        let (res, rec) =
-                            recover::analyze_cs_cq_cached_in(&params, cache, &mut ws.borrow_mut());
-                        (res, rec, false)
+                let (res, rec, s) = WORKSPACE.with(|ws| {
+                    let ws = &mut ws.borrow_mut();
+                    match deadline {
+                        Some(d) => {
+                            let (res, dr) =
+                                recover::analyze_deadline_cached_in(hosts, &params, cache, ws, d);
+                            (res, dr.recovery, dr.steered)
+                        }
+                        None => {
+                            let (res, rec) = recover::analyze_cached_in(hosts, &params, cache, ws);
+                            (res, rec, false)
+                        }
                     }
                 });
                 steered = s;
                 row.attempts = rec.attempts;
                 row.degraded = rec.degraded;
-                res.map(|r| cyclesteal_core::PolicyMeans {
-                    short_response: r.short_response,
-                    long_response: r.long_response,
-                })
+                res.map(PolicyMeans::from)
             }
         };
         match means {
@@ -464,6 +420,28 @@ pub(crate) fn evaluate_analysis(
     steered
 }
 
+/// The simulated laws of a point: exponential shorts and the two-moment
+/// representative of the long law — exponential at `C² = 1`,
+/// balanced-means H₂ above (the paper's simulated workloads). A law with
+/// no representative (e.g. `C² < 1`) is an error the caller attributes as
+/// an infeasible fit, not a silently dropped point.
+fn simulated_laws(point: &Point) -> Result<(Exp, Box<dyn Distribution>), DistError> {
+    let shorts = Exp::with_mean(point.mean_s)?;
+    let scv = point.long.scv();
+    let longs: Box<dyn Distribution> = if (scv - 1.0).abs() <= 1e-9 {
+        Box::new(Exp::with_mean(point.long.mean())?)
+    } else {
+        Box::new(HyperExp2::balanced_means(point.long.mean(), scv)?)
+    };
+    Ok((shorts, longs))
+}
+
+/// Simulates a point: the 2-host policies through `cyclesteal_sim`'s
+/// engine at `(1, 1)`, CS-CQ fleets through its fleet engine elsewhere.
+/// The two simulators keep their own documented draw orders; the seed
+/// derives from the canonical row id, which carries the `hosts` suffix
+/// off `(1, 1)`, so fleet points draw streams independent of their 2-host
+/// cousins.
 pub(crate) fn evaluate_simulation(
     point: &Point,
     total_jobs: u64,
@@ -471,10 +449,18 @@ pub(crate) fn evaluate_simulation(
     base_seed: u64,
     row: &mut SweepRow,
 ) {
-    if point.hosts != (1, 1) {
-        return evaluate_simulation_km(point, total_jobs, reps, base_seed, row);
+    let (k, m) = point.hosts;
+    let fleet = point.hosts != (1, 1);
+    if fleet && point.policy != Policy::CsCq {
+        row.record_failure(FailureKind::InfeasibleFit {
+            reason: format!(
+                "policy {} has no (k, m) fleet simulator (hosts {k}x{m})",
+                crate::grid::policy_name(point.policy)
+            ),
+        });
+        return;
     }
-    if !stability::is_stable(point.policy, point.rho_s, point.rho_l) {
+    if !point_stable(point) {
         return;
     }
     let infeasible = |row: &mut SweepRow, e: &dyn std::fmt::Display| {
@@ -482,45 +468,12 @@ pub(crate) fn evaluate_simulation(
             reason: e.to_string(),
         });
     };
-    let shorts = match Exp::with_mean(point.mean_s) {
-        Ok(d) => d,
+    let (shorts, longs) = match simulated_laws(point) {
+        Ok(laws) => laws,
         Err(e) => return infeasible(row, &e),
-    };
-    let scv = point.long.scv();
-    // Two-moment representative of the long law: exponential at C² = 1,
-    // balanced-means H₂ above (the paper's simulated workloads). A law
-    // with no representative (e.g. C² < 1) is an attributed infeasible
-    // fit, not a silently dropped point.
-    let longs_exp;
-    let longs_h2;
-    let longs: &dyn cyclesteal_dist::Distribution = if (scv - 1.0).abs() <= 1e-9 {
-        match Exp::with_mean(point.long.mean()) {
-            Ok(d) => {
-                longs_exp = d;
-                &longs_exp
-            }
-            Err(e) => return infeasible(row, &e),
-        }
-    } else {
-        match HyperExp2::balanced_means(point.long.mean(), scv) {
-            Ok(d) => {
-                longs_h2 = d;
-                &longs_h2
-            }
-            Err(e) => return infeasible(row, &e),
-        }
     };
     let lambda_s = point.rho_s / point.mean_s;
     let lambda_l = point.rho_l / point.long.mean();
-    let params = match SimParams::new(lambda_s, lambda_l, &shorts, longs) {
-        Ok(p) => p,
-        Err(e) => return infeasible(row, &e),
-    };
-    let kind = match point.policy {
-        Policy::Dedicated => PolicyKind::Dedicated,
-        Policy::CsId => PolicyKind::CsId,
-        Policy::CsCq => PolicyKind::CsCq,
-    };
     // The seed derives from the row id (a pure function of the point's
     // parameters), never from the point's position in the input — shuffled
     // grids reproduce identical rows. Replications stay serial here; the
@@ -530,90 +483,35 @@ pub(crate) fn evaluate_simulation(
         total_jobs,
         ..SimConfig::default()
     };
-    let rep = replicate(kind, &params, &config, reps.max(1));
-    if rep.short.count > 0 {
-        row.short_response = Some(rep.short.mean);
-        row.short_ci = Some(rep.short.ci_half);
-    }
-    if rep.long.count > 0 {
-        row.long_response = Some(rep.long.mean);
-        row.long_ci = Some(rep.long.ci_half);
-    }
-}
-
-/// Simulates a non-`(1, 1)` fleet point with `cyclesteal_sim`'s fleet
-/// engine. CS-CQ only, like [`evaluate_analysis_km`]; the seed still
-/// derives from the canonical row id, which carries the `hosts` suffix,
-/// so fleet points draw streams independent of their 2-host cousins.
-fn evaluate_simulation_km(
-    point: &Point,
-    total_jobs: u64,
-    reps: usize,
-    base_seed: u64,
-    row: &mut SweepRow,
-) {
-    let (k, m) = point.hosts;
-    if point.policy != Policy::CsCq {
-        row.record_failure(FailureKind::InfeasibleFit {
-            reason: format!(
-                "policy {} has no (k, m) fleet simulator (hosts {k}x{m})",
-                crate::grid::policy_name(point.policy)
-            ),
-        });
-        return;
-    }
-    if !stability::is_stable_km(k, m, point.rho_s, point.rho_l) {
-        return;
-    }
-    let infeasible = |row: &mut SweepRow, e: &dyn std::fmt::Display| {
-        row.record_failure(FailureKind::InfeasibleFit {
-            reason: e.to_string(),
-        });
-    };
-    let shorts = match Exp::with_mean(point.mean_s) {
-        Ok(d) => d,
-        Err(e) => return infeasible(row, &e),
-    };
-    // Same two-moment representative selection as the 2-host path.
-    let scv = point.long.scv();
-    let longs_exp;
-    let longs_h2;
-    let longs: &dyn cyclesteal_dist::Distribution = if (scv - 1.0).abs() <= 1e-9 {
-        match Exp::with_mean(point.long.mean()) {
-            Ok(d) => {
-                longs_exp = d;
-                &longs_exp
+    let (short, long) = if fleet {
+        match FleetParams::new(k, m, lambda_s, lambda_l, &shorts, &*longs) {
+            Ok(params) => {
+                let rep = replicate_fleet(&params, &config, reps.max(1));
+                (rep.short, rep.long)
             }
             Err(e) => return infeasible(row, &e),
         }
     } else {
-        match HyperExp2::balanced_means(point.long.mean(), scv) {
-            Ok(d) => {
-                longs_h2 = d;
-                &longs_h2
+        let kind = match point.policy {
+            Policy::Dedicated => PolicyKind::Dedicated,
+            Policy::CsId => PolicyKind::CsId,
+            Policy::CsCq => PolicyKind::CsCq,
+        };
+        match SimParams::new(lambda_s, lambda_l, &shorts, &*longs) {
+            Ok(params) => {
+                let rep = replicate(kind, &params, &config, reps.max(1));
+                (rep.short, rep.long)
             }
             Err(e) => return infeasible(row, &e),
         }
     };
-    let lambda_s = point.rho_s / point.mean_s;
-    let lambda_l = point.rho_l / point.long.mean();
-    let params = match FleetParams::new(k, m, lambda_s, lambda_l, &shorts, longs) {
-        Ok(p) => p,
-        Err(e) => return infeasible(row, &e),
-    };
-    let config = SimConfig {
-        seed: fnv1a64(row.id.as_bytes()).wrapping_add(base_seed),
-        total_jobs,
-        ..SimConfig::default()
-    };
-    let rep = replicate_fleet(&params, &config, reps.max(1));
-    if rep.short.count > 0 {
-        row.short_response = Some(rep.short.mean);
-        row.short_ci = Some(rep.short.ci_half);
+    if short.count > 0 {
+        row.short_response = Some(short.mean);
+        row.short_ci = Some(short.ci_half);
     }
-    if rep.long.count > 0 {
-        row.long_response = Some(rep.long.mean);
-        row.long_ci = Some(rep.long.ci_half);
+    if long.count > 0 {
+        row.long_response = Some(long.mean);
+        row.long_ci = Some(long.ci_half);
     }
 }
 

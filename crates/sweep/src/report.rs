@@ -4,6 +4,7 @@
 //! evaluated for a reason other than genuine instability.
 
 use cyclesteal_core::cache::CacheStats;
+use cyclesteal_obs::json_str;
 
 use crate::grid::{policy_name, Evaluator, Point};
 
@@ -423,22 +424,6 @@ impl SweepMetrics {
     pub fn total_point_ns(&self) -> u64 {
         self.point_ns.iter().map(|(_, ns)| ns).sum()
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -16,6 +16,9 @@ use cyclesteal_xtest::fault::{self, FaultPlan, QuietPanics};
 /// QBD solver (non-convergence), and the busy-period moments (NaN taint).
 const SITES: [&str; 3] = ["sweep.point", "qbd.solve", "dist.busy.mg1"];
 
+// Clean baselines run inside an armed empty plan (rate 0): the plan is
+// process-wide, so another test's armed section would leak into them.
+
 /// A 3,000-point CS-CQ analysis grid, every point comfortably inside the
 /// Theorem-1 frontier `ρ_S < 2 − ρ_L` (max `ρ_S` 1.08 vs. frontier ≥
 /// 1.26), so a clean run evaluates every row and every armed site is
@@ -33,7 +36,9 @@ fn injected_faults_are_attributed_and_reports_stay_deterministic() {
     let spec = grid();
     assert_eq!(spec.len(), 3_000);
 
+    let quiet_section = fault::arm(FaultPlan::new(0, 0.0, &SITES));
     let (clean, clean_metrics) = run(&spec, &SweepOptions::threads(1));
+    drop(quiet_section);
     assert_eq!(clean_metrics.failures.total(), 0, "clean run must be clean");
     for row in &clean.rows {
         assert!(row.short_response.is_some(), "{} must evaluate", row.id);
@@ -160,7 +165,9 @@ fn fleet_faults_are_attributed_and_bypass_cache_and_batch() {
     let spec = km_grid();
     assert_eq!(spec.len(), 900);
 
+    let quiet_section = fault::arm(FaultPlan::new(0, 0.0, &SITES));
     let (clean, clean_metrics) = run(&spec, &SweepOptions::threads(2));
+    drop(quiet_section);
     assert_eq!(clean_metrics.failures.total(), 0, "clean fleet run");
     for row in &clean.rows {
         assert!(row.id.contains("|hosts="), "{} must be a fleet row", row.id);

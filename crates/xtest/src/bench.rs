@@ -17,6 +17,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use cyclesteal_obs::json_str;
+
 #[derive(Debug, Clone)]
 struct Entry {
     id: String,
@@ -220,22 +222,6 @@ fn fmt_ns(ns: f64) -> String {
     } else {
         format!("{:.3} s", ns / 1_000_000_000.0)
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -1,18 +1,21 @@
 //! Property tests for the `(k, m)` fleet generalization, on the in-tree
 //! `cyclesteal_xtest` shrinking layer: the `(1, 1)` reduction identity
-//! over random workloads, the `m = 0` collapse to an M/M/k of the
+//! against the independent 2-host reference chain over random workloads, the `m = 0` collapse to an M/M/k of the
 //! shorts, and the cross-shape monotonicity invariants that make the
 //! fleet model physically plausible (more stealing hosts never hurt the
 //! shorts; more short load never helps them; the stability frontier
 //! widens with every stealing host).
 
-use cyclesteal::core::cs_cq::{self, BusyPeriodFit};
+use cyclesteal::core::cs_cq::BusyPeriodFit;
 use cyclesteal::core::cs_cq_km::{self, Hosts};
 use cyclesteal::core::stability::{self, Policy};
 use cyclesteal::core::SystemParams;
-use cyclesteal::dist::Moments3;
+use cyclesteal::dist::{Map, Moments3};
 use cyclesteal::mg1::mmc;
 use cyclesteal_xtest::{props, xassume};
+
+mod support;
+use support::two_host as oracle;
 
 fn workload(rho_s: f64, rho_l: f64, scv: f64) -> SystemParams {
     let long = Moments3::from_mean_scv_balanced(1.0, scv).unwrap();
@@ -23,8 +26,8 @@ props! {
     cases = 32;
 
     /// The reduction identity, randomized: at `(1, 1)` the fleet chain
-    /// returns the 2-host report *bit for bit* for any workload and any
-    /// busy-period fit order.
+    /// returns the 2-host reference chain's report *bit for bit* for any
+    /// workload and any busy-period fit order.
     fn the_1x1_fleet_reduction_is_exact(
         rho_s in 0.05f64..1.4,
         rho_l in 0.05f64..0.9,
@@ -38,7 +41,8 @@ props! {
             BusyPeriodFit::ThreeMoment,
         ][fit_pick as usize];
         let p = workload(rho_s, rho_l, scv);
-        let a = cs_cq::analyze_with(&p, fit).unwrap();
+        let poisson = Map::poisson(p.lambda_s()).unwrap();
+        let a = oracle::analyze(&p, fit, &poisson).unwrap();
         let b = cs_cq_km::analyze_with(Hosts::paper(), &p, fit).unwrap();
         assert_eq!(a.short_response.to_bits(), b.short_response.to_bits());
         assert_eq!(a.long_response.to_bits(), b.long_response.to_bits());
