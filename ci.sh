@@ -41,7 +41,7 @@ echo "==> (k, m) fleet reduction gate (1x1 bit-identity + {1,2,4}^2 analysis-vs-
 # paper's 2-host chain as the reference builder in tests/support builds
 # it (same QBD signature, solution bits, reports and distribution, for
 # Poisson and MAP arrivals), then cross-validates every {1,2,4}^2 shape
-# against the fleet simulator; the property suite shrinks random
+# against the simulator's fleet policy; the property suite shrinks random
 # workloads over the same invariants.
 cargo test -q --offline --test km_reduction
 cargo test -q --offline --test km_props
@@ -50,6 +50,11 @@ echo "==> clippy (incl. unwrap-free non-test code in core and sweep)"
 # core and sweep deny clippy::unwrap_used outside tests; warnings anywhere
 # in the workspace are promoted to errors so the gate cannot rot.
 cargo clippy -q --workspace --offline -- -D warnings
+
+echo "==> rustdoc (warnings are errors)"
+# Deleted or private names leave dangling intra-doc links that neither the
+# compiler nor clippy reports; rustdoc does.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
 echo "==> benchmark harness builds (perfbench, outside the workspace)"
 # perfbench is outside the workspace: without this step a break in the

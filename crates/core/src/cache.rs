@@ -31,7 +31,7 @@
 //!
 //! # Once-per-key compute, deterministic hit/miss counts
 //!
-//! Each layer is a [`Memo`]: the first thread to ask for a key becomes its
+//! Each layer is a `Memo`: the first thread to ask for a key becomes its
 //! *designated computer* and every concurrent asker blocks on the entry's
 //! condvar until the value is ready. This upgrades the determinism story
 //! from "same *values* at any thread count" to "same *telemetry* at any

@@ -302,7 +302,7 @@ pub fn analyze_cached_in(
 }
 
 /// [`analyze_cached_in`] under a time budget: the fit ladder is steered
-/// by the [`Deadline`] (see [`run_fit_ladder`]'s rules — expired budgets
+/// by the [`Deadline`] (see the fit ladder's rules — expired budgets
 /// fail with [`AnalysisError::DeadlineExceeded`], tight budgets jump
 /// straight to the mean-only rung and flag the result `steered` +
 /// `degraded`). Results that *are* produced remain pure functions of

@@ -210,7 +210,7 @@ impl Qbd {
     /// Solves the QBD: logarithmic reduction first, and on
     /// [`MarkovError::NoConvergence`] automatically retries with
     /// functional iteration under a raised cap
-    /// ([`FI_FALLBACK_MAX_ITER`]) before giving up. The retry ladder is
+    /// (twice the functional-iteration cap) before giving up. The retry ladder is
     /// deterministic — both budgets are fixed iteration counts.
     ///
     /// # Errors
@@ -269,21 +269,7 @@ impl Qbd {
     /// As for [`Qbd::solve`], except a non-converging `R` iteration
     /// surfaces directly as [`MarkovError::NoConvergence`].
     pub fn solve_with(&self, alg: RAlgorithm) -> Result<QbdSolution, MarkovError> {
-        let mut ws = Workspace::new();
-        self.solve_with_in(alg, &mut ws)
-    }
-
-    /// [`Qbd::solve_with`] with all scratch borrowed from `ws`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Qbd::solve_with`].
-    pub fn solve_with_in(
-        &self,
-        alg: RAlgorithm,
-        ws: &mut Workspace,
-    ) -> Result<QbdSolution, MarkovError> {
-        self.attempt_in(alg, FI_MAX_ITER, ws)
+        self.attempt_in(alg, FI_MAX_ITER, &mut Workspace::new())
     }
 
     /// The allocating reference solver: the same fallback ladder as
@@ -376,10 +362,10 @@ impl Qbd {
     /// regardless of batch size or composition. Lanes that leave the
     /// batched fast path for any reason (injected `qbd.solve` fault,
     /// drift-ratio instability, a singular intermediate factorization,
-    /// divergence to non-finite values, or exhausting [`LR_MAX_ITER`]) are
-    /// replayed wholesale through the scalar [`Qbd::solve_in`] — fallback
-    /// ladder included — which reproduces the scalar result and telemetry
-    /// for that lane exactly. The batch layer is therefore a pure
+    /// divergence to non-finite values, or exhausting the reduction's
+    /// iteration cap) are replayed wholesale through the scalar
+    /// [`Qbd::solve_in`] — fallback ladder included — which reproduces the
+    /// scalar result and telemetry for that lane exactly. The batch layer is therefore a pure
     /// optimization with the scalar pipeline as its differential oracle.
     ///
     /// Batches of size ≤ 1 and mixed-shape batches degenerate to per-point
@@ -1560,7 +1546,7 @@ mod tests {
         // Both R algorithms, same property.
         let f2 = q.solve_with(RAlgorithm::FunctionalIteration).unwrap();
         let r2 = q
-            .solve_with_in(RAlgorithm::FunctionalIteration, &mut ws)
+            .attempt_in(RAlgorithm::FunctionalIteration, FI_MAX_ITER, &mut ws)
             .unwrap();
         assert_eq!(f2.r().as_slice(), r2.r().as_slice());
     }

@@ -1,4 +1,4 @@
-//! The discrete-event engine: one event heap, two servers, a policy.
+//! The discrete-event engine: one event heap, `n` servers, a policy.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 use cyclesteal_dist::{sample_exp, DistError, Distribution, Map};
 use cyclesteal_xtest::rng::{SeedableRng, SmallRng};
 
-use crate::policy::{self, Job, JobClass, PolicyKind, ServerView, ServiceEnd};
+use crate::policy::{self, Job, JobClass, PolicyKind, ServiceEnd};
 use crate::stats::ClassStats;
 
 /// An arrival process for one job class.
@@ -54,11 +54,13 @@ impl std::fmt::Debug for Arrivals<'_> {
     }
 }
 
-/// Workload parameters of a two-class, two-host system.
+/// Workload parameters of a two-class system.
 ///
 /// Arrival processes may be Poisson (the paper's base model) or MAPs; host
 /// speeds default to `[1, 1]` and can be made heterogeneous (the paper's
 /// "hosts of different speeds" extension) via [`SimParams::with_speeds`].
+/// The same workload runs on the two hosts of the 2-host policies or on
+/// the `k + m` servers of a [`PolicyKind::CsCqFleet`].
 #[derive(Clone, Copy)]
 pub struct SimParams<'a> {
     pub(crate) arr_s: Arrivals<'a>,
@@ -127,7 +129,8 @@ impl<'a> SimParams<'a> {
     }
 
     /// Sets heterogeneous host speeds (a job of size `x` takes `x/speed` on
-    /// the host). Host 0 is the short host for the dispatch-based policies.
+    /// the host). Host 0 is the short host for the dispatch-based policies;
+    /// a fleet's servers beyond hosts 0 and 1 run at unit speed.
     ///
     /// # Errors
     ///
@@ -204,8 +207,9 @@ pub struct SimResult {
     pub short_wait: ClassStats,
     /// Waiting-time statistics of the longs.
     pub long_wait: ClassStats,
-    /// Fraction of time each server was busy.
-    pub utilization: [f64; 2],
+    /// Fraction of time each server was busy: two entries for the 2-host
+    /// policies, `k + m` for a [`PolicyKind::CsCqFleet`].
+    pub utilization: Vec<f64>,
     /// Simulated time at the end of the run.
     pub end_time: f64,
     /// Completions counted per class (after warmup).
@@ -264,6 +268,28 @@ fn class_index(class: JobClass) -> usize {
     }
 }
 
+/// One server: the job in service (the view policies dispatch against),
+/// the start of its current busy interval, its accumulated busy time, and
+/// its speed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Server {
+    pub job: Option<Job>,
+    busy_since: f64,
+    busy_time: f64,
+    speed: f64,
+}
+
+impl Server {
+    pub(crate) fn idle(speed: f64) -> Self {
+        Server {
+            job: None,
+            busy_since: 0.0,
+            busy_time: 0.0,
+            speed,
+        }
+    }
+}
+
 struct Engine<'a> {
     params: SimParams<'a>,
     policy: Box<dyn policy::Policy>,
@@ -272,9 +298,7 @@ struct Engine<'a> {
     seq: u64,
     now: f64,
     map_phase: [usize; 2],
-    serving: [Option<Job>; 2],
-    busy_since: [Option<f64>; 2],
-    busy_time: [f64; 2],
+    servers: Vec<Server>,
     responses: [Vec<f64>; 2],
     waits: [Vec<f64>; 2],
     completions_total: u64,
@@ -310,22 +334,27 @@ impl<'a> Engine<'a> {
         self.schedule(self.now + dt, EventKind::Arrival(class));
     }
 
-    fn view(&self) -> ServerView {
-        ServerView {
-            serving: [
-                self.serving[0].map(|j| j.class),
-                self.serving[1].map(|j| j.class),
-            ],
-        }
+    fn start(&mut self, server: usize, job: Job) {
+        let demand = self.policy.service_demand(server, &job);
+        let s = &mut self.servers[server];
+        debug_assert!(s.job.is_none(), "server already busy");
+        s.job = Some(job);
+        s.busy_since = self.now;
+        let service = demand / s.speed;
+        self.schedule(self.now + service, EventKind::Departure(server));
     }
 
-    fn start(&mut self, server: usize, job: Job) {
-        debug_assert!(self.serving[server].is_none(), "server already busy");
-        self.serving[server] = Some(job);
-        self.busy_since[server] = Some(self.now);
-        let demand = self.policy.service_demand(server, &job);
-        let service = demand / self.params.speeds[server];
-        self.schedule(self.now + service, EventKind::Departure(server));
+    fn record_completion(&mut self, server: usize, job: Job) {
+        let idx = class_index(job.class);
+        self.in_system[idx] -= 1;
+        self.completions_total += 1;
+        if self.completions_total > self.warmup_target {
+            self.completions[idx] += 1;
+            let response = self.now - job.arrival;
+            self.responses[idx].push(response);
+            let service = job.size / self.servers[server].speed;
+            self.waits[idx].push((response - service).max(0.0));
+        }
     }
 
     fn run(&mut self, total_jobs: u64) {
@@ -348,33 +377,20 @@ impl<'a> Engine<'a> {
                         arrival: self.now,
                     };
                     self.in_system[class_index(class)] += 1;
+                    // The draw order is the size, then whatever the policy
+                    // draws, then the next interarrival of the class.
+                    let start = self.policy.on_arrival(job, &self.servers, &mut self.rng);
                     self.schedule_next_arrival(class);
-                    let view = self.view();
-                    if let Some((server, job)) = self.policy.on_arrival(job, &view) {
+                    if let Some((server, job)) = start {
                         self.start(server, job);
                     }
                 }
                 EventKind::Departure(server) => {
-                    let job = self.serving[server]
-                        .take()
-                        .expect("departure from idle server");
-                    if let Some(since) = self.busy_since[server].take() {
-                        self.busy_time[server] += self.now - since;
-                    }
-                    let view = self.view();
-                    match self.policy.on_service_end(server, job, &view) {
-                        ServiceEnd::Completed(job) => {
-                            self.in_system[class_index(job.class)] -= 1;
-                            self.completions_total += 1;
-                            if self.completions_total > self.warmup_target {
-                                let idx = class_index(job.class);
-                                self.completions[idx] += 1;
-                                let response = self.now - job.arrival;
-                                self.responses[idx].push(response);
-                                let service = job.size / self.params.speeds[server];
-                                self.waits[idx].push((response - service).max(0.0));
-                            }
-                        }
+                    let s = &mut self.servers[server];
+                    let job = s.job.take().expect("departure from idle server");
+                    s.busy_time += self.now - s.busy_since;
+                    match self.policy.on_service_end(server, job, &self.servers) {
+                        ServiceEnd::Completed(job) => self.record_completion(server, job),
                         ServiceEnd::Requeued(start) => {
                             // The job stays in system; a killed slice still
                             // counts toward the run-length budget so TAGS
@@ -385,17 +401,16 @@ impl<'a> Engine<'a> {
                             }
                         }
                     }
-                    let view = self.view();
-                    if let Some(next) = self.policy.on_departure(server, &view) {
+                    if let Some(next) = self.policy.on_departure(server, &self.servers) {
                         self.start(server, next);
                     }
                 }
             }
         }
         // Close out open busy intervals.
-        for s in 0..2 {
-            if let Some(since) = self.busy_since[s].take() {
-                self.busy_time[s] += self.now - since;
+        for s in &mut self.servers {
+            if s.job.is_some() {
+                s.busy_time += self.now - s.busy_since;
             }
         }
     }
@@ -409,10 +424,12 @@ impl<'a> Engine<'a> {
 ///
 /// # Panics
 ///
-/// Panics if `config.total_jobs == 0`.
+/// Panics if `config.total_jobs == 0`, or if `kind` is a
+/// [`PolicyKind::CsCqFleet`] that [`PolicyKind::cs_cq_fleet`] rejects for
+/// `params`.
 pub fn simulate(kind: PolicyKind, params: &SimParams<'_>, config: &SimConfig) -> SimResult {
     assert!(config.total_jobs > 0, "total_jobs must be positive");
-    let policy = policy::build(kind, params.short.mean(), params.long.mean());
+    let policy = policy::build(kind, params);
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut map_phase = [0usize; 2];
     for (idx, arr) in [(0, params.arr_s), (1, params.arr_l)] {
@@ -420,6 +437,11 @@ pub fn simulate(kind: PolicyKind, params: &SimParams<'_>, config: &SimConfig) ->
             map_phase[idx] = m.sample_stationary_phase(&mut rng);
         }
     }
+    // Hosts 0 and 1 take the configured speeds; a fleet's further servers
+    // run at unit speed.
+    let servers = (0..kind.servers())
+        .map(|s| Server::idle(params.speeds.get(s).copied().unwrap_or(1.0)))
+        .collect();
     let mut engine = Engine {
         params: *params,
         policy,
@@ -428,9 +450,7 @@ pub fn simulate(kind: PolicyKind, params: &SimParams<'_>, config: &SimConfig) ->
         seq: 0,
         now: 0.0,
         map_phase,
-        serving: [None, None],
-        busy_since: [None, None],
-        busy_time: [0.0, 0.0],
+        servers,
         responses: [Vec::new(), Vec::new()],
         waits: [Vec::new(), Vec::new()],
         completions_total: 0,
@@ -450,10 +470,11 @@ pub fn simulate(kind: PolicyKind, params: &SimParams<'_>, config: &SimConfig) ->
         long: ClassStats::from_samples(&engine.responses[1], config.batches),
         short_wait: ClassStats::from_samples(&engine.waits[0], config.batches),
         long_wait: ClassStats::from_samples(&engine.waits[1], config.batches),
-        utilization: [
-            engine.busy_time[0] / end_time,
-            engine.busy_time[1] / end_time,
-        ],
+        utilization: engine
+            .servers
+            .iter()
+            .map(|s| s.busy_time / end_time)
+            .collect(),
         end_time: engine.now,
         completions: engine.completions,
         queued_at_end: engine.policy.queued(),
@@ -547,5 +568,112 @@ mod tests {
         let r = simulate(PolicyKind::Dedicated, &p, &c);
         assert!((r.utilization[0] - 0.6).abs() < 0.02, "{:?}", r.utilization);
         assert!((r.utilization[1] - 0.4).abs() < 0.02, "{:?}", r.utilization);
+    }
+
+    fn fleet<'a>(
+        k: usize,
+        m: usize,
+        lambda_s: f64,
+        lambda_l: f64,
+        d: &'a Exp,
+    ) -> Result<(PolicyKind, SimParams<'a>), DistError> {
+        let params = SimParams::new(lambda_s, lambda_l, d, d)?;
+        Ok((PolicyKind::cs_cq_fleet(k, m, &params)?, params))
+    }
+
+    #[test]
+    fn fleet_params_validation() {
+        let d = exp(1.0);
+        assert!(fleet(0, 1, 0.5, 0.3, &d).is_err());
+        assert!(fleet(1, 0, 0.5, 0.3, &d).is_err());
+        assert!(fleet(1, 1, 0.0, 0.0, &d).is_err());
+        assert!(fleet(1, 1, f64::NAN, 0.3, &d).is_err());
+        // m = 0 is fine when the long class is off.
+        let (kind, p) = fleet(2, 0, 0.9, 0.0, &d).unwrap();
+        assert_eq!(kind, PolicyKind::CsCqFleet { k: 2, m: 0 });
+        assert!((p.rho_s() - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fleet_deterministic_given_seed() {
+        let d = exp(1.0);
+        let (kind, p) = fleet(2, 2, 1.5, 0.5, &d).unwrap();
+        let c = SimConfig {
+            seed: 42,
+            total_jobs: 20_000,
+            ..SimConfig::default()
+        };
+        let a = simulate(kind, &p, &c);
+        let b = simulate(kind, &p, &c);
+        assert_eq!(a.short.mean.to_bits(), b.short.mean.to_bits());
+        assert_eq!(a.long.mean.to_bits(), b.long.mean.to_bits());
+    }
+
+    #[test]
+    fn one_one_fleet_matches_the_2host_cscq_policy_statistically() {
+        // Not bit-identity (the fleet draws a slot per long), but the same
+        // system: means must agree within Monte-Carlo noise.
+        let d = exp(1.0);
+        let (kind, p) = fleet(1, 1, 1.0, 0.5, &d).unwrap();
+        let c = SimConfig {
+            seed: 9,
+            total_jobs: 400_000,
+            ..SimConfig::default()
+        };
+        let fleet = simulate(kind, &p, &c);
+        let two = simulate(PolicyKind::CsCq, &p, &c);
+        let rel = (fleet.short.mean - two.short.mean).abs() / two.short.mean;
+        assert!(
+            rel < 0.05,
+            "fleet {} vs 2-host {}",
+            fleet.short.mean,
+            two.short.mean
+        );
+    }
+
+    #[test]
+    fn fleet_m_zero_runs_shorts_only() {
+        let d = exp(1.0);
+        let (kind, p) = fleet(2, 0, 1.2, 0.0, &d).unwrap();
+        let c = SimConfig {
+            seed: 5,
+            total_jobs: 50_000,
+            ..SimConfig::default()
+        };
+        let r = simulate(kind, &p, &c);
+        assert_eq!(r.completions[1], 0);
+        assert_eq!(r.long.count, 0);
+        assert!(r.short.mean > 0.0);
+        assert_eq!(r.utilization.len(), 2);
+    }
+
+    #[test]
+    fn utilization_matches_total_load_for_a_stable_fleet() {
+        let d = exp(1.0);
+        // rho_s + rho_l = 2.4 over 4 servers: average utilization 0.6.
+        let (kind, p) = fleet(2, 2, 1.8, 0.6, &d).unwrap();
+        let c = SimConfig {
+            seed: 11,
+            total_jobs: 400_000,
+            ..SimConfig::default()
+        };
+        let r = simulate(kind, &p, &c);
+        let avg = r.utilization.iter().sum::<f64>() / r.utilization.len() as f64;
+        assert!((avg - 0.6).abs() < 0.02, "{:?}", r.utilization);
+    }
+
+    #[test]
+    fn fleet_replication_is_thread_count_invariant() {
+        let d = exp(1.0);
+        let (kind, p) = fleet(2, 1, 1.4, 0.4, &d).unwrap();
+        let c = SimConfig {
+            seed: 77,
+            total_jobs: 10_000,
+            ..SimConfig::default()
+        };
+        let one = crate::replicate_parallel(kind, &p, &c, 6, 1);
+        let four = crate::replicate_parallel(kind, &p, &c, 6, 4);
+        assert_eq!(one.short.mean.to_bits(), four.short.mean.to_bits());
+        assert_eq!(one.long.mean.to_bits(), four.long.mean.to_bits());
     }
 }

@@ -1,8 +1,10 @@
-//! Discrete-event simulation of two-host task-assignment policies.
+//! Discrete-event simulation of task-assignment policies on `n` servers.
 //!
 //! This crate plays the role of the C simulator the paper validates its
-//! analysis against (Section 4): Poisson arrivals of short and long jobs,
-//! two non-preemptive hosts, and the policies under study:
+//! analysis against (Section 4): Poisson or MAP arrivals of short and long
+//! jobs, non-preemptive servers, and the policies under study. One event
+//! engine runs every policy; a policy owns its queues and answers the
+//! engine's arrival and departure callbacks. The 2-host policies:
 //!
 //! * [`PolicyKind::Dedicated`] — shorts to host 0, longs to host 1.
 //! * [`PolicyKind::CsId`] — cycle stealing with immediate dispatch: an
@@ -16,6 +18,20 @@
 //!   has non-preemptive priority.
 //! * [`PolicyKind::CentralFcfs`] — both hosts, one FCFS queue, classes
 //!   ignored (an M/G/2; used for M/M/2 validation).
+//! * [`PolicyKind::RoundRobin`], [`PolicyKind::ShortestQueue`] and
+//!   [`PolicyKind::Tags`] — the related-work dispatch baselines.
+//!
+//! [`PolicyKind::CsCqFleet`] runs CS-CQ on `k` short plus `m` stealing
+//! servers, the fleet `cyclesteal_core::cs_cq_km` analyzes.
+//!
+//! # Determinism
+//!
+//! A run is a pure function of its seed. The draw order is part of the
+//! contract: at an arrival the job size comes first, then whatever the
+//! policy draws (a fleet long draws its slot), then the next interarrival
+//! of the class. [`replicate_parallel`] shards replications across threads
+//! and aggregates them in seed order, so results are bit-identical for
+//! every thread count.
 //!
 //! # Example
 //!
@@ -37,16 +53,11 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod fleet;
 mod policy;
 mod pool;
 mod stats;
 
 pub use engine::{simulate, Arrivals, SimConfig, SimParams, SimResult};
-pub use fleet::{
-    replicate_fleet, replicate_fleet_parallel, simulate_fleet, FleetParams, FleetReplicated,
-    FleetResult,
-};
 pub use policy::{JobClass, PolicyKind};
 pub use pool::{parallel_map, parallel_map_isolated};
 pub use stats::{replicate, replicate_parallel, ClassStats, Replicated};

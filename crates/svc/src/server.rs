@@ -361,8 +361,24 @@ pub struct DrainReport {
 }
 
 /// The live-connection registry: each reader thread paired with the
-/// connection state it serves, so drain can shut sockets and join.
+/// connection state it serves, so drain can shut sockets and join. The
+/// accept loop reaps entries whose reader has exited.
 type ConnRegistry = Arc<Mutex<Vec<(Arc<ConnState>, JoinHandle<()>)>>>;
+
+/// Joins and drops every connection whose reader has exited, releasing
+/// the registry's hold on its sockets (in-flight jobs keep their own).
+fn reap_closed(conns: &ConnRegistry) {
+    let mut conns = lock(conns);
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].1.is_finished() {
+            let (_, handle) = conns.swap_remove(i);
+            let _ = handle.join();
+        } else {
+            i += 1;
+        }
+    }
+}
 
 /// A running daemon instance.
 pub struct Server {
@@ -589,6 +605,9 @@ fn accept_loop(
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
+        // Every pass, idle polls included: a closed connection's sockets
+        // go within one poll interval, not at the next accept.
+        reap_closed(conns);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if let Err(e) = register_conn(stream, shared, conns, per_conn_inflight) {

@@ -24,10 +24,7 @@ use cyclesteal_core::{cs_cq, cs_id, dedicated, recover, AnalysisError, PolicyMea
 use cyclesteal_dist::{DistError, Distribution, Exp, HyperExp2};
 use cyclesteal_linalg::{LinalgError, Workspace};
 use cyclesteal_markov::MarkovError;
-use cyclesteal_sim::{
-    parallel_map_isolated, replicate, replicate_fleet, FleetParams, PolicyKind, SimConfig,
-    SimParams,
-};
+use cyclesteal_sim::{parallel_map_isolated, replicate, PolicyKind, SimConfig, SimParams};
 use cyclesteal_xtest::fault;
 
 use crate::batch::{self, BatchStats};
@@ -436,9 +433,8 @@ fn simulated_laws(point: &Point) -> Result<(Exp, Box<dyn Distribution>), DistErr
     Ok((shorts, longs))
 }
 
-/// Simulates a point: the 2-host policies through `cyclesteal_sim`'s
-/// engine at `(1, 1)`, CS-CQ fleets through its fleet engine elsewhere.
-/// The two simulators keep their own documented draw orders; the seed
+/// Simulates a point through `cyclesteal_sim`'s one engine: the 2-host
+/// policies at `(1, 1)`, the CS-CQ fleet policy elsewhere. The seed
 /// derives from the canonical row id, which carries the `hosts` suffix
 /// off `(1, 1)`, so fleet points draw streams independent of their 2-host
 /// cousins.
@@ -483,35 +479,27 @@ pub(crate) fn evaluate_simulation(
         total_jobs,
         ..SimConfig::default()
     };
-    let (short, long) = if fleet {
-        match FleetParams::new(k, m, lambda_s, lambda_l, &shorts, &*longs) {
-            Ok(params) => {
-                let rep = replicate_fleet(&params, &config, reps.max(1));
-                (rep.short, rep.long)
-            }
-            Err(e) => return infeasible(row, &e),
-        }
-    } else {
-        let kind = match point.policy {
-            Policy::Dedicated => PolicyKind::Dedicated,
-            Policy::CsId => PolicyKind::CsId,
-            Policy::CsCq => PolicyKind::CsCq,
-        };
-        match SimParams::new(lambda_s, lambda_l, &shorts, &*longs) {
-            Ok(params) => {
-                let rep = replicate(kind, &params, &config, reps.max(1));
-                (rep.short, rep.long)
-            }
-            Err(e) => return infeasible(row, &e),
-        }
+    let params = match SimParams::new(lambda_s, lambda_l, &shorts, &*longs) {
+        Ok(params) => params,
+        Err(e) => return infeasible(row, &e),
     };
-    if short.count > 0 {
-        row.short_response = Some(short.mean);
-        row.short_ci = Some(short.ci_half);
+    let kind = match point.policy {
+        _ if fleet => match PolicyKind::cs_cq_fleet(k, m, &params) {
+            Ok(kind) => kind,
+            Err(e) => return infeasible(row, &e),
+        },
+        Policy::Dedicated => PolicyKind::Dedicated,
+        Policy::CsId => PolicyKind::CsId,
+        Policy::CsCq => PolicyKind::CsCq,
+    };
+    let rep = replicate(kind, &params, &config, reps.max(1));
+    if rep.short.count > 0 {
+        row.short_response = Some(rep.short.mean);
+        row.short_ci = Some(rep.short.ci_half);
     }
-    if long.count > 0 {
-        row.long_response = Some(long.mean);
-        row.long_ci = Some(long.ci_half);
+    if rep.long.count > 0 {
+        row.long_response = Some(rep.long.mean);
+        row.long_ci = Some(rep.long.ci_half);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Deterministic fault injection for robustness tests.
 //!
-//! Production code marks *named sites* with [`fault_point!`]; tests arm a
+//! Production code marks *named sites* with [`fault_point!`](crate::fault_point); tests arm a
 //! seeded [`FaultPlan`] that decides — as a pure function of the plan seed
 //! and the enclosing scope id — whether a site fires. Nothing here ever
 //! consults wall-clock time, thread ids, or global counters, so an armed
@@ -17,7 +17,7 @@
 //!   (xoshiro-derived from `seed ⊕ fnv1a(scope)`), which gives tests an
 //!   exact oracle: `plan.site_for(id)` says precisely which failure kind a
 //!   row must report, independent of execution interleaving.
-//! * [`fault_point!`] compiles to nothing in release builds
+//! * [`fault_point!`](crate::fault_point) compiles to nothing in release builds
 //!   (`cfg!(debug_assertions)` folds the check away) and to a cheap
 //!   relaxed-atomic load in test builds while no plan is armed.
 //!
@@ -93,7 +93,7 @@ impl FaultPlan {
 }
 
 /// Fast global flag: is any plan armed? Checked (relaxed) on every
-/// [`fault_point!`] in test builds before touching anything slower.
+/// [`fault_point!`](crate::fault_point) in test builds before touching anything slower.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 /// The armed plan, if any.
@@ -178,7 +178,7 @@ impl Drop for Scope {
 
 /// Does the armed plan fire at `site` within the current scope?
 ///
-/// Called via [`fault_point!`]; false whenever disarmed, outside any
+/// Called via [`fault_point!`](crate::fault_point); false whenever disarmed, outside any
 /// scope, or at a site the plan did not choose for this scope.
 pub fn fires(site: &str) -> bool {
     if !ACTIVE.load(Ordering::Relaxed) {

@@ -10,7 +10,7 @@
 //! * [`prop`] — a minimal property-testing layer: composable generators,
 //!   macro-driven case generation ([`props!`]), greedy shrinking on
 //!   failure, and fixed-seed reproducibility (override with `XTEST_SEED`).
-//! * [`bench`] — a criterion-free micro-benchmark harness: warmup,
+//! * [`bench`](mod@bench) — a criterion-free micro-benchmark harness: warmup,
 //!   per-iteration timing, mean/p50/p99 summaries, and JSON emission to
 //!   `BENCH_<name>.json` for perf-trajectory regression across PRs.
 //!

@@ -5,8 +5,8 @@
 //! The design is a deliberately small subset of proptest's: a [`Gen`]
 //! produces values and knows how to propose *smaller* variants of a
 //! failing value. Plain range expressions are generators (`0.05f64..0.95`,
-//! `1u32..20`), tuples of generators are generators, and [`vec`] and
-//! [`Gen::map`] build aggregates. The [`crate::props!`] macro turns a
+//! `1u32..20`), tuples of generators are generators, and [`vec()`] and
+//! [`Gen::prop_map`] build aggregates. The [`crate::props!`] macro turns a
 //! proptest-style block into ordinary `#[test]` functions.
 //!
 //! # Reproducibility
@@ -140,7 +140,7 @@ pub fn vec<G: Gen>(elem: G, len: usize) -> VecGen<G> {
     VecGen { elem, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone)]
 pub struct VecGen<G> {
     elem: G,

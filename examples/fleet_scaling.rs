@@ -23,7 +23,7 @@ use cyclesteal::core::cs_cq::BusyPeriodFit;
 use cyclesteal::core::SystemParams;
 use cyclesteal::dist::Exp;
 use cyclesteal::mg1::mmc;
-use cyclesteal::sim::{replicate_fleet_parallel, FleetParams, SimConfig};
+use cyclesteal::sim::{replicate_parallel, PolicyKind, SimConfig, SimParams};
 
 /// The biggest shape exactly analyzed with the paper's three-moment
 /// busy-period fit; `m = 8` has 1287 phases under it, so the largest
@@ -44,14 +44,15 @@ fn analyze(k: usize, m: usize, rho_s: f64, rho_l: f64) -> Result<f64, Box<dyn st
 fn simulate(k: usize, m: usize, rho_s: f64, rho_l: f64) -> Result<f64, Box<dyn std::error::Error>> {
     let short = Exp::with_mean(1.0)?;
     let long = Exp::with_mean(1.0)?;
-    let params = FleetParams::new(k, m, rho_s, rho_l, &short, &long)?;
+    let params = SimParams::new(rho_s, rho_l, &short, &long)?;
+    let kind = PolicyKind::cs_cq_fleet(k, m, &params)?;
     let config = SimConfig {
         seed: 0x5CA1E,
         total_jobs: 400_000,
         ..SimConfig::default()
     };
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    Ok(replicate_fleet_parallel(&params, &config, 2, threads).short.mean)
+    Ok(replicate_parallel(kind, &params, &config, 2, threads).short.mean)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
