@@ -65,7 +65,7 @@ echo "==> bench smoke (--quick)"
 cargo bench -p cyclesteal-bench --offline --bench solver -- --quick
 cargo bench -p cyclesteal-bench --offline --bench analysis_vs_simulation -- --quick
 
-echo "==> kernel bench: allocations per QBD solve (hard >=5x gate; timings informational)"
+echo "==> kernel bench: allocations per QBD solve (hard >=5x and <=15 gates; timings informational)"
 # The bench binary itself asserts workspace_allocs * 5 <= reference_allocs
 # (counting-allocator probe, deterministic); the re-check below reads the
 # emitted metrics so a stale or hand-edited JSON also fails the gate.
@@ -75,10 +75,13 @@ allocs_ref=$(sed -n 's|.*"id": "allocs/qbd_solve/reference", "value": \([0-9.]*\
     crates/bench/BENCH_kernels.json)
 allocs_ws=$(sed -n 's|.*"id": "allocs/qbd_solve/workspace", "value": \([0-9.]*\).*|\1|p' \
     crates/bench/BENCH_kernels.json)
+# The workspace count is also capped absolutely: a kernel rewrite must not
+# buy speed with allocations (15 is the count before the slice kernels).
 awk -v ref="$allocs_ref" -v ws="$allocs_ws" 'BEGIN {
     if (ref == "" || ws == "" || ref <= 0) { print "kernel gate: missing alloc metrics"; exit 1 }
     printf "qbd solve heap allocations: reference %d, workspace %d (%.1fx fewer)\n", ref, ws, ref / (ws > 0 ? ws : 1)
     if (ws * 5 > ref) { print "kernel gate: workspace path must allocate >= 5x less"; exit 1 }
+    if (ws > 15) { print "kernel gate: workspace path must allocate <= 15 times per solve"; exit 1 }
 }'
 
 echo "==> kernel bench: batched throughput (hard >=1.5x gate over scalar)"
@@ -94,6 +97,15 @@ awk -v scalar="$pps_scalar" -v batch="$pps_batch" 'BEGIN {
     if (scalar == "" || batch == "" || scalar <= 0) { print "batch gate: missing points_per_sec metrics"; exit 1 }
     printf "qbd throughput: scalar %.0f points/s, batched %.0f points/s (%.2fx)\n", scalar, batch, batch / scalar
     if (batch < 1.5 * scalar) { print "batch gate: batched solve must clear 1.5x scalar throughput"; exit 1 }
+}'
+# The (2, 2) fleet group is report-only: printed for the trend, not gated.
+pps_scalar_k2m2=$(sed -n 's|.*"id": "points_per_sec/qbd_scalar_k2m2", "value": \([0-9.]*\).*|\1|p' \
+    crates/bench/BENCH_kernels.json)
+pps_batch_k2m2=$(sed -n 's|.*"id": "points_per_sec/qbd_batch_k2m2", "value": \([0-9.]*\).*|\1|p' \
+    crates/bench/BENCH_kernels.json)
+awk -v scalar="$pps_scalar_k2m2" -v batch="$pps_batch_k2m2" 'BEGIN {
+    if (scalar == "" || batch == "" || scalar <= 0) { print "k2m2 throughput: missing metrics (report-only)"; exit 0 }
+    printf "qbd (2, 2) throughput: scalar %.0f points/s, batched %.0f points/s (%.2fx, report-only)\n", scalar, batch, batch / scalar
 }'
 
 echo "==> obs zero-overhead gate (<1% compiled-but-disabled; cross-build delta informational)"

@@ -23,15 +23,14 @@ use crate::{LinalgError, Matrix};
 pub struct Lu {
     lu: Matrix,
     pivots: Vec<usize>,
-    sign: f64,
 }
 
 /// Pivots smaller than this (relative to the largest entry of the column)
 /// are treated as exact zeros, i.e. the matrix is reported singular.
-const PIVOT_TOL: f64 = 1e-300;
+pub(crate) const PIVOT_TOL: f64 = 1e-300;
 
 impl Lu {
-    /// Factors `a` as `P A = L U`.
+    /// Factors `a` as `P A = L U` (through [`lu_factor_into`]).
     ///
     /// # Errors
     ///
@@ -42,54 +41,10 @@ impl Lu {
     ///   garbage instead of failing.
     /// * [`LinalgError::Singular`] if a pivot vanishes.
     pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                dims: (a.rows(), a.cols()),
-            });
-        }
-        if !a.as_slice().iter().all(|v| v.is_finite()) {
-            return Err(LinalgError::NonFinite { site: "linalg.lu" });
-        }
-        cyclesteal_obs::counter!("linalg.lu.factor");
-        cyclesteal_obs::histogram!("linalg.lu.dim", a.rows() as u64);
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut pivots: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
-
-        for k in 0..n {
-            // Partial pivoting: pick the largest |entry| in column k at/below row k.
-            let mut p = k;
-            let mut best = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best <= PIVOT_TOL {
-                return Err(LinalgError::Singular);
-            }
-            if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-                pivots.swap(k, p);
-                sign = -sign;
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
-                for j in (k + 1)..n {
-                    lu[(i, j)] -= factor * lu[(k, j)];
-                }
-            }
-        }
-        Ok(Lu { lu, pivots, sign })
+        let mut lu = Matrix::zeros(0, 0);
+        let mut pivots = Vec::new();
+        lu_factor_into(a, &mut lu, &mut pivots)?;
+        Ok(Lu { lu, pivots })
     }
 
     /// Dimension of the factored matrix.
@@ -97,7 +52,8 @@ impl Lu {
         self.lu.rows()
     }
 
-    /// Solves `A x = b` using the stored factorization.
+    /// Solves `A x = b` using the stored factorization (through
+    /// [`lu_solve_into`]).
     ///
     /// # Errors
     ///
@@ -111,59 +67,76 @@ impl Lu {
                 rhs: (b.len(), 1),
             });
         }
-        // Apply permutation.
-        let mut x: Vec<f64> = self.pivots.iter().map(|&p| b[p]).collect();
-        substitute_in_place(&self.lu, &mut x);
+        let mut x = vec![0.0; n];
+        lu_solve_into(&self.lu, &self.pivots, b, &mut x);
         Ok(x)
     }
 
-    /// Determinant of the factored matrix.
+    /// Determinant of the factored matrix: the product of `U`'s diagonal,
+    /// negated when the row permutation is odd.
     pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
+        // A permutation's parity is that of `n − (number of cycles)`.
+        let n = self.dim();
+        let mut seen = vec![false; n];
+        let mut cycles = 0;
+        for start in 0..n {
+            if seen[start] {
+                continue;
+            }
+            cycles += 1;
+            let mut i = start;
+            while !seen[i] {
+                seen[i] = true;
+                i = self.pivots[i];
+            }
+        }
+        let mut d = if (n - cycles).is_multiple_of(2) { 1.0 } else { -1.0 };
+        for i in 0..n {
             d *= self.lu[(i, i)];
         }
         d
     }
 
-    /// Inverse of the factored matrix.
+    /// Inverse of the factored matrix (through [`lu_inverse_into`]).
     ///
     /// # Errors
     ///
     /// Never fails for a successfully constructed factorization, but keeps the
     /// `Result` signature for uniformity with the other solvers.
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            e[j] = 0.0;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
+        let mut inv = Matrix::zeros(0, 0);
+        lu_inverse_into(&self.lu, &self.pivots, &mut inv, &mut Vec::new());
         Ok(inv)
     }
 }
 
 /// Forward substitution with unit lower-triangular `L`, then back
 /// substitution with `U`, on a right-hand side that has already been
-/// permuted. Shared by [`Lu::solve`] and the caller-owned-storage kernels
-/// below, so both perform the identical floating-point operation sequence.
+/// permuted. Shared by every solve kernel below, so they all perform the
+/// identical floating-point operation sequence: `x[i]` subtracts
+/// `L[i][j] · x[j]` in ascending `j < i`, then `U[i][j] · x[j]` in
+/// ascending `j > i`, then divides by `U[i][i]`.
 fn substitute_in_place(lu: &Matrix, x: &mut [f64]) {
     let n = lu.rows();
-    for i in 1..n {
-        for j in 0..i {
-            x[i] -= lu[(i, j)] * x[j];
-        }
+    if n == 0 {
+        return;
     }
-    for i in (0..n).rev() {
-        for j in (i + 1)..n {
-            x[i] -= lu[(i, j)] * x[j];
+    let rows = lu.as_slice().chunks_exact(n);
+    for (i, row) in rows.clone().enumerate().skip(1) {
+        let (done, rest) = x.split_at_mut(i);
+        let mut xi = rest[0];
+        for (&l, &xj) in row[..i].iter().zip(done.iter()) {
+            xi -= l * xj;
         }
-        x[i] /= lu[(i, i)];
+        rest[0] = xi;
+    }
+    for (i, row) in rows.enumerate().rev() {
+        let (head, tail) = x.split_at_mut(i + 1);
+        let mut xi = head[i];
+        for (&u, &xj) in row[i + 1..].iter().zip(tail.iter()) {
+            xi -= u * xj;
+        }
+        head[i] = xi / row[i];
     }
 }
 
@@ -171,9 +144,14 @@ fn substitute_in_place(lu: &Matrix, x: &mut [f64]) {
 /// solve many with [`lu_solve_into`], [`lu_solve_cols_into`],
 /// [`lu_solve_rows_into`], or [`lu_inverse_into`]).
 ///
-/// Runs the identical pivoting and elimination sequence as [`Lu::factor`],
-/// so the packed factors are bit-identical; the only difference is that
-/// `lu` and `pivots` reuse the caller's capacity instead of allocating.
+/// [`Lu::factor`] is this kernel on fresh storage; here `lu` and
+/// `pivots` reuse the caller's capacity instead of allocating. Step `k`
+/// picks the first row at or below `k` with the largest `|entry|` in
+/// column `k`, swaps it up, and updates every row below as
+/// `row_i[j] -= factor · row_k[j]` over row slices. A row whose factor is
+/// zero skips its update where that is exact (see
+/// `zero_factor_skips_are_exact`): the factors are the same bits as with
+/// every update done.
 ///
 /// # Errors
 ///
@@ -198,43 +176,65 @@ pub fn lu_factor_into(
     lu.copy_from(a);
     pivots.clear();
     pivots.extend(0..n);
+    let data = lu.as_mut_slice();
+    let skips = zero_factor_skips_are_exact(data);
 
     for k in 0..n {
+        // Partial pivoting: the first row at/below k with the largest
+        // |entry| in column k.
         let mut p = k;
-        let mut best = lu[(k, k)].abs();
-        for i in (k + 1)..n {
-            let v = lu[(i, k)].abs();
+        let mut best = data[k * n + k].abs();
+        for (i, &v) in data[k * n + k..].iter().step_by(n).enumerate().skip(1) {
+            let v = v.abs();
             if v > best {
                 best = v;
-                p = i;
+                p = k + i;
             }
         }
         if best <= PIVOT_TOL {
             return Err(LinalgError::Singular);
         }
         if p != k {
-            for j in 0..n {
-                let tmp = lu[(k, j)];
-                lu[(k, j)] = lu[(p, j)];
-                lu[(p, j)] = tmp;
-            }
+            let (top, bottom) = data.split_at_mut(p * n);
+            top[k * n..(k + 1) * n].swap_with_slice(&mut bottom[..n]);
             pivots.swap(k, p);
         }
-        let pivot = lu[(k, k)];
-        for i in (k + 1)..n {
-            let factor = lu[(i, k)] / pivot;
-            lu[(i, k)] = factor;
-            for j in (k + 1)..n {
-                lu[(i, j)] -= factor * lu[(k, j)];
+        // Eliminate below the pivot: row_i[j] -= factor · row_k[j] for
+        // j > k, each row in turn.
+        let (top, bottom) = data.split_at_mut((k + 1) * n);
+        let row_k = &top[k * n..];
+        let pivot = row_k[k];
+        let skip_zero = skips && row_k[k + 1..].iter().all(|u| u.is_finite());
+        for row_i in bottom.chunks_exact_mut(n) {
+            let factor = row_i[k] / pivot;
+            row_i[k] = factor;
+            if skip_zero && factor == 0.0 {
+                continue;
+            }
+            for (x, &u) in row_i[k + 1..].iter_mut().zip(&row_k[k + 1..]) {
+                *x -= factor * u;
             }
         }
     }
     Ok(())
 }
 
+/// Whether an LU elimination of `data` may skip the update of a row whose
+/// factor is zero (at a step whose pivot row is finite) without changing
+/// a bit. The update is `x - 0·u`, which equals `x` unless `x` is `-0.0`
+/// and the product is `-0.0` (the difference is then `+0.0`). The
+/// elimination never creates a `-0.0` — `x - y` is `-0.0` only when `x`
+/// already is — so when the input holds no `-0.0`, no updated entry ever
+/// does, and every such skip is exact. Structural zeros make these skips
+/// the common case on the QBD blocks.
+pub(crate) fn zero_factor_skips_are_exact(data: &[f64]) -> bool {
+    const NEG_ZERO: u64 = 1 << 63;
+    // A full fold rather than an early-exit search, so it vectorizes.
+    !data.iter().fold(false, |seen, x| seen | (x.to_bits() == NEG_ZERO))
+}
+
 /// Solves `A x = b` into caller storage using factors from
-/// [`lu_factor_into`]. Performs the identical operation sequence as
-/// [`Lu::solve`].
+/// [`lu_factor_into`]; [`Lu::solve`] is this kernel on a fresh vector.
 ///
 /// # Panics
 ///
@@ -328,9 +328,9 @@ pub fn lu_solve_rows_into(
     Ok(())
 }
 
-/// Inverse into caller storage using factors from [`lu_factor_into`].
-/// Bit-identical to [`Lu::inverse`]: each unit column is permuted and
-/// substituted in the same order.
+/// Inverse into caller storage using factors from [`lu_factor_into`];
+/// [`Lu::inverse`] is this kernel on fresh storage. Each unit column is
+/// permuted, substituted, and scattered into column `j` of `out`.
 pub fn lu_inverse_into(lu: &Matrix, pivots: &[usize], out: &mut Matrix, x: &mut Vec<f64>) {
     let n = lu.rows();
     out.reshape(n, n);

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
-use crate::{LinalgError, Lu};
+use crate::{LinalgError, Lu, Workspace};
 
 /// A dense, row-major matrix of `f64`.
 ///
@@ -128,6 +128,16 @@ impl Matrix {
         &self.data
     }
 
+    /// The flat row-major data, mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Entries the buffer holds without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Sum of each row, as a vector of length `rows`.
     pub fn row_sums(&self) -> Vec<f64> {
         (0..self.rows).map(|i| self.row(i).iter().sum()).collect()
@@ -143,9 +153,17 @@ impl Matrix {
     /// Writes the transpose into `out`, reusing its capacity.
     pub fn transpose_into(&self, out: &mut Matrix) {
         out.reshape(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        if self.rows == 0 {
+            return;
+        }
+        // Row `j` of the transpose is column `j` of `self`: a strided walk
+        // down the source, written contiguously.
+        for (j, out_row) in out.data.chunks_exact_mut(self.rows).enumerate() {
+            for (o, &v) in out_row
+                .iter_mut()
+                .zip(self.data[j..].iter().step_by(self.cols))
+            {
+                *o = v;
             }
         }
     }
@@ -247,23 +265,17 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
+        self.mul_into(rhs, &mut out)?;
         Ok(out)
     }
 
     /// Matrix product `self * rhs` written into `out` (reusing its
-    /// capacity). Performs the multiplications and additions in exactly
-    /// the same order as [`Matrix::mul`], so the result is bit-identical.
+    /// capacity); [`Matrix::mul`] is this kernel on a fresh output.
+    ///
+    /// Each `out[i][j]` starts at `0.0` and adds `a[i][k] * rhs[k][j]` in
+    /// ascending `k`, skipping the `k` where `a[i][k] == 0.0`. The loops
+    /// run `i → k → j` over row slices, so the innermost update is a
+    /// bounds-check-free `axpy` of row `k` of `rhs` into row `i` of `out`.
     ///
     /// # Errors
     ///
@@ -277,14 +289,21 @@ impl Matrix {
             });
         }
         out.reshape(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
+        if rhs.cols == 0 || self.cols == 0 {
+            return Ok(());
+        }
+        let rhs_rows = rhs.data.chunks_exact(rhs.cols);
+        for (out_row, a_row) in out
+            .data
+            .chunks_exact_mut(rhs.cols)
+            .zip(self.data.chunks_exact(self.cols))
+        {
+            for (&a, r_row) in a_row.iter().zip(rhs_rows.clone()) {
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
+                for (o, &r) in out_row.iter_mut().zip(r_row) {
+                    *o += a * r;
                 }
             }
         }
@@ -469,40 +488,78 @@ impl Matrix {
     ///
     /// The iteration stops as soon as two consecutive estimates agree to a
     /// relative tolerance of [`SPECTRAL_RADIUS_RTOL`], or when `max_iters`
-    /// is exhausted, whichever comes first. Both iteration vectors are
-    /// reused across iterations, so the whole call performs exactly two
-    /// vector allocations regardless of the budget.
+    /// is exhausted, whichever comes first. Allocates three buffers per
+    /// call (the two iteration vectors and `|A|ᵀ`); see
+    /// [`Matrix::spectral_radius_estimate_in`] for the pooled form.
     pub fn spectral_radius_estimate_converged(&self, max_iters: usize) -> (f64, usize) {
+        self.spectral_radius_estimate_in(max_iters, &mut Workspace::new())
+    }
+
+    /// [`Matrix::spectral_radius_estimate_converged`] with its three
+    /// buffers borrowed from `ws`, so a warm workspace allocates nothing.
+    ///
+    /// Each step forms `w = |A| v` with every `w[i]` summed in ascending
+    /// `j` from `0.0`. The sum runs as `n` column sweeps — `w += v[j] ·
+    /// |A|ᵀ[j]` — over a transposed copy of `|A|` made once per call, so
+    /// the inner loop is a contiguous, vectorizable update of all of `w`
+    /// while each `w[i]` still sees its terms in the same order.
+    pub fn spectral_radius_estimate_in(
+        &self,
+        max_iters: usize,
+        ws: &mut Workspace,
+    ) -> (f64, usize) {
         if self.rows == 0 || !self.is_square() {
             return (0.0, 0);
         }
         let n = self.rows;
-        let mut v = vec![1.0 / n as f64; n];
-        let mut w = vec![0.0; n];
-        let mut lambda = 0.0;
-        for it in 0..max_iters {
-            w.fill(0.0);
-            for i in 0..n {
-                for j in 0..n {
-                    w[i] += self[(i, j)].abs() * v[j];
-                }
-            }
-            let norm: f64 = w.iter().map(|x| x.abs()).fold(0.0, f64::max);
-            if norm == 0.0 {
-                return (0.0, it + 1);
-            }
-            for x in &mut w {
-                *x /= norm;
-            }
-            let prev = lambda;
-            lambda = norm;
-            std::mem::swap(&mut v, &mut w);
-            if it > 0 && (lambda - prev).abs() <= SPECTRAL_RADIUS_RTOL * lambda.abs() {
-                return (lambda, it + 1);
+        let mut abs_t = ws.take_mat(n, n);
+        self.transpose_into(&mut abs_t);
+        for x in &mut abs_t.data {
+            *x = x.abs();
+        }
+        let mut v = ws.take_vec(n);
+        v.fill(1.0 / n as f64);
+        let mut w = ws.take_vec(n);
+        let result = power_iterate(&abs_t, max_iters, &mut v, &mut w);
+        ws.give_mat(abs_t);
+        ws.give_vec(v);
+        ws.give_vec(w);
+        result
+    }
+}
+
+/// The power iteration of [`Matrix::spectral_radius_estimate_in`] on a
+/// precomputed `|A|ᵀ`, from the start vector in `v`.
+fn power_iterate(
+    abs_t: &Matrix,
+    max_iters: usize,
+    v: &mut Vec<f64>,
+    w: &mut Vec<f64>,
+) -> (f64, usize) {
+    let n = abs_t.rows;
+    let mut lambda = 0.0;
+    for it in 0..max_iters {
+        w.fill(0.0);
+        for (col, &vj) in abs_t.data.chunks_exact(n).zip(v.iter()) {
+            for (wi, &a) in w.iter_mut().zip(col) {
+                *wi += a * vj;
             }
         }
-        (lambda, max_iters)
+        let norm: f64 = w.iter().map(|x| x.abs()).fold(0.0, f64::max);
+        if norm == 0.0 {
+            return (0.0, it + 1);
+        }
+        for x in w.iter_mut() {
+            *x /= norm;
+        }
+        let prev = lambda;
+        lambda = norm;
+        std::mem::swap(v, w);
+        if it > 0 && (lambda - prev).abs() <= SPECTRAL_RADIUS_RTOL * lambda.abs() {
+            return (lambda, it + 1);
+        }
     }
+    (lambda, max_iters)
 }
 
 /// Relative tolerance for the early exit of

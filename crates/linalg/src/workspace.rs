@@ -65,7 +65,7 @@ impl Workspace {
     /// (allocating only if the pool is empty or the largest pooled buffer
     /// is too small).
     pub fn take_mat(&mut self, rows: usize, cols: usize) -> Matrix {
-        match self.mats.pop() {
+        match best_fit(&mut self.mats, rows * cols, Matrix::capacity) {
             Some(mut m) => {
                 m.reshape(rows, cols);
                 m
@@ -76,7 +76,7 @@ impl Workspace {
 
     /// Returns a matrix to the pool, retaining its capacity.
     pub fn give_mat(&mut self, m: Matrix) {
-        self.mats.push(m);
+        pool_insert(&mut self.mats, m, Matrix::capacity);
     }
 
     /// Borrows an empty pivot/index list from the pool.
@@ -97,7 +97,7 @@ impl Workspace {
 
     /// Borrows a zero-filled vector of length `n` from the pool.
     pub fn take_vec(&mut self, n: usize) -> Vec<f64> {
-        match self.vecs.pop() {
+        match best_fit(&mut self.vecs, n, Vec::capacity) {
             Some(mut v) => {
                 v.clear();
                 v.resize(n, 0.0);
@@ -109,14 +109,14 @@ impl Workspace {
 
     /// Returns a vector to the pool.
     pub fn give_vec(&mut self, v: Vec<f64>) {
-        self.vecs.push(v);
+        pool_insert(&mut self.vecs, v, Vec::capacity);
     }
 
     /// Borrows a zero-filled `rows x cols x batch` SoA panel from the
     /// pool. Like every `take_*`, the buffer is canonically reset so the
     /// batched solvers stay bit-identical regardless of pool history.
     pub fn take_panel(&mut self, rows: usize, cols: usize, batch: usize) -> BatchPanel {
-        match self.panels.pop() {
+        match best_fit(&mut self.panels, rows * cols * batch, BatchPanel::capacity) {
             Some(mut p) => {
                 p.reshape(rows, cols, batch);
                 p
@@ -127,13 +127,33 @@ impl Workspace {
 
     /// Returns a panel to the pool, retaining its capacity.
     pub fn give_panel(&mut self, p: BatchPanel) {
-        self.panels.push(p);
+        pool_insert(&mut self.panels, p, BatchPanel::capacity);
     }
 
     /// Number of currently pooled (idle) buffers across all kinds.
     pub fn pooled(&self) -> usize {
         self.mats.len() + self.idxs.len() + self.vecs.len() + self.panels.len()
     }
+}
+
+/// Removes and returns the pooled buffer that best fits `len` entries:
+/// the smallest whose capacity holds them, else the largest (which then
+/// grows). Handing small requests small buffers keeps a few large
+/// buffers from being grown — and kept resident — in every role. Pools
+/// are kept sorted by capacity (see [`pool_insert`]), so this is a
+/// binary search.
+fn best_fit<T>(pool: &mut Vec<T>, len: usize, capacity: impl Fn(&T) -> usize) -> Option<T> {
+    if pool.is_empty() {
+        return None;
+    }
+    let fit = pool.partition_point(|b| capacity(b) < len);
+    Some(pool.remove(fit.min(pool.len() - 1)))
+}
+
+/// Returns `buf` to `pool`, keeping the pool sorted by capacity.
+fn pool_insert<T>(pool: &mut Vec<T>, buf: T, capacity: impl Fn(&T) -> usize) {
+    let at = pool.partition_point(|b| capacity(b) < capacity(&buf));
+    pool.insert(at, buf);
 }
 
 #[cfg(test)]
@@ -172,6 +192,21 @@ mod tests {
         assert_eq!(ws.pooled(), 1);
         let _m = ws.take_mat(2, 2);
         assert_eq!(ws.pooled(), 0, "the pooled buffer was handed out again");
+    }
+
+    #[test]
+    fn takes_pick_the_smallest_buffer_that_fits() {
+        let mut ws = Workspace::new();
+        let (big, small) = (ws.take_mat(40, 40), ws.take_mat(2, 2));
+        ws.give_mat(big);
+        ws.give_mat(small);
+        // The small request gets the small buffer, not the last given.
+        assert_eq!(ws.take_mat(2, 1).capacity(), 4);
+        assert_eq!(ws.take_mat(30, 30).capacity(), 1600);
+        let v = ws.take_vec(100);
+        ws.give_vec(v);
+        ws.give_vec(Vec::with_capacity(3));
+        assert!(ws.take_vec(50).capacity() >= 100);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Finite continuous-time Markov chains: stationary distributions and
 //! killed-chain occupancy analysis.
 
-use cyclesteal_linalg::Matrix;
+use cyclesteal_linalg::{lu_factor_into, lu_solve_into, Matrix, Workspace};
 
 use crate::MarkovError;
 
@@ -66,19 +66,42 @@ pub fn validate_generator(q: &Matrix) -> Result<(), MarkovError> {
 /// # }
 /// ```
 pub fn stationary(q: &Matrix) -> Result<Vec<f64>, MarkovError> {
+    let mut pi = Vec::new();
+    stationary_into(q, &mut Workspace::new(), &mut pi)?;
+    Ok(pi)
+}
+
+/// [`stationary`] into `pi`, with its scratch borrowed from `ws`.
+pub(crate) fn stationary_into(
+    q: &Matrix,
+    ws: &mut Workspace,
+    pi: &mut Vec<f64>,
+) -> Result<(), MarkovError> {
     validate_generator(q)?;
     let n = q.rows();
     // Solve pi Q = 0 with the last balance equation replaced by
     // normalization: transpose so unknowns are a column vector, then replace
     // the last row by all-ones.
-    let mut sys = q.transpose();
+    let mut sys = ws.take_mat(n, n);
+    q.transpose_into(&mut sys);
     for j in 0..n {
         sys[(n - 1, j)] = 1.0;
     }
-    let mut rhs = vec![0.0; n];
+    let mut rhs = ws.take_vec(n);
     rhs[n - 1] = 1.0;
-    let pi = sys.solve(&rhs)?;
-    Ok(pi)
+    let mut lu = ws.take_mat(n, n);
+    let mut piv = ws.take_idx();
+    let factored = lu_factor_into(&sys, &mut lu, &mut piv);
+    if factored.is_ok() {
+        pi.clear();
+        pi.resize(n, 0.0);
+        lu_solve_into(&lu, &piv, &rhs, pi);
+    }
+    ws.give_mat(sys);
+    ws.give_vec(rhs);
+    ws.give_mat(lu);
+    ws.give_idx(piv);
+    factored.map_err(MarkovError::from)
 }
 
 /// Occupancy analysis of a CTMC killed at a state-independent rate.

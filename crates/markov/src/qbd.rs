@@ -19,8 +19,9 @@
 //! a process with the number of short jobs as the level.
 
 use cyclesteal_linalg::{
-    lu_factor_into, lu_inverse_into, lu_solve_cols_into, lu_solve_into, lu_solve_many_into,
-    lu_solve_rows_into, max_abs_diff, spectral_radius_many, Matrix, Workspace,
+    lu_factor_into, lu_factor_many_in_place, lu_inverse_into, lu_solve_cols_into, lu_solve_into,
+    lu_solve_many_into, lu_solve_rows_into, max_abs_diff, spectral_radius_many, BatchPanel, Matrix,
+    Workspace,
 };
 
 use crate::MarkovError;
@@ -307,13 +308,13 @@ impl Qbd {
     /// and the mean-drift stability screen. Both the workspace and the
     /// reference paths route through here, so an injected `NoConvergence`
     /// cannot be accidentally healed by either.
-    fn attempt_precheck(&self) -> Result<(), MarkovError> {
+    fn attempt_precheck(&self, ws: &mut Workspace) -> Result<(), MarkovError> {
         cyclesteal_xtest::fault_point!("qbd.solve" => return Err(MarkovError::NoConvergence {
             what: "injected fault (qbd.solve)",
             iterations: 0,
             residual: f64::INFINITY,
         }));
-        if let Some(ratio) = self.drift_ratio() {
+        if let Some(ratio) = self.drift_ratio_in(ws) {
             if ratio >= STABILITY_MARGIN {
                 return Err(MarkovError::Unstable {
                     spectral_radius: ratio,
@@ -331,12 +332,12 @@ impl Qbd {
         fi_cap: usize,
         ws: &mut Workspace,
     ) -> Result<QbdSolution, MarkovError> {
-        self.attempt_precheck()?;
+        self.attempt_precheck(ws)?;
         let r = match alg {
             RAlgorithm::LogarithmicReduction => self.r_logarithmic_reduction_in(ws)?,
             RAlgorithm::FunctionalIteration => self.r_functional_iteration_capped_in(fi_cap, ws)?,
         };
-        let sp = r.spectral_radius_estimate(200);
+        let (sp, _) = r.spectral_radius_estimate_in(200, ws);
         if sp >= STABILITY_MARGIN {
             return Err(MarkovError::Unstable {
                 spectral_radius: sp,
@@ -347,10 +348,12 @@ impl Qbd {
         sol
     }
 
-    /// Solves a batch of **same-shape** QBDs in lockstep, sharing the
-    /// logarithmic-reduction iteration across the batch through the
-    /// structure-of-arrays kernels of `cyclesteal_linalg` (batched panel
-    /// products plus [`lu_solve_many_into`]).
+    /// Solves a batch of **same-shape** QBDs in lockstep: after a per-lane
+    /// precheck, the logarithmic reduction, `R`, its spectral-radius
+    /// certificate and the boundary solve's first attempt run for all
+    /// lanes at once on the structure-of-arrays kernels of
+    /// `cyclesteal_linalg` (panel products, [`lu_factor_many_in_place`],
+    /// [`lu_solve_many_into`], [`spectral_radius_many`]).
     ///
     /// # Bit-identity contract
     ///
@@ -365,7 +368,9 @@ impl Qbd {
     /// divergence to non-finite values, or exhausting the reduction's
     /// iteration cap) are replayed wholesale through the scalar
     /// [`Qbd::solve_in`] — fallback ladder included — which reproduces the
-    /// scalar result and telemetry for that lane exactly. The batch layer is therefore a pure
+    /// scalar result and telemetry for that lane exactly; a lane whose
+    /// first boundary attempt misses the residual check finishes on the
+    /// scalar pivot loop. The batch layer is therefore a pure
     /// optimization with the scalar pipeline as its differential oracle.
     ///
     /// Batches of size ≤ 1 and mixed-shape batches degenerate to per-point
@@ -392,61 +397,47 @@ impl Qbd {
 
         let mut results: Vec<Option<Result<QbdSolution, MarkovError>>> = Vec::with_capacity(nb);
         results.resize_with(nb, || None);
-        let mut gs: Vec<Option<Matrix>> = Vec::with_capacity(nb);
-        gs.resize_with(nb, || None);
 
-        // Per-lane scalar preamble — the precheck and the H₀/L₀ init of
-        // `logred_g_in`, replayed exactly — loaded into the SoA panels.
-        // Lanes are packed densely from the start: `lane_ids[lane]` maps a
-        // panel lane back to its member index, and as members converge or
-        // fall back the surviving lanes are compacted leftward
-        // ([`BatchPanel::retain_lanes`]) so the panel kernels only ever
-        // touch live lanes. Compaction cannot change a lane's bits — every
-        // kernel is per-lane independent — it only sheds dead work.
-        let mut h_panel = ws.take_panel(m, m, nb);
-        let mut l_panel = ws.take_panel(m, m, nb);
+        // The preamble of `logred_g_in` for every lane: the precheck per
+        // lane, then (−A1) factored and H₀ = (−A1)⁻¹A0, L₀ = (−A1)⁻¹A2
+        // solved for all lanes at once. Lanes are packed densely:
+        // `lane_ids[lane]` maps a panel lane back to its member index, and
+        // as members converge or fall back the surviving lanes are
+        // compacted leftward ([`BatchPanel::retain_lanes`]) so the panel
+        // kernels only ever touch live lanes. Compaction cannot change a
+        // lane's bits — every kernel is per-lane independent — it only
+        // sheds dead work. Any preamble failure — injected fault,
+        // drift-ratio instability, singular A1 — replays through the full
+        // scalar ladder, which reproduces the scalar outcome (fault sites
+        // re-fire deterministically per scope).
         let mut lane_ids: Vec<usize> = Vec::with_capacity(nb);
-        {
-            let mut tmp = ws.take_mat(m, m);
-            let mut lu = ws.take_mat(m, m);
-            let mut piv = ws.take_idx();
-            let mut x = ws.take_vec(m);
-            let mut h = ws.take_mat(m, m);
-            let mut l = ws.take_mat(m, m);
-            for (b, q) in qbds.iter().enumerate() {
-                let init = q.attempt_precheck().and_then(|()| {
-                    tmp.copy_from(&q.a1);
-                    tmp.scale_assign(-1.0);
-                    lu_factor_into(&tmp, &mut lu, &mut piv)?;
-                    lu_solve_cols_into(&lu, &piv, &q.a0, &mut h, &mut x)?;
-                    lu_solve_cols_into(&lu, &piv, &q.a2, &mut l, &mut x)?;
-                    Ok(())
-                });
-                match init {
-                    Ok(()) => {
-                        h_panel.load_lane(lane_ids.len(), &h);
-                        l_panel.load_lane(lane_ids.len(), &l);
-                        lane_ids.push(b);
-                    }
-                    // Any preamble failure — injected fault, drift-ratio
-                    // instability, singular A1 — replays through the full
-                    // scalar ladder, which reproduces the scalar outcome
-                    // (fault sites re-fire deterministically per scope).
-                    Err(_) => results[b] = Some(q.solve_in(ws)),
-                }
+        for (b, q) in qbds.iter().enumerate() {
+            match q.attempt_precheck(ws) {
+                Ok(()) => lane_ids.push(b),
+                Err(_) => results[b] = Some(q.solve_in(ws)),
             }
-            ws.give_mat(tmp);
-            ws.give_mat(lu);
-            ws.give_idx(piv);
-            ws.give_vec(x);
-            ws.give_mat(h);
-            ws.give_mat(l);
         }
-        if lane_ids.len() < nb {
-            let mut prefix = vec![false; nb];
-            prefix[..lane_ids.len()].fill(true);
-            h_panel.retain_lanes(&prefix);
-            l_panel.retain_lanes(&prefix);
+        let live = lane_ids.len();
+        let mut lu_panel = ws.take_panel(m, m, live);
+        load_blocks(qbds, &lane_ids, |q| &q.a1, &mut lu_panel);
+        lu_panel.scale_assign(-1.0);
+        let mut pivots = ws.take_idx();
+        let mut factored = Vec::with_capacity(nb);
+        lu_factor_many_in_place(&mut lu_panel, &mut pivots, &mut factored);
+        let mut h_panel = ws.take_panel(m, m, live);
+        let mut l_panel = ws.take_panel(m, m, live);
+        let mut tmp_panel = ws.take_panel(m, m, live);
+        load_blocks(qbds, &lane_ids, |q| &q.a0, &mut tmp_panel);
+        lu_solve_many_into(&lu_panel, &pivots, &tmp_panel, &mut h_panel);
+        load_blocks(qbds, &lane_ids, |q| &q.a2, &mut tmp_panel);
+        lu_solve_many_into(&lu_panel, &pivots, &tmp_panel, &mut l_panel);
+        if factored.iter().any(|ok| !ok) {
+            for (&b, _) in lane_ids.iter().zip(&factored).filter(|(_, ok)| !**ok) {
+                results[b] = Some(qbds[b].solve_in(ws));
+            }
+            h_panel.retain_lanes(&factored);
+            l_panel.retain_lanes(&factored);
+            retain_ids(&mut lane_ids, &factored);
         }
 
         let mut g_panel = ws.take_panel(m, m, nb);
@@ -454,75 +445,55 @@ impl Qbd {
         let mut t_panel = ws.take_panel(m, m, nb);
         t_panel.copy_from(&h_panel);
         let mut u_panel = ws.take_panel(m, m, nb);
-        let mut iu_panel = ws.take_panel(m, m, nb);
-        let mut tmp_panel = ws.take_panel(m, m, nb);
         let mut tmp2_panel = ws.take_panel(m, m, nb);
-        let mut lup_panel = ws.take_panel(m, m, nb);
-        let mut pivots = ws.take_idx();
-        let mut xs = ws.take_vec(m * nb);
-        let mut iu_lane = ws.take_mat(m, m);
-        let mut lu_lane = ws.take_mat(m, m);
-        let mut piv_lane = ws.take_idx();
+        let mut residuals = ws.take_vec(nb);
+        let mut g_finite = Vec::with_capacity(nb);
+        let mut t_finite = Vec::with_capacity(nb);
+        let mut alive = Vec::with_capacity(nb);
+        // `(member, G)` for every lane whose reduction converged.
+        let mut converged: Vec<(usize, Matrix)> = Vec::with_capacity(nb);
 
         for iter in 0..LR_MAX_ITER {
             let live = lane_ids.len();
             if live == 0 {
                 break;
             }
-            // U = H·L + L·H; refactor (I − U) per live lane.
+            // U = H·L + L·H; factor (I − U) in every live lane at once.
             h_panel.mul_into(&l_panel, &mut u_panel);
             l_panel.mul_into(&h_panel, &mut tmp_panel);
             u_panel.add_assign(&tmp_panel);
-            u_panel.identity_minus_into(&mut iu_panel);
-            // Per-iteration per-lane factor store. The reshape zero-fills,
-            // so a lane whose factorization fails below leaves harmless
-            // zeros (division by a 0.0 diagonal yields non-finite garbage
-            // confined to that lane, which is dropped at compaction).
-            lup_panel.reshape(m, m, live);
-            pivots.clear();
-            pivots.resize(m * live, 0);
-            let mut alive = vec![true; live];
-            for lane in 0..live {
-                iu_panel.store_lane(lane, &mut iu_lane);
-                match lu_factor_into(&iu_lane, &mut lu_lane, &mut piv_lane) {
-                    Ok(()) => {
-                        lup_panel.load_lane(lane, &lu_lane);
-                        pivots[lane * m..(lane + 1) * m].copy_from_slice(&piv_lane);
-                    }
-                    Err(_) => {
-                        // The scalar path hits the same singular factor at
-                        // the same iteration; replay it wholesale.
-                        alive[lane] = false;
-                        results[lane_ids[lane]] = Some(qbds[lane_ids[lane]].solve_in(ws));
-                    }
-                }
-            }
+            u_panel.identity_minus_into(&mut lu_panel);
+            lu_factor_many_in_place(&mut lu_panel, &mut pivots, &mut factored);
             h_panel.mul_into(&h_panel, &mut tmp_panel);
-            lu_solve_many_into(&lup_panel, &pivots, &tmp_panel, &mut h_panel, &mut xs);
+            lu_solve_many_into(&lu_panel, &pivots, &tmp_panel, &mut h_panel);
             l_panel.mul_into(&l_panel, &mut tmp_panel);
-            lu_solve_many_into(&lup_panel, &pivots, &tmp_panel, &mut l_panel, &mut xs);
+            lu_solve_many_into(&lu_panel, &pivots, &tmp_panel, &mut l_panel);
             t_panel.mul_into(&l_panel, &mut tmp_panel); // inc = T·L
             g_panel.add_assign(&tmp_panel);
             t_panel.mul_into(&h_panel, &mut tmp2_panel);
             std::mem::swap(&mut t_panel, &mut tmp2_panel);
+            g_panel.lanes_finite_into(&mut g_finite);
+            t_panel.lanes_finite_into(&mut t_finite);
+            tmp_panel.lanes_max_abs_into(&mut residuals);
+            alive.clear();
             for lane in 0..live {
-                if !alive[lane] {
-                    continue;
-                }
+                let b = lane_ids[lane];
                 // Same per-lane tests, in the same order, as the scalar
-                // iteration: non-finite G/T first, then the G-increment
-                // residual.
-                if !g_panel.lane_is_finite(lane) || !t_panel.lane_is_finite(lane) {
-                    alive[lane] = false;
-                    results[lane_ids[lane]] = Some(qbds[lane_ids[lane]].solve_in(ws));
-                    continue;
-                }
-                if tmp_panel.lane_max_abs(lane) < FP_TOL {
+                // iteration: a failed factorization of (I − U) (garbage
+                // in this lane since), then non-finite G/T, then the
+                // G-increment residual. Failures replay the scalar path,
+                // which meets the same failure at the same iteration.
+                if !factored[lane] || !g_finite[lane] || !t_finite[lane] {
+                    results[b] = Some(qbds[b].solve_in(ws));
+                    alive.push(false);
+                } else if residuals[lane] < FP_TOL {
                     cyclesteal_obs::histogram!("markov.qbd.lr_iters", iter as u64 + 1);
                     let mut g = ws.take_mat(m, m);
                     g_panel.store_lane(lane, &mut g);
-                    gs[lane_ids[lane]] = Some(g);
-                    alive[lane] = false;
+                    converged.push((b, g));
+                    alive.push(false);
+                } else {
+                    alive.push(true);
                 }
             }
             if alive.iter().any(|a| !*a) {
@@ -530,8 +501,7 @@ impl Qbd {
                 l_panel.retain_lanes(&alive);
                 g_panel.retain_lanes(&alive);
                 t_panel.retain_lanes(&alive);
-                let mut keep = alive.iter();
-                lane_ids.retain(|_| *keep.next().expect("mask covers every lane"));
+                retain_ids(&mut lane_ids, &alive);
             }
         }
         // Lanes that exhausted LR_MAX_ITER: the scalar path raises
@@ -539,75 +509,229 @@ impl Qbd {
         for &b in &lane_ids {
             results[b] = Some(qbds[b].solve_in(ws));
         }
-        ws.give_panel(h_panel);
-        ws.give_panel(l_panel);
-        ws.give_panel(g_panel);
-        ws.give_panel(t_panel);
-        ws.give_panel(u_panel);
-        ws.give_panel(iu_panel);
-        ws.give_panel(tmp_panel);
-        ws.give_panel(tmp2_panel);
-        ws.give_panel(lup_panel);
+        for p in [h_panel, l_panel, g_panel, t_panel, u_panel, lu_panel, tmp_panel, tmp2_panel] {
+            ws.give_panel(p);
+        }
         ws.give_idx(pivots);
-        ws.give_vec(xs);
-        ws.give_mat(iu_lane);
-        ws.give_mat(lu_lane);
-        ws.give_idx(piv_lane);
+        ws.give_vec(residuals);
 
         // Converged lanes run the tail of [`Qbd::attempt_in`]'s
-        // logarithmic-reduction branch from their own `G`: `R = A0 ·
-        // (−(A1 + A0·G))⁻¹` per lane, one **batched** spectral-radius
-        // certificate over all the `R`s (bit-identical per lane — see
-        // [`spectral_radius_many`]), then the scalar boundary solve. No
-        // step here can raise `NoConvergence`, so errors surface directly,
-        // exactly as `solve_in` surfaces non-`NoConvergence` attempt
-        // errors without entering the fallback ladder. One
-        // `markov.qbd.solve` counter fires per member, batched or not —
-        // parity with a scalar per-point run (fallback lanes are counted
-        // inside their `solve_in` replay).
-        let mut rs: Vec<(usize, Matrix)> = Vec::new();
-        for (b, g) in gs.into_iter().enumerate() {
-            if let Some(g) = g {
-                match qbds[b].r_from_g_in(g, ws) {
-                    Ok(r) => rs.push((b, r)),
-                    Err(e) => {
-                        cyclesteal_obs::counter!("markov.qbd.solve");
-                        results[b] = Some(Err(e));
-                    }
-                }
-            }
+        // logarithmic-reduction branch from their own `G`, all lanes at
+        // once: `R`, one batched spectral-radius certificate (bit-identical
+        // per lane — see [`spectral_radius_many`]), then the boundary
+        // solve. No step here can raise `NoConvergence`, so a lane that
+        // fails one replays `solve_in`, which surfaces the same error
+        // directly. One `markov.qbd.solve` counter fires per member,
+        // batched or not — parity with a scalar per-point run (replayed
+        // lanes are counted inside their `solve_in`).
+        converged.sort_by_key(|(b, _)| *b);
+        let (mut ids, mut r_panel) = Qbd::r_from_g_batch_in(qbds, converged, &mut results, ws);
+        let mut scratch = ws.take_panel(m, m, ids.len());
+        scratch.copy_from(&r_panel);
+        let mut sps = ws.take_vec(ids.len());
+        spectral_radius_many(&mut scratch, 200, &mut sps);
+        ws.give_panel(scratch);
+        let stable: Vec<bool> = sps.iter().map(|&sp| sp < STABILITY_MARGIN).collect();
+        for (&b, &sp) in ids.iter().zip(&sps).filter(|(_, &sp)| sp >= STABILITY_MARGIN) {
+            cyclesteal_obs::counter!("markov.qbd.solve");
+            results[b] = Some(Err(MarkovError::Unstable {
+                spectral_radius: sp,
+            }));
         }
-        if !rs.is_empty() {
-            let mut r_panel = ws.take_panel(m, m, rs.len());
-            for (lane, (_, r)) in rs.iter().enumerate() {
-                r_panel.load_lane(lane, r);
-            }
-            let mut sps = ws.take_vec(rs.len());
-            spectral_radius_many(&r_panel, 200, &mut sps);
-            ws.give_panel(r_panel);
-            for ((b, r), &sp) in rs.into_iter().zip(&sps) {
-                let res = if sp >= STABILITY_MARGIN {
-                    Err(MarkovError::Unstable {
-                        spectral_radius: sp,
-                    })
-                } else {
-                    qbds[b].boundary_solve_in(&r, ws)
-                };
-                ws.give_mat(r);
+        ws.give_vec(sps);
+        r_panel.retain_lanes(&stable);
+        retain_ids(&mut ids, &stable);
+        // The boundary panels are n x n per lane; solve them in groups
+        // small enough to keep a panel within BOUNDARY_PANEL_BYTES.
+        let n = qbds[0].boundary_dim() + m;
+        let group = (BOUNDARY_PANEL_BYTES / (n * n * 8)).max(1);
+        let mut start = 0;
+        while start < ids.len() {
+            let end = ids.len().min(start + group);
+            let mut r_group = ws.take_panel(m, m, ids.len());
+            r_group.copy_from(&r_panel);
+            let keep: Vec<bool> = (0..ids.len()).map(|lane| (start..end).contains(&lane)).collect();
+            r_group.retain_lanes(&keep);
+            for (b, res) in Qbd::boundary_solve_batch_in(qbds, &ids[start..end], r_group, ws) {
                 cyclesteal_obs::counter!("markov.qbd.solve");
                 results[b] = Some(res);
             }
-            ws.give_vec(sps);
+            start = end;
         }
+        ws.give_panel(r_panel);
         results
             .into_iter()
             .map(|r| r.expect("every batch lane resolves to a result"))
             .collect()
     }
 
+    /// [`Qbd::r_from_g_in`] for the converged lanes of
+    /// [`Qbd::solve_batch_in`], all at once: `R = A0 · (−(A1 + A0·G))⁻¹`
+    /// as the transpose of `(−(A1 + A0·G))ᵀ \ A0ᵀ` — per lane the scalar
+    /// kernel's right division row by row. Returns the members whose `R`
+    /// exists and the panel of their `R`s; a lane whose factorization
+    /// fails replays `solve_in` into `results`.
+    fn r_from_g_batch_in(
+        qbds: &[&Qbd],
+        converged: Vec<(usize, Matrix)>,
+        results: &mut [Option<Result<QbdSolution, MarkovError>>],
+        ws: &mut Workspace,
+    ) -> (Vec<usize>, BatchPanel) {
+        let m = qbds[0].phase_dim();
+        let width = converged.len();
+        let mut ids: Vec<usize> = converged.iter().map(|(b, _)| *b).collect();
+        let mut g = ws.take_panel(m, m, width);
+        for (lane, (_, gm)) in converged.into_iter().enumerate() {
+            g.load_lane(lane, &gm);
+            ws.give_mat(gm);
+        }
+        let mut a0 = ws.take_panel(m, m, width);
+        load_blocks(qbds, &ids, |q| &q.a0, &mut a0);
+        let mut inner = ws.take_panel(m, m, width);
+        a0.mul_into(&g, &mut inner);
+        let mut acc = ws.take_panel(m, m, width);
+        load_blocks(qbds, &ids, |q| &q.a1, &mut acc);
+        acc.add_assign(&inner);
+        acc.scale_assign(-1.0);
+        acc.transpose_into(&mut inner);
+        let mut pivots = ws.take_idx();
+        let mut factored = Vec::with_capacity(width);
+        lu_factor_many_in_place(&mut inner, &mut pivots, &mut factored);
+        a0.transpose_into(&mut g);
+        lu_solve_many_into(&inner, &pivots, &g, &mut acc);
+        let mut r = ws.take_panel(m, m, width);
+        acc.transpose_into(&mut r);
+        if factored.iter().any(|ok| !ok) {
+            for (&b, _) in ids.iter().zip(&factored).filter(|(_, ok)| !**ok) {
+                results[b] = Some(qbds[b].solve_in(ws));
+            }
+            r.retain_lanes(&factored);
+            retain_ids(&mut ids, &factored);
+        }
+        for p in [g, a0, inner, acc] {
+            ws.give_panel(p);
+        }
+        ws.give_idx(pivots);
+        (ids, r)
+    }
+
+    /// The boundary solves of [`Qbd::solve_batch_in`]'s stable lanes:
+    /// members `ids` with their `R`s in `r`, `(member, result)` pairs out.
+    ///
+    /// Each lane's boundary system is built as [`Qbd::boundary_system_in`]
+    /// builds it, with `A1 + R·A2` and `(I − R)⁻¹` formed for all lanes at
+    /// once; then the first attempt of the scalar pivot loop —
+    /// normalization in equation `n − 1` — runs for every lane at once
+    /// through [`lu_factor_many_in_place`] and [`lu_solve_many_into`]. A
+    /// lane whose attempt passes the scalar residual check has the scalar
+    /// result; a lane whose factorization failed or whose residual did not
+    /// pass replays the scalar pivot loop from its system, which retries
+    /// the same attempt first and then pivot 0. A lane whose `I − R`
+    /// cannot be factored replays the scalar boundary solve.
+    fn boundary_solve_batch_in(
+        qbds: &[&Qbd],
+        ids: &[usize],
+        r: BatchPanel,
+        ws: &mut Workspace,
+    ) -> Vec<(usize, Result<QbdSolution, MarkovError>)> {
+        let mut out = Vec::with_capacity(ids.len());
+        let Some(&first) = ids.first() else {
+            ws.give_panel(r);
+            return out;
+        };
+        let m = qbds[first].phase_dim();
+        let n = qbds[first].boundary_dim() + m;
+        let width = ids.len();
+        // A1 + R·A2 and (I − R)⁻¹, every lane.
+        let mut a2 = ws.take_panel(m, m, width);
+        load_blocks(qbds, ids, |q| &q.a2, &mut a2);
+        let mut tmp = ws.take_panel(m, m, width);
+        r.mul_into(&a2, &mut tmp);
+        let mut level0 = ws.take_panel(m, m, width);
+        load_blocks(qbds, ids, |q| &q.a1, &mut level0);
+        level0.add_assign(&tmp);
+        r.identity_minus_into(&mut tmp);
+        let mut pivots = ws.take_idx();
+        let mut factored = Vec::with_capacity(width);
+        lu_factor_many_in_place(&mut tmp, &mut pivots, &mut factored);
+        let mut eye = a2; // A2 is spent; its buffer becomes the identity
+        eye.reshape(m, m, width);
+        for lane in 0..width {
+            for i in 0..m {
+                *eye.at_mut(i, i, lane) = 1.0;
+            }
+        }
+        let mut inv = ws.take_panel(m, m, width);
+        lu_solve_many_into(&tmp, &pivots, &eye, &mut inv);
+
+        let mut level0_lane = ws.take_mat(m, m);
+        let mut lanes = Vec::with_capacity(width);
+        for (lane, &b) in ids.iter().enumerate() {
+            let mut r_lane = ws.take_mat(m, m);
+            r.store_lane(lane, &mut r_lane);
+            if factored[lane] {
+                level0.store_lane(lane, &mut level0_lane);
+                let mut i_minus_r_inv = Matrix::zeros(m, m);
+                inv.store_lane(lane, &mut i_minus_r_inv);
+                let system = qbds[b].boundary_system_from(&level0_lane, i_minus_r_inv, ws);
+                lanes.push((b, r_lane, system));
+            } else {
+                out.push((b, qbds[b].boundary_solve_in(&r_lane, ws)));
+                ws.give_mat(r_lane);
+            }
+        }
+        ws.give_mat(level0_lane);
+        for p in [r, eye, tmp, level0, inv] {
+            ws.give_panel(p);
+        }
+
+        // The first pivot attempt, every lane: Fᵀ with equation n − 1
+        // swapped for the normalization, as `BoundarySystem::equations_into`
+        // writes it.
+        let width = lanes.len();
+        let mut lus = ws.take_panel(n, n, width);
+        let fs: Vec<&Matrix> = lanes.iter().map(|(_, _, system)| &system.f).collect();
+        lus.load_lanes_transposed(&fs);
+        for (lane, (_, _, system)) in lanes.iter().enumerate() {
+            for (j, &w) in system.w.iter().enumerate() {
+                *lus.at_mut(n - 1, j, lane) = w;
+            }
+        }
+        lu_factor_many_in_place(&mut lus, &mut pivots, &mut factored);
+        // Right-hand side e_{n−1} in every lane.
+        let mut rhs = ws.take_panel(n, 1, width);
+        for lane in 0..width {
+            *rhs.at_mut(n - 1, 0, lane) = 1.0;
+        }
+        let mut x_panel = ws.take_panel(n, 1, width);
+        lu_solve_many_into(&lus, &pivots, &rhs, &mut x_panel);
+        let mut x = ws.take_mat(n, 1);
+        let mut resid = ws.take_vec(n);
+        for (lane, (b, r, system)) in lanes.into_iter().enumerate() {
+            let accepted = factored[lane] && {
+                x_panel.store_lane(lane, &mut x);
+                system.residual(x.as_slice(), n - 1, &mut resid) < BOUNDARY_RESID_TOL
+            };
+            let res = if accepted {
+                Ok(system.solution(&r, x.as_slice(), n - 1, ws))
+            } else {
+                qbds[b].boundary_pivots_in(&r, system, ws)
+            };
+            ws.give_mat(r);
+            out.push((b, res));
+        }
+        for p in [lus, rhs, x_panel] {
+            ws.give_panel(p);
+        }
+        ws.give_idx(pivots);
+        ws.give_mat(x);
+        ws.give_vec(resid);
+        out
+    }
+
     /// One allocating solve attempt (see [`Qbd::solve_reference`]).
     fn attempt_reference(&self, alg: RAlgorithm, fi_cap: usize) -> Result<QbdSolution, MarkovError> {
-        self.attempt_precheck()?;
+        self.attempt_precheck(&mut Workspace::new())?;
         let r = match alg {
             RAlgorithm::LogarithmicReduction => self.r_logarithmic_reduction_reference()?,
             RAlgorithm::FunctionalIteration => {
@@ -631,19 +755,38 @@ impl Qbd {
     /// process is reducible in a way that defeats the linear solve); callers
     /// then fall back to the spectral radius of `R`.
     pub fn drift_ratio(&self) -> Option<f64> {
-        let a = self.a0.add(&self.a1).ok()?.add(&self.a2).ok()?;
-        let phi = crate::ctmc::stationary(&a).ok()?;
+        self.drift_ratio_in(&mut Workspace::new())
+    }
+
+    /// [`Qbd::drift_ratio`] with its scratch borrowed from `ws`.
+    fn drift_ratio_in(&self, ws: &mut Workspace) -> Option<f64> {
+        let m = self.phase_dim();
+        let mut a = ws.take_mat(m, m);
+        a.copy_from(&self.a0);
+        a.add_assign(&self.a1).expect("A0 and A1 share the phase dimension");
+        a.add_assign(&self.a2).expect("A0 and A2 share the phase dimension");
+        let mut phi = ws.take_vec(m);
+        let mut sums = ws.take_vec(m);
+        let solved = crate::ctmc::stationary_into(&a, ws, &mut phi).is_ok();
         // A reducible phase process can yield signed "solutions"; accept the
         // vector only if it is a genuine distribution.
-        if phi.iter().any(|p| *p < -1e-9) {
-            return None;
-        }
-        let up = cyclesteal_linalg::dot(&phi, &self.a0.row_sums());
-        let down = cyclesteal_linalg::dot(&phi, &self.a2.row_sums());
-        if down <= 0.0 {
-            return None;
-        }
-        Some(up / down)
+        let ratio = if solved && !phi.iter().any(|p| *p < -1e-9) {
+            let mut dot_row_sums = |block: &Matrix| {
+                for (s, i) in sums.iter_mut().zip(0..m) {
+                    *s = block.row(i).iter().sum();
+                }
+                cyclesteal_linalg::dot(&phi, &sums)
+            };
+            let up = dot_row_sums(&self.a0);
+            let down = dot_row_sums(&self.a2);
+            (down > 0.0).then(|| up / down)
+        } else {
+            None
+        };
+        ws.give_mat(a);
+        ws.give_vec(phi);
+        ws.give_vec(sums);
+        ratio
     }
 
     /// Computes the first-passage matrix `G` by logarithmic reduction:
@@ -860,34 +1003,19 @@ impl Qbd {
     }
 
     fn boundary_solve_in(&self, r: &Matrix, ws: &mut Workspace) -> Result<QbdSolution, MarkovError> {
-        let nb = self.boundary_dim();
-        let m = self.phase_dim();
-        let n = nb + m;
+        let system = self.boundary_system_in(r, ws)?;
+        self.boundary_pivots_in(r, system, ws)
+    }
 
-        // F = [[B00, B01], [B10, A1 + R A2]]; solve x F = 0, x·w = 1 with
-        // w = [1, (I - R)^{-1} 1].
+    /// The boundary system of the solve: `x F = 0, x·w = 1` with
+    /// `F = [[B00, B01], [B10, A1 + R A2]]` and `w = [1, (I − R)⁻¹ 1]`.
+    fn boundary_system_in(&self, r: &Matrix, ws: &mut Workspace) -> Result<BoundarySystem, MarkovError> {
+        let m = self.phase_dim();
         let mut tmp = ws.take_mat(m, m);
         r.mul_into(&self.a2, &mut tmp)?;
         let mut level0_local = ws.take_mat(m, m);
         level0_local.copy_from(&self.a1);
         level0_local.add_assign(&tmp)?;
-        let mut f = ws.take_mat(n, n);
-        for i in 0..nb {
-            for j in 0..nb {
-                f[(i, j)] = self.b00[(i, j)];
-            }
-            for j in 0..m {
-                f[(i, nb + j)] = self.b01[(i, j)];
-            }
-        }
-        for i in 0..m {
-            for j in 0..nb {
-                f[(nb + i, j)] = self.b10[(i, j)];
-            }
-            for j in 0..m {
-                f[(nb + i, nb + j)] = level0_local[(i, j)];
-            }
-        }
 
         let mut id = ws.take_mat(m, m);
         for i in 0..m {
@@ -901,80 +1029,99 @@ impl Qbd {
         // (I − R)⁻¹ escapes into the solution, so it is owned, not pooled.
         let mut i_minus_r_inv = Matrix::zeros(m, m);
         lu_inverse_into(&lu, &piv, &mut i_minus_r_inv, &mut x);
+        let system = self.boundary_system_from(&level0_local, i_minus_r_inv, ws);
+        ws.give_mat(tmp);
+        ws.give_mat(level0_local);
+        ws.give_mat(id);
+        ws.give_mat(lu);
+        ws.give_idx(piv);
+        ws.give_vec(x);
+        Ok(system)
+    }
+
+    /// Assembles the boundary system from `A1 + R A2` and `(I − R)⁻¹`.
+    fn boundary_system_from(
+        &self,
+        level0_local: &Matrix,
+        i_minus_r_inv: Matrix,
+        ws: &mut Workspace,
+    ) -> BoundarySystem {
+        let nb = self.boundary_dim();
+        let m = self.phase_dim();
+        let n = nb + m;
+        let mut f = ws.take_mat(n, n);
+        for i in 0..nb {
+            let row = f.row_mut(i);
+            row[..nb].copy_from_slice(self.b00.row(i));
+            row[nb..].copy_from_slice(self.b01.row(i));
+        }
+        for i in 0..m {
+            let row = f.row_mut(nb + i);
+            row[..nb].copy_from_slice(self.b10.row(i));
+            row[nb..].copy_from_slice(level0_local.row(i));
+        }
         let mut ones = ws.take_vec(m);
         ones.fill(1.0);
         let mut w = ws.take_vec(n);
         w[..nb].fill(1.0);
         i_minus_r_inv.mul_vec_into(&ones, &mut w[nb..]);
+        ws.give_vec(ones);
+        BoundarySystem {
+            nb,
+            f,
+            w,
+            i_minus_r_inv,
+        }
+    }
 
-        // Transpose so unknowns form a column vector, then replace one
-        // balance equation (one row of F^T) with the normalization. Any
-        // single equation is redundant; verify by residual and retry with a
-        // different pivot if the first choice was numerically poor.
-        let mut ft = ws.take_mat(n, n);
-        f.transpose_into(&mut ft);
+    /// Solves `system`: replace one balance equation (one row of `Fᵀ`)
+    /// with the normalization. Any single equation is redundant; verify by
+    /// residual and retry with a different pivot if the first choice was
+    /// numerically poor.
+    fn boundary_pivots_in(
+        &self,
+        r: &Matrix,
+        system: BoundarySystem,
+        ws: &mut Workspace,
+    ) -> Result<QbdSolution, MarkovError> {
+        let n = system.w.len();
         let mut sys = ws.take_mat(n, n);
+        let mut lu = ws.take_mat(n, n);
+        let mut piv = ws.take_idx();
         let mut rhs = ws.take_vec(n);
         let mut xsol = ws.take_vec(n);
         let mut resid_vec = ws.take_vec(n);
         let mut best_x = ws.take_vec(n);
         let mut best: Option<(f64, usize)> = None;
         for replace in [n - 1, 0] {
-            sys.copy_from(&ft);
-            for j in 0..n {
-                sys[(replace, j)] = w[j];
-            }
+            system.equations_into(replace, &mut sys);
             rhs.fill(0.0);
             rhs[replace] = 1.0;
             if lu_factor_into(&sys, &mut lu, &mut piv).is_err() {
                 continue;
             }
             lu_solve_into(&lu, &piv, &rhs, &mut xsol);
-            // Residual of the full homogeneous system (excluding the
-            // replaced equation, which is exact by construction).
-            f.vec_mul_into(&xsol, &mut resid_vec);
-            let resid = resid_vec
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != replace)
-                .map(|(_, v)| v.abs())
-                .fold(0.0, f64::max);
+            let resid = system.residual(&xsol, replace, &mut resid_vec);
             if best.as_ref().is_none_or(|(b, _)| resid < *b) {
                 best = Some((resid, replace));
                 best_x.copy_from_slice(&xsol);
             }
-            if resid < 1e-9 {
+            if resid < BOUNDARY_RESID_TOL {
                 break;
             }
         }
         let (_, pivot) = best.ok_or(MarkovError::Linalg(
             cyclesteal_linalg::LinalgError::Singular,
         ))?;
-
-        let boundary = best_x[..nb].to_vec();
-        let pi0 = best_x[nb..].to_vec();
-        ws.give_mat(tmp);
-        ws.give_mat(level0_local);
-        ws.give_mat(f);
-        ws.give_mat(id);
+        let sol = system.solution(r, &best_x, pivot, ws);
+        ws.give_mat(sys);
         ws.give_mat(lu);
         ws.give_idx(piv);
-        ws.give_vec(x);
-        ws.give_vec(ones);
-        ws.give_vec(w);
-        ws.give_mat(ft);
-        ws.give_mat(sys);
         ws.give_vec(rhs);
         ws.give_vec(xsol);
         ws.give_vec(resid_vec);
         ws.give_vec(best_x);
-        Ok(QbdSolution {
-            boundary,
-            pi0,
-            r: r.clone(),
-            i_minus_r_inv,
-            pivot,
-        })
+        Ok(sol)
     }
 
     // ------------------------------------------------------------------
@@ -1130,6 +1277,82 @@ impl Qbd {
             i_minus_r_inv,
             pivot,
         })
+    }
+}
+
+/// Loads `block(qbds[b])` for every member `b` of `ids` into the lanes
+/// of `panel`, in order.
+fn load_blocks(qbds: &[&Qbd], ids: &[usize], block: impl Fn(&Qbd) -> &Matrix, panel: &mut BatchPanel) {
+    for (lane, &b) in ids.iter().enumerate() {
+        panel.load_lane(lane, block(qbds[b]));
+    }
+}
+
+/// Keeps the member ids whose `keep` flag is set, as
+/// [`BatchPanel::retain_lanes`] keeps their lanes.
+fn retain_ids(ids: &mut Vec<usize>, keep: &[bool]) {
+    let mut keep = keep.iter();
+    ids.retain(|_| *keep.next().expect("mask covers every lane"));
+}
+
+/// Largest boundary-system panel [`Qbd::solve_batch_in`] factors at once
+/// (1 MiB, half an L2 cache): wider lane groups of large chains run out
+/// of cache and lose more than the extra lanes save.
+const BOUNDARY_PANEL_BYTES: usize = 1 << 20;
+
+/// Residual below which the boundary solve accepts a normalization
+/// pivot without trying the next one.
+const BOUNDARY_RESID_TOL: f64 = 1e-9;
+
+/// The linear system of a QBD's boundary solve (see
+/// [`Qbd::boundary_system_in`]), its buffers borrowed from a workspace.
+struct BoundarySystem {
+    /// Number of boundary states.
+    nb: usize,
+    /// `F = [[B00, B01], [B10, A1 + R A2]]`; column `j` is balance
+    /// equation `j` in the unknowns `x`.
+    f: Matrix,
+    /// The normalization weights `[1, (I − R)⁻¹ 1]`.
+    w: Vec<f64>,
+    /// `(I − R)⁻¹`, which the solution keeps.
+    i_minus_r_inv: Matrix,
+}
+
+impl BoundarySystem {
+    /// Writes the system in the unknowns — `Fᵀ`, so that row `j` is
+    /// balance equation `j` — with equation `replace` swapped for the
+    /// normalization `x·w = 1` into `sys`.
+    fn equations_into(&self, replace: usize, sys: &mut Matrix) {
+        self.f.transpose_into(sys);
+        sys.row_mut(replace).copy_from_slice(&self.w);
+    }
+
+    /// The largest balance-equation residual `|(x F)_j|` over `j ≠
+    /// replace` (the replaced equation is exact by construction); `scratch`
+    /// holds `x F`.
+    fn residual(&self, x: &[f64], replace: usize, scratch: &mut [f64]) -> f64 {
+        self.f.vec_mul_into(x, scratch);
+        scratch
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| *j != replace)
+            .map(|(_, v)| v.abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// The solution from the boundary solve's answer `x`, returning the
+    /// system's pooled buffers to `ws`.
+    fn solution(self, r: &Matrix, x: &[f64], pivot: usize, ws: &mut Workspace) -> QbdSolution {
+        let sol = QbdSolution {
+            boundary: x[..self.nb].to_vec(),
+            pi0: x[self.nb..].to_vec(),
+            r: r.clone(),
+            i_minus_r_inv: self.i_minus_r_inv,
+            pivot,
+        };
+        ws.give_mat(self.f);
+        ws.give_vec(self.w);
+        sol
     }
 }
 

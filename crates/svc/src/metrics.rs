@@ -92,9 +92,9 @@ pub struct NativeMetrics {
     pub batch_dedup_hits: u64,
     /// Distinct uncached chains the presolve planned.
     pub batch_unique: u64,
-    /// Chains solved inside batched (≥ 2 lane) groups.
+    /// Chains solved inside batched (≥ 8 lane) groups.
     pub batch_batched: u64,
-    /// Chains whose shape group degenerated to a scalar solve.
+    /// Chains whose shape group was too narrow to batch, solved scalar.
     pub batch_scalar: u64,
     /// Solutions seeded into the shared cache by presolves.
     pub batch_seeded: u64,

@@ -19,11 +19,18 @@ pub const MAX_FRAME: usize = 64 * 1024;
 /// Reads one frame; `Ok(None)` on clean EOF before any length byte.
 pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    // Distinguish "closed between frames" from "died mid-frame".
-    match stream.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => stream.read_exact(&mut len_buf[n..])?,
-        Err(e) => return Err(e),
+    // Distinguish "closed between frames" from "died mid-frame". A signal
+    // interrupting the first read is retried, as `read_exact` retries it.
+    loop {
+        match stream.read(&mut len_buf) {
+            Ok(0) => return Ok(None),
+            Ok(n) => {
+                stream.read_exact(&mut len_buf[n..])?;
+                break;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_be_bytes(len_buf) as usize;
     if len > MAX_FRAME {
@@ -95,6 +102,37 @@ mod tests {
         let mut cur = Cursor::new(buf);
         let err = read_frame(&mut cur).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Fails its first `read` with `Interrupted`, then reads from `inner`.
+    struct InterruptOnce<R> {
+        interrupted: bool,
+        inner: R,
+    }
+
+    impl<R: Read> Read for InterruptOnce<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_interrupted_length_read_is_retried() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello").unwrap();
+        let mut stream = InterruptOnce {
+            interrupted: false,
+            inner: Cursor::new(buf),
+        };
+        assert_eq!(
+            read_frame(&mut stream).unwrap().as_deref(),
+            Some(&b"hello"[..])
+        );
+        assert_eq!(read_frame(&mut stream).unwrap(), None);
     }
 
     #[test]

@@ -225,9 +225,9 @@ struct BatchCounters {
     dedup_hits: AtomicU64,
     /// Distinct uncached chains the presolve actually solved.
     unique: AtomicU64,
-    /// Chains solved inside >= 2-lane batched groups.
+    /// Chains solved inside >= 8-lane batched groups.
     batched: AtomicU64,
-    /// Chains whose shape group degenerated to a scalar solve.
+    /// Chains whose shape group was too narrow to batch, solved scalar.
     scalar: AtomicU64,
     /// Solutions seeded into the shared cache.
     seeded: AtomicU64,

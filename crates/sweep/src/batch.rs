@@ -39,6 +39,15 @@ use crate::report::SweepRow;
 /// comfortably inside L2 for the paper's chain sizes.
 const MAX_BATCH: usize = 64;
 
+/// Narrowest group solved in lockstep; the members of a narrower one are
+/// solved one by one. A lane kernel pays a fixed cost per cell of its
+/// panels, which the lanes of that cell share: with few lanes it loses to
+/// the scalar kernels. Measured on a 2-vCPU VM, the lockstep solve
+/// overtakes per-chain solves at about 6 lanes for the Figure-4 chain and
+/// about 10 for a heavy (2, 2) chain (at 2 lanes it takes 1.6x and 2.3x
+/// as long).
+const MIN_BATCH: usize = 8;
+
 /// What the batch presolve phase did, surfaced through
 /// [`SweepMetrics::batch`](crate::SweepMetrics::batch). Purely
 /// informational — the report is bit-identical whether or not a presolve
@@ -56,12 +65,12 @@ pub struct BatchStats {
     /// here; the daemon's `svc_batch_dedup_hits`, computed as
     /// `points − unique`, counts it as a dedup hit.
     pub unique: usize,
-    /// Same-shape groups (≥ 2 chains) dispatched to the batched solver.
+    /// Same-shape groups (≥ 8 chains) dispatched to the batched solver.
     pub batches: usize,
     /// Chains solved inside those batched groups.
     pub batched: usize,
-    /// Chains whose shape group degenerated to a single member and were
-    /// solved through the scalar path instead.
+    /// Chains whose shape group was narrower than that and were solved
+    /// through the scalar path instead.
     pub scalar: usize,
     /// Successful solutions seeded into the shared cache (failed solves
     /// are never seeded; evaluation re-attributes them scalar-side).
@@ -187,14 +196,15 @@ fn solve_and_seed(
         let (shaped, rest) = group.split_at(len);
         group = rest;
         for chunk in shaped.chunks(MAX_BATCH) {
-            if chunk.len() >= 2 {
+            let results = if chunk.len() >= MIN_BATCH {
                 stats.batches += 1;
                 stats.batched += chunk.len();
+                let refs: Vec<&Qbd> = chunk.iter().map(|(_, q)| q).collect();
+                Qbd::solve_batch_in(&refs, ws)
             } else {
                 stats.scalar += chunk.len();
-            }
-            let refs: Vec<&Qbd> = chunk.iter().map(|(_, q)| q).collect();
-            let results = Qbd::solve_batch_in(&refs, ws);
+                chunk.iter().map(|(_, q)| q.solve_in(ws)).collect()
+            };
             for ((signature, _), result) in chunk.iter().zip(results) {
                 if let Ok(sol) = result {
                     cache.seed_qbd_solution_keyed(*signature, sol);
