@@ -19,6 +19,25 @@
 //!    keyed by [`cyclesteal_markov::Qbd::signature`];
 //! 4. **whole CS-CQ reports**, keyed by the quantized workload parameters.
 //!
+//! # Drain scopes versus the sweep memo
+//!
+//! A sweep keeps one cache for its whole run: every layer lives as long as
+//! the sweep, so overlapping points share fits, chains and solutions, and
+//! the sweep's hit/miss counts are exact functions of its grid.
+//!
+//! A long-lived daemon cannot do that. Only the report is ever served or
+//! persisted, while a (2, 2) chain and its solution hold about 70 KiB, so
+//! a cache that kept every layer would grow with the query count. The
+//! daemon therefore answers each drained batch of queries through a
+//! [`SolveCache::scope`]: a cache that shares the long-lived report layer,
+//! its journal and its counters, and owns fresh fit, plan and solution
+//! layers. The worker drops the scope once the drain is answered, so at
+//! most one drain's chains per worker are alive at any time. Dropping a
+//! scope folds its counts into the shared totals, so [`SolveCache::stats`]
+//! keeps counting all four layers. A scope miss recomputes the same bits
+//! a long-lived entry would have held (see below), so scoping moves
+//! memory, never answers.
+//!
 //! # Why determinism survives parallelism
 //!
 //! Every cached value is a **pure function of its key**: inputs are
@@ -59,6 +78,11 @@ use cyclesteal_obs as obs;
 use crate::cs_cq::CsCqReport;
 use crate::AnalysisError;
 
+/// Process-wide count of chain-signature hashes. The plan layer hashes
+/// each chain it builds once, before storing it, and every lookup after
+/// that reads the memo on the [`Qbd`].
+pub use cyclesteal_markov::qbd::signatures_hashed;
+
 /// Snaps `x` onto the cache's quantization grid by zeroing the low 12
 /// mantissa bits — a relative perturbation below `2⁻⁴⁰ ≈ 10⁻¹²`, far
 /// inside every tolerance the analysis is validated to. Two inputs closer
@@ -78,7 +102,7 @@ pub fn quantize(x: f64) -> f64 {
 /// deterministic: a successful key misses exactly once process-wide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (all three layers combined).
+    /// Lookups answered from the cache (all four layers combined).
     pub hits: u64,
     /// Lookups that had to compute and insert.
     pub misses: u64,
@@ -90,6 +114,14 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Adds one layer's `(hits, misses, poison recoveries, evictions)`.
+    fn add(&mut self, (hits, misses, poison_recoveries, evictions): (u64, u64, u64, u64)) {
+        self.hits += hits;
+        self.misses += misses;
+        self.poison_recoveries += poison_recoveries;
+        self.evictions += evictions;
+    }
+
     /// Hit fraction in `[0, 1]` (0 when the cache was never consulted).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -401,12 +433,22 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
 }
 
 /// The thread-safe memo store. Create one per sweep (or keep one alive
-/// across sweeps to reuse solutions); share it by reference or `Arc`.
+/// across sweeps to reuse solutions); share it by reference or `Arc`. A
+/// long-lived service answers through short-lived [`SolveCache::scope`]s
+/// instead (see the module docs).
 #[derive(Debug)]
 pub struct SolveCache {
     fits: Memo<FitKey, (Ph, MatchQuality)>,
     plans: Memo<ReportKey, Qbd>,
     solutions: Memo<u128, QbdSolution>,
+    /// The report layer and what goes with it, shared by this cache and
+    /// every scope made from it.
+    store: Arc<ReportStore>,
+}
+
+/// The long-lived part of a [`SolveCache`].
+#[derive(Debug)]
+struct ReportStore {
     reports: Memo<ReportKey, CsCqReport>,
     /// When enabled ([`SolveCache::enable_report_journal`]), every report
     /// *computed* after enabling is appended here for the persistence
@@ -414,11 +456,23 @@ pub struct SolveCache {
     /// deliberately not journaled — they came from the persistence layer,
     /// which must not re-append its own records.
     journal: Mutex<Option<Vec<(ReportKey, CsCqReport)>>>,
+    /// The fit, plan and solution counts of dropped caches sharing this
+    /// store (the daemon's drain scopes).
+    retired: Mutex<CacheStats>,
 }
 
 impl Default for SolveCache {
     fn default() -> Self {
-        SolveCache::build(0)
+        SolveCache::with_capacity(0)
+    }
+}
+
+impl Drop for SolveCache {
+    fn drop(&mut self) {
+        let mut retired = lock(&self.store.retired);
+        for layer in self.solver_layers() {
+            retired.add(layer.counts());
+        }
     }
 }
 
@@ -428,17 +482,43 @@ impl SolveCache {
         SolveCache::default()
     }
 
-    /// An empty cache whose families (fits, QBD solutions, reports) are
-    /// each LRU-bounded at `capacity` entries; `0` means unbounded, same
-    /// as [`SolveCache::new`]. Eviction never changes a served value
-    /// (every entry is a pure function of its key — an evicted entry is
-    /// recomputed bit-identically), only the hit/miss counters, which
-    /// become scheduling-dependent once eviction can race with lookups.
+    /// An empty cache whose four families (fits, QBD plans, QBD solutions,
+    /// reports) are each LRU-bounded at `capacity` entries; `0` means
+    /// unbounded, same as [`SolveCache::new`]. Eviction never changes a
+    /// served value (every entry is a pure function of its key — an
+    /// evicted entry is recomputed bit-identically), only the hit/miss
+    /// counters, which become scheduling-dependent once eviction can race
+    /// with lookups. The fit, plan and solution layers of a
+    /// [`SolveCache::scope`] are not bounded; only the shared report layer
+    /// is.
     pub fn with_capacity(capacity: usize) -> Self {
-        SolveCache::build(capacity)
+        let store = ReportStore {
+            reports: Memo::new(
+                "core.cache.report.hit",
+                "core.cache.report.miss",
+                "core.cache.report.poison_recovered",
+                "core.cache.report.evicted",
+                capacity,
+            ),
+            journal: Mutex::new(None),
+            retired: Mutex::new(CacheStats::default()),
+        };
+        SolveCache::sharing(Arc::new(store), capacity)
     }
 
-    fn build(capacity: usize) -> Self {
+    /// A drain scope: a cache that shares this cache's report layer,
+    /// report journal and counters, but owns fresh, unbounded fit, plan
+    /// and solution layers. Reports it computes land in the shared layer
+    /// (and journal); the chains and solutions behind them go when the
+    /// scope drops, which also adds the scope's counts to the totals that
+    /// [`SolveCache::stats`] reports. A serving worker makes one per
+    /// drained batch of queries, so solver memory is bounded by the drain
+    /// width instead of growing with the query count.
+    pub fn scope(&self) -> SolveCache {
+        SolveCache::sharing(Arc::clone(&self.store), 0)
+    }
+
+    fn sharing(store: Arc<ReportStore>, capacity: usize) -> Self {
         SolveCache {
             fits: Memo::new(
                 "core.cache.fit.hit",
@@ -461,46 +541,37 @@ impl SolveCache {
                 "core.cache.qbd.evicted",
                 capacity,
             ),
-            reports: Memo::new(
-                "core.cache.report.hit",
-                "core.cache.report.miss",
-                "core.cache.report.poison_recovered",
-                "core.cache.report.evicted",
-                capacity,
-            ),
-            journal: Mutex::new(None),
+            store,
         }
     }
 
-    /// The per-family LRU bound this cache was built with (`0` =
-    /// unbounded).
+    /// The fit, plan and solution layers, which a scope owns.
+    fn solver_layers(&self) -> [&dyn MemoStats; 3] {
+        [&self.fits, &self.plans, &self.solutions]
+    }
+
+    /// The report layer's LRU bound (`0` = unbounded). A cache made by
+    /// [`SolveCache::with_capacity`] bounds its other layers alike.
     pub fn capacity(&self) -> usize {
-        self.reports.capacity
+        self.store.reports.capacity
     }
 
     /// Current hit/miss/poison-recovery/eviction counters, all layers
-    /// combined.
+    /// combined: this cache's own, the shared report layer's, and those
+    /// of every dropped scope that shared it.
     pub fn stats(&self) -> CacheStats {
-        let layers = [
-            &self.fits as &dyn MemoStats,
-            &self.plans,
-            &self.solutions,
-            &self.reports,
-        ];
-        let mut stats = CacheStats::default();
-        for layer in layers {
-            let (h, m, p, e) = layer.counts();
-            stats.hits += h;
-            stats.misses += m;
-            stats.poison_recoveries += p;
-            stats.evictions += e;
+        let mut stats = *lock(&self.store.retired);
+        for layer in self.solver_layers() {
+            stats.add(layer.counts());
         }
+        stats.add(self.store.reports.counts());
         stats
     }
 
-    /// Number of memoized entries across all layers.
+    /// Number of memoized entries across all layers: this cache's fits,
+    /// plans and solutions, plus the shared reports.
     pub fn len(&self) -> usize {
-        self.fits.len() + self.plans.len() + self.solutions.len() + self.reports.len()
+        self.fits.len() + self.plans.len() + self.solutions.len() + self.report_len()
     }
 
     /// `true` when nothing has been memoized yet.
@@ -528,12 +599,21 @@ impl SolveCache {
     /// instead of building the same chain twice. Callers must only use
     /// this for the Poisson-arrival analysis path: the key carries no
     /// arrival-MAP information.
+    ///
+    /// The chain's [`Qbd::signature`] is hashed here, once, before the
+    /// plan is stored, so every copy served from this layer carries it:
+    /// the planner's dedup and the solution lookup that follows read the
+    /// memo instead of hashing the blocks again.
     pub(crate) fn qbd_plan(
         &self,
         key: ReportKey,
         compute: impl FnOnce() -> Result<Qbd, AnalysisError>,
     ) -> Result<Qbd, AnalysisError> {
-        self.plans.get_or_compute(key, compute)
+        self.plans.get_or_compute(key, || {
+            let qbd = compute()?;
+            qbd.signature();
+            Ok(qbd)
+        })
     }
 
     /// Memoized QBD solution, keyed by the chain's content signature so
@@ -556,15 +636,7 @@ impl SolveCache {
     /// against earlier sweeps through a shared cache without disturbing
     /// the hit/miss counters.
     pub fn has_qbd_solution(&self, qbd: &Qbd) -> bool {
-        self.has_qbd_solution_keyed(qbd.signature())
-    }
-
-    /// [`Self::has_qbd_solution`] for a caller that already computed the
-    /// chain's [`Qbd::signature`]. Hashing every block of a chain is not
-    /// free, so the batch planner computes each signature once and keys
-    /// all of its sorting, deduplication, and cache traffic off that.
-    pub fn has_qbd_solution_keyed(&self, signature: u128) -> bool {
-        self.solutions.contains(&signature)
+        self.solutions.contains(&qbd.signature())
     }
 
     /// Seeds the QBD layer with an externally computed solution (the sweep
@@ -575,15 +647,9 @@ impl SolveCache {
     /// already present the existing value wins and `sol` is discarded
     /// (both are pure functions of the signature, hence identical).
     pub fn seed_qbd_solution(&self, qbd: &Qbd, sol: QbdSolution) {
-        self.seed_qbd_solution_keyed(qbd.signature(), sol);
-    }
-
-    /// [`Self::seed_qbd_solution`] for a caller that already computed the
-    /// chain's [`Qbd::signature`]. Same once-per-key protocol.
-    pub fn seed_qbd_solution_keyed(&self, signature: u128, sol: QbdSolution) {
         let seeded = self
             .solutions
-            .get_or_compute(signature, || Ok::<_, AnalysisError>(sol));
+            .get_or_compute(qbd.signature(), || Ok::<_, AnalysisError>(sol));
         debug_assert!(seeded.is_ok(), "seeding cannot fail");
     }
 
@@ -596,13 +662,13 @@ impl SolveCache {
         compute: impl FnOnce() -> Result<CsCqReport, AnalysisError>,
     ) -> Result<CsCqReport, AnalysisError> {
         let mut computed = false;
-        let result = self.reports.get_or_compute(key, || {
+        let result = self.store.reports.get_or_compute(key, || {
             computed = true;
             compute()
         });
         if computed {
             if let Ok(report) = &result {
-                if let Some(j) = lock(&self.journal).as_mut() {
+                if let Some(j) = lock(&self.store.journal).as_mut() {
                     j.push((key, report.clone()));
                 }
             }
@@ -615,7 +681,7 @@ impl SolveCache {
     /// Reports already cached before this call are not replayed — use
     /// [`SolveCache::export_reports`] for the full state.
     pub fn enable_report_journal(&self) {
-        let mut j = lock(&self.journal);
+        let mut j = lock(&self.store.journal);
         if j.is_none() {
             *j = Some(Vec::new());
         }
@@ -624,7 +690,7 @@ impl SolveCache {
     /// Drains the reports journaled since the last drain (empty when
     /// journaling is off or nothing new was computed).
     pub fn take_new_reports(&self) -> Vec<(ReportKey, CsCqReport)> {
-        match lock(&self.journal).as_mut() {
+        match lock(&self.store.journal).as_mut() {
             Some(j) => std::mem::take(j),
             None => Vec::new(),
         }
@@ -634,7 +700,7 @@ impl SolveCache {
     /// that touches no hit/miss counters and never waits on a pending
     /// compute.
     pub fn peek_report(&self, key: &ReportKey) -> Option<CsCqReport> {
-        let map = lock(&self.reports.map);
+        let map = lock(&self.store.reports.map);
         let entry = map.get(key)?;
         let peeked = match &*lock(&entry.slot.state) {
             SlotState::Ready(v) => Some(v.clone()),
@@ -653,6 +719,7 @@ impl SolveCache {
     /// journaled.
     pub fn insert_report(&self, key: ReportKey, report: CsCqReport) {
         let seeded = self
+            .store
             .reports
             .get_or_compute(key, || Ok::<_, AnalysisError>(report));
         debug_assert!(seeded.is_ok(), "seeding cannot fail");
@@ -663,7 +730,7 @@ impl SolveCache {
     /// entries are skipped — their designated computers journal them on
     /// completion, so an enabled journal still captures them.
     pub fn export_reports(&self) -> Vec<(ReportKey, CsCqReport)> {
-        let map = lock(&self.reports.map);
+        let map = lock(&self.store.reports.map);
         let mut out: Vec<(ReportKey, CsCqReport)> = map
             .iter()
             .filter_map(|(k, e)| match &*lock(&e.slot.state) {
@@ -679,7 +746,7 @@ impl SolveCache {
     /// Number of report-layer entries (ready or pending): the figure a
     /// long-running service reports as its warm-cache size.
     pub fn report_len(&self) -> usize {
-        self.reports.len()
+        self.store.reports.len()
     }
 }
 
@@ -981,6 +1048,45 @@ mod tests {
         let (k, r) = &exported[0];
         restored.insert_report(*k, r.clone());
         assert_eq!(restored.report_len(), 1);
+    }
+
+    #[test]
+    fn a_scope_shares_reports_and_takes_its_solver_layers_with_it() {
+        let root = SolveCache::with_capacity(4);
+        root.enable_report_journal();
+        let p = SystemParams::exponential(0.9, 1.0, 0.5, 1.0).unwrap();
+
+        let scope = root.scope();
+        assert_eq!(scope.capacity(), 4, "the report bound is shared");
+        let answer = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &scope).unwrap();
+        // Two fits, a plan and a solution in the scope; the report in the
+        // shared layer, journaled once.
+        assert_eq!(scope.len(), 5);
+        assert_eq!((root.len(), root.report_len()), (1, 1));
+        assert_eq!(root.take_new_reports().len(), 1);
+        let in_scope = scope.stats();
+        assert_eq!((in_scope.hits, in_scope.misses), (0, 5), "{in_scope:?}");
+        assert_eq!(
+            root.stats().misses,
+            1,
+            "the scope's solver counts come on drop"
+        );
+        drop(scope);
+        assert_eq!(root.stats(), in_scope, "a dropped scope's counts are kept");
+        assert_eq!(root.len(), 1);
+
+        // A later scope answers from the shared report layer alone.
+        let scope = root.scope();
+        let again = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &scope).unwrap();
+        assert_eq!(
+            again.short_response.to_bits(),
+            answer.short_response.to_bits()
+        );
+        assert_eq!(scope.len(), 1);
+        assert!(root.take_new_reports().is_empty(), "a hit journals nothing");
+        drop(scope);
+        let after = root.stats();
+        assert_eq!((after.hits, after.misses), (1, 5), "{after:?}");
     }
 
     #[test]

@@ -129,8 +129,9 @@ impl<'a> SimParams<'a> {
     }
 
     /// Sets heterogeneous host speeds (a job of size `x` takes `x/speed` on
-    /// the host). Host 0 is the short host for the dispatch-based policies;
-    /// a fleet's servers beyond hosts 0 and 1 run at unit speed.
+    /// the host). Host 0 is the short host for the dispatch-based policies.
+    /// A [`PolicyKind::CsCqFleet`] of more than two servers takes no
+    /// speeds: [`PolicyKind::cs_cq_fleet`] rejects non-unit ones for it.
     ///
     /// # Errors
     ///
@@ -437,8 +438,8 @@ pub fn simulate(kind: PolicyKind, params: &SimParams<'_>, config: &SimConfig) ->
             map_phase[idx] = m.sample_stationary_phase(&mut rng);
         }
     }
-    // Hosts 0 and 1 take the configured speeds; a fleet's further servers
-    // run at unit speed.
+    // Hosts 0 and 1 take the configured speeds. A fleet with more servers
+    // was built with unit speeds (`PolicyKind::cs_cq_fleet` checks).
     let servers = (0..kind.servers())
         .map(|s| Server::idle(params.speeds.get(s).copied().unwrap_or(1.0)))
         .collect();

@@ -84,7 +84,11 @@ impl PolicyKind {
     /// # Errors
     ///
     /// [`DistError::NonPositive`] if `k == 0`, or if longs arrive with no
-    /// stealing host to ever serve them (`m == 0`).
+    /// stealing host to ever serve them (`m == 0`);
+    /// [`DistError::Inconsistent`] if `params` sets host speeds
+    /// ([`SimParams::with_speeds`](crate::SimParams::with_speeds)) other
+    /// than `[1, 1]` for a fleet of more than two servers, where the two
+    /// speeds cannot name every server.
     pub fn cs_cq_fleet(k: usize, m: usize, params: &SimParams<'_>) -> Result<Self, DistError> {
         if k == 0 {
             return Err(DistError::NonPositive {
@@ -96,6 +100,11 @@ impl PolicyKind {
             return Err(DistError::NonPositive {
                 what: "m (stealing hosts, required when lambda_l > 0)",
                 value: 0.0,
+            });
+        }
+        if k + m > 2 && params.speeds != [1.0, 1.0] {
+            return Err(DistError::Inconsistent {
+                reason: "host speeds set only hosts 0 and 1; a fleet of more than two servers runs at unit speed",
             });
         }
         Ok(PolicyKind::CsCqFleet { k, m })

@@ -2,7 +2,7 @@
 //! MAP arrivals (the paper's stated generalization) and heterogeneous host
 //! speeds (the paper's "may be extended to hosts of different speeds").
 
-use cyclesteal_dist::{Exp, Map};
+use cyclesteal_dist::{DistError, Exp, Map};
 use cyclesteal_mg1::mm1;
 use cyclesteal_sim::{simulate, Arrivals, PolicyKind, SimConfig, SimParams};
 
@@ -96,6 +96,32 @@ fn speed_validation() {
     let p = SimParams::new(0.5, 0.5, &d, &d).unwrap();
     assert!(p.with_speeds([0.0, 1.0]).is_err());
     assert!(p.with_speeds([1.0, f64::NAN]).is_err());
+}
+
+#[test]
+fn fleets_beyond_two_servers_reject_host_speeds() {
+    let d = Exp::with_mean(1.0).unwrap();
+    let unit = SimParams::new(0.5, 0.5, &d, &d).unwrap();
+    let fast = unit.with_speeds([2.0, 1.0]).unwrap();
+    // Two speeds name every server of the (1, 1) fleet, and unit speeds
+    // suit any fleet.
+    assert!(PolicyKind::cs_cq_fleet(1, 1, &fast).is_ok());
+    assert!(PolicyKind::cs_cq_fleet(2, 2, &unit).is_ok());
+    let explicit_unit = unit.with_speeds([1.0, 1.0]).unwrap();
+    assert!(PolicyKind::cs_cq_fleet(4, 4, &explicit_unit).is_ok());
+    for (k, m) in [(2, 1), (1, 2), (2, 2)] {
+        let err = PolicyKind::cs_cq_fleet(k, m, &fast).unwrap_err();
+        assert!(
+            matches!(err, DistError::Inconsistent { .. }),
+            "({k}, {m}): {err}"
+        );
+    }
+    // simulate() refuses such a fleet instead of silently running it at
+    // unit speed beyond host 1.
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        simulate(PolicyKind::CsCqFleet { k: 2, m: 2 }, &fast, &cfg(9, 1_000))
+    }));
+    assert!(run.is_err());
 }
 
 #[test]

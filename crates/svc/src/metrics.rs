@@ -65,7 +65,8 @@ pub struct NativeMetrics {
     pub workers: u64,
     /// `1` while draining, else `0`.
     pub draining: u64,
-    /// Solve-cache hits.
+    /// Solve-cache hits, all four layers. A drain's fit, plan and
+    /// solution lookups are added when the drain's scope is dropped.
     pub cache_hits: u64,
     /// Solve-cache misses.
     pub cache_misses: u64,
@@ -73,6 +74,10 @@ pub struct NativeMetrics {
     pub cache_evictions: u64,
     /// Reports currently resident in the solve cache.
     pub cache_reports: u64,
+    /// Chain-signature hashes computed by this process
+    /// ([`cyclesteal_core::cache::signatures_hashed`]): one per chain
+    /// built, none for an answer served from the report layer.
+    pub qbd_signatures: u64,
     /// WAL records appended by this process.
     pub wal_appends: u64,
     /// WAL bytes appended by this process.
@@ -127,6 +132,7 @@ impl NativeMetrics {
         counter(&mut s, "svc_cache_hits_total", self.cache_hits);
         counter(&mut s, "svc_cache_misses_total", self.cache_misses);
         counter(&mut s, "svc_cache_evictions_total", self.cache_evictions);
+        counter(&mut s, "svc_qbd_signatures_total", self.qbd_signatures);
         counter(&mut s, "svc_wal_appends_total", self.wal_appends);
         counter(&mut s, "svc_wal_bytes_total", self.wal_bytes);
         counter(&mut s, "svc_wal_fsyncs_total", self.wal_fsyncs);

@@ -8,8 +8,10 @@
 //! * one **reader** thread per connection (blocking frame reads; control
 //!   commands are answered inline, queries go through admission);
 //! * `workers` **worker** threads draining the bounded admission queue,
-//!   evaluating via [`cyclesteal_sweep::run_query`] and writing the
-//!   response frame back through the connection's write lock;
+//!   evaluating via [`cyclesteal_sweep::run_query`] through one
+//!   [`SolveCache::scope`] per drain (only reports outlive it) and
+//!   writing the response frame back through the connection's write
+//!   lock;
 //! * optionally one **metrics** thread (same non-blocking accept/poll
 //!   shape as the main listener) answering HTTP `GET /metrics` and
 //!   `GET /healthz` — reads only, so a scrape can never block or reorder
@@ -71,7 +73,10 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Max queries a single connection may have queued or running.
     pub per_conn_inflight: usize,
-    /// Report-cache LRU bound (`0` = unbounded).
+    /// LRU bound on the long-lived report cache (`0` = unbounded). Only
+    /// reports outlive a drain: each worker drain solves through its own
+    /// fit, chain and solution memo, dropped once the drain is answered,
+    /// so this bounds the report layer alone.
     pub cache_capacity: usize,
     /// Durability directory; `None` runs memory-only.
     pub data_dir: Option<PathBuf>,
@@ -283,6 +288,7 @@ impl Shared {
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
             cache_reports: self.cache.report_len() as u64,
+            qbd_signatures: cyclesteal_core::cache::signatures_hashed(),
             wal_appends: wal.appends,
             wal_bytes: wal.bytes,
             wal_fsyncs: wal.fsyncs,
@@ -771,12 +777,18 @@ fn worker_loop(shared: &Arc<Shared>) {
         if jobs.is_empty() {
             break;
         }
+        // The drain's own solver memo: its fits, chains and solutions go
+        // when the scope drops below, before the next wakeup, so at most
+        // one drain's chains per worker are alive. Reports land in the
+        // shared long-lived layer (and the WAL journal) as before.
+        let scope = shared.cache.scope();
         if jobs.len() > 1 {
-            presolve_batch(shared, &jobs, &clock);
+            presolve_batch(shared, &scope, &jobs, &clock);
         }
         for job in jobs {
-            serve_query(shared, job, &clock);
+            serve_query(shared, &scope, job, &clock);
         }
+        drop(scope);
         shared.admission.release_worker();
     }
     cyclesteal_obs::flush_thread();
@@ -784,12 +796,12 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 /// The micro-batch presolve of one drained job batch: dedupe the batch's
 /// points by quantized solve signature, solve the same-shape groups
-/// through the factor-once/solve-many pipeline, and seed the shared
-/// cache — so the per-query evaluations below find their chains already
+/// through the factor-once/solve-many pipeline, and seed the drain's
+/// `scope` — so the per-query evaluations below find their chains already
 /// solved. A seeded solution is bit-identical to what the scalar path
-/// would compute (the PR 6 contract), so responses cannot change; only
-/// the shared factorization work does.
-fn presolve_batch(shared: &Arc<Shared>, jobs: &[Job], clock: &MonotonicClock) {
+/// would compute, so responses cannot change; only the shared
+/// factorization work does.
+fn presolve_batch(shared: &Arc<Shared>, scope: &SolveCache, jobs: &[Job], clock: &MonotonicClock) {
     shared.batch.drains.fetch_add(1, Ordering::Relaxed);
     shared.batch.width_max.fetch_max(jobs.len() as u64, Ordering::Relaxed);
     let now = clock.now_ns();
@@ -820,7 +832,7 @@ fn presolve_batch(shared: &Arc<Shared>, jobs: &[Job], clock: &MonotonicClock) {
         // Fault-planned points are excluded inside (same per-query fault
         // scopes run_query enters), so injections neither poison nor get
         // masked by the shared cache.
-        presolve_points(&points, &shared.cache)
+        presolve_points(&points, scope)
     };
     let batch = &shared.batch;
     batch.presolved.fetch_add(points.len() as u64, Ordering::Relaxed);
@@ -836,9 +848,10 @@ fn presolve_batch(shared: &Arc<Shared>, jobs: &[Job], clock: &MonotonicClock) {
         .fetch_add(stats.skipped_faulted as u64, Ordering::Relaxed);
 }
 
-/// Evaluates and answers one admitted query — the scalar serving path,
-/// byte-identical whether or not a presolve warmed the cache first.
-fn serve_query(shared: &Arc<Shared>, job: Job, clock: &MonotonicClock) {
+/// Evaluates and answers one admitted query through its drain's `scope` —
+/// the scalar serving path, byte-identical whether or not a presolve
+/// warmed the scope first.
+fn serve_query(shared: &Arc<Shared>, scope: &SolveCache, job: Job, clock: &MonotonicClock) {
     let t0 = clock.now_ns();
     if shared.slow_ms > 0 {
         std::thread::sleep(Duration::from_millis(shared.slow_ms));
@@ -847,14 +860,14 @@ fn serve_query(shared: &Arc<Shared>, job: Job, clock: &MonotonicClock) {
     // the query's own trace (slow-log attachment).
     let trace = cyclesteal_obs::trace_begin();
     let outcome = match job.budget_ns {
-        None => run_query(&job.point, &shared.cache, None),
+        None => run_query(&job.point, scope, None),
         Some(budget) => {
             // The budget started at admission: subtract queue wait so
             // a query that aged out in the queue times out honestly.
             let waited = t0.saturating_sub(job.admitted_ns);
             let remaining = budget.saturating_sub(waited);
             let deadline = Deadline::start(clock, remaining);
-            run_query(&job.point, &shared.cache, Some(&deadline))
+            run_query(&job.point, scope, Some(&deadline))
         }
     };
     let trace = trace.finish();
@@ -1016,7 +1029,7 @@ fn stats_response(shared: &Arc<Shared>) -> String {
     let (admitted, shed, completed) = shared.admission.counts();
     let rec = shared.recovery;
     format!(
-        "{{\"ok\": true, \"stats\": {{\"served\": {}, \"queue_depth\": {}, \"admitted\": {}, \"shed\": {}, \"completed\": {}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"reports\": {}}}, \"recovery\": {{\"snapshot_entries\": {}, \"wal_entries\": {}, \"wal_truncated\": {}, \"snapshot_rejected\": {}}}}}}}",
+        "{{\"ok\": true, \"stats\": {{\"served\": {}, \"queue_depth\": {}, \"admitted\": {}, \"shed\": {}, \"completed\": {}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"reports\": {}, \"entries\": {}}}, \"recovery\": {{\"snapshot_entries\": {}, \"wal_entries\": {}, \"wal_truncated\": {}, \"snapshot_rejected\": {}}}}}}}",
         shared.served.load(Ordering::Relaxed),
         shared.admission.depth(),
         admitted,
@@ -1026,6 +1039,7 @@ fn stats_response(shared: &Arc<Shared>) -> String {
         cache.misses,
         cache.evictions,
         shared.cache.report_len(),
+        shared.cache.len(),
         rec.snapshot_entries,
         rec.wal_entries,
         rec.wal_truncated_to.is_some(),

@@ -117,13 +117,12 @@ pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
 /// The planning half of a presolve: filter to batch-eligible points,
 /// skip those whose report is already cached, build each remaining chain
 /// through the exact cached construction path evaluation uses, and return
-/// the uncached plans (tallying `stats`).
-/// Each plan carries its [`Qbd::signature`], computed exactly once here —
-/// hashing every block of a chain costs tens of microseconds, so the
-/// solving half keys all sorting, deduplication, and seeding off the
-/// precomputed value instead of rehashing per comparison.
-fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u128, Qbd)> {
-    let mut planned: Vec<(u128, Qbd)> = Vec::new();
+/// the uncached plans (tallying `stats`). Each plan comes out of the
+/// cache's plan layer with its [`Qbd::signature`] already hashed, once,
+/// when the chain was built; the solving half and the evaluation that
+/// follows read that memo instead of hashing the blocks again.
+fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<Qbd> {
+    let mut planned: Vec<Qbd> = Vec::new();
     for point in points {
         // Only what the evaluator would solve: CS-CQ analysis points with
         // a model on their fleet shape that pass the same Theorem-1
@@ -161,9 +160,8 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u1
         let Ok(qbd) = cs_cq_km::plan_qbd_cached(hosts, &params, fit, cache) else {
             continue;
         };
-        let signature = qbd.signature();
-        if !cache.has_qbd_solution_keyed(signature) {
-            planned.push((signature, qbd));
+        if !cache.has_qbd_solution(&qbd) {
+            planned.push(qbd);
         }
     }
     planned
@@ -172,7 +170,7 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u1
 /// The solving half of a presolve: canonicalize, group by shape, solve
 /// through the batched pipeline, and seed successful solutions.
 fn solve_and_seed(
-    mut planned: Vec<(u128, Qbd)>,
+    mut planned: Vec<Qbd>,
     cache: &SolveCache,
     ws: &mut Workspace,
     stats: &mut BatchStats,
@@ -182,16 +180,16 @@ fn solve_and_seed(
     // therefore every stat — independent of the input permutation;
     // batch *composition* cannot affect results because every batched
     // kernel is per-lane independent.
-    planned.sort_by_key(|(sig, q)| (q.boundary_dim(), q.phase_dim(), *sig));
-    planned.dedup_by_key(|(sig, _)| *sig);
+    planned.sort_by_key(|q| (q.boundary_dim(), q.phase_dim(), q.signature()));
+    planned.dedup_by_key(|q| q.signature());
     stats.unique = planned.len();
 
     let mut group = planned.as_slice();
-    while let Some((_, first)) = group.first() {
+    while let Some(first) = group.first() {
         let shape = (first.boundary_dim(), first.phase_dim());
         let len = group
             .iter()
-            .take_while(|(_, q)| (q.boundary_dim(), q.phase_dim()) == shape)
+            .take_while(|q| (q.boundary_dim(), q.phase_dim()) == shape)
             .count();
         let (shaped, rest) = group.split_at(len);
         group = rest;
@@ -199,15 +197,15 @@ fn solve_and_seed(
             let results = if chunk.len() >= MIN_BATCH {
                 stats.batches += 1;
                 stats.batched += chunk.len();
-                let refs: Vec<&Qbd> = chunk.iter().map(|(_, q)| q).collect();
+                let refs: Vec<&Qbd> = chunk.iter().collect();
                 Qbd::solve_batch_in(&refs, ws)
             } else {
                 stats.scalar += chunk.len();
-                chunk.iter().map(|(_, q)| q.solve_in(ws)).collect()
+                chunk.iter().map(|q| q.solve_in(ws)).collect()
             };
-            for ((signature, _), result) in chunk.iter().zip(results) {
+            for (qbd, result) in chunk.iter().zip(results) {
                 if let Ok(sol) = result {
-                    cache.seed_qbd_solution_keyed(*signature, sol);
+                    cache.seed_qbd_solution(qbd, sol);
                     stats.seeded += 1;
                 }
             }

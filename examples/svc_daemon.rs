@@ -9,7 +9,9 @@
 //! * `--workers N`             worker threads (default 2)
 //! * `--queue N`               admission queue bound (default 64)
 //! * `--inflight N`            per-connection in-flight cap (default 32)
-//! * `--cache-capacity N`      report-cache LRU bound (default unbounded)
+//! * `--cache-capacity N`      LRU bound on the long-lived report cache
+//!   (default unbounded); fits, chains and solutions live only for one
+//!   worker drain, so this bounds the report layer alone
 //! * `--data-dir DIR`          enable the durable WAL + snapshot in DIR
 //! * `--default-budget-ns NS`  budget for queries that carry none
 //! * `--batch N`               max jobs a worker wakeup drains and
