@@ -285,7 +285,7 @@ echo "$burst" | awk '{
     if (b[2] < 1) { print "overload gate: nothing was shed under 10x load"; exit 1 }
 }'
 
-echo "==> batched serving gate (byte-identity vs --no-batch; batched lanes and signature hashes per answer)"
+echo "==> batched serving gate (byte-identity vs --no-batch; batched lanes per answer, zero signature hashes)"
 # The same pipelined burst of 128 distinct heavy (2, 2)-fleet points
 # (rho_s from 2.0 up, where the QBD solve dominates construction and
 # framing) against a batching daemon (--batch 64: one wakeup can drain
@@ -299,8 +299,9 @@ echo "==> batched serving gate (byte-identity vs --no-batch; batched lanes and s
 # Hard gates are on counts the code moves, read off each round's scrape:
 # the batching daemon must solve at least BATCH_LANE_SHARE of its
 # presolved points inside lockstep groups (svc_batch_batched_total /
-# svc_batch_presolved_total), and every daemon must hash at most one
-# chain signature per answer (svc_qbd_signatures_total / answers).
+# svc_batch_presolved_total), and no daemon may hash a chain signature
+# at all (svc_qbd_signatures_total = 0): solutions are keyed by the
+# question, so the hash is a test-time check only.
 # Throughput (client-measured points/s, best of BATCH_REPS interleaved
 # rounds, a fresh daemon per round) is printed and written to
 # crates/bench/BENCH_svc_batch.json, but not gated: it is a wall-clock
@@ -332,8 +333,8 @@ svc_batch_run() {
     hashes=$(sed -n 's/^svc_qbd_signatures_total \([0-9]*\)$/\1/p' "$SVC_TMP/scrape_$tag.txt")
     awk -v h="$hashes" -v n="$BATCH_COUNT" -v tag="$tag" 'BEGIN {
         if (h == "") { print "batch gate[" tag "]: no svc_qbd_signatures_total on the scrape"; exit 1 }
-        printf "batch gate[%s]: %.3f signature hashes per answer\n", tag, h / n
-        if (h > n) { print "batch gate[" tag "]: more than one signature hash per answer"; exit 1 }
+        printf "batch gate[%s]: %d signature hashes for %d answers\n", tag, h, n
+        if (h != 0) { print "batch gate[" tag "]: the serving path hashed a chain signature"; exit 1 }
     }'
 }
 

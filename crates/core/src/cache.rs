@@ -6,35 +6,36 @@
 //! work repeat verbatim: the `B_L` and `B_{N+1}` busy-period fits depend
 //! only on `(λ_L, long moments, μ_S)` — constant along a whole `ρ_S`
 //! sweep — and identical grid points (re-runs, overlapping grids) repeat
-//! the entire QBD `R`-matrix iteration. [`SolveCache`] memoizes four
+//! the entire QBD `R`-matrix iteration. [`SolveCache`] memoizes three
 //! layers:
 //!
 //! 1. **Coxian moment fits** (`dist::match3`), keyed by the bit pattern of
 //!    the target moment triple and the fit order;
-//! 2. **QBD plans** (the built-but-unsolved chain), keyed by the quantized
-//!    workload parameters — so a chain constructed by a batch presolve is
-//!    *reused* by the evaluation that follows instead of being assembled a
-//!    second time;
-//! 3. **QBD solutions** (the `R`-matrix iteration plus boundary solve),
-//!    keyed by [`cyclesteal_markov::Qbd::signature`];
-//! 4. **whole CS-CQ reports**, keyed by the quantized workload parameters.
+//! 2. **QBD solutions** (the `R`-matrix iteration plus boundary solve),
+//!    keyed by the [`ReportKey`] of the question they answer;
+//! 3. **whole CS-CQ reports**, keyed by the same [`ReportKey`].
+//!
+//! A solution is keyed by the question, not by the chain: every cached
+//! chain has Poisson arrivals at the snapped `λ_S` (see `cs_cq_km`), so
+//! it is a pure function of its key, and the cached analysis builds a
+//! chain only on a solution miss.
 //!
 //! # Drain scopes versus the sweep memo
 //!
 //! A sweep keeps one cache for its whole run: every layer lives as long as
-//! the sweep, so overlapping points share fits, chains and solutions, and
-//! the sweep's hit/miss counts are exact functions of its grid.
+//! the sweep, so overlapping points share fits and solutions, and the
+//! sweep's hit/miss counts are exact functions of its grid.
 //!
 //! A long-lived daemon cannot do that. Only the report is ever served or
-//! persisted, while a (2, 2) chain and its solution hold about 70 KiB, so
-//! a cache that kept every layer would grow with the query count. The
+//! persisted, while the solution of a (2, 2) chain holds kilobytes, so a
+//! cache that kept every layer would grow with the query count. The
 //! daemon therefore answers each drained batch of queries through a
 //! [`SolveCache::scope`]: a cache that shares the long-lived report layer,
-//! its journal and its counters, and owns fresh fit, plan and solution
-//! layers. The worker drops the scope once the drain is answered, so at
-//! most one drain's chains per worker are alive at any time. Dropping a
+//! its journal and its counters, and owns fresh fit and solution layers.
+//! The worker drops the scope once the drain is answered, so at most one
+//! drain's solutions per worker are alive at any time. Dropping a
 //! scope folds its counts into the shared totals, so [`SolveCache::stats`]
-//! keeps counting all four layers. A scope miss recomputes the same bits
+//! keeps counting all three layers. A scope miss recomputes the same bits
 //! a long-lived entry would have held (see below), so scoping moves
 //! memory, never answers.
 //!
@@ -71,16 +72,15 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use cyclesteal_dist::match3::MatchQuality;
 use cyclesteal_dist::{Moments3, Ph};
-use cyclesteal_linalg::Workspace;
 use cyclesteal_markov::{Qbd, QbdSolution};
 use cyclesteal_obs as obs;
 
 use crate::cs_cq::CsCqReport;
 use crate::AnalysisError;
 
-/// Process-wide count of chain-signature hashes. The plan layer hashes
-/// each chain it builds once, before storing it, and every lookup after
-/// that reads the memo on the [`Qbd`].
+/// Process-wide count of chain-signature hashes. Nothing on the analysis,
+/// sweep or serving path hashes a chain; the count is the instrument the
+/// serving gates read to prove it stays zero.
 pub use cyclesteal_markov::qbd::signatures_hashed;
 
 /// Snaps `x` onto the cache's quantization grid by zeroing the low 12
@@ -102,7 +102,7 @@ pub fn quantize(x: f64) -> f64 {
 /// deterministic: a successful key misses exactly once process-wide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (all four layers combined).
+    /// Lookups answered from the cache (all three layers combined).
     pub hits: u64,
     /// Lookups that had to compute and insert.
     pub misses: u64,
@@ -134,8 +134,9 @@ impl CacheStats {
 }
 
 type FitKey = (u64, u64, u64, u8);
-/// Whole-report key: quantized workload bits, fit tag, and the `(k, m)`
-/// host counts. The host counts are exact integers — never quantized — so
+/// The key of one question: quantized workload bits, fit tag, and the
+/// `(k, m)` host counts. It keys both the report and the QBD solution
+/// behind it. The host counts are exact integers — never quantized — so
 /// two scenarios differing only in fleet shape cannot collide; the paper's
 /// 2-host system is the `(1, 1)` key.
 ///
@@ -432,6 +433,32 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     }
 }
 
+/// A chain built for one question, with the [`ReportKey`] it was built
+/// for: what `cs_cq_km::plan_qbd_cached` hands the batch planner, and
+/// what [`SolveCache::seed_qbd_solution`] files a presolved solution
+/// under. Only the planner hook makes one, so the key is always the key
+/// the cached analysis looks the solution up by. Derefs to the [`Qbd`].
+#[derive(Debug, Clone)]
+pub struct PlannedChain {
+    pub(crate) key: ReportKey,
+    pub(crate) qbd: Qbd,
+}
+
+impl PlannedChain {
+    /// The question this chain answers.
+    pub fn key(&self) -> ReportKey {
+        self.key
+    }
+}
+
+impl std::ops::Deref for PlannedChain {
+    type Target = Qbd;
+
+    fn deref(&self) -> &Qbd {
+        &self.qbd
+    }
+}
+
 /// The thread-safe memo store. Create one per sweep (or keep one alive
 /// across sweeps to reuse solutions); share it by reference or `Arc`. A
 /// long-lived service answers through short-lived [`SolveCache::scope`]s
@@ -439,8 +466,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
 #[derive(Debug)]
 pub struct SolveCache {
     fits: Memo<FitKey, (Ph, MatchQuality)>,
-    plans: Memo<ReportKey, Qbd>,
-    solutions: Memo<u128, QbdSolution>,
+    solutions: Memo<ReportKey, QbdSolution>,
     /// The report layer and what goes with it, shared by this cache and
     /// every scope made from it.
     store: Arc<ReportStore>,
@@ -456,8 +482,8 @@ struct ReportStore {
     /// deliberately not journaled — they came from the persistence layer,
     /// which must not re-append its own records.
     journal: Mutex<Option<Vec<(ReportKey, CsCqReport)>>>,
-    /// The fit, plan and solution counts of dropped caches sharing this
-    /// store (the daemon's drain scopes).
+    /// The fit and solution counts of dropped caches sharing this store
+    /// (the daemon's drain scopes).
     retired: Mutex<CacheStats>,
 }
 
@@ -482,15 +508,14 @@ impl SolveCache {
         SolveCache::default()
     }
 
-    /// An empty cache whose four families (fits, QBD plans, QBD solutions,
-    /// reports) are each LRU-bounded at `capacity` entries; `0` means
-    /// unbounded, same as [`SolveCache::new`]. Eviction never changes a
-    /// served value (every entry is a pure function of its key — an
-    /// evicted entry is recomputed bit-identically), only the hit/miss
-    /// counters, which become scheduling-dependent once eviction can race
-    /// with lookups. The fit, plan and solution layers of a
-    /// [`SolveCache::scope`] are not bounded; only the shared report layer
-    /// is.
+    /// An empty cache whose report layer is LRU-bounded at `capacity`
+    /// entries; `0` means unbounded, same as [`SolveCache::new`]. The fit
+    /// and solution layers are never bounded: a sweep keeps them for its
+    /// run, and a service bounds them by answering through
+    /// [`SolveCache::scope`]s. Eviction never changes a served value
+    /// (every report is a pure function of its key — an evicted entry is
+    /// recomputed bit-identically), only the hit/miss counters, which
+    /// become scheduling-dependent once eviction can race with lookups.
     pub fn with_capacity(capacity: usize) -> Self {
         let store = ReportStore {
             reports: Memo::new(
@@ -503,55 +528,48 @@ impl SolveCache {
             journal: Mutex::new(None),
             retired: Mutex::new(CacheStats::default()),
         };
-        SolveCache::sharing(Arc::new(store), capacity)
+        SolveCache::sharing(Arc::new(store))
     }
 
     /// A drain scope: a cache that shares this cache's report layer,
-    /// report journal and counters, but owns fresh, unbounded fit, plan
-    /// and solution layers. Reports it computes land in the shared layer
-    /// (and journal); the chains and solutions behind them go when the
-    /// scope drops, which also adds the scope's counts to the totals that
+    /// report journal and counters, but owns fresh fit and solution
+    /// layers. Reports it computes land in the shared layer (and journal);
+    /// the fits and solutions behind them go when the scope drops, which
+    /// also adds the scope's counts to the totals that
     /// [`SolveCache::stats`] reports. A serving worker makes one per
     /// drained batch of queries, so solver memory is bounded by the drain
     /// width instead of growing with the query count.
     pub fn scope(&self) -> SolveCache {
-        SolveCache::sharing(Arc::clone(&self.store), 0)
+        SolveCache::sharing(Arc::clone(&self.store))
     }
 
-    fn sharing(store: Arc<ReportStore>, capacity: usize) -> Self {
+    fn sharing(store: Arc<ReportStore>) -> Self {
         SolveCache {
             fits: Memo::new(
                 "core.cache.fit.hit",
                 "core.cache.fit.miss",
                 "core.cache.fit.poison_recovered",
                 "core.cache.fit.evicted",
-                capacity,
-            ),
-            plans: Memo::new(
-                "core.cache.plan.hit",
-                "core.cache.plan.miss",
-                "core.cache.plan.poison_recovered",
-                "core.cache.plan.evicted",
-                capacity,
+                0,
             ),
             solutions: Memo::new(
                 "core.cache.qbd.hit",
                 "core.cache.qbd.miss",
                 "core.cache.qbd.poison_recovered",
                 "core.cache.qbd.evicted",
-                capacity,
+                0,
             ),
             store,
         }
     }
 
-    /// The fit, plan and solution layers, which a scope owns.
-    fn solver_layers(&self) -> [&dyn MemoStats; 3] {
-        [&self.fits, &self.plans, &self.solutions]
+    /// The fit and solution layers, which a scope owns.
+    fn solver_layers(&self) -> [&dyn MemoStats; 2] {
+        [&self.fits, &self.solutions]
     }
 
-    /// The report layer's LRU bound (`0` = unbounded). A cache made by
-    /// [`SolveCache::with_capacity`] bounds its other layers alike.
+    /// The report layer's LRU bound (`0` = unbounded), the only bound a
+    /// cache has.
     pub fn capacity(&self) -> usize {
         self.store.reports.capacity
     }
@@ -568,10 +586,10 @@ impl SolveCache {
         stats
     }
 
-    /// Number of memoized entries across all layers: this cache's fits,
-    /// plans and solutions, plus the shared reports.
+    /// Number of memoized entries across all layers: this cache's fits
+    /// and solutions, plus the shared reports.
     pub fn len(&self) -> usize {
-        self.fits.len() + self.plans.len() + self.solutions.len() + self.report_len()
+        self.fits.len() + self.solutions.len() + self.report_len()
     }
 
     /// `true` when nothing has been memoized yet.
@@ -590,66 +608,37 @@ impl SolveCache {
         self.fits.get_or_compute(key, compute)
     }
 
-    /// Memoized QBD *construction*: the built-but-unsolved chain, keyed by
-    /// the same quantized workload key as the whole report. Assembling a
-    /// chain (PH block algebra, layout enumeration) is a pure function of
-    /// the snapped workload, so the first builder's chain is bit-identical
-    /// to what any later caller would assemble — which lets a batch
-    /// presolve and the evaluation that follows it share ONE construction
-    /// instead of building the same chain twice. Callers must only use
-    /// this for the Poisson-arrival analysis path: the key carries no
-    /// arrival-MAP information.
-    ///
-    /// The chain's [`Qbd::signature`] is hashed here, once, before the
-    /// plan is stored, so every copy served from this layer carries it:
-    /// the planner's dedup and the solution lookup that follows read the
-    /// memo instead of hashing the blocks again.
-    pub(crate) fn qbd_plan(
-        &self,
-        key: ReportKey,
-        compute: impl FnOnce() -> Result<Qbd, AnalysisError>,
-    ) -> Result<Qbd, AnalysisError> {
-        self.plans.get_or_compute(key, || {
-            let qbd = compute()?;
-            qbd.signature();
-            Ok(qbd)
-        })
-    }
-
-    /// Memoized QBD solution, keyed by the chain's content signature so
-    /// the `R`-matrix iteration runs once per distinct chain. Cache misses
-    /// solve out of the caller's [`Workspace`], so a worker thread that owns
-    /// one workspace allocates (almost) nothing per distinct chain; the
-    /// workspace never affects the numbers, only where scratch lives.
+    /// Memoized QBD solution of the chain that answers `key`: `solve`
+    /// builds and solves that chain, and runs once per key. Callers must
+    /// only use this for the Poisson-arrival analysis path — the key
+    /// carries no arrival-MAP information.
     pub(crate) fn qbd_solution(
         &self,
-        qbd: &Qbd,
-        ws: &mut Workspace,
+        key: ReportKey,
+        solve: impl FnOnce() -> Result<QbdSolution, AnalysisError>,
     ) -> Result<QbdSolution, AnalysisError> {
-        self.solutions.get_or_compute(qbd.signature(), || {
-            qbd.solve_in(ws).map_err(AnalysisError::from)
-        })
+        self.solutions.get_or_compute(key, solve)
     }
 
-    /// `true` when a QBD solution for this chain's signature is already
-    /// memoized (or being computed). Lets the sweep batch planner dedup
-    /// against earlier sweeps through a shared cache without disturbing
-    /// the hit/miss counters.
-    pub fn has_qbd_solution(&self, qbd: &Qbd) -> bool {
-        self.solutions.contains(&qbd.signature())
+    /// `true` when a QBD solution for `key` is already memoized (or being
+    /// computed). Lets the sweep batch planner skip questions an earlier
+    /// presolve covered without disturbing the hit/miss counters.
+    pub fn has_qbd_solution(&self, key: &ReportKey) -> bool {
+        self.solutions.contains(key)
     }
 
-    /// Seeds the QBD layer with an externally computed solution (the sweep
-    /// engine's batched presolve). Runs through the same once-per-key
-    /// protocol as a cache miss — one miss is counted per distinct
-    /// signature, exactly as if the lookup had computed scalar — so the
-    /// telemetry of a presolved sweep stays deterministic. If the key is
-    /// already present the existing value wins and `sol` is discarded
-    /// (both are pure functions of the signature, hence identical).
-    pub fn seed_qbd_solution(&self, qbd: &Qbd, sol: QbdSolution) {
+    /// Seeds the QBD layer with an externally computed solution of a
+    /// planned chain (the sweep engine's batched presolve), under the key
+    /// the chain was built for. Runs through the same once-per-key
+    /// protocol as a cache miss — one miss is counted per distinct key,
+    /// exactly as if the lookup had computed scalar — so the telemetry of
+    /// a presolved sweep stays deterministic. If the key is already
+    /// present the existing value wins and `sol` is discarded (both are
+    /// pure functions of the key, hence identical).
+    pub fn seed_qbd_solution(&self, plan: &PlannedChain, sol: QbdSolution) {
         let seeded = self
             .solutions
-            .get_or_compute(qbd.signature(), || Ok::<_, AnalysisError>(sol));
+            .get_or_compute(plan.key, || Ok::<_, AnalysisError>(sol));
         debug_assert!(seeded.is_ok(), "seeding cannot fail");
     }
 
@@ -850,23 +839,23 @@ mod tests {
         // Dyadic loads: snapping is the identity, so the planner's chain is
         // exactly the chain the analysis path builds.
         let p = SystemParams::exponential(1.25, 1.0, 0.5, 1.0).unwrap();
-        let qbd = cs_cq::plan_qbd_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        assert!(!cache.has_qbd_solution(&qbd));
-        let sol = qbd.solve().unwrap();
-        cache.seed_qbd_solution(&qbd, sol);
-        assert!(cache.has_qbd_solution(&qbd));
-        // Planner: 1 plan miss + 2 fit misses; seed: 1 qbd miss (the
-        // once-per-key protocol counts the seed as the key's designated
-        // compute).
+        let plan = cs_cq::plan_qbd_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
+        let key = cs_cq::report_key(&p, BusyPeriodFit::ThreeMoment);
+        assert_eq!(plan.key(), key);
+        assert!(!cache.has_qbd_solution(&plan.key()));
+        let sol = plan.solve().unwrap();
+        cache.seed_qbd_solution(&plan, sol);
+        assert!(cache.has_qbd_solution(&plan.key()));
+        // Planner: 2 fit misses; seed: 1 qbd miss (the once-per-key
+        // protocol counts the seed as the key's designated compute).
         let before = cache.stats();
-        assert_eq!((before.hits, before.misses), (0, 4), "{before:?}");
+        assert_eq!((before.hits, before.misses), (0, 3), "{before:?}");
 
         let via_cache = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
         // The analysis recomputes nothing the planner covered: one report
-        // miss, and hits on both fits, the planned chain, and the seeded
-        // QBD solution.
+        // miss, and hits on both fits and the seeded QBD solution.
         let after = cache.stats();
-        assert_eq!((after.hits, after.misses), (4, 5), "{after:?}");
+        assert_eq!((after.hits, after.misses), (3, 4), "{after:?}");
         let direct = cs_cq::analyze(&p).unwrap();
         assert_eq!(
             via_cache.short_response.to_bits(),
@@ -878,10 +867,10 @@ mod tests {
             direct.long_response.to_bits()
         );
         // Seeding an already-present key is a no-op hit, not a new miss
-        // (and replanning hits the plan layer instead of rebuilding).
+        // (and replanning hits the fit layer).
         let again = cs_cq::plan_qbd_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
         cache.seed_qbd_solution(&again, again.solve().unwrap());
-        assert_eq!(cache.stats().misses, 5);
+        assert_eq!(cache.stats().misses, 4);
     }
 
     #[test]
@@ -999,7 +988,7 @@ mod tests {
 
     #[test]
     fn bounded_cache_serves_bit_identical_reports_after_eviction() {
-        // Capacity 1 per family: every new point evicts the previous one,
+        // Report capacity 1: every new point evicts the previous report,
         // yet re-analyzing an evicted point reproduces the exact bits —
         // eviction moves values, never changes them.
         let unbounded = SolveCache::new();
@@ -1059,13 +1048,13 @@ mod tests {
         let scope = root.scope();
         assert_eq!(scope.capacity(), 4, "the report bound is shared");
         let answer = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &scope).unwrap();
-        // Two fits, a plan and a solution in the scope; the report in the
-        // shared layer, journaled once.
-        assert_eq!(scope.len(), 5);
+        // Two fits and a solution in the scope; the report in the shared
+        // layer, journaled once.
+        assert_eq!(scope.len(), 4);
         assert_eq!((root.len(), root.report_len()), (1, 1));
         assert_eq!(root.take_new_reports().len(), 1);
         let in_scope = scope.stats();
-        assert_eq!((in_scope.hits, in_scope.misses), (0, 5), "{in_scope:?}");
+        assert_eq!((in_scope.hits, in_scope.misses), (0, 4), "{in_scope:?}");
         assert_eq!(
             root.stats().misses,
             1,
@@ -1086,7 +1075,7 @@ mod tests {
         assert!(root.take_new_reports().is_empty(), "a hit journals nothing");
         drop(scope);
         let after = root.stats();
-        assert_eq!((after.hits, after.misses), (1, 5), "{after:?}");
+        assert_eq!((after.hits, after.misses), (1, 4), "{after:?}");
     }
 
     #[test]

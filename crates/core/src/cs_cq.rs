@@ -49,8 +49,8 @@ use cyclesteal_dist::{DistError, Map, Moments3};
 use cyclesteal_linalg::Workspace;
 use cyclesteal_markov::Qbd;
 
-use crate::cache::SolveCache;
-use crate::cs_cq_km::{self, Hosts};
+use crate::cache::{PlannedChain, SolveCache};
+use crate::cs_cq_km::{self, Arrivals, Hosts};
 use crate::stability::{self, Policy};
 use crate::{AnalysisError, PolicyMeans, SystemParams};
 
@@ -261,7 +261,8 @@ pub fn report_key(params: &SystemParams, fit: BusyPeriodFit) -> crate::cache::Re
 pub fn analyze_map(params: &SystemParams, arrivals: &Map) -> Result<CsCqReport, AnalysisError> {
     check_map_rate(params, arrivals)?;
     let (hosts, fit) = (Hosts::paper(), BusyPeriodFit::ThreeMoment);
-    cs_cq_km::analyze_inner(hosts, params, fit, arrivals, None, &mut Workspace::new())
+    let ws = &mut Workspace::new();
+    cs_cq_km::analyze_inner(hosts, params, fit, Arrivals::Map(arrivals), ws)
 }
 
 fn check_map_rate(params: &SystemParams, arrivals: &Map) -> Result<(), AnalysisError> {
@@ -379,12 +380,13 @@ pub fn build_qbd_model(params: &SystemParams, fit: BusyPeriodFit) -> Result<Qbd,
 pub fn build_qbd_model_map(params: &SystemParams, arrivals: &Map) -> Result<Qbd, AnalysisError> {
     check_map_rate(params, arrivals)?;
     let (hosts, fit) = (Hosts::paper(), BusyPeriodFit::ThreeMoment);
-    cs_cq_km::build_model(hosts, params, fit, arrivals, None)
+    cs_cq_km::build_model(hosts, params, fit, Arrivals::Map(arrivals))
 }
 
 /// Builds the CS-CQ QBD exactly as [`analyze_cached`] would build it on a
-/// cache miss, **without solving it** — [`cs_cq_km::plan_qbd_cached`], the
-/// batch planner's hook, at `(1, 1)`.
+/// solution miss, **without solving it**, together with the report key
+/// it answers — [`cs_cq_km::plan_qbd_cached`], the batch planner's hook,
+/// at `(1, 1)`.
 ///
 /// # Errors
 ///
@@ -395,7 +397,7 @@ pub fn plan_qbd_cached(
     params: &SystemParams,
     fit: BusyPeriodFit,
     cache: &SolveCache,
-) -> Result<Qbd, AnalysisError> {
+) -> Result<PlannedChain, AnalysisError> {
     cs_cq_km::plan_qbd_cached(Hosts::paper(), params, fit, cache)
 }
 

@@ -52,7 +52,13 @@
 //! setup paid with the chain's conditional probability that an arriving
 //! long finds its slot free but every server busy (PASTA — long arrivals
 //! stay Poisson whatever the short-arrival MAP).
+//!
+//! MAP short arrivals on a fleet are internal: the only public MAP
+//! analysis is `cs_cq::analyze_map` at `(1, 1)`, and fleet MAP chains are
+//! not validated against the simulator. A MAP never travels with a cache
+//! (see `Arrivals`), so a cached chain is a function of its report key.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use cyclesteal_dist::match3::{self, MatchQuality};
@@ -61,7 +67,7 @@ use cyclesteal_linalg::{Matrix, Workspace};
 use cyclesteal_markov::Qbd;
 use cyclesteal_mg1::mg1;
 
-use crate::cache::{quantize, SolveCache};
+use crate::cache::{quantize, PlannedChain, ReportKey, SolveCache};
 use crate::cs_cq::{BusyPeriodFit, CsCqReport};
 use crate::{stability, AnalysisError, SystemParams};
 
@@ -149,7 +155,8 @@ pub fn analyze_with(
     fit: BusyPeriodFit,
 ) -> Result<CsCqReport, AnalysisError> {
     let poisson = Map::poisson(params.lambda_s())?;
-    analyze_inner(hosts, params, fit, &poisson, None, &mut Workspace::new())
+    let arrivals = Arrivals::Map(&poisson);
+    analyze_inner(hosts, params, fit, arrivals, &mut Workspace::new())
 }
 
 /// [`analyze_with`] through a [`SolveCache`] (parameters snapped onto the
@@ -185,19 +192,14 @@ pub fn analyze_cached_in(
     let snapped = snap_params(params);
     let key = report_key(hosts, &snapped, fit);
     cache.report(key, || {
-        let poisson = Map::poisson(snapped.lambda_s())?;
-        analyze_inner(hosts, &snapped, fit, &poisson, Some(cache), ws)
+        analyze_inner(hosts, &snapped, fit, Arrivals::PoissonCached(cache), ws)
     })
 }
 
 /// The [`crate::cache::ReportKey`] under which [`analyze_cached`] memoizes
 /// (and the persistence layer stores) this `(k, m)` workload. Parameters
 /// are snapped here; host counts are carried verbatim.
-pub fn report_key(
-    hosts: Hosts,
-    params: &SystemParams,
-    fit: BusyPeriodFit,
-) -> crate::cache::ReportKey {
+pub fn report_key(hosts: Hosts, params: &SystemParams, fit: BusyPeriodFit) -> ReportKey {
     let snapped = snap_params(params);
     (
         [
@@ -283,14 +285,17 @@ pub fn build_qbd_model(
     params: &SystemParams,
     fit: BusyPeriodFit,
 ) -> Result<Qbd, AnalysisError> {
-    build_model(hosts, params, fit, &Map::poisson(params.lambda_s())?, None)
+    let poisson = Map::poisson(params.lambda_s())?;
+    build_model(hosts, params, fit, Arrivals::Map(&poisson))
 }
 
-/// Builds the fleet QBD exactly as [`analyze_cached_in`] would on a cache
-/// miss — parameters snapped, fits served through the cache — without
-/// solving. The sweep batch planner's hook: construction is bit-shared
-/// with the cached analysis path, so the planned chain's
-/// [`Qbd::signature`] matches the one evaluation will look up.
+/// Builds the fleet QBD exactly as [`analyze_cached_in`] would on a
+/// solution miss — parameters snapped, fits served through the cache —
+/// without solving, and returns it with its [`report_key`]. The sweep
+/// batch planner's hook: construction is bit-shared with the cached
+/// analysis path, so a solution seeded under the planned chain's key
+/// ([`SolveCache::seed_qbd_solution`]) is the one evaluation looks up.
+/// Nothing about the chain itself is cached.
 ///
 /// # Errors
 ///
@@ -301,13 +306,12 @@ pub fn plan_qbd_cached(
     params: &SystemParams,
     fit: BusyPeriodFit,
     cache: &SolveCache,
-) -> Result<Qbd, AnalysisError> {
+) -> Result<PlannedChain, AnalysisError> {
     let snapped = snap_params(params);
     check_stable(hosts, &snapped)?;
-    cache.qbd_plan(report_key(hosts, &snapped, fit), || {
-        let poisson = Map::poisson(snapped.lambda_s())?;
-        build_model(hosts, &snapped, fit, &poisson, Some(cache))
-    })
+    let qbd = build_model(hosts, &snapped, fit, Arrivals::PoissonCached(cache))?;
+    let key = report_key(hosts, &snapped, fit);
+    Ok(PlannedChain { key, qbd })
 }
 
 /// Moments of a slot's `B_L`: the M/G/1 busy period of the slot's own
@@ -437,52 +441,66 @@ fn fit_busy_period(m: Moments3, fit: BusyPeriodFit) -> Result<(Ph, MatchQuality)
     }
 }
 
+/// A chain's short arrivals and whether its sub-solves are cached: the
+/// cache comes only with Poisson arrivals at the parameters' `λ_S`.
+pub(crate) enum Arrivals<'a> {
+    /// Poisson arrivals (built inside); fits and the QBD solution cached.
+    PoissonCached(&'a SolveCache),
+    /// This MAP, nothing cached.
+    Map(&'a Map),
+}
+
+impl<'a> Arrivals<'a> {
+    /// The cache, if any, and the arrival process.
+    fn split(
+        self,
+        params: &SystemParams,
+    ) -> Result<(Option<&'a SolveCache>, Cow<'a, Map>), AnalysisError> {
+        let poisson = || Map::poisson(params.lambda_s());
+        Ok(match self {
+            Arrivals::PoissonCached(c) => (Some(c), Cow::Owned(poisson()?)),
+            Arrivals::Map(map) => (None, Cow::Borrowed(map)),
+        })
+    }
+}
+
 /// Fits the busy periods and assembles the chain, unsolved.
 pub(crate) fn build_model(
     hosts: Hosts,
     params: &SystemParams,
     fit: BusyPeriodFit,
-    arrivals: &Map,
-    cache: Option<&SolveCache>,
+    arrivals: Arrivals,
 ) -> Result<Qbd, AnalysisError> {
+    let (cache, map) = arrivals.split(params)?;
     let fits = fit_slot_busy_periods(hosts, params, fit, cache)?;
     let phs = slot_phs(&fits);
-    let layout = KmLayout::new(hosts, phs, arrivals.dim());
-    build_with_layout(&layout, params, phs, arrivals)
+    let layout = KmLayout::new(hosts, phs, map.dim());
+    build_with_layout(&layout, params, phs, &map)
 }
 
-/// The analysis behind every public entry point: `cache` is `Some` only
-/// on the Poisson-arrival cached path.
+/// The analysis behind every public entry point.
 pub(crate) fn analyze_inner(
     hosts: Hosts,
     params: &SystemParams,
     fit: BusyPeriodFit,
-    arrivals: &Map,
-    cache: Option<&SolveCache>,
+    arrivals: Arrivals,
     ws: &mut Workspace,
 ) -> Result<CsCqReport, AnalysisError> {
     cyclesteal_obs::span!("core.cs_cq.analyze");
     cyclesteal_obs::counter!("core.cs_cq.analyze");
     check_stable(hosts, params)?;
 
+    let (cache, map) = arrivals.split(params)?;
     let fits = fit_slot_busy_periods(hosts, params, fit, cache)?;
     let phs = slot_phs(&fits);
-    let layout = KmLayout::new(hosts, phs, arrivals.dim());
-    let qbd = match cache {
-        // The plan key carries no arrival-MAP information. It is sound
-        // because every cached caller ([`analyze_cached_in`],
-        // [`plan_qbd_cached`]) drives the chain with Poisson arrivals at
-        // the snapped `λ_S` the key encodes; MAP analyses pass no cache.
-        // A plan seeded by a batch presolve is reused here instead of
-        // assembling the block matrices a second time.
-        Some(c) => c.qbd_plan(report_key(hosts, params, fit), || {
-            build_with_layout(&layout, params, phs, arrivals)
-        })?,
-        None => build_with_layout(&layout, params, phs, arrivals)?,
-    };
+    let layout = KmLayout::new(hosts, phs, map.dim());
     let sol = match cache {
-        Some(c) => c.qbd_solution(&qbd, ws)?,
-        None => qbd.solve_in(ws)?,
+        // Asked by key, the cache builds the chain only on a miss: a
+        // solution seeded by a batch presolve costs no build at all.
+        Some(c) => c.qbd_solution(report_key(hosts, params, fit), || {
+            Ok(build_with_layout(&layout, params, phs, &map)?.solve_in(ws)?)
+        })?,
+        None => build_with_layout(&layout, params, phs, &map)?.solve_in(ws)?,
     };
 
     // E[N_S]: boundary level n holds n shorts; repeating level j holds
@@ -1065,25 +1083,28 @@ mod tests {
     #[test]
     fn planned_fleet_chain_signature_matches_the_cached_analysis_path() {
         // The (k, m) mirror of the 2-host seeded-solution test: the batch
-        // planner's chain must carry the exact signature the analysis path
-        // looks up, so a presolved solution is served, not recomputed.
+        // planner's chain must carry the exact key the analysis path looks
+        // up, and be the chain it would build, so a presolved solution is
+        // served, not recomputed.
         let cache = SolveCache::new();
         let hosts = Hosts::new(2, 2).unwrap();
         let p = exp_params(1.25, 0.5);
-        let qbd = plan_qbd_cached(hosts, &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        assert!(!cache.has_qbd_solution(&qbd));
-        let sol = qbd.solve().unwrap();
-        cache.seed_qbd_solution(&qbd, sol);
-        assert!(cache.has_qbd_solution(&qbd));
-        // Planner: 1 plan miss + 2 fit misses; seed: 1 qbd miss.
+        let fit = BusyPeriodFit::ThreeMoment;
+        let plan = plan_qbd_cached(hosts, &p, fit, &cache).unwrap();
+        assert_eq!(plan.key(), report_key(hosts, &p, fit));
+        let built = build_qbd_model(hosts, &p, fit).unwrap();
+        assert_eq!(plan.signature(), built.signature());
+        assert!(!cache.has_qbd_solution(&plan.key()));
+        let sol = plan.solve().unwrap();
+        cache.seed_qbd_solution(&plan, sol);
+        assert!(cache.has_qbd_solution(&plan.key()));
+        // Planner: 2 fit misses; seed: 1 qbd miss.
         let before = cache.stats();
-        assert_eq!((before.hits, before.misses), (0, 4), "{before:?}");
-        let via_cache =
-            analyze_cached(hosts, &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        // Analysis: one report miss; hits on both fits, the planned
-        // chain, and the seeded QBD.
+        assert_eq!((before.hits, before.misses), (0, 3), "{before:?}");
+        let via_cache = analyze_cached(hosts, &p, fit, &cache).unwrap();
+        // Analysis: one report miss; hits on both fits and the seeded QBD.
         let after = cache.stats();
-        assert_eq!((after.hits, after.misses), (4, 5), "{after:?}");
+        assert_eq!((after.hits, after.misses), (3, 4), "{after:?}");
         let direct = analyze(hosts, &p).unwrap();
         assert_eq!(
             via_cache.short_response.to_bits(),

@@ -19,7 +19,6 @@
 //! a process with the number of short jobs as the level.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use cyclesteal_linalg::{
     lu_factor_into, lu_factor_many_in_place, lu_inverse_into, lu_solve_cols_into, lu_solve_into,
@@ -49,10 +48,9 @@ const STABILITY_MARGIN: f64 = 1.0 - 1e-9;
 static SIGNATURES_HASHED: AtomicU64 = AtomicU64::new(0);
 
 /// How many times this process has hashed a chain's blocks for
-/// [`Qbd::signature`]. Memoized reads do not count. A plain process-wide
-/// atomic, so a daemon can export it whether or not telemetry is compiled
-/// in; the same events also count as `markov.qbd.signature` in the obs
-/// registry.
+/// [`Qbd::signature`]. A plain process-wide atomic, so a daemon can export
+/// it whether or not telemetry is compiled in; the same events also count
+/// as `markov.qbd.signature` in the obs registry.
 pub fn signatures_hashed() -> u64 {
     SIGNATURES_HASHED.load(Ordering::Relaxed)
 }
@@ -71,10 +69,6 @@ pub struct Qbd {
     a0: Matrix,
     a1: Matrix,
     a2: Matrix,
-    /// [`Qbd::signature`], hashed on first use. The blocks never change
-    /// after construction, so the memo cannot go stale; clones taken after
-    /// the first hash carry it along.
-    signature: OnceLock<u128>,
 }
 
 /// Which algorithm computes `R`.
@@ -181,7 +175,6 @@ impl Qbd {
             a0,
             a1,
             a2,
-            signature: OnceLock::new(),
         })
     }
 
@@ -193,18 +186,14 @@ impl Qbd {
     /// A 128-bit content signature of the QBD: two independent FNV-1a
     /// streams over the block dimensions and the bit patterns of every
     /// entry. Two QBDs built from bit-identical blocks share a signature,
-    /// so memo layers (e.g. the sweep engine's solver cache) can key a
-    /// [`QbdSolution`] on it without retaining the blocks themselves.
-    /// Collisions across *distinct* inputs require a simultaneous collision
-    /// of both 64-bit streams — negligible at any realistic cache size.
+    /// so a test can check that two builds produced the same chain without
+    /// comparing the blocks entry by entry. Collisions across *distinct*
+    /// inputs require a simultaneous collision of both 64-bit streams —
+    /// negligible at any realistic scale.
     ///
-    /// The hash runs once per chain: later calls, on this value or on a
-    /// clone taken after the first call, return the memoized result.
+    /// Every call walks every block entry and counts once in
+    /// [`signatures_hashed`].
     pub fn signature(&self) -> u128 {
-        *self.signature.get_or_init(|| self.hash_blocks())
-    }
-
-    fn hash_blocks(&self) -> u128 {
         SIGNATURES_HASHED.fetch_add(1, Ordering::Relaxed);
         cyclesteal_obs::counter!("markov.qbd.signature");
         // FNV-1a with the standard offset/prime, and a second stream with a
@@ -1616,19 +1605,6 @@ mod tests {
         );
         // Same construction, same content: reproducible.
         assert_eq!(original.signature(), swappable_qbd(&up, &down).signature());
-    }
-
-    #[test]
-    fn signature_is_memoized_and_clones_carry_it() {
-        let fresh = mm1(0.7, 1.0);
-        let early_clone = fresh.clone();
-        assert!(fresh.signature.get().is_none(), "hashed only on first use");
-        let sig = fresh.signature();
-        assert_eq!(fresh.signature.get(), Some(&sig));
-        assert_eq!(fresh.clone().signature.get(), Some(&sig));
-        // A clone taken before the first hash computes the same value.
-        assert!(early_clone.signature.get().is_none());
-        assert_eq!(early_clone.signature(), sig);
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub struct NativeMetrics {
     pub workers: u64,
     /// `1` while draining, else `0`.
     pub draining: u64,
-    /// Solve-cache hits, all four layers. A drain's fit, plan and
-    /// solution lookups are added when the drain's scope is dropped.
+    /// Solve-cache hits, all three layers. A drain's fit and solution
+    /// lookups are added when the drain's scope is dropped.
     pub cache_hits: u64,
     /// Solve-cache misses.
     pub cache_misses: u64,
@@ -75,8 +75,9 @@ pub struct NativeMetrics {
     /// Reports currently resident in the solve cache.
     pub cache_reports: u64,
     /// Chain-signature hashes computed by this process
-    /// ([`cyclesteal_core::cache::signatures_hashed`]): one per chain
-    /// built, none for an answer served from the report layer.
+    /// ([`cyclesteal_core::cache::signatures_hashed`]). Solutions are
+    /// keyed by the question, so no serving path hashes a chain and this
+    /// reads zero; anything else means a hash crept back in.
     pub qbd_signatures: u64,
     /// WAL records appended by this process.
     pub wal_appends: u64,
@@ -92,8 +93,8 @@ pub struct NativeMetrics {
     pub batch_width_max: u64,
     /// Points handed to the batch presolve planner.
     pub batch_presolved: u64,
-    /// Presolved points deduplicated against an identical solve
-    /// signature in the same drain (or already cached).
+    /// Presolved points that needed no new solve: their report key was
+    /// already answered or solved, or came earlier in the same drain.
     pub batch_dedup_hits: u64,
     /// Distinct uncached chains the presolve planned.
     pub batch_unique: u64,

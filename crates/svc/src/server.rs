@@ -75,8 +75,8 @@ pub struct ServerConfig {
     pub per_conn_inflight: usize,
     /// LRU bound on the long-lived report cache (`0` = unbounded). Only
     /// reports outlive a drain: each worker drain solves through its own
-    /// fit, chain and solution memo, dropped once the drain is answered,
-    /// so this bounds the report layer alone.
+    /// fit and solution memo, dropped once the drain is answered, and
+    /// [`SolveCache::with_capacity`] bounds the report layer alone.
     pub cache_capacity: usize,
     /// Durability directory; `None` runs memory-only.
     pub data_dir: Option<PathBuf>,
@@ -225,8 +225,8 @@ struct BatchCounters {
     width_max: AtomicU64,
     /// Jobs whose points entered a batch presolve.
     presolved: AtomicU64,
-    /// Presolved points that needed no new solve: duplicate signature
-    /// within the batch, already cached, or not plannable.
+    /// Presolved points that needed no new solve: a report key repeated
+    /// within the batch, already answered or solved, or not plannable.
     dedup_hits: AtomicU64,
     /// Distinct uncached chains the presolve actually solved.
     unique: AtomicU64,
@@ -777,9 +777,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         if jobs.is_empty() {
             break;
         }
-        // The drain's own solver memo: its fits, chains and solutions go
-        // when the scope drops below, before the next wakeup, so at most
-        // one drain's chains per worker are alive. Reports land in the
+        // The drain's own solver memo: its fits and solutions go when the
+        // scope drops below, before the next wakeup, so at most one
+        // drain's solutions per worker are alive. Reports land in the
         // shared long-lived layer (and the WAL journal) as before.
         let scope = shared.cache.scope();
         if jobs.len() > 1 {
@@ -795,10 +795,10 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// The micro-batch presolve of one drained job batch: dedupe the batch's
-/// points by quantized solve signature, solve the same-shape groups
-/// through the factor-once/solve-many pipeline, and seed the drain's
-/// `scope` — so the per-query evaluations below find their chains already
-/// solved. A seeded solution is bit-identical to what the scalar path
+/// points by report key, solve the same-shape groups through the
+/// factor-once/solve-many pipeline, and seed the drain's `scope` — so the
+/// per-query evaluations below find their solutions already there and
+/// build no chain. A seeded solution is bit-identical to what the scalar path
 /// would compute, so responses cannot change; only the shared
 /// factorization work does.
 fn presolve_batch(shared: &Arc<Shared>, scope: &SolveCache, jobs: &[Job], clock: &MonotonicClock) {

@@ -2,7 +2,8 @@
 //! points by QBD shape and solves each group through the batched
 //! factor-once/solve-many pipeline ([`Qbd::solve_batch_in`]) **before**
 //! the per-point evaluation phase, seeding the shared [`SolveCache`] so
-//! evaluation finds every chain already solved.
+//! evaluation finds every question's solution already there, under the
+//! report key it looks the solution up by.
 //!
 //! # Why this cannot change a report
 //!
@@ -11,18 +12,21 @@
 //! sequence, and every convergence/fallback decision is per-lane — see
 //! `cyclesteal_markov::qbd`), and the planner builds each chain through
 //! [`cs_cq_km::plan_qbd_cached`], the exact construction path the cached
-//! evaluation uses on a miss, for every fleet shape alike. A seeded solution is therefore the same
-//! bits evaluation would have computed itself; the presolve phase is a
-//! pure reordering of work. Error results are never seeded — a failing
-//! point re-runs the scalar pipeline (recovery ladder included) during
-//! evaluation and gets its ordinary attributed failure record.
+//! evaluation uses on a miss, for every fleet shape alike. A seeded
+//! solution is therefore the same bits evaluation would have computed
+//! itself; the presolve phase is a pure reordering of work. Error results
+//! are never seeded — a failing point re-runs the scalar pipeline
+//! (recovery ladder included) during evaluation and gets its ordinary
+//! attributed failure record.
 //!
 //! Points with a planned fault on their scope are skipped wholesale:
 //! faulted points bypass the shared cache during evaluation (see the
 //! engine), so presolving them would be wasted work at best and at worst
 //! would let a clean presolve mask an injection site.
 
-use cyclesteal_core::cache::SolveCache;
+use std::collections::HashSet;
+
+use cyclesteal_core::cache::{PlannedChain, SolveCache};
 use cyclesteal_core::cs_cq::BusyPeriodFit;
 use cyclesteal_core::cs_cq_km::{self, Hosts};
 use cyclesteal_core::stability::Policy;
@@ -58,12 +62,14 @@ pub struct BatchStats {
     /// no fault planned on their scope (the planner's candidates,
     /// counted before deduplication).
     pub eligible: usize,
-    /// Distinct chain signatures planned and not already cached — the
-    /// solves the presolve phase actually performed. An eligible point
-    /// whose whole three-moment report is already cached (say, recovered
-    /// from the daemon's WAL) is not planned at all, so it never counts
-    /// here; the daemon's `svc_batch_dedup_hits`, computed as
-    /// `points − unique`, counts it as a dedup hit.
+    /// Distinct report keys planned whose report and solution were not
+    /// already cached — the solves the presolve phase actually performed.
+    /// An eligible point whose whole three-moment report is already cached
+    /// (say, recovered from the daemon's WAL), whose solution an earlier
+    /// presolve seeded, or whose key an earlier point of the same presolve
+    /// carried is not planned at all, so it never counts here; the
+    /// daemon's `svc_batch_dedup_hits`, computed as `points − unique`,
+    /// counts it as a dedup hit.
     pub unique: usize,
     /// Same-shape groups (≥ 8 chains) dispatched to the batched solver.
     pub batches: usize,
@@ -114,15 +120,14 @@ pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
     crate::engine::WORKSPACE.with(|ws| presolve(points, cache, &mut ws.borrow_mut()))
 }
 
-/// The planning half of a presolve: filter to batch-eligible points,
-/// skip those whose report is already cached, build each remaining chain
-/// through the exact cached construction path evaluation uses, and return
-/// the uncached plans (tallying `stats`). Each plan comes out of the
-/// cache's plan layer with its [`Qbd::signature`] already hashed, once,
-/// when the chain was built; the solving half and the evaluation that
-/// follows read that memo instead of hashing the blocks again.
-fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<Qbd> {
-    let mut planned: Vec<Qbd> = Vec::new();
+/// The planning half of a presolve: filter to batch-eligible points, skip
+/// each whose report key is already answered, already solved or already
+/// planned, build each remaining chain through the exact cached
+/// construction path evaluation uses, and return the plans in canonical
+/// order (tallying `stats`).
+fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<PlannedChain> {
+    let mut seen = HashSet::new();
+    let mut planned = Vec::new();
     for point in points {
         // Only what the evaluator would solve: CS-CQ analysis points with
         // a model on their fleet shape that pass the same Theorem-1
@@ -148,40 +153,34 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<Qbd
             continue;
         };
         // The first rung of the recovery ladder — the fit the evaluator
-        // will try first; deeper rungs are rare and stay scalar. An answer
-        // already in the cache needs no chain at all.
+        // will try first; deeper rungs are rare and stay scalar. A key
+        // already answered, solved or planned needs no chain at all.
         let fit = BusyPeriodFit::ThreeMoment;
-        if cache
-            .peek_report(&cs_cq_km::report_key(hosts, &params, fit))
-            .is_some()
-        {
+        let key = cs_cq_km::report_key(hosts, &params, fit);
+        let answered = cache.peek_report(&key).is_some() || cache.has_qbd_solution(&key);
+        if answered || !seen.insert(key) {
             continue;
         }
-        let Ok(qbd) = cs_cq_km::plan_qbd_cached(hosts, &params, fit, cache) else {
-            continue;
-        };
-        if !cache.has_qbd_solution(&qbd) {
-            planned.push(qbd);
+        if let Ok(plan) = cs_cq_km::plan_qbd_cached(hosts, &params, fit, cache) {
+            planned.push(plan);
         }
     }
+    // Canonical order: same-shape chains together, by key within a shape.
+    // It makes the grouping — and therefore every stat — independent of
+    // the input permutation; batch *composition* cannot affect results
+    // because every batched kernel is per-lane independent.
+    planned.sort_by_key(|p| (p.boundary_dim(), p.phase_dim(), p.key()));
     planned
 }
 
-/// The solving half of a presolve: canonicalize, group by shape, solve
-/// through the batched pipeline, and seed successful solutions.
+/// The solving half of a presolve: group by shape, solve through the
+/// batched pipeline, and seed successful solutions.
 fn solve_and_seed(
-    mut planned: Vec<Qbd>,
+    planned: Vec<PlannedChain>,
     cache: &SolveCache,
     ws: &mut Workspace,
     stats: &mut BatchStats,
 ) {
-    // Canonical order: group same-shape chains together, deduplicate by
-    // signature. Sorting by (shape, signature) makes the grouping — and
-    // therefore every stat — independent of the input permutation;
-    // batch *composition* cannot affect results because every batched
-    // kernel is per-lane independent.
-    planned.sort_by_key(|q| (q.boundary_dim(), q.phase_dim(), q.signature()));
-    planned.dedup_by_key(|q| q.signature());
     stats.unique = planned.len();
 
     let mut group = planned.as_slice();
@@ -197,15 +196,15 @@ fn solve_and_seed(
             let results = if chunk.len() >= MIN_BATCH {
                 stats.batches += 1;
                 stats.batched += chunk.len();
-                let refs: Vec<&Qbd> = chunk.iter().collect();
+                let refs: Vec<&Qbd> = chunk.iter().map(|p| &**p).collect();
                 Qbd::solve_batch_in(&refs, ws)
             } else {
                 stats.scalar += chunk.len();
                 chunk.iter().map(|q| q.solve_in(ws)).collect()
             };
-            for (qbd, result) in chunk.iter().zip(results) {
+            for (plan, result) in chunk.iter().zip(results) {
                 if let Ok(sol) = result {
-                    cache.seed_qbd_solution(qbd, sol);
+                    cache.seed_qbd_solution(plan, sol);
                     stats.seeded += 1;
                 }
             }
@@ -217,6 +216,14 @@ fn solve_and_seed(
 mod tests {
     use super::*;
     use crate::grid::GridSpec;
+    use cyclesteal_xtest::fault::{Armed, FaultPlan};
+
+    /// Holds a fault plan that never fires for the test's duration:
+    /// `fault::arm` is process-wide, and a plan armed by a concurrently
+    /// running test would otherwise make this test's points skip.
+    fn quiet() -> Armed {
+        fault::arm(FaultPlan::new(0, 0.0, &["qbd.solve"]))
+    }
 
     fn cs_cq_points() -> Vec<Point> {
         let mut spec = GridSpec::analysis(
@@ -230,6 +237,7 @@ mod tests {
 
     #[test]
     fn presolve_seeds_every_eligible_chain_once() {
+        let _quiet = quiet();
         let points = cs_cq_points();
         let cache = SolveCache::new();
         let mut ws = Workspace::new();
@@ -248,7 +256,18 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_key_is_planned_once() {
+        let _quiet = quiet();
+        let points = cs_cq_points();
+        let twice: Vec<Point> = points.iter().chain(&points).copied().collect();
+        let stats = presolve(&twice, &SolveCache::new(), &mut Workspace::new());
+        assert_eq!(stats.eligible, twice.len());
+        assert_eq!(stats.unique, points.len(), "{stats:?}");
+    }
+
+    #[test]
     fn non_cs_cq_and_unstable_points_are_not_planned() {
+        let _quiet = quiet();
         let mut spec = GridSpec::analysis("filters", vec![0.5, 2.5], vec![0.5]);
         spec.policies = vec![Policy::Dedicated, Policy::CsId, Policy::CsCq];
         let cache = SolveCache::new();
@@ -264,6 +283,7 @@ mod tests {
 
     #[test]
     fn presolve_stats_are_input_order_independent() {
+        let _quiet = quiet();
         let mut fwd = cs_cq_points();
         let cache_a = SolveCache::new();
         let cache_b = SolveCache::new();
@@ -279,6 +299,7 @@ mod tests {
     /// be fitted, built, hashed and solved again by the planner.
     #[test]
     fn points_with_a_cached_report_are_not_planned() {
+        let _quiet = quiet();
         let points = cs_cq_points();
         let warm = SolveCache::new();
         for point in &points {
@@ -305,7 +326,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn fault_planned_points_are_skipped() {
-        use cyclesteal_xtest::fault::FaultPlan;
         let points = cs_cq_points();
         // Rate 1.0: every scope draws a fault, so every point is skipped.
         let plan = FaultPlan::new(7, 1.0, &["qbd.solve"]);

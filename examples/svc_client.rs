@@ -248,7 +248,7 @@ fn run_burst(addr: &str, count: usize) -> Result<(), Box<dyn std::error::Error>>
 
 /// The pipelined query for slot `i`: distinct stable loads on one fleet
 /// shape, so a drained batch shares QBD shapes (batchable) without ever
-/// sharing solve signatures (no dedup shortcuts hiding solver work).
+/// sharing report keys (no dedup shortcuts hiding solver work).
 fn pipeline_request(
     i: usize,
     hosts: (usize, usize),

@@ -4,8 +4,11 @@
 //! shorts, and the cross-shape monotonicity invariants that make the
 //! fleet model physically plausible (more stealing hosts never hurt the
 //! shorts; more short load never helps them; the stability frontier
-//! widens with every stealing host).
+//! widens with every stealing host). One more property guards the solve
+//! cache, which keys QBD solutions by the report key: workloads that
+//! share a key build the same chain.
 
+use cyclesteal::core::cache::SolveCache;
 use cyclesteal::core::cs_cq::BusyPeriodFit;
 use cyclesteal::core::cs_cq_km::{self, Hosts};
 use cyclesteal::core::stability::{self, Policy};
@@ -20,6 +23,11 @@ use support::two_host as oracle;
 fn workload(rho_s: f64, rho_l: f64, scv: f64) -> SystemParams {
     let long = Moments3::from_mean_scv_balanced(1.0, scv).unwrap();
     SystemParams::from_loads(rho_s, 1.0, rho_l, long).unwrap()
+}
+
+/// `x` moved by `ulps` units in the last place (up for positive `ulps`).
+fn nudge(x: f64, ulps: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + ulps) as u64)
 }
 
 props! {
@@ -143,5 +151,44 @@ props! {
         // Just inside the (k, m) frontier is stable, just outside is not.
         assert!(stability::is_stable_km(k, m, narrow - 0.01, rho_l));
         assert!(!stability::is_stable_km(k, m, narrow + 0.01, rho_l));
+    }
+
+    /// One key, one chain: twin workloads a few ulps apart, below the
+    /// cache's quantization grid, share a report key, and then the planner
+    /// hook builds them the same chain (equal [`Qbd::signature`]) on fresh
+    /// caches. This is what makes keying solutions by the question sound.
+    ///
+    /// [`Qbd::signature`]: cyclesteal::markov::Qbd::signature
+    fn workloads_sharing_a_report_key_build_one_chain(
+        shape in 0usize..4,
+        util in 0.05f64..0.95,
+        long_util in 0.05f64..0.9,
+        scv in 1.0f64..16.0,
+        ulps in 1i64..8,
+        fit_pick in 0u32..3,
+    ) {
+        let (k, m) = [(1, 1), (1, 2), (2, 1), (2, 2)][shape];
+        let hosts = Hosts::new(k, m).unwrap();
+        let fit = [
+            BusyPeriodFit::MeanOnly,
+            BusyPeriodFit::TwoMoment,
+            BusyPeriodFit::ThreeMoment,
+        ][fit_pick as usize];
+        let rho_l = long_util * m as f64;
+        let rho_s = util * stability::max_rho_s_km(k, m, rho_l);
+        let a = workload(rho_s, rho_l, scv);
+        let b = workload(nudge(rho_s, ulps), nudge(rho_l, -ulps), nudge(scv, ulps));
+        assert_ne!(a.lambda_s().to_bits(), b.lambda_s().to_bits(), "twins differ");
+        let key = cs_cq_km::report_key(hosts, &a, fit);
+        // A twin whose nudge crossed a grid line has a key of its own.
+        xassume!(cs_cq_km::report_key(hosts, &b, fit) == key);
+        let plan_a = cs_cq_km::plan_qbd_cached(hosts, &a, fit, &SolveCache::new()).unwrap();
+        let plan_b = cs_cq_km::plan_qbd_cached(hosts, &b, fit, &SolveCache::new()).unwrap();
+        assert_eq!((plan_a.key(), plan_b.key()), (key, key));
+        assert_eq!(
+            plan_a.signature(),
+            plan_b.signature(),
+            "({k}, {m}) rho_s={rho_s} rho_l={rho_l} scv={scv} {fit:?}: one key, two chains"
+        );
     }
 }

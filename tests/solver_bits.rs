@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use cyclesteal::core::cache::SolveCache;
+use cyclesteal::core::cache::{PlannedChain, SolveCache};
 use cyclesteal::core::cs_cq::{self, BusyPeriodFit, CsCqReport};
 use cyclesteal::core::cs_cq_km::{self, Hosts};
 use cyclesteal::core::SystemParams;
@@ -258,8 +258,9 @@ fn report_fp(r: &CsCqReport) -> u64 {
 /// Where a case's CS-CQ report comes from.
 enum Report {
     /// The cached analysis (Poisson shorts); the batched path seeds the
-    /// cache with the batch's solution first, as the sweep presolve does.
-    Cached(Hosts, SystemParams),
+    /// cache with the batch's solution first, under the planned chain's
+    /// key, as the sweep presolve does.
+    Cached(Hosts, SystemParams, PlannedChain),
     /// The MAP analysis, which solves on its own (scalar only).
     Map(SystemParams, Map),
     None,
@@ -282,7 +283,7 @@ fn params(rho_s: f64, rho_l: f64, scv: f64) -> SystemParams {
 /// A CS-CQ case built exactly as the cached analysis builds it.
 fn cs_cq_case(hosts: Hosts, rho_s: f64, rho_l: f64, scv: f64) -> Case {
     let p = params(rho_s, rho_l, scv);
-    let qbd = cs_cq_km::plan_qbd_cached(hosts, &p, BusyPeriodFit::ThreeMoment, &SolveCache::new())
+    let plan = cs_cq_km::plan_qbd_cached(hosts, &p, BusyPeriodFit::ThreeMoment, &SolveCache::new())
         .unwrap();
     Case {
         name: format!(
@@ -290,8 +291,8 @@ fn cs_cq_case(hosts: Hosts, rho_s: f64, rho_l: f64, scv: f64) -> Case {
             hosts.k(),
             hosts.m()
         ),
-        qbd,
-        report: Report::Cached(hosts, p),
+        qbd: Qbd::clone(&plan),
+        report: Report::Cached(hosts, p, plan),
         alg: None,
     }
 }
@@ -401,7 +402,7 @@ fn cases() -> Vec<Case> {
 /// without a report).
 fn scalar_report(case: &Case, ws: &mut Workspace) -> Option<CsCqReport> {
     match &case.report {
-        Report::Cached(hosts, p) => Some(
+        Report::Cached(hosts, p, _) => Some(
             cs_cq_km::analyze_cached_in(
                 *hosts,
                 p,
@@ -460,15 +461,15 @@ fn solver_bits_are_pinned_across_commits() {
                 // sweep presolve seeds it: reports read the batched bits.
                 let cache = SolveCache::new();
                 for (&c, sol) in lanes.iter().zip(&sols) {
-                    if let Ok(sol) = sol {
-                        cache.seed_qbd_solution(&cases[c].qbd, sol.clone());
+                    if let (Report::Cached(_, _, plan), Ok(sol)) = (&cases[c].report, sol) {
+                        cache.seed_qbd_solution(plan, sol.clone());
                     }
                 }
                 for (lane, (&c, sol)) in lanes.iter().zip(&sols).enumerate() {
                     let sol_fp = outcome_fp(sol);
                     let rep_fp = match &cases[c].report {
-                        Report::Cached(hosts, p) => {
-                            assert!(cache.has_qbd_solution(&cases[c].qbd));
+                        Report::Cached(hosts, p, plan) => {
+                            assert!(cache.has_qbd_solution(&plan.key()));
                             let r = cs_cq_km::analyze_cached_in(
                                 *hosts,
                                 p,
