@@ -277,6 +277,37 @@ case "$health" in
     *"accepting=true"*) ;;
     *) echo "overload gate: daemon must still be accepting after the burst" >&2; exit 1 ;;
 esac
+# Hard count gates, read from a scrape taken after the burst and before
+# the drain: every answer the client saw was admitted and completed
+# (svc_served_total reads the same count), and every shed it saw is
+# counted under some reason. A completion is counted just after its
+# response goes out, so poll briefly for the last one.
+burst_ok=$(echo "$burst" | sed -n 's/^BURST ok=\([0-9]*\) shed=[0-9]*$/\1/p')
+burst_shed=$(echo "$burst" | sed -n 's/^BURST ok=[0-9]* shed=\([0-9]*\)$/\1/p')
+i=0
+while [ $i -lt 100 ]; do
+    "$SVC_CLIENT" --addr "$metrics_addr" metrics > "$SVC_TMP/scrape_post.txt"
+    grep -q "^svc_completed_total $burst_ok\$" "$SVC_TMP/scrape_post.txt" && break
+    i=$((i + 1))
+    sleep 0.05
+done
+awk -v ok="$burst_ok" -v shed="$burst_shed" '
+    /^svc_admitted_total / { admitted = $2 }
+    /^svc_completed_total / { completed = $2 }
+    /^svc_served_total / { served = $2 }
+    /^svc_shed_total[{]/ { sheds += $2 }
+    END {
+        if (ok == "" || shed == "") { print "overload gate: no BURST ok=/shed= counts"; exit 1 }
+        if (admitted + 0 != ok + 0 || completed + 0 != ok + 0 || served + 0 != ok + 0) {
+            printf "overload gate: admitted=%s completed=%s served=%s, but BURST ok=%s\n", admitted, completed, served, ok
+            exit 1
+        }
+        if (sheds + 0 != shed + 0) {
+            printf "overload gate: svc_shed_total sums to %s over reasons, but BURST shed=%s\n", sheds, shed
+            exit 1
+        }
+        printf "overload gate: admitted = completed = served = %s, shed sum = %s\n", ok, sheds
+    }' "$SVC_TMP/scrape_post.txt" || exit 1
 "$SVC_CLIENT" --addr "$svc_addr" drain > /dev/null
 wait "$svc_pid"
 echo "$burst" | awk '{

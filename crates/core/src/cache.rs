@@ -30,12 +30,14 @@
 //! persisted, while the solution of a (2, 2) chain holds kilobytes, so a
 //! cache that kept every layer would grow with the query count. The
 //! daemon therefore answers each drained batch of queries through a
-//! [`SolveCache::scope`]: a cache that shares the long-lived report layer,
-//! its journal and its counters, and owns fresh fit and solution layers.
-//! The worker drops the scope once the drain is answered, so at most one
+//! [`SolveCache::scope`]: a cache that shares the long-lived report layer
+//! and its counters, and owns fresh fit and solution layers and a journal
+//! of the reports it computed, which the worker writes to its WAL. The
+//! worker drops the scope once the drain is answered, so at most one
 //! drain's solutions per worker are alive at any time. Dropping a
 //! scope folds its counts into the shared totals, so [`SolveCache::stats`]
-//! keeps counting all three layers. A scope miss recomputes the same bits
+//! keeps counting all three layers. A root cache journals nothing, so a
+//! sweep keeps no copy of its reports. A scope miss recomputes the same bits
 //! a long-lived entry would have held (see below), so scoping moves
 //! memory, never answers.
 //!
@@ -114,12 +116,12 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Adds one layer's `(hits, misses, poison recoveries, evictions)`.
-    fn add(&mut self, (hits, misses, poison_recoveries, evictions): (u64, u64, u64, u64)) {
-        self.hits += hits;
-        self.misses += misses;
-        self.poison_recoveries += poison_recoveries;
-        self.evictions += evictions;
+    /// Adds another layer's or cache's counts.
+    fn add(&mut self, o: CacheStats) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.poison_recoveries += o.poison_recoveries;
+        self.evictions += o.evictions;
     }
 
     /// Hit fraction in `[0, 1]` (0 when the cache was never consulted).
@@ -298,6 +300,15 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         lock(&self.map).len()
     }
 
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+
     /// `true` when `key` has an entry (ready or pending). Used by the
     /// sweep batch planner to skip re-solving chains a previous sweep
     /// already seeded; a pending entry counts because its designated
@@ -470,18 +481,20 @@ pub struct SolveCache {
     /// The report layer and what goes with it, shared by this cache and
     /// every scope made from it.
     store: Arc<ReportStore>,
+    /// A scope's reports *computed* through it and not yet taken by
+    /// [`SolveCache::take_new_reports`]; `None` for a root cache. Reports
+    /// seeded by [`SolveCache::insert_report`] are never journaled — they
+    /// came from the persistence layer, which must not re-append its own
+    /// records.
+    journal: Option<Journal>,
 }
+
+type Journal = Mutex<Vec<(ReportKey, CsCqReport)>>;
 
 /// The long-lived part of a [`SolveCache`].
 #[derive(Debug)]
 struct ReportStore {
     reports: Memo<ReportKey, CsCqReport>,
-    /// When enabled ([`SolveCache::enable_report_journal`]), every report
-    /// *computed* after enabling is appended here for the persistence
-    /// layer to drain incrementally. Seeded/restored entries are
-    /// deliberately not journaled — they came from the persistence layer,
-    /// which must not re-append its own records.
-    journal: Mutex<Option<Vec<(ReportKey, CsCqReport)>>>,
     /// The fit and solution counts of dropped caches sharing this store
     /// (the daemon's drain scopes).
     retired: Mutex<CacheStats>,
@@ -496,9 +509,8 @@ impl Default for SolveCache {
 impl Drop for SolveCache {
     fn drop(&mut self) {
         let mut retired = lock(&self.store.retired);
-        for layer in self.solver_layers() {
-            retired.add(layer.counts());
-        }
+        retired.add(self.fits.stats());
+        retired.add(self.solutions.stats());
     }
 }
 
@@ -525,25 +537,25 @@ impl SolveCache {
                 "core.cache.report.evicted",
                 capacity,
             ),
-            journal: Mutex::new(None),
             retired: Mutex::new(CacheStats::default()),
         };
-        SolveCache::sharing(Arc::new(store))
+        SolveCache::sharing(Arc::new(store), None)
     }
 
-    /// A drain scope: a cache that shares this cache's report layer,
-    /// report journal and counters, but owns fresh fit and solution
-    /// layers. Reports it computes land in the shared layer (and journal);
-    /// the fits and solutions behind them go when the scope drops, which
-    /// also adds the scope's counts to the totals that
-    /// [`SolveCache::stats`] reports. A serving worker makes one per
-    /// drained batch of queries, so solver memory is bounded by the drain
-    /// width instead of growing with the query count.
+    /// A drain scope: a cache that shares this cache's report layer and
+    /// counters, but owns fresh fit and solution layers and its own report
+    /// journal. Reports it computes land in the shared layer and in its
+    /// journal, for [`SolveCache::take_new_reports`]; the fits and
+    /// solutions behind them go when the scope drops, which also adds the
+    /// scope's counts to the totals that [`SolveCache::stats`] reports. A
+    /// serving worker makes one per drained batch of queries, so solver
+    /// memory is bounded by the drain width instead of growing with the
+    /// query count.
     pub fn scope(&self) -> SolveCache {
-        SolveCache::sharing(Arc::clone(&self.store))
+        SolveCache::sharing(Arc::clone(&self.store), Some(Mutex::default()))
     }
 
-    fn sharing(store: Arc<ReportStore>) -> Self {
+    fn sharing(store: Arc<ReportStore>, journal: Option<Journal>) -> Self {
         SolveCache {
             fits: Memo::new(
                 "core.cache.fit.hit",
@@ -560,12 +572,8 @@ impl SolveCache {
                 0,
             ),
             store,
+            journal,
         }
-    }
-
-    /// The fit and solution layers, which a scope owns.
-    fn solver_layers(&self) -> [&dyn MemoStats; 2] {
-        [&self.fits, &self.solutions]
     }
 
     /// The report layer's LRU bound (`0` = unbounded), the only bound a
@@ -579,10 +587,9 @@ impl SolveCache {
     /// of every dropped scope that shared it.
     pub fn stats(&self) -> CacheStats {
         let mut stats = *lock(&self.store.retired);
-        for layer in self.solver_layers() {
-            stats.add(layer.counts());
-        }
-        stats.add(self.store.reports.counts());
+        stats.add(self.fits.stats());
+        stats.add(self.solutions.stats());
+        stats.add(self.store.reports.stats());
         stats
     }
 
@@ -643,46 +650,30 @@ impl SolveCache {
     }
 
     /// Memoized whole-report analysis: `compute` runs once per key even
-    /// under concurrent lookups. When the report journal is enabled, the
-    /// designated compute's (successful) result is appended to it.
+    /// under concurrent lookups. In a scope, the designated compute's
+    /// (successful) result is appended to the scope's journal.
     pub(crate) fn report(
         &self,
         key: ReportKey,
         compute: impl FnOnce() -> Result<CsCqReport, AnalysisError>,
     ) -> Result<CsCqReport, AnalysisError> {
-        let mut computed = false;
-        let result = self.store.reports.get_or_compute(key, || {
-            computed = true;
-            compute()
-        });
-        if computed {
-            if let Ok(report) = &result {
-                if let Some(j) = lock(&self.store.journal).as_mut() {
-                    j.push((key, report.clone()));
-                }
+        self.store.reports.get_or_compute(key, || {
+            let report = compute()?;
+            if let Some(journal) = &self.journal {
+                lock(journal).push((key, report.clone()));
             }
-        }
-        result
+            Ok(report)
+        })
     }
 
-    /// Starts journaling newly *computed* reports so the persistence layer
-    /// can drain them incrementally with [`SolveCache::take_new_reports`].
-    /// Reports already cached before this call are not replayed — use
-    /// [`SolveCache::export_reports`] for the full state.
-    pub fn enable_report_journal(&self) {
-        let mut j = lock(&self.store.journal);
-        if j.is_none() {
-            *j = Some(Vec::new());
-        }
-    }
-
-    /// Drains the reports journaled since the last drain (empty when
-    /// journaling is off or nothing new was computed).
+    /// Takes the reports this scope computed since the last call, for the
+    /// persistence layer to append. Always empty on a root cache, which
+    /// journals nothing; [`SolveCache::export_reports`] gives the full
+    /// state.
     pub fn take_new_reports(&self) -> Vec<(ReportKey, CsCqReport)> {
-        match lock(&self.store.journal).as_mut() {
-            Some(j) => std::mem::take(j),
-            None => Vec::new(),
-        }
+        self.journal
+            .as_ref()
+            .map_or_else(Vec::new, |j| std::mem::take(&mut *lock(j)))
     }
 
     /// The cached report for `key` if one is ready — a read-only peek
@@ -716,8 +707,8 @@ impl SolveCache {
 
     /// Every ready report, sorted by key: the deterministic full-state
     /// snapshot the persistence layer writes at drain time. Pending
-    /// entries are skipped — their designated computers journal them on
-    /// completion, so an enabled journal still captures them.
+    /// entries are skipped — their designated computers' scopes journal
+    /// them on completion.
     pub fn export_reports(&self) -> Vec<(ReportKey, CsCqReport)> {
         let map = lock(&self.store.reports.map);
         let mut out: Vec<(ReportKey, CsCqReport)> = map
@@ -736,23 +727,6 @@ impl SolveCache {
     /// long-running service reports as its warm-cache size.
     pub fn report_len(&self) -> usize {
         self.store.reports.len()
-    }
-}
-
-/// Object-safe counter access so [`SolveCache::stats`] can fold
-/// differently-typed memo layers.
-trait MemoStats {
-    fn counts(&self) -> (u64, u64, u64, u64);
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> MemoStats for Memo<K, V> {
-    fn counts(&self) -> (u64, u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.poison_recoveries.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -895,8 +869,8 @@ mod tests {
             }
         });
         assert_eq!(computed.load(Ordering::SeqCst), 1, "exactly one computer");
-        let (h, m, _, _) = memo.counts();
-        assert_eq!((h, m), (7, 1), "7 hits, 1 miss — deterministic");
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses), (7, 1), "7 hits, 1 miss — deterministic");
     }
 
     #[test]
@@ -907,8 +881,8 @@ mod tests {
             assert_eq!(r, Err("boom"));
         }
         assert_eq!(memo.len(), 0, "failed slots are removed");
-        let (h, m, _, _) = memo.counts();
-        assert_eq!((h, m), (0, 3), "each failing call recounts its miss");
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses), (0, 3), "each failing call recounts its miss");
         // The key still works once a compute succeeds.
         assert_eq!(memo.get_or_compute(1, || Ok::<u64, &str>(5)), Ok(5));
     }
@@ -934,7 +908,7 @@ mod tests {
                 assert_eq!(v, 11, "waiter recovers by recomputing");
             });
         });
-        let (_, _, p, _) = memo.counts();
+        let p = memo.stats().poison_recoveries;
         // The waiter either queued behind the doomed slot (recovery
         // counted) or arrived after removal (clean recompute).
         assert!(p <= 1);
@@ -953,8 +927,7 @@ mod tests {
         assert!(memo.contains(&1), "recently touched entry survives");
         assert!(!memo.contains(&2), "LRU entry is evicted");
         assert!(memo.contains(&3));
-        let (_, _, _, e) = memo.counts();
-        assert_eq!(e, 1);
+        assert_eq!(memo.stats().evictions, 1);
         // The evicted key recomputes to the same (pure) value.
         assert_eq!(memo.get_or_compute(2, || Ok::<u64, ()>(20)), Ok(20));
     }
@@ -1042,17 +1015,17 @@ mod tests {
     #[test]
     fn a_scope_shares_reports_and_takes_its_solver_layers_with_it() {
         let root = SolveCache::with_capacity(4);
-        root.enable_report_journal();
         let p = SystemParams::exponential(0.9, 1.0, 0.5, 1.0).unwrap();
 
         let scope = root.scope();
         assert_eq!(scope.capacity(), 4, "the report bound is shared");
         let answer = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &scope).unwrap();
         // Two fits and a solution in the scope; the report in the shared
-        // layer, journaled once.
+        // layer, journaled once, by the scope that computed it.
         assert_eq!(scope.len(), 4);
         assert_eq!((root.len(), root.report_len()), (1, 1));
-        assert_eq!(root.take_new_reports().len(), 1);
+        assert_eq!(scope.take_new_reports().len(), 1);
+        assert!(root.take_new_reports().is_empty(), "a root journals nothing");
         let in_scope = scope.stats();
         assert_eq!((in_scope.hits, in_scope.misses), (0, 4), "{in_scope:?}");
         assert_eq!(
@@ -1072,42 +1045,50 @@ mod tests {
             answer.short_response.to_bits()
         );
         assert_eq!(scope.len(), 1);
-        assert!(root.take_new_reports().is_empty(), "a hit journals nothing");
+        assert!(scope.take_new_reports().is_empty(), "a hit journals nothing");
         drop(scope);
         let after = root.stats();
         assert_eq!((after.hits, after.misses), (1, 4), "{after:?}");
     }
 
     #[test]
-    fn journal_captures_computed_reports_but_not_seeded_ones() {
-        let cache = SolveCache::new();
+    fn each_scope_journals_exactly_the_reports_it_computed() {
+        let root = SolveCache::new();
         let p1 = SystemParams::exponential(0.4, 1.0, 0.5, 1.0).unwrap();
         let p2 = SystemParams::exponential(0.8, 1.0, 0.5, 1.0).unwrap();
+        let key = |p: &SystemParams| cs_cq::report_key(p, BusyPeriodFit::ThreeMoment);
 
-        // Computed before enabling: not journaled.
-        cs_cq::analyze_cached(&p1, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        cache.enable_report_journal();
-        assert!(cache.take_new_reports().is_empty());
+        // A root computes without journaling: a sweep keeps no copy.
+        cs_cq::analyze_cached(&p1, BusyPeriodFit::ThreeMoment, &root).unwrap();
+        assert!(root.take_new_reports().is_empty());
 
-        // A cache hit journals nothing; a fresh compute journals once.
-        cs_cq::analyze_cached(&p1, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        assert!(cache.take_new_reports().is_empty());
-        let r2 = cs_cq::analyze_cached(&p2, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        let drained = cache.take_new_reports();
-        assert_eq!(drained.len(), 1);
+        // Two scopes alive at once, each computing one report: each
+        // journal holds its own report and nothing of the other's.
+        let (a, b) = (root.scope(), root.scope());
+        let r2 = cs_cq::analyze_cached(&p2, BusyPeriodFit::ThreeMoment, &a).unwrap();
+        let p3 = SystemParams::exponential(1.2, 1.0, 0.5, 1.0).unwrap();
+        cs_cq::analyze_cached(&p3, BusyPeriodFit::ThreeMoment, &b).unwrap();
+        // A report another cache computed is a hit here: nothing to own.
+        cs_cq::analyze_cached(&p1, BusyPeriodFit::ThreeMoment, &b).unwrap();
+        let taken = a.take_new_reports();
+        assert_eq!(taken.len(), 1);
+        assert_eq!(taken[0].0, key(&p2));
         assert_eq!(
-            drained[0].1.short_response.to_bits(),
+            taken[0].1.short_response.to_bits(),
             r2.short_response.to_bits()
         );
-        assert!(cache.take_new_reports().is_empty(), "drain is destructive");
+        let taken = b.take_new_reports();
+        assert_eq!(taken.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [key(&p3)]);
+        assert!(a.take_new_reports().is_empty(), "taking is destructive");
+        assert!(root.take_new_reports().is_empty());
 
         // Seeding through insert_report never journals.
-        let exported = cache.export_reports();
         let fresh = SolveCache::new();
-        fresh.enable_report_journal();
-        for (k, r) in exported {
-            fresh.insert_report(k, r);
+        let scope = fresh.scope();
+        for (k, r) in root.export_reports() {
+            scope.insert_report(k, r);
         }
-        assert!(fresh.take_new_reports().is_empty());
+        assert_eq!(fresh.report_len(), 3);
+        assert!(scope.take_new_reports().is_empty());
     }
 }

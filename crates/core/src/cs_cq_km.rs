@@ -115,6 +115,29 @@ impl Hosts {
     pub fn m(&self) -> usize {
         self.m
     }
+
+    /// Phases of this fleet's chain, its boundary levels plus one
+    /// repeating level, when both busy-period fits have `order` stages
+    /// (2 for the paper's Coxian-2 fits). A closed form over how many
+    /// slots are free, waiting or busy, so a shape can be priced without
+    /// building its chain.
+    pub fn chain_phases(&self, order: usize) -> usize {
+        let (k, m) = (self.k, self.m);
+        let choose = |n: usize, r: usize| (0..r).fold(1, |acc, i| acc * (n - i) / (i + 1));
+        let (mut boundary, mut repeating) = (0, 0);
+        for free in 0..=m {
+            for waiting in 0..=m - free {
+                let busy = m - free - waiting;
+                // Multisets of `busy` slots over the 2·order busy stages.
+                let ways = choose((busy + 2 * order).saturating_sub(1), busy);
+                // A phase with a waiting long exists only at boundary
+                // levels n ≥ k + free + waiting (see `KmLayout::new`).
+                boundary += ways * if waiting == 0 { k + m } else { busy };
+                repeating += ways;
+            }
+        }
+        boundary + repeating
+    }
 }
 
 /// Analyzes the `(k, m)` fleet with the paper's three-moment busy-period
@@ -995,6 +1018,26 @@ mod tests {
 
     fn exp_params(rho_s: f64, rho_l: f64) -> SystemParams {
         SystemParams::exponential(rho_s, 1.0, rho_l, 1.0).unwrap()
+    }
+
+    #[test]
+    fn chain_phases_counts_the_phases_the_layout_enumerates() {
+        let erlang = |k: u32| cyclesteal_dist::Erlang::new(k, 1.0).unwrap().to_ph();
+        for order in 1..=3u32 {
+            let ph = erlang(order);
+            for (k, m) in [(1, 0), (1, 1), (2, 2), (1, 3), (3, 2), (2, 4), (5, 1)] {
+                let hosts = Hosts::new(k, m).unwrap();
+                let layout = KmLayout::new(hosts, Some((&ph, &ph)), 1);
+                let enumerated = layout.offsets[k + m] + layout.phases.len();
+                assert_eq!(
+                    hosts.chain_phases(order as usize),
+                    enumerated,
+                    "({k}, {m}) at order {order}"
+                );
+            }
+        }
+        // The paper's (1, 1) chain: 10 boundary and 6 repeating phases.
+        assert_eq!(Hosts::paper().chain_phases(2), 16);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Admission control: a bounded work queue with structured load-shedding.
+//! Admission control: a bounded work queue with structured load-shedding,
+//! and the one owner of the daemon's request accounting.
 //!
 //! The daemon never queues unboundedly. When the queue is full the client
 //! gets an immediate, structured rejection carrying a *retry-after hint*
@@ -6,6 +7,12 @@
 //! the client can back off intelligently instead of guessing. A closed
 //! queue (draining) sheds with a distinct reason so clients know not to
 //! retry this instance at all.
+//!
+//! Every request count the daemon reports lives here and nowhere else:
+//! admissions, completions, each shed reason (the connection cap's
+//! included, through [`Admission::shed_inflight_cap`]) and the open or
+//! draining state. `/metrics`, `/healthz` and `stats` all render one
+//! [`Admission::snapshot`].
 //!
 //! # Accounting invariant
 //!
@@ -33,16 +40,49 @@ pub enum AdmitError {
     },
     /// The daemon is draining and accepts no new work.
     Draining,
+    /// The job's connection already has its cap of queries in flight.
+    InflightCap,
+}
+
+impl AdmitError {
+    /// The shed reason on the wire and in the `svc_shed_total` label.
+    pub fn reason(&self) -> &'static str {
+        match self {
+            AdmitError::QueueFull { .. } => "queue_full",
+            AdmitError::Draining => "draining",
+            AdmitError::InflightCap => "inflight_cap",
+        }
+    }
+}
+
+/// Sheds counted by reason.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sheds {
+    /// The queue was at capacity.
+    pub queue_full: u64,
+    /// The daemon was draining.
+    pub draining: u64,
+    /// The connection was at its in-flight cap.
+    pub inflight_cap: u64,
+}
+
+impl Sheds {
+    /// Sheds over every reason.
+    pub fn total(&self) -> u64 {
+        self.queue_full + self.draining + self.inflight_cap
+    }
 }
 
 struct Inner<T> {
     queue: VecDeque<T>,
     open: bool,
+    /// Counted under the lock that decides them.
+    sheds: Sheds,
 }
 
-/// One consistent read of the admission load counters, taken by
+/// One consistent read of the admission accounting, taken by
 /// [`Admission::snapshot`] in race-safe order (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionSnapshot {
     /// Jobs ever admitted to the queue.
     pub admitted: u64,
@@ -52,8 +92,18 @@ pub struct AdmissionSnapshot {
     pub in_service: u64,
     /// Workers currently holding at least one claimed job.
     pub busy_workers: u64,
-    /// Jobs completed by workers.
+    /// Workers draining the queue: the pool size.
+    pub workers: u64,
+    /// Jobs completed by workers: every query answered, so this is also
+    /// the daemon's served count.
     pub completed: u64,
+    /// Jobs refused, by reason.
+    pub sheds: Sheds,
+    /// `false` once draining has begun.
+    pub open: bool,
+    /// EWMA of per-job service time in ns (`0` = no sample yet): the
+    /// estimate that prices `retry_after_ms`.
+    pub ewma_service_ns: u64,
 }
 
 /// A bounded MPMC job queue with admission accounting.
@@ -65,9 +115,6 @@ pub struct Admission<T> {
     /// EWMA of per-job service time in ns (`0` = no sample yet).
     ewma_service_ns: AtomicU64,
     admitted: AtomicU64,
-    shed: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_draining: AtomicU64,
     completed: AtomicU64,
     /// Jobs dequeued by a worker but not yet completed. Incremented inside
     /// the dequeue critical section, decremented by `record_service_ns`
@@ -87,15 +134,13 @@ impl<T> Admission<T> {
             inner: Mutex::new(Inner {
                 queue: VecDeque::with_capacity(capacity),
                 open: true,
+                sheds: Sheds::default(),
             }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
             workers: workers.max(1) as u64,
             ewma_service_ns: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            shed_queue_full: AtomicU64::new(0),
-            shed_draining: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             in_service: AtomicU64::new(0),
             busy_workers: AtomicU64::new(0),
@@ -104,6 +149,19 @@ impl<T> Admission<T> {
 
     fn lock(&self) -> MutexGuard<'_, Inner<T>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Counts one shed under `err`'s reason.
+    fn shed(inner: &mut Inner<T>, err: AdmitError) -> AdmitError {
+        let s = &mut inner.sheds;
+        let (count, label) = match err {
+            AdmitError::QueueFull { .. } => (&mut s.queue_full, "svc.admission.shed|reason=queue_full"),
+            AdmitError::Draining => (&mut s.draining, "svc.admission.shed|reason=draining"),
+            AdmitError::InflightCap => (&mut s.inflight_cap, "svc.admission.shed|reason=inflight_cap"),
+        };
+        *count += 1;
+        cyclesteal_obs::counter!(label);
+        err
     }
 
     /// Admits `job` or sheds it with a structured reason.
@@ -115,20 +173,11 @@ impl<T> Admission<T> {
     pub fn admit(&self, job: T) -> Result<(), AdmitError> {
         let mut inner = self.lock();
         if !inner.open {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            self.shed_draining.fetch_add(1, Ordering::Relaxed);
-            cyclesteal_obs::counter!("svc.admission.shed|reason=draining");
-            return Err(AdmitError::Draining);
+            return Err(Self::shed(&mut inner, AdmitError::Draining));
         }
         if inner.queue.len() >= self.capacity {
-            let depth = inner.queue.len() as u64;
-            drop(inner);
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            self.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-            cyclesteal_obs::counter!("svc.admission.shed|reason=queue_full");
-            return Err(AdmitError::QueueFull {
-                retry_after_ms: self.retry_after_ms(depth),
-            });
+            let retry_after_ms = self.retry_after_ms(inner.queue.len() as u64);
+            return Err(Self::shed(&mut inner, AdmitError::QueueFull { retry_after_ms }));
         }
         inner.queue.push_back(job);
         drop(inner);
@@ -140,15 +189,17 @@ impl<T> Admission<T> {
         Ok(())
     }
 
-    /// Blocks for the next job; `None` once the queue is closed *and*
-    /// empty (workers drain the backlog before exiting).
-    ///
-    /// Claims the calling worker busy and the job in-service atomically
-    /// with the pop (see [`Admission::next_batch`]); the caller owns a
-    /// matching [`Admission::release_worker`] and, per job,
-    /// [`Admission::record_service_ns`].
-    pub fn next(&self) -> Option<T> {
-        self.next_batch(1).pop()
+    /// Sheds a job whose connection is at its in-flight cap, which the
+    /// caller decides. Counted as `inflight_cap`, or as `draining` once
+    /// the queue is closed, the reason [`Admission::admit`] would give.
+    pub fn shed_inflight_cap(&self) -> AdmitError {
+        let mut inner = self.lock();
+        let err = if inner.open {
+            AdmitError::InflightCap
+        } else {
+            AdmitError::Draining
+        };
+        Self::shed(&mut inner, err)
     }
 
     /// Blocks for work, then drains up to `max` queued jobs in one lock
@@ -187,28 +238,18 @@ impl<T> Admission<T> {
         }
     }
 
-    /// Releases the busy-worker claim taken by [`Admission::next`] /
-    /// [`Admission::next_batch`]. Called once per dequeue, after every
-    /// job of the batch is finished.
+    /// Releases the busy-worker claim taken by [`Admission::next_batch`].
+    /// Called once per dequeue, after every job of the batch is finished.
     pub fn release_worker(&self) {
         self.busy_workers.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Stops admission and wakes every blocked worker. Already-queued jobs
-    /// are still handed out.
-    pub fn close(&self) {
-        self.lock().open = false;
+    /// are still handed out. Returns `true` on the call that closed it.
+    pub fn close(&self) -> bool {
+        let was_open = std::mem::replace(&mut self.lock().open, false);
         self.ready.notify_all();
-    }
-
-    /// `false` once draining has begun.
-    pub fn is_open(&self) -> bool {
-        self.lock().open
-    }
-
-    /// Current backlog length.
-    pub fn depth(&self) -> usize {
-        self.lock().queue.len()
+        was_open
     }
 
     /// Marks one claimed job complete and feeds its service time into the
@@ -254,9 +295,15 @@ impl<T> Admission<T> {
     /// no matter how admits, dequeues, and completions interleave — a
     /// probe can overcount a job mid-handoff, but admitted-unfinished
     /// work is never invisible.
+    ///
+    /// The shed counts and the open flag are read with the depth, under
+    /// the queue lock that decides them.
     pub fn snapshot(&self) -> AdmissionSnapshot {
         let admitted = self.admitted.load(Ordering::SeqCst);
-        let depth = self.lock().queue.len() as u64;
+        let (depth, sheds, open) = {
+            let inner = self.lock();
+            (inner.queue.len() as u64, inner.sheds, inner.open)
+        };
         let in_service = self.in_service.load(Ordering::SeqCst);
         let busy_workers = self.busy_workers.load(Ordering::SeqCst);
         let completed = self.completed.load(Ordering::SeqCst);
@@ -265,41 +312,12 @@ impl<T> Admission<T> {
             depth,
             in_service,
             busy_workers,
+            workers: self.workers,
             completed,
+            sheds,
+            open,
+            ewma_service_ns: self.ewma_service_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Workers currently holding claimed jobs.
-    pub fn busy_workers(&self) -> u64 {
-        self.busy_workers.load(Ordering::SeqCst)
-    }
-
-    /// Jobs claimed by workers and not yet completed.
-    pub fn in_service(&self) -> u64 {
-        self.in_service.load(Ordering::SeqCst)
-    }
-
-    /// `(admitted, shed, completed)` counters.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (
-            self.admitted.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-            self.completed.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Sheds split by reason: `(queue_full, draining)`.
-    pub fn shed_reasons(&self) -> (u64, u64) {
-        (
-            self.shed_queue_full.load(Ordering::Relaxed),
-            self.shed_draining.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The current EWMA of per-job service time in ns (`0` = no sample
-    /// yet). This is the estimate that prices `retry_after_ms`.
-    pub fn ewma_ns(&self) -> u64 {
-        self.ewma_service_ns.load(Ordering::Relaxed)
     }
 }
 
@@ -321,8 +339,29 @@ mod tests {
             }
             other => panic!("expected QueueFull, got {other:?}"),
         }
-        let (admitted, shed, _) = q.counts();
-        assert_eq!((admitted, shed), (2, 1));
+        let s = q.snapshot();
+        assert_eq!((s.admitted, s.sheds.queue_full, s.sheds.total()), (2, 1, 1));
+    }
+
+    #[test]
+    fn every_shed_reason_is_counted_where_it_is_decided() {
+        let q = Admission::new(1, 1);
+        q.admit(1).unwrap();
+        assert!(matches!(q.admit(2), Err(AdmitError::QueueFull { .. })));
+        assert_eq!(q.shed_inflight_cap(), AdmitError::InflightCap);
+        assert!(q.close());
+        assert!(!q.close(), "only the closing call reports it");
+        assert_eq!(q.admit(3), Err(AdmitError::Draining));
+        // Once closed, a capped connection's query sheds as draining too.
+        assert_eq!(q.shed_inflight_cap(), AdmitError::Draining);
+        let s = q.snapshot();
+        let want = Sheds {
+            queue_full: 1,
+            draining: 2,
+            inflight_cap: 1,
+        };
+        assert_eq!((s.sheds, s.sheds.total()), (want, 4));
+        assert_eq!((s.admitted, s.depth, s.open), (1, 1, false));
     }
 
     #[test]
@@ -342,7 +381,7 @@ mod tests {
         // already price one whole observed service time, not ns/8.
         let q = Admission::new(1, 1);
         q.record_service_ns(8_000_000); // one 8 ms observation, nothing else
-        assert_eq!(q.ewma_ns(), 8_000_000, "EWMA must seed at full weight");
+        assert_eq!(q.snapshot().ewma_service_ns, 8_000_000, "EWMA must seed at full weight");
         q.admit(()).unwrap();
         match q.admit(()) {
             Err(AdmitError::QueueFull { retry_after_ms }) => {
@@ -428,9 +467,9 @@ mod tests {
         q.close();
         assert!(matches!(q.admit(12), Err(AdmitError::Draining)));
         // Queued jobs still come out, then None.
-        assert_eq!(q.next(), Some(10));
-        assert_eq!(q.next(), Some(11));
-        assert_eq!(q.next(), None);
+        assert_eq!(q.next_batch(1).pop(), Some(10));
+        assert_eq!(q.next_batch(1).pop(), Some(11));
+        assert_eq!(q.next_batch(1).pop(), None);
     }
 
     #[test]
@@ -438,8 +477,8 @@ mod tests {
         let q = Arc::new(Admission::<u32>::new(4, 2));
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
-            let first = q2.next();
-            let second = q2.next();
+            let first = q2.next_batch(1).pop();
+            let second = q2.next_batch(1).pop();
             (first, second)
         });
         // Give the consumer a moment to block, then feed and close.

@@ -6,10 +6,10 @@
 //!
 //! A scrape body is the concatenation of
 //!
-//! 1. **native series** — counters and gauges the daemon maintains in
-//!    plain atomics (served, sheds by reason, queue depth, cache and WAL
-//!    stats, the EWMA service estimate). These exist even when the `obs`
-//!    feature is compiled out, so `/metrics` always answers;
+//! 1. **native series** — rendered from one [`NativeMetrics`] read, the
+//!    same read `/healthz` and the `stats` command render. These exist
+//!    even when the `obs` feature is compiled out, so `/metrics` always
+//!    answers;
 //! 2. **the live obs registry** — `cyclesteal_obs::prom::render_prometheus`
 //!    over the current snapshot, appended verbatim when recording is
 //!    active. Appending the renderer's exact output is what makes the
@@ -20,6 +20,27 @@
 //! (`svc_shed_total` vs `svc.admission.shed|reason=…` →
 //! `svc_admission_shed_total`), so the concatenation never emits
 //! duplicate series.
+//!
+//! # One owner per counter
+//!
+//! Each native series is kept in exactly one place and copied nowhere:
+//!
+//! * [`Admission`](crate::admission::Admission) owns request accounting:
+//!   `svc_admitted_total`, `svc_completed_total`, every
+//!   `svc_shed_total` reason (`draining` sheds included, whether the
+//!   drain began before or after the query reached the daemon), the
+//!   queue and worker gauges (`svc_workers` included), `svc_draining`
+//!   and `svc_ewma_service_ns`.
+//!   `svc_served_total` reads the same count as `svc_completed_total`:
+//!   every admitted query a worker completes is answered;
+//! * [`SolveCache`](cyclesteal_core::cache::SolveCache) owns
+//!   `svc_cache_*` (a drain scope's fit and solution counts join the
+//!   totals when the scope drops);
+//! * [`DurableCache`](crate::wal::DurableCache) owns `svc_wal_*`;
+//! * the server's [`BatchTotals`] own `svc_batch_*`, added once per
+//!   drain; `svc_batch_dedup_hits_total` is `presolved − unique`;
+//! * the server owns `svc_slow_queries_total`, and `cyclesteal_markov`
+//!   the process-wide `svc_qbd_signatures_total`.
 //!
 //! # HTTP subset
 //!
@@ -32,84 +53,55 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use cyclesteal_core::cache::CacheStats;
 use cyclesteal_obs::ObsSnapshot;
+use cyclesteal_sweep::BatchStats;
 
-/// Point-in-time values of every natively-maintained daemon metric.
-/// Collected under the server's locks/atomics, rendered lock-free.
+use crate::admission::AdmissionSnapshot;
+use crate::wal::WalStats;
+
+/// What the daemon's micro-batch presolves did, summed over drains.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchTotals {
+    /// Worker wakeups that drained more than one job.
+    pub drains: u64,
+    /// High-water mark of jobs drained in a single worker wakeup.
+    pub width_max: u64,
+    /// Points handed to the batch presolve planner.
+    pub presolved: u64,
+    /// Jobs excluded from a presolve because their deadline had already
+    /// expired at drain time (they still time out with `stage:
+    /// "admission"`, spending no solver work).
+    pub skipped_deadline: u64,
+    /// The planner's own counts, summed: `unique`, `batched`, `scalar`,
+    /// `seeded` and `skipped_faulted` feed the `svc_batch_*` series.
+    pub presolve: BatchStats,
+}
+
+/// One read of every natively kept daemon metric, composed of each
+/// owner's own snapshot (see the module docs). `/metrics`, `/healthz` and
+/// `stats` all render from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NativeMetrics {
-    /// Queries evaluated and answered.
-    pub served: u64,
-    /// Queries admitted to the queue.
-    pub admitted: u64,
-    /// Queries completed by workers (admission accounting).
-    pub completed: u64,
-    /// Sheds because the queue was at capacity.
-    pub shed_queue_full: u64,
-    /// Sheds because the daemon was draining.
-    pub shed_draining: u64,
-    /// Sheds because the connection hit its in-flight cap.
-    pub shed_inflight_cap: u64,
+    /// Request accounting: admissions, completions, sheds, queue state.
+    pub admission: AdmissionSnapshot,
+    /// Solve-cache counters, all three layers.
+    pub cache: CacheStats,
+    /// Reports resident in the long-lived cache. The daemon's root cache
+    /// holds reports only (every drain solves in its own scope), so this
+    /// is also its entry count.
+    pub cache_reports: u64,
+    /// WAL counters of this process (zeros when memory-only).
+    pub wal: WalStats,
+    /// Micro-batch presolve totals.
+    pub batch: BatchTotals,
     /// Slow-query-log lines written.
     pub slow_queries: u64,
-    /// Current admission-queue backlog.
-    pub queue_depth: u64,
-    /// Workers currently holding at least one claimed job.
-    pub busy_workers: u64,
-    /// Jobs claimed by workers but not yet completed. With batched
-    /// drains a busy worker may hold several, so `queue_depth +
-    /// in_service` (not `+ busy_workers`) is the true count of
-    /// admitted-but-unfinished work.
-    pub in_service: u64,
-    /// Worker-pool size.
-    pub workers: u64,
-    /// `1` while draining, else `0`.
-    pub draining: u64,
-    /// Solve-cache hits, all three layers. A drain's fit and solution
-    /// lookups are added when the drain's scope is dropped.
-    pub cache_hits: u64,
-    /// Solve-cache misses.
-    pub cache_misses: u64,
-    /// Solve-cache evictions.
-    pub cache_evictions: u64,
-    /// Reports currently resident in the solve cache.
-    pub cache_reports: u64,
     /// Chain-signature hashes computed by this process
     /// ([`cyclesteal_core::cache::signatures_hashed`]). Solutions are
     /// keyed by the question, so no serving path hashes a chain and this
     /// reads zero; anything else means a hash crept back in.
     pub qbd_signatures: u64,
-    /// WAL records appended by this process.
-    pub wal_appends: u64,
-    /// WAL bytes appended by this process.
-    pub wal_bytes: u64,
-    /// Disk syncs issued by this process.
-    pub wal_fsyncs: u64,
-    /// EWMA of per-query service time in ns (prices `retry_after_ms`).
-    pub ewma_service_ns: u64,
-    /// Worker wakeups that drained more than one job.
-    pub batch_drains: u64,
-    /// High-water mark of jobs drained in a single worker wakeup.
-    pub batch_width_max: u64,
-    /// Points handed to the batch presolve planner.
-    pub batch_presolved: u64,
-    /// Presolved points that needed no new solve: their report key was
-    /// already answered or solved, or came earlier in the same drain.
-    pub batch_dedup_hits: u64,
-    /// Distinct uncached chains the presolve planned.
-    pub batch_unique: u64,
-    /// Chains solved inside batched (≥ 8 lane) groups.
-    pub batch_batched: u64,
-    /// Chains whose shape group was too narrow to batch, solved scalar.
-    pub batch_scalar: u64,
-    /// Solutions seeded into the shared cache by presolves.
-    pub batch_seeded: u64,
-    /// Jobs excluded from a presolve because their deadline had already
-    /// expired at drain time.
-    pub batch_skipped_deadline: u64,
-    /// Points excluded from a presolve because the armed fault plan
-    /// targets their scope.
-    pub batch_skipped_fault: u64,
 }
 
 impl NativeMetrics {
@@ -122,52 +114,64 @@ impl NativeMetrics {
         let gauge = |s: &mut String, name: &str, v: u64| {
             let _ = writeln!(s, "# TYPE {name} gauge\n{name} {v}");
         };
-        counter(&mut s, "svc_served_total", self.served);
-        counter(&mut s, "svc_admitted_total", self.admitted);
-        counter(&mut s, "svc_completed_total", self.completed);
-        let _ = writeln!(s, "# TYPE svc_shed_total counter");
-        let _ = writeln!(s, "svc_shed_total{{reason=\"queue_full\"}} {}", self.shed_queue_full);
-        let _ = writeln!(s, "svc_shed_total{{reason=\"draining\"}} {}", self.shed_draining);
-        let _ = writeln!(s, "svc_shed_total{{reason=\"inflight_cap\"}} {}", self.shed_inflight_cap);
+        let labeled = |s: &mut String, name: &str, values: &[(&str, u64)]| {
+            let _ = writeln!(s, "# TYPE {name} counter");
+            for (reason, v) in values {
+                let _ = writeln!(s, "{name}{{reason=\"{reason}\"}} {v}");
+            }
+        };
+        let (adm, batch, presolve) = (&self.admission, &self.batch, &self.batch.presolve);
+        counter(&mut s, "svc_served_total", adm.completed);
+        counter(&mut s, "svc_admitted_total", adm.admitted);
+        counter(&mut s, "svc_completed_total", adm.completed);
+        labeled(
+            &mut s,
+            "svc_shed_total",
+            &[
+                ("queue_full", adm.sheds.queue_full),
+                ("draining", adm.sheds.draining),
+                ("inflight_cap", adm.sheds.inflight_cap),
+            ],
+        );
         counter(&mut s, "svc_slow_queries_total", self.slow_queries);
-        counter(&mut s, "svc_cache_hits_total", self.cache_hits);
-        counter(&mut s, "svc_cache_misses_total", self.cache_misses);
-        counter(&mut s, "svc_cache_evictions_total", self.cache_evictions);
+        counter(&mut s, "svc_cache_hits_total", self.cache.hits);
+        counter(&mut s, "svc_cache_misses_total", self.cache.misses);
+        counter(&mut s, "svc_cache_evictions_total", self.cache.evictions);
         counter(&mut s, "svc_qbd_signatures_total", self.qbd_signatures);
-        counter(&mut s, "svc_wal_appends_total", self.wal_appends);
-        counter(&mut s, "svc_wal_bytes_total", self.wal_bytes);
-        counter(&mut s, "svc_wal_fsyncs_total", self.wal_fsyncs);
-        counter(&mut s, "svc_batch_drains_total", self.batch_drains);
-        counter(&mut s, "svc_batch_presolved_total", self.batch_presolved);
-        counter(&mut s, "svc_batch_dedup_hits_total", self.batch_dedup_hits);
-        counter(&mut s, "svc_batch_unique_total", self.batch_unique);
-        counter(&mut s, "svc_batch_batched_total", self.batch_batched);
-        counter(&mut s, "svc_batch_scalar_total", self.batch_scalar);
-        counter(&mut s, "svc_batch_seeded_total", self.batch_seeded);
-        let _ = writeln!(s, "# TYPE svc_batch_skipped_total counter");
-        let _ = writeln!(
-            s,
-            "svc_batch_skipped_total{{reason=\"deadline\"}} {}",
-            self.batch_skipped_deadline
+        counter(&mut s, "svc_wal_appends_total", self.wal.appends);
+        counter(&mut s, "svc_wal_bytes_total", self.wal.bytes);
+        counter(&mut s, "svc_wal_fsyncs_total", self.wal.fsyncs);
+        counter(&mut s, "svc_batch_drains_total", batch.drains);
+        counter(&mut s, "svc_batch_presolved_total", batch.presolved);
+        // Presolved points that needed no new solve: their report key was
+        // already answered or solved, or came earlier in the same drain.
+        let dedup_hits = batch.presolved - presolve.unique as u64;
+        counter(&mut s, "svc_batch_dedup_hits_total", dedup_hits);
+        counter(&mut s, "svc_batch_unique_total", presolve.unique as u64);
+        counter(&mut s, "svc_batch_batched_total", presolve.batched as u64);
+        counter(&mut s, "svc_batch_scalar_total", presolve.scalar as u64);
+        counter(&mut s, "svc_batch_seeded_total", presolve.seeded as u64);
+        labeled(
+            &mut s,
+            "svc_batch_skipped_total",
+            &[
+                ("deadline", batch.skipped_deadline),
+                ("fault", presolve.skipped_faulted as u64),
+            ],
         );
-        let _ = writeln!(
-            s,
-            "svc_batch_skipped_total{{reason=\"fault\"}} {}",
-            self.batch_skipped_fault
-        );
-        gauge(&mut s, "svc_queue_depth", self.queue_depth);
-        gauge(&mut s, "svc_busy_workers", self.busy_workers);
-        gauge(&mut s, "svc_in_service", self.in_service);
+        gauge(&mut s, "svc_queue_depth", adm.depth);
+        gauge(&mut s, "svc_busy_workers", adm.busy_workers);
+        gauge(&mut s, "svc_in_service", adm.in_service);
         // Admitted-but-unfinished work. A batching worker can hold
         // several in-service jobs, so this sums jobs, not workers.
-        gauge(&mut s, "svc_inflight", self.queue_depth + self.in_service);
+        gauge(&mut s, "svc_inflight", adm.depth + adm.in_service);
         // High-water mark, not a live value: a single post-burst scrape
         // can tell whether any wakeup ever coalesced multiple queries.
-        gauge(&mut s, "svc_batch_width", self.batch_width_max);
-        gauge(&mut s, "svc_workers", self.workers);
-        gauge(&mut s, "svc_draining", self.draining);
+        gauge(&mut s, "svc_batch_width", batch.width_max);
+        gauge(&mut s, "svc_workers", adm.workers);
+        gauge(&mut s, "svc_draining", u64::from(!adm.open));
         gauge(&mut s, "svc_cache_reports", self.cache_reports);
-        gauge(&mut s, "svc_ewma_service_ns", self.ewma_service_ns);
+        gauge(&mut s, "svc_ewma_service_ns", adm.ewma_service_ns);
         s
     }
 }
@@ -263,13 +267,28 @@ mod tests {
     #[test]
     fn native_render_is_valid_exposition_with_all_series() {
         let m = NativeMetrics {
-            served: 10,
-            shed_queue_full: 3,
-            queue_depth: 2,
-            busy_workers: 1,
-            in_service: 4,
-            batch_width_max: 7,
-            batch_skipped_deadline: 5,
+            admission: AdmissionSnapshot {
+                completed: 10,
+                depth: 2,
+                busy_workers: 1,
+                in_service: 4,
+                sheds: crate::admission::Sheds {
+                    queue_full: 3,
+                    ..Default::default()
+                },
+                open: true,
+                ..AdmissionSnapshot::default()
+            },
+            batch: BatchTotals {
+                width_max: 7,
+                skipped_deadline: 5,
+                presolved: 9,
+                presolve: BatchStats {
+                    unique: 4,
+                    ..BatchStats::default()
+                },
+                ..BatchTotals::default()
+            },
             ..NativeMetrics::default()
         };
         let text = m.render();
@@ -292,6 +311,14 @@ mod tests {
             .find(|s| s.name == "svc_batch_skipped_total" && s.label("reason") == Some("deadline"))
             .unwrap();
         assert_eq!(skipped.value, 5.0);
+        let value = |name: &str| series.iter().find(|s| s.name == name).unwrap().value;
+        assert_eq!(value("svc_batch_dedup_hits_total"), 5.0, "presolved − unique");
+        assert_eq!(
+            value("svc_served_total"),
+            value("svc_completed_total"),
+            "served and completed read one count"
+        );
+        assert_eq!(value("svc_draining"), 0.0);
     }
 
     #[test]

@@ -50,6 +50,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use cyclesteal_core::cache::SolveCache;
+use cyclesteal_core::cs_cq_km::Hosts;
 use cyclesteal_core::recover::{Clock, Deadline, MonotonicClock};
 use cyclesteal_core::stability::Policy;
 use cyclesteal_obs::{json_str, ObsSnapshot};
@@ -57,7 +58,7 @@ use cyclesteal_sweep::{presolve_points, run_query, Evaluator, LongLaw, Point, Qu
 
 use crate::admission::{AdmitError, Admission};
 use crate::json::{self, Value};
-use crate::metrics::{self, NativeMetrics};
+use crate::metrics::{self, BatchTotals, NativeMetrics};
 use crate::proto;
 use crate::wal::{DurableCache, RecoveryReport};
 
@@ -189,21 +190,18 @@ struct Job {
 
 struct Shared {
     cache: SolveCache,
+    /// The one owner of request accounting and of the drain state.
     admission: Admission<Job>,
     durable: Option<DurableCache>,
     recovery: RecoveryReport,
-    draining: AtomicBool,
-    served: AtomicU64,
     slow_ms: u64,
     default_budget_ns: Option<u64>,
-    /// Worker-pool size, for `/healthz` and `svc_workers`.
-    workers: usize,
     /// Micro-batch drain width (1 = scalar serving).
     batch_max: usize,
-    /// Native accounting of the micro-batching plane.
-    batch: BatchCounters,
-    /// Per-connection-cap sheds (admission only counts its own reasons).
-    shed_inflight_cap: AtomicU64,
+    /// Max queries one connection may have queued or running.
+    per_conn_inflight: usize,
+    /// The `svc_batch_*` totals, added once per presolved drain.
+    batch: Mutex<BatchTotals>,
     /// Open handle on `slow_queries.jsonl` (serialized line appends).
     slow_log: Option<Mutex<File>>,
     /// Admission-to-response threshold in ms; `0` logs every query.
@@ -214,44 +212,16 @@ struct Shared {
     stop: AtomicBool,
 }
 
-/// Native counters for the serving-side micro-batch plane (the
-/// `svc_batch_*` series). Like the rest of [`NativeMetrics`]'s sources,
-/// plain atomics so `/metrics` answers even without the `obs` feature.
-#[derive(Default)]
-struct BatchCounters {
-    /// Worker wakeups that drained more than one job.
-    drains: AtomicU64,
-    /// Most jobs ever drained in one worker wakeup.
-    width_max: AtomicU64,
-    /// Jobs whose points entered a batch presolve.
-    presolved: AtomicU64,
-    /// Presolved points that needed no new solve: a report key repeated
-    /// within the batch, already answered or solved, or not plannable.
-    dedup_hits: AtomicU64,
-    /// Distinct uncached chains the presolve actually solved.
-    unique: AtomicU64,
-    /// Chains solved inside >= 8-lane batched groups.
-    batched: AtomicU64,
-    /// Chains whose shape group was too narrow to batch, solved scalar.
-    scalar: AtomicU64,
-    /// Solutions seeded into the shared cache.
-    seeded: AtomicU64,
-    /// Jobs excluded from presolve because their deadline had already
-    /// expired at drain time (they still time out with `stage:
-    /// "admission"`, spending no solver work).
-    skipped_deadline: AtomicU64,
-    /// Points excluded because the armed fault plan targets their scope.
-    skipped_fault: AtomicU64,
-}
-
 impl Shared {
-    /// Streams any newly computed reports to the WAL. Called by workers
-    /// after each query, outside the query's fault scope.
-    fn persist_new_reports(&self) {
+    /// Writes the reports `scope` computed since its last call to the
+    /// WAL. A worker calls it with its own drain's scope after each query
+    /// and before the response goes out, so an acknowledged answer's
+    /// report is on disk.
+    fn persist_new_reports(&self, scope: &SolveCache) {
         let Some(durable) = &self.durable else {
             return;
         };
-        for (key, report) in self.cache.take_new_reports() {
+        for (key, report) in scope.take_new_reports() {
             if let Err(e) = durable.append(&key, &report) {
                 // The entry stays perfectly usable in memory; losing one
                 // WAL record only means recomputing it after a restart.
@@ -261,48 +231,19 @@ impl Shared {
         }
     }
 
-    /// Collects every natively-maintained metric for one scrape.
-    fn native_metrics(&self) -> NativeMetrics {
-        let cache = self.cache.stats();
-        // One probe-consistent admission read: the snapshot's internal
-        // ordering guarantees `queue_depth + in_service` never undercounts
-        // admitted-but-unfinished work, whatever the workers are doing.
-        let adm = self.admission.snapshot();
-        let (shed_queue_full, shed_draining) = self.admission.shed_reasons();
-        let wal = self.durable.as_ref().map(DurableCache::stats).unwrap_or_default();
-        let batch = &self.batch;
+    /// The one read behind `/metrics`, `/healthz` and `stats`: each
+    /// counter's owner snapshotted once. The admission snapshot's internal
+    /// ordering guarantees `depth + in_service` never undercounts
+    /// admitted-but-unfinished work, whatever the workers are doing.
+    fn read(&self) -> NativeMetrics {
         NativeMetrics {
-            served: self.served.load(Ordering::Relaxed),
-            admitted: adm.admitted,
-            completed: adm.completed,
-            shed_queue_full,
-            shed_draining,
-            shed_inflight_cap: self.shed_inflight_cap.load(Ordering::Relaxed),
-            slow_queries: self.slow_logged.load(Ordering::Relaxed),
-            queue_depth: adm.depth,
-            busy_workers: adm.busy_workers,
-            in_service: adm.in_service,
-            workers: self.workers as u64,
-            draining: u64::from(self.draining.load(Ordering::SeqCst)),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
+            admission: self.admission.snapshot(),
+            cache: self.cache.stats(),
             cache_reports: self.cache.report_len() as u64,
+            wal: self.durable.as_ref().map(DurableCache::stats).unwrap_or_default(),
+            batch: *lock(&self.batch),
+            slow_queries: self.slow_logged.load(Ordering::Relaxed),
             qbd_signatures: cyclesteal_core::cache::signatures_hashed(),
-            wal_appends: wal.appends,
-            wal_bytes: wal.bytes,
-            wal_fsyncs: wal.fsyncs,
-            ewma_service_ns: self.admission.ewma_ns(),
-            batch_drains: batch.drains.load(Ordering::Relaxed),
-            batch_width_max: batch.width_max.load(Ordering::Relaxed),
-            batch_presolved: batch.presolved.load(Ordering::Relaxed),
-            batch_dedup_hits: batch.dedup_hits.load(Ordering::Relaxed),
-            batch_unique: batch.unique.load(Ordering::Relaxed),
-            batch_batched: batch.batched.load(Ordering::Relaxed),
-            batch_scalar: batch.scalar.load(Ordering::Relaxed),
-            batch_seeded: batch.seeded.load(Ordering::Relaxed),
-            batch_skipped_deadline: batch.skipped_deadline.load(Ordering::Relaxed),
-            batch_skipped_fault: batch.skipped_fault.load(Ordering::Relaxed),
         }
     }
 
@@ -325,18 +266,12 @@ impl Shared {
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| d.as_millis());
         let row = &outcome.row;
-        let budget = match job.budget_ns {
-            Some(b) => b.to_string(),
-            None => "null".to_string(),
-        };
-        let headroom = match job.budget_ns {
-            Some(b) => i128::from(b).saturating_sub(i128::from(total_ns)).to_string(),
-            None => "null".to_string(),
-        };
-        let failure = match &row.failure {
-            Some(f) => f.to_json(),
-            None => "null".to_string(),
-        };
+        let budget = or_null(job.budget_ns.map(|b| b.to_string()));
+        let headroom = or_null(
+            job.budget_ns
+                .map(|b| i128::from(b).saturating_sub(i128::from(total_ns)).to_string()),
+        );
+        let failure = or_null(row.failure.as_ref().map(|f| f.to_json()));
         let line = format!(
             "{{\"ts_ms\":{ts_ms},\"id\":{},\"admission_wait_ns\":{},\"queue_wait_ns\":{},\"service_ns\":{},\"total_ns\":{total_ns},\"budget_ns\":{budget},\"headroom_ns\":{headroom},\"attempts\":{},\"degraded\":{},\"steered\":{},\"failure\":{failure},\"trace\":{}}}",
             json_str(&row.id),
@@ -424,7 +359,6 @@ impl Server {
                 if let Some(n) = config.kill_after_appends {
                     durable.set_kill_after_appends(n);
                 }
-                cache.enable_report_journal();
                 Some(durable)
             }
             None => None,
@@ -444,14 +378,11 @@ impl Server {
             admission: Admission::new(config.queue_capacity, config.workers),
             durable,
             recovery,
-            draining: AtomicBool::new(false),
-            served: AtomicU64::new(0),
             slow_ms: config.slow_ms,
             default_budget_ns: config.default_budget_ns,
-            workers: config.workers.max(1),
             batch_max: config.batch_max.max(1),
-            batch: BatchCounters::default(),
-            shed_inflight_cap: AtomicU64::new(0),
+            per_conn_inflight: config.per_conn_inflight.max(1),
+            batch: Mutex::new(BatchTotals::default()),
             slow_log,
             slow_log_ms: config.slow_log_ms,
             slow_logged: AtomicU64::new(0),
@@ -471,10 +402,9 @@ impl Server {
         let accept = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
-            let per_conn = config.per_conn_inflight.max(1);
             std::thread::Builder::new()
                 .name("svc-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &conns, per_conn))?
+                .spawn(move || accept_loop(&listener, &shared, &conns))?
         };
 
         let mut aux = Vec::new();
@@ -539,10 +469,9 @@ impl Server {
     /// Requests a graceful drain (same effect as `SIGTERM`): admission
     /// stops immediately; [`Server::join`] completes the shutdown.
     pub fn drain(&self) {
-        if !self.shared.draining.swap(true, Ordering::SeqCst) {
+        if self.shared.admission.close() {
             cyclesteal_obs::counter!("svc.drain.requested");
         }
-        self.shared.admission.close();
     }
 
     /// Blocks until drain is requested (via [`Server::drain`], a client
@@ -564,8 +493,8 @@ impl Server {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // Workers are done: every admitted query is answered and its
-        // reports are journaled. Flush state.
+        // Workers are done: every admitted query is answered and the
+        // reports it computed are in the WAL. Flush state.
         let mut compacted = 0;
         if let Some(durable) = &self.shared.durable {
             let entries = self.shared.cache.export_reports();
@@ -590,53 +519,54 @@ impl Server {
         cyclesteal_obs::counter!("svc.drain.completed");
         cyclesteal_obs::flush_thread();
         Ok(DrainReport {
-            served: self.shared.served.load(Ordering::Relaxed),
+            served: self.shared.admission.snapshot().completed,
             compacted_entries: compacted,
         })
     }
 }
 
-fn accept_loop(
+/// The non-blocking accept/poll loop both listeners run, so each can
+/// observe its stop condition promptly: `running` is checked before every
+/// poll, an accepted stream goes to `serve`, and an idle or failed poll
+/// sleeps 5 ms.
+fn poll_accept(
     listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conns: &ConnRegistry,
-    per_conn_inflight: usize,
+    what: &str,
+    running: impl Fn() -> bool,
+    serve: impl Fn(TcpStream),
 ) {
-    loop {
-        if sigterm_received() {
-            // Promote the signal to a drain so readers shed new queries.
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.admission.close();
-        }
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        // Every pass, idle polls included: a closed connection's sockets
-        // go within one poll interval, not at the next accept.
-        reap_closed(conns);
+    while running() {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                if let Err(e) = register_conn(stream, shared, conns, per_conn_inflight) {
-                    eprintln!("svc: failed to set up connection: {e}");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Ok((stream, _peer)) => serve(stream),
             Err(e) => {
-                eprintln!("svc: accept error: {e}");
+                if e.kind() != io::ErrorKind::WouldBlock {
+                    eprintln!("svc: {what}accept error: {e}");
+                }
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
     }
 }
 
-fn register_conn(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    conns: &ConnRegistry,
-    per_conn_inflight: usize,
-) -> io::Result<()> {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &ConnRegistry) {
+    let running = || {
+        if sigterm_received() {
+            // Promote the signal to a drain so readers shed new queries.
+            shared.admission.close();
+        }
+        // Every pass, idle polls included: a closed connection's sockets
+        // go within one poll interval, not at the next accept.
+        reap_closed(conns);
+        shared.admission.snapshot().open
+    };
+    poll_accept(listener, "", running, |stream| {
+        if let Err(e) = register_conn(stream, shared, conns) {
+            eprintln!("svc: failed to set up connection: {e}");
+        }
+    });
+}
+
+fn register_conn(stream: TcpStream, shared: &Arc<Shared>, conns: &ConnRegistry) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     let writer = stream.try_clone()?;
@@ -652,18 +582,13 @@ fn register_conn(
         let conn = Arc::clone(&conn);
         std::thread::Builder::new()
             .name("svc-conn".to_string())
-            .spawn(move || reader_loop(reader, &conn, &shared, per_conn_inflight))?
+            .spawn(move || reader_loop(reader, &conn, &shared))?
     };
     lock(conns).push((conn, handle));
     Ok(())
 }
 
-fn reader_loop(
-    mut reader: TcpStream,
-    conn: &Arc<ConnState>,
-    shared: &Arc<Shared>,
-    per_conn_inflight: usize,
-) {
+fn reader_loop(mut reader: TcpStream, conn: &Arc<ConnState>, shared: &Arc<Shared>) {
     loop {
         let frame = match proto::read_frame(&mut reader) {
             Ok(Some(bytes)) => bytes,
@@ -671,7 +596,7 @@ fn reader_loop(
             Err(_) => return, // includes the drain-time shutdown()
         };
         // `None` means the query was admitted; a worker will respond.
-        if let Some(response) = handle_frame(&frame, conn, shared, per_conn_inflight) {
+        if let Some(response) = handle_frame(&frame, conn, shared) {
             conn.send(&response);
         }
         // Reader-side records (admission sheds, drain requests) become
@@ -682,12 +607,7 @@ fn reader_loop(
 
 /// Handles one request frame; `Some(json)` responds inline, `None` means
 /// the request was queued and a worker owns the response.
-fn handle_frame(
-    frame: &[u8],
-    conn: &Arc<ConnState>,
-    shared: &Arc<Shared>,
-    per_conn_inflight: usize,
-) -> Option<String> {
+fn handle_frame(frame: &[u8], conn: &Arc<ConnState>, shared: &Arc<Shared>) -> Option<String> {
     let text = match std::str::from_utf8(frame) {
         Ok(t) => t,
         Err(_) => return Some(error_response("bad_request", "frame is not UTF-8")),
@@ -701,17 +621,16 @@ fn handle_frame(
         "ping" => Some("{\"ok\": true, \"pong\": true}".to_string()),
         "stats" => Some(stats_response(shared)),
         "drain" => {
-            // Ack *before* arming the drain: the moment `draining` is
-            // set, [`Server::join`] races this reader to `shutdown()`
+            // Ack *before* arming the drain: the moment admission
+            // closes, [`Server::join`] races this reader to `shutdown()`
             // the socket, and the requester must not lose its
             // acknowledgement to that race.
             conn.send("{\"ok\": true, \"draining\": true}");
-            shared.draining.store(true, Ordering::SeqCst);
             shared.admission.close();
             cyclesteal_obs::counter!("svc.drain.requested");
             None
         }
-        "query" => admit_query(&doc, conn, shared, per_conn_inflight),
+        "query" => admit_query(&doc, conn, shared),
         other => Some(error_response(
             "bad_request",
             &format!("unknown cmd {other:?}"),
@@ -719,29 +638,12 @@ fn handle_frame(
     }
 }
 
-fn admit_query(
-    doc: &Value,
-    conn: &Arc<ConnState>,
-    shared: &Arc<Shared>,
-    per_conn_inflight: usize,
-) -> Option<String> {
+fn admit_query(doc: &Value, conn: &Arc<ConnState>, shared: &Arc<Shared>) -> Option<String> {
     let received_ns = MonotonicClock.now_ns();
     let point = match parse_point(doc) {
         Ok(p) => p,
         Err(reason) => return Some(error_response("bad_request", &reason)),
     };
-    if shared.draining.load(Ordering::SeqCst) {
-        return Some(shed_response("draining", None));
-    }
-    // Per-client in-flight cap, taken optimistically and released on any
-    // rejection path below (or by the worker after responding).
-    let prev = conn.inflight.fetch_add(1, Ordering::SeqCst);
-    if prev >= per_conn_inflight {
-        conn.inflight.fetch_sub(1, Ordering::SeqCst);
-        shared.shed_inflight_cap.fetch_add(1, Ordering::Relaxed);
-        cyclesteal_obs::counter!("svc.admission.shed|reason=inflight_cap");
-        return Some(shed_response("inflight_cap", None));
-    }
     let budget_ns = doc
         .get("budget_ns")
         .and_then(Value::as_u64)
@@ -753,15 +655,20 @@ fn admit_query(
         received_ns,
         admitted_ns: MonotonicClock.now_ns(),
     };
-    match shared.admission.admit(job) {
+    // Per-client in-flight cap, taken optimistically and released on any
+    // rejection (or by the worker after responding). Admission counts
+    // every shed, this one included.
+    let prev = conn.inflight.fetch_add(1, Ordering::SeqCst);
+    let admitted = if prev >= shared.per_conn_inflight {
+        Err(shared.admission.shed_inflight_cap())
+    } else {
+        shared.admission.admit(job)
+    };
+    match admitted {
         Ok(()) => None,
-        Err(AdmitError::QueueFull { retry_after_ms }) => {
+        Err(e) => {
             conn.inflight.fetch_sub(1, Ordering::SeqCst);
-            Some(shed_response("queue_full", Some(retry_after_ms)))
-        }
-        Err(AdmitError::Draining) => {
-            conn.inflight.fetch_sub(1, Ordering::SeqCst);
-            Some(shed_response("draining", None))
+            Some(shed_response(&e))
         }
     }
 }
@@ -780,7 +687,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         // The drain's own solver memo: its fits and solutions go when the
         // scope drops below, before the next wakeup, so at most one
         // drain's solutions per worker are alive. Reports land in the
-        // shared long-lived layer (and the WAL journal) as before.
+        // shared long-lived layer, and in the scope's own journal for
+        // this worker to write to the WAL.
         let scope = shared.cache.scope();
         if jobs.len() > 1 {
             presolve_batch(shared, &scope, &jobs, &clock);
@@ -788,6 +696,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         for job in jobs {
             serve_query(shared, &scope, job, &clock);
         }
+        // Every report the drain computed went to the WAL before its
+        // query's response; the scope's journal goes with it.
         drop(scope);
         shared.admission.release_worker();
     }
@@ -802,8 +712,6 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// would compute, so responses cannot change; only the shared
 /// factorization work does.
 fn presolve_batch(shared: &Arc<Shared>, scope: &SolveCache, jobs: &[Job], clock: &MonotonicClock) {
-    shared.batch.drains.fetch_add(1, Ordering::Relaxed);
-    shared.batch.width_max.fetch_max(jobs.len() as u64, Ordering::Relaxed);
     let now = clock.now_ns();
     // A job whose budget already expired in the queue must spend no
     // solver work: exclude it here; its own run_query below attributes
@@ -817,35 +725,23 @@ fn presolve_batch(shared: &Arc<Shared>, scope: &SolveCache, jobs: &[Job], clock:
         })
         .map(|job| job.point)
         .collect();
-    let expired = (jobs.len() - points.len()) as u64;
-    if expired > 0 {
-        shared
-            .batch
-            .skipped_deadline
-            .fetch_add(expired, Ordering::Relaxed);
-    }
-    if points.len() < 2 {
-        return; // nothing left to coalesce; the scalar path is optimal
-    }
-    let stats = {
+    // With fewer than two points left there is nothing to coalesce; the
+    // scalar path is optimal.
+    let presolve = (points.len() >= 2).then(|| {
         cyclesteal_obs::span!("svc.batch.presolve");
         // Fault-planned points are excluded inside (same per-query fault
         // scopes run_query enters), so injections neither poison nor get
         // masked by the shared cache.
         presolve_points(&points, scope)
-    };
-    let batch = &shared.batch;
-    batch.presolved.fetch_add(points.len() as u64, Ordering::Relaxed);
-    batch
-        .dedup_hits
-        .fetch_add((points.len() - stats.unique) as u64, Ordering::Relaxed);
-    batch.unique.fetch_add(stats.unique as u64, Ordering::Relaxed);
-    batch.batched.fetch_add(stats.batched as u64, Ordering::Relaxed);
-    batch.scalar.fetch_add(stats.scalar as u64, Ordering::Relaxed);
-    batch.seeded.fetch_add(stats.seeded as u64, Ordering::Relaxed);
-    batch
-        .skipped_fault
-        .fetch_add(stats.skipped_faulted as u64, Ordering::Relaxed);
+    });
+    let mut totals = lock(&shared.batch);
+    totals.drains += 1;
+    totals.width_max = totals.width_max.max(jobs.len() as u64);
+    totals.skipped_deadline += (jobs.len() - points.len()) as u64;
+    if let Some(stats) = presolve {
+        totals.presolved += points.len() as u64;
+        totals.presolve += stats;
+    }
 }
 
 /// Evaluates and answers one admitted query through its drain's `scope` —
@@ -891,43 +787,44 @@ fn serve_query(shared: &Arc<Shared>, scope: &SolveCache, job: Job, clock: &Monot
         );
     }
     cyclesteal_obs::counter!("svc.query.served");
-    shared.persist_new_reports();
+    shared.persist_new_reports(scope);
     shared.maybe_slow_log(&job, &outcome, t0, t1, &trace);
     // Flush before the response frame: once the client has its
     // answer, any scrape must already include this query's records.
     cyclesteal_obs::flush_thread();
     job.conn.send(&query_response(&outcome));
     job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-    shared.served.fetch_add(1, Ordering::Relaxed);
-    // Also drops the job's in-service claim (after `completed` is
-    // counted, so probes never undercount).
+    // Counts the answer (`svc_served_total` and `svc_completed_total`
+    // read this one count), then drops the job's in-service claim, so
+    // probes never undercount.
     shared.admission.record_service_ns(t1.saturating_sub(t0));
 }
 
+/// The largest chain a query's fleet may ask for, counted as boundary
+/// plus repeating phases at the paper's Coxian-2 fit orders
+/// ([`Hosts::chain_phases`]). `[1, 4]` (588 phases) and `[7, 4]` (1008)
+/// pass; `[1, 5]` (1344) and `[1, 16]` (257,754) are refused before
+/// admission, since a dense solve of such a chain does not fit a
+/// serving worker's time or memory.
+pub const MAX_CHAIN_PHASES: usize = 1024;
+
 /// Builds the evaluation [`Point`] from a query document.
 fn parse_point(doc: &Value) -> Result<Point, String> {
-    let f = |key: &str, default: f64| -> Result<f64, String> {
-        match doc.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .as_f64()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| format!("field {key:?} must be a finite number")),
+    // A finite number; a field without a default is required.
+    let num = |key: &str, default: Option<f64>| -> Result<f64, String> {
+        let value = doc.get(key);
+        match (value.and_then(Value::as_f64).filter(|x| x.is_finite()), default) {
+            (Some(x), _) => Ok(x),
+            (None, Some(d)) if value.is_none() => Ok(d),
+            (None, Some(_)) => Err(format!("field {key:?} must be a finite number")),
+            (None, None) => Err(format!("field {key:?} (a finite number) is required")),
         }
     };
-    let rho_s = doc
-        .get("rho_s")
-        .and_then(Value::as_f64)
-        .filter(|x| x.is_finite())
-        .ok_or("field \"rho_s\" (a finite number) is required")?;
-    let rho_l = doc
-        .get("rho_l")
-        .and_then(Value::as_f64)
-        .filter(|x| x.is_finite())
-        .ok_or("field \"rho_l\" (a finite number) is required")?;
-    let mean_s = f("mean_s", 1.0)?;
-    let long_mean = f("long_mean", 1.0)?;
-    let long_scv = f("long_scv", 1.0)?;
+    let rho_s = num("rho_s", None)?;
+    let rho_l = num("rho_l", None)?;
+    let mean_s = num("mean_s", Some(1.0))?;
+    let long_mean = num("long_mean", Some(1.0))?;
+    let long_scv = num("long_scv", Some(1.0))?;
     let policy = match doc.get("policy").and_then(Value::as_str).unwrap_or("cs_cq") {
         "dedicated" => Policy::Dedicated,
         "cs_id" => Policy::CsId,
@@ -952,6 +849,16 @@ fn parse_point(doc: &Value) -> Result<Point, String> {
             }
         }
     };
+    // A fleet the model refuses (k + m > 32) is left to evaluation, which
+    // attributes it; only a buildable chain is priced here.
+    if let Ok(fleet) = Hosts::new(hosts.0, hosts.1) {
+        let phases = fleet.chain_phases(2);
+        if phases > MAX_CHAIN_PHASES {
+            return Err(format!(
+                "field \"hosts\": a {hosts:?} fleet's chain has {phases} phases, over the limit of {MAX_CHAIN_PHASES}"
+            ));
+        }
+    }
     let extend_longs = match doc.get("extend_longs") {
         None => false,
         Some(v) => v
@@ -976,42 +883,37 @@ fn parse_point(doc: &Value) -> Result<Point, String> {
     })
 }
 
-fn fmt_opt(v: Option<f64>) -> String {
-    match v {
-        // Rust's f64 Display is shortest-round-trip: deterministic and
-        // bit-faithful, the same convention as the sweep report writer.
-        Some(x) => format!("{x}"),
-        None => "null".to_string(),
-    }
+/// A JSON value, or `null` when there is none.
+fn or_null(v: Option<String>) -> String {
+    v.unwrap_or_else(|| "null".to_string())
 }
 
 /// The deterministic success-path response (see the module docs).
 fn query_response(outcome: &QueryOutcome) -> String {
     let row = &outcome.row;
-    let failure = match &row.failure {
-        Some(f) => f.to_json(),
-        None => "null".to_string(),
-    };
+    // Rust's f64 Display is shortest-round-trip: deterministic and
+    // bit-faithful, the same convention as the sweep report writer.
+    let num = |v: Option<f64>| or_null(v.map(|x| x.to_string()));
     format!(
         "{{\"ok\": true, \"id\": {}, \"short_response\": {}, \"long_response\": {}, \"attempts\": {}, \"degraded\": {}, \"steered\": {}, \"failure\": {}}}",
         json_str(&row.id),
-        fmt_opt(row.short_response),
-        fmt_opt(row.long_response),
+        num(row.short_response),
+        num(row.long_response),
         row.attempts,
         row.degraded,
         outcome.steered,
-        failure,
+        or_null(row.failure.as_ref().map(|f| f.to_json())),
     )
 }
 
-fn shed_response(reason: &str, retry_after_ms: Option<u64>) -> String {
-    let retry = match retry_after_ms {
-        Some(ms) => format!(", \"retry_after_ms\": {ms}"),
-        None => String::new(),
+fn shed_response(e: &AdmitError) -> String {
+    let retry = match e {
+        AdmitError::QueueFull { retry_after_ms } => format!(", \"retry_after_ms\": {retry_after_ms}"),
+        _ => String::new(),
     };
     format!(
         "{{\"ok\": false, \"error\": \"shed\", \"reason\": {}{}}}",
-        json_str(reason),
+        json_str(e.reason()),
         retry
     )
 }
@@ -1025,21 +927,21 @@ fn error_response(error: &str, detail: &str) -> String {
 }
 
 fn stats_response(shared: &Arc<Shared>) -> String {
-    let cache = shared.cache.stats();
-    let (admitted, shed, completed) = shared.admission.counts();
+    let m = shared.read();
+    let adm = &m.admission;
     let rec = shared.recovery;
     format!(
         "{{\"ok\": true, \"stats\": {{\"served\": {}, \"queue_depth\": {}, \"admitted\": {}, \"shed\": {}, \"completed\": {}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"reports\": {}, \"entries\": {}}}, \"recovery\": {{\"snapshot_entries\": {}, \"wal_entries\": {}, \"wal_truncated\": {}, \"snapshot_rejected\": {}}}}}}}",
-        shared.served.load(Ordering::Relaxed),
-        shared.admission.depth(),
-        admitted,
-        shed,
-        completed,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-        shared.cache.report_len(),
-        shared.cache.len(),
+        adm.completed,
+        adm.depth,
+        adm.admitted,
+        adm.sheds.total(),
+        adm.completed,
+        m.cache.hits,
+        m.cache.misses,
+        m.cache.evictions,
+        m.cache_reports,
+        m.cache_reports,
         rec.snapshot_entries,
         rec.wal_entries,
         rec.wal_truncated_to.is_some(),
@@ -1047,27 +949,13 @@ fn stats_response(shared: &Arc<Shared>) -> String {
     )
 }
 
-/// The metrics listener: same non-blocking accept/poll shape as the main
-/// accept loop, serving one HTTP request per connection. Scrapes keep
-/// working during drain (an operator watching an overload event must not
-/// go blind at the interesting moment); the thread exits on
-/// `Shared::stop`, after the final obs snapshot is on disk.
+/// The metrics listener, serving one HTTP request per connection.
+/// Scrapes keep working during drain (an operator watching an overload
+/// event must not go blind at the interesting moment); the thread exits
+/// on `Shared::stop`, after the final obs snapshot is on disk.
 fn metrics_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => serve_metrics_conn(stream, shared),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => {
-                eprintln!("svc: metrics accept error: {e}");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
+    let running = || !shared.stop.load(Ordering::SeqCst);
+    poll_accept(listener, "metrics ", running, |stream| serve_metrics_conn(stream, shared));
 }
 
 fn serve_metrics_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -1086,7 +974,7 @@ fn serve_metrics_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
     };
     let result = match path.as_str() {
         "/metrics" => {
-            let native = shared.native_metrics();
+            let native = shared.read();
             let obs = cyclesteal_obs::snapshot_if_active();
             let body = metrics::render(&native, obs.as_ref());
             metrics::write_http_response(&mut stream, "200 OK", metrics::METRICS_CONTENT_TYPE, &body)
@@ -1108,27 +996,24 @@ fn serve_metrics_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 /// Admission-state summary for load balancers and probes: is this
-/// instance accepting, and how loaded is it right now.
-///
-/// The load figures come from one probe-consistent
-/// [`Admission::snapshot`], whose write/read ordering guarantees
-/// `queue_depth + in_service >= admitted - completed` — a worker claims
-/// work *inside* the dequeue critical section, so a popped-but-unstarted
-/// job can never make a probe report the instance idler than it is.
+/// instance accepting, and how loaded is it right now. The load figures
+/// come from one probe-consistent [`Admission::snapshot`], so
+/// `queue_depth + in_service >= admitted - completed` always holds.
 fn healthz_response(shared: &Arc<Shared>) -> String {
-    let draining = shared.draining.load(Ordering::SeqCst);
-    let adm = shared.admission.snapshot();
+    let m = shared.read();
+    let adm = &m.admission;
     format!(
-        "{{\"ok\": true, \"accepting\": {}, \"draining\": {draining}, \"queue_depth\": {}, \"busy_workers\": {}, \"in_service\": {}, \"inflight\": {}, \"admitted\": {}, \"completed\": {}, \"workers\": {}, \"served\": {}}}",
-        !draining,
+        "{{\"ok\": true, \"accepting\": {}, \"draining\": {}, \"queue_depth\": {}, \"busy_workers\": {}, \"in_service\": {}, \"inflight\": {}, \"admitted\": {}, \"completed\": {}, \"workers\": {}, \"served\": {}}}",
+        adm.open,
+        !adm.open,
         adm.depth,
         adm.busy_workers,
         adm.in_service,
         adm.depth + adm.in_service,
         adm.admitted,
         adm.completed,
-        shared.workers,
-        shared.served.load(Ordering::Relaxed),
+        adm.workers,
+        adm.completed,
     )
 }
 

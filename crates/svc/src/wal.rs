@@ -247,11 +247,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<Vec<(ReportKey, CsCqReport)>> {
 
 struct WalFile {
     file: File,
-    appends: u64,
-    /// Record bytes (header + payload) appended through this handle.
-    bytes: u64,
-    /// `sync_data`/`sync_all` calls issued through this handle.
-    fsyncs: u64,
+    /// What this handle wrote; [`DurableCache::stats`] reads it.
+    stats: WalStats,
     /// Test hook: after this many successful appends, write a *partial*
     /// record and raw-`SIGKILL` the process — the crash-recovery gate.
     kill_after_appends: Option<u64>,
@@ -360,9 +357,7 @@ impl DurableCache {
                 dir: dir.to_path_buf(),
                 wal: Mutex::new(WalFile {
                     file,
-                    appends: 0,
-                    bytes: 0,
-                    fsyncs: 0,
+                    stats: WalStats::default(),
                     kill_after_appends: None,
                 }),
             },
@@ -391,7 +386,7 @@ impl DurableCache {
         rec.extend_from_slice(&payload);
 
         let mut wal = lock(&self.wal);
-        if wal.kill_after_appends == Some(wal.appends) {
+        if wal.kill_after_appends == Some(wal.stats.appends) {
             // The crash gate: leave a torn record (header + part of the
             // payload) on disk, then die without unwinding — exactly the
             // failure recovery must survive.
@@ -402,27 +397,16 @@ impl DurableCache {
         }
         wal.file.write_all(&rec)?;
         wal.file.sync_data()?;
-        wal.appends += 1;
-        wal.bytes += rec.len() as u64;
-        wal.fsyncs += 1;
+        wal.stats.appends += 1;
+        wal.stats.bytes += rec.len() as u64;
+        wal.stats.fsyncs += 1;
         cyclesteal_obs::counter!("svc.wal.append");
         Ok(())
     }
 
-    /// Number of records appended through this handle (excludes recovered
-    /// history).
-    pub fn appends(&self) -> u64 {
-        lock(&self.wal).appends
-    }
-
     /// Write-side counters of this handle (appends, bytes, fsyncs).
     pub fn stats(&self) -> WalStats {
-        let wal = lock(&self.wal);
-        WalStats {
-            appends: wal.appends,
-            bytes: wal.bytes,
-            fsyncs: wal.fsyncs,
-        }
+        lock(&self.wal).stats
     }
 
     /// Writes `entries` as a new snapshot (temp file + atomic rename) and
@@ -453,7 +437,7 @@ impl DurableCache {
         wal.file.seek(SeekFrom::End(0))?;
         wal.file.sync_data()?;
         // Snapshot sync + directory sync + WAL-reset sync.
-        wal.fsyncs += 3;
+        wal.stats.fsyncs += 3;
         cyclesteal_obs::counter!("svc.wal.compact");
         Ok(())
     }

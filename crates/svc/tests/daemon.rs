@@ -112,6 +112,50 @@ fn malformed_and_unknown_requests_get_structured_errors() {
     server.join().expect("join");
 }
 
+/// A fleet whose chain passes `MAX_CHAIN_PHASES` is refused with a
+/// structured `bad_request` before admission; every shape the test
+/// suites, `ci.sh` and the benchmark send is answered.
+#[test]
+fn an_oversized_fleet_is_refused_before_admission() {
+    let server = Server::start(local_config()).expect("start");
+    let mut client = connect(&server);
+    for hosts in ["[1, 16]", "[1, 5]", "[16, 16]"] {
+        let resp = client
+            .call(&format!(
+                r#"{{"cmd": "query", "rho_s": 0.9, "rho_l": 0.5, "hosts": {hosts}}}"#
+            ))
+            .expect("oversized");
+        assert_eq!(
+            resp.get("error").and_then(Value::as_str),
+            Some("bad_request"),
+            "{hosts}: {resp:?}"
+        );
+        let detail = resp.get("detail").and_then(Value::as_str).unwrap_or("");
+        assert!(
+            detail.contains("hosts") && detail.contains("limit"),
+            "{hosts}: {detail}"
+        );
+    }
+    let shapes = [(1, 1), (1, 2), (2, 2)];
+    for hosts in shapes {
+        let resp = client
+            .query(&QueryRequest {
+                hosts,
+                ..QueryRequest::default()
+            })
+            .expect("query");
+        assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{hosts:?}");
+    }
+    let stats = client.stats().expect("stats");
+    let admitted = stats
+        .get("stats")
+        .and_then(|s| s.get("admitted"))
+        .and_then(Value::as_u64);
+    assert_eq!(admitted, Some(shapes.len() as u64), "refusals never reach admission");
+    server.drain();
+    server.join().expect("join");
+}
+
 #[test]
 fn a_hopeless_budget_times_out_with_an_attributed_stage() {
     let server = Server::start(local_config()).expect("start");

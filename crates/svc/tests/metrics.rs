@@ -156,6 +156,97 @@ fn scrape_matches_the_overload_the_client_observed() {
     server.join().expect("join");
 }
 
+/// Reads one response frame off `stream` as JSON.
+fn read_response(stream: &mut TcpStream) -> Value {
+    let frame = proto::read_frame(stream).expect("read").expect("response");
+    json::parse(std::str::from_utf8(&frame).expect("utf8")).expect("json")
+}
+
+/// Sends `stats` on `stream` and returns its `shed` count.
+fn stats_shed(stream: &mut TcpStream) -> u64 {
+    proto::write_frame(stream, br#"{"cmd": "stats"}"#).expect("send stats");
+    let v = read_response(stream);
+    v.get("stats")
+        .and_then(|s| s.get("shed"))
+        .and_then(Value::as_u64)
+        .expect("stats.shed")
+}
+
+fn shed_sum(series: &[prom::Series]) -> f64 {
+    ["queue_full", "draining", "inflight_cap"]
+        .iter()
+        .map(|r| series_value(series, "svc_shed_total", &[("reason", r)]).expect("shed series"))
+        .sum()
+}
+
+/// Queries that reach a draining daemon are shed, and every one of those
+/// sheds is counted: on the scrape and in `stats`.
+#[test]
+fn draining_sheds_are_counted_on_the_scrape_and_in_stats() {
+    let server = Server::start(telemetry_config()).expect("start");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    // The connection is open before the drain: the accept loop takes no
+    // new ones after it.
+    assert_eq!(stats_shed(&mut stream), 0);
+    server.drain();
+    let req = QueryRequest::default().to_json();
+    for _ in 0..3 {
+        proto::write_frame(&mut stream, req.as_bytes()).expect("send");
+        let v = read_response(&mut stream);
+        assert_eq!(v.get("reason").and_then(Value::as_str), Some("draining"));
+    }
+    let parsed = prom::parse_exposition(&scrape(&server)).expect("parse");
+    assert_eq!(
+        series_value(&parsed, "svc_shed_total", &[("reason", "draining")]),
+        Some(3.0)
+    );
+    assert_eq!(stats_shed(&mut stream), 3);
+    drop(stream);
+    server.join().expect("join");
+}
+
+/// `stats.shed` counts every reason, the connection cap's included, and
+/// agrees with the scrape's per-reason series.
+#[test]
+fn stats_shed_is_the_sum_of_every_shed_reason() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        per_conn_inflight: 1,
+        slow_ms: 200,
+        ..telemetry_config()
+    })
+    .expect("start");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let req = QueryRequest::default().to_json();
+    for _ in 0..2 {
+        proto::write_frame(&mut stream, req.as_bytes()).expect("send");
+    }
+    // The second query finds the first in flight: shed at once, then the
+    // first is answered once its slowed evaluation finishes.
+    let shed = read_response(&mut stream);
+    assert_eq!(shed.get("reason").and_then(Value::as_str), Some("inflight_cap"));
+    let answer = read_response(&mut stream);
+    assert_eq!(answer.get("ok").and_then(Value::as_bool), Some(true));
+
+    let parsed = prom::parse_exposition(&scrape(&server)).expect("parse");
+    assert_eq!(
+        series_value(&parsed, "svc_shed_total", &[("reason", "inflight_cap")]),
+        Some(1.0)
+    );
+    let stats = stats_shed(&mut stream);
+    assert_eq!(stats, 1);
+    assert_eq!(stats as f64, shed_sum(&parsed));
+    drop(stream);
+    server.drain();
+    server.join().expect("join");
+}
+
 /// Counters never step backwards between scrapes: the scrape handler
 /// reads live registries, not windowed deltas.
 #[test]

@@ -39,22 +39,25 @@ fn query_stream() -> Vec<Point> {
 }
 
 struct Oracle {
-    /// Entries in WAL append order (the daemon journals per query).
+    /// Entries in WAL append order (a daemon worker appends what its
+    /// drain's scope computed, per query).
     appended: Vec<(ReportKey, CsCqReport)>,
     /// The never-crashed answers, in stream order.
     rows: Vec<SweepRow>,
 }
 
-/// Runs the stream on a fresh cache, capturing journal order and answers.
+/// Runs the stream through one drain scope of a fresh cache, as a
+/// daemon worker does, capturing the scope's journal order and answers.
 fn oracle() -> Oracle {
     let cache = SolveCache::new();
-    cache.enable_report_journal();
+    let scope = cache.scope();
     let mut appended = Vec::new();
     let mut rows = Vec::new();
     for p in query_stream() {
-        rows.push(run_query(&p, &cache, None).row);
-        appended.extend(cache.take_new_reports());
+        rows.push(run_query(&p, &scope, None).row);
+        appended.extend(scope.take_new_reports());
     }
+    assert!(cache.take_new_reports().is_empty(), "a root journals nothing");
     Oracle { appended, rows }
 }
 

@@ -5,10 +5,13 @@
 //! random streams, truncated and oversized frames, deep nesting,
 //! non-finite numbers and byte-mutated queries: every input must come
 //! back as a value or an error, never a panic. The live property sends
-//! random frames down one connection of an in-process daemon: each one
-//! must get a structured response (a JSON object with an `ok` flag) or a
-//! clean close, under a read timeout, so a hang fails instead of
-//! stalling the suite; afterwards the daemon must still answer `ping`.
+//! random frames, byte-mutated query documents among them, down one
+//! connection of an in-process daemon: each one must get a structured
+//! response (a JSON object with an `ok` flag) or a clean close, under a
+//! read timeout, so a hang fails instead of stalling the suite;
+//! afterwards the daemon must still answer `ping`. A mutated `hosts`
+//! field can ask for any fleet up to `[32, 32]`; the daemon's chain-size
+//! limit refuses the ones too large to solve before they are admitted.
 
 use std::io::{self, Cursor, Write};
 use std::net::{Shutdown, TcpStream};
@@ -23,6 +26,10 @@ use cyclesteal_xtest::{props, RngExt, SeedableRng, SmallRng};
 
 /// A query the daemon answers cheaply: the paper's (1, 1) system.
 const QUERY: &str = r#"{"cmd": "query", "rho_s": 0.9, "rho_l": 0.5, "hosts": [1, 1]}"#;
+
+/// A (2, 2) fleet query, every field the daemon reads spelled out, so a
+/// mutation can land in any of them.
+const FLEET_QUERY: &str = r#"{"cmd": "query", "rho_s": 1.5, "rho_l": 0.5, "mean_s": 1, "long_mean": 1, "long_scv": 4, "policy": "cs_cq", "hosts": [2, 2], "extend_longs": false, "budget_ns": 9000000000}"#;
 
 /// Tokens that are not finite JSON numbers, or that overflow `f64`.
 const NON_FINITE: [&str; 7] = [
@@ -179,8 +186,7 @@ enum Expect {
 }
 
 /// The bytes of fuzzed frame `kind`, and what the daemon must do with
-/// them. Only `ping`/`stats` documents are mutated: a mutated query could
-/// ask for a fleet too large to solve in a test.
+/// them.
 fn live_frame(kind: u32, seed: u64, len: usize) -> (Vec<u8>, Expect) {
     let mut rng = SmallRng::seed_from_u64(seed);
     match kind {
@@ -194,7 +200,7 @@ fn live_frame(kind: u32, seed: u64, len: usize) -> (Vec<u8>, Expect) {
             Expect::Response,
         ),
         3 => {
-            let doc = [r#"{"cmd": "ping"}"#, r#"{"cmd": "stats"}"#][len % 2];
+            let doc = [r#"{"cmd": "ping"}"#, r#"{"cmd": "stats"}"#, QUERY, FLEET_QUERY][len % 4];
             let bytes = mutated(&mut rng, doc);
             if String::from_utf8_lossy(&bytes).contains("drain") {
                 (framed(b"{}"), Expect::Response)

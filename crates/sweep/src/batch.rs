@@ -86,6 +86,19 @@ pub struct BatchStats {
     pub skipped_faulted: usize,
 }
 
+impl std::ops::AddAssign for BatchStats {
+    /// Sums two presolves' counts (a daemon adds one per drain).
+    fn add_assign(&mut self, o: BatchStats) {
+        self.eligible += o.eligible;
+        self.unique += o.unique;
+        self.batches += o.batches;
+        self.batched += o.batched;
+        self.scalar += o.scalar;
+        self.seeded += o.seeded;
+        self.skipped_faulted += o.skipped_faulted;
+    }
+}
+
 /// Plans and presolves the batchable chains of `points`, seeding `cache`.
 ///
 /// Runs serially on the caller's thread (the engine invokes it before the

@@ -25,7 +25,7 @@ use cyclesteal_dist::{DistError, Distribution, Exp, HyperExp2};
 use cyclesteal_linalg::{LinalgError, Workspace};
 use cyclesteal_markov::MarkovError;
 use cyclesteal_sim::{parallel_map_isolated, replicate, PolicyKind, SimConfig, SimParams};
-use cyclesteal_xtest::fault;
+use cyclesteal_xtest::{fault, fault_point};
 
 use crate::batch::{self, BatchStats};
 use crate::grid::{Evaluator, GridSpec, Point};
@@ -119,7 +119,13 @@ pub fn run_points(name: &str, points: &[Point], opts: &SweepOptions) -> (SweepRe
         cyclesteal_obs::counter!("sweep.points", points.len() as u64);
         parallel_map_isolated(points, opts.threads, opts.chunk, |point| {
             let t = Instant::now();
-            let row = evaluate(point, &cache);
+            // Root span: per-point span paths aggregate identically whether
+            // the point ran inline (serial sweep) or on a pool worker thread.
+            cyclesteal_obs::span_root!("sweep.point");
+            let (row, _) = evaluate_point(point, &cache, None, |_| {
+                fault_point!("sweep.point" => panic!("injected fault: sweep.point"));
+                Some(())
+            });
             (row, t.elapsed().as_nanos() as u64)
         })
     };
@@ -190,19 +196,32 @@ thread_local! {
     pub(crate) static WORKSPACE: std::cell::RefCell<Workspace> = std::cell::RefCell::new(Workspace::new());
 }
 
-/// Evaluates one point into its row. Points that violate the Theorem-1
-/// stability condition yield silent `None` values (the figure harness's
-/// off-the-curve cells); every other evaluation failure is attributed as
-/// a [`FailureKind`] record.
-fn evaluate(point: &Point, shared: &SolveCache) -> SweepRow {
-    // Root span: per-point span paths aggregate identically whether the
-    // point ran inline (serial sweep) or on a pool worker thread.
-    cyclesteal_obs::span_root!("sweep.point");
+/// Evaluates one point into its row: the one evaluation body of a sweep
+/// point and of a [`crate::run_query`] query. It builds the blank row,
+/// enters the point's fault scope, switches a faulted scope to a
+/// throwaway cache, and runs the evaluator. Points that violate the
+/// Theorem-1 stability condition yield silent `None` values (the figure
+/// harness's off-the-curve cells); every other evaluation failure is
+/// attributed as a [`FailureKind`] record.
+///
+/// `enter` runs first, inside the scope, and returns a guard held through
+/// the evaluation, or `None` when it answered the row itself (the steer
+/// flag is then `None`). The flag is `true` when the deadline steered the
+/// recovery ladder to a cheaper rung.
+pub(crate) fn evaluate_point<G>(
+    point: &Point,
+    shared: &SolveCache,
+    deadline: Option<&recover::Deadline<'_>>,
+    enter: impl FnOnce(&mut SweepRow) -> Option<G>,
+) -> (SweepRow, Option<bool>) {
     let mut row = SweepRow::blank(point);
     // The canonical id is the fault-injection scope: an armed FaultPlan
-    // decides per *point*, never per thread or execution slot.
+    // decides per *point*, never per thread, execution slot or arrival
+    // order.
     let _scope = fault::Scope::enter(&row.id);
-    cyclesteal_xtest::fault_point!("sweep.point" => panic!("injected fault: sweep.point"));
+    let Some(_guard) = enter(&mut row) else {
+        return (row, None);
+    };
     // Faulted points must bypass the shared cache: a sub-result memoized
     // by a clean run of the same key would skip the injection site (or a
     // faulted run could poison the entry), making which points fault
@@ -215,17 +234,19 @@ fn evaluate(point: &Point, shared: &SolveCache) -> SweepRow {
     } else {
         shared
     };
-    match point.evaluator {
-        Evaluator::Analysis => {
-            evaluate_analysis(point, cache, &mut row, None);
-        }
+    let steered = match point.evaluator {
+        Evaluator::Analysis => evaluate_analysis(point, cache, &mut row, deadline),
         Evaluator::Simulation {
             total_jobs,
             reps,
             base_seed,
-        } => evaluate_simulation(point, total_jobs, reps, base_seed, &mut row),
-    }
-    row
+        } => {
+            // Simulations have no intermediate rungs to steer.
+            evaluate_simulation(point, total_jobs, reps, base_seed, &mut row);
+            false
+        }
+    };
+    (row, Some(steered))
 }
 
 /// Classifies a solver error into the report taxonomy.
@@ -318,7 +339,7 @@ pub(crate) fn point_stable(point: &Point) -> bool {
 /// [`recover::analyze_deadline_cached_in`]); `None` is the sweep engine's
 /// un-budgeted path. Returns `true` when the deadline steered the ladder
 /// to a cheaper rung (always `false` un-budgeted).
-pub(crate) fn evaluate_analysis(
+fn evaluate_analysis(
     point: &Point,
     cache: &SolveCache,
     row: &mut SweepRow,
@@ -438,7 +459,7 @@ fn simulated_laws(point: &Point) -> Result<(Exp, Box<dyn Distribution>), DistErr
 /// derives from the canonical row id, which carries the `hosts` suffix
 /// off `(1, 1)`, so fleet points draw streams independent of their 2-host
 /// cousins.
-pub(crate) fn evaluate_simulation(
+fn evaluate_simulation(
     point: &Point,
     total_jobs: u64,
     reps: usize,

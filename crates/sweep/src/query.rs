@@ -26,10 +26,9 @@
 
 use cyclesteal_core::cache::SolveCache;
 use cyclesteal_core::recover::Deadline;
-use cyclesteal_xtest::fault;
 
 use crate::engine;
-use crate::grid::{Evaluator, Point};
+use crate::grid::Point;
 use crate::report::{FailureKind, SweepRow};
 
 /// One answered query: the evaluated row plus deadline metadata the row
@@ -47,20 +46,16 @@ pub struct QueryOutcome {
 
 /// Evaluates one point, optionally under a deadline started at admission.
 ///
-/// The evaluation is scoped for fault injection under the row's canonical
-/// id (like a sweep point), runs on the caller's thread, and reuses the
-/// calling thread's scratch workspace. Failure of any kind — including a
-/// deadline timeout — is an attributed record in the returned row, never
-/// a panic or a dropped answer.
+/// The evaluation is the sweep engine's own per-point body: scoped for
+/// fault injection under the row's canonical id, on the caller's thread,
+/// reusing the calling thread's scratch workspace. Failure of any kind —
+/// including a deadline timeout — is an attributed record in the returned
+/// row, never a panic or a dropped answer.
 pub fn run_query(point: &Point, cache: &SolveCache, deadline: Option<&Deadline<'_>>) -> QueryOutcome {
     cyclesteal_obs::span_root!("sweep.query");
     cyclesteal_obs::counter!("sweep.query.count");
-    let mut row = SweepRow::blank(point);
-    // Same per-point fault scope as the sweep engine: an armed FaultPlan
-    // decides per query id, never per thread or arrival order.
-    let _scope = fault::Scope::enter(&row.id);
-    if let Some(d) = deadline {
-        if d.expired() {
+    let (row, steered) = engine::evaluate_point(point, cache, deadline, |row| {
+        if deadline.is_some_and(Deadline::expired) {
             // Spent its whole budget waiting in the queue: not even the
             // cheapest rung can start, and the admission layer (not a fit
             // stage) is the honest attribution.
@@ -68,39 +63,17 @@ pub fn run_query(point: &Point, cache: &SolveCache, deadline: Option<&Deadline<'
             row.record_failure(FailureKind::Timeout {
                 stage: "admission".to_string(),
             });
-            return QueryOutcome {
-                row,
-                steered: false,
-            };
+            return None;
         }
-    }
-    // Faulted queries bypass the shared cache for the same reason sweep
-    // points do: injected failures must not poison (or be masked by)
-    // entries other queries will read.
-    let local;
-    let cache = if fault::scope_is_faulted() {
-        local = SolveCache::new();
-        &local
-    } else {
-        cache
-    };
-    let steered = {
         // Separates evaluation proper from admission/cache plumbing in
         // per-query traces and the daemon's span series.
-        cyclesteal_obs::span!("sweep.query.evaluate");
-        match point.evaluator {
-            Evaluator::Analysis => engine::evaluate_analysis(point, cache, &mut row, deadline),
-            Evaluator::Simulation {
-                total_jobs,
-                reps,
-                base_seed,
-            } => {
-                // Simulations have no intermediate rungs to steer; the
-                // admission check above is the only deadline decision.
-                engine::evaluate_simulation(point, total_jobs, reps, base_seed, &mut row);
-                false
-            }
-        }
+        Some(cyclesteal_obs::span_enter("sweep.query.evaluate"))
+    });
+    let Some(steered) = steered else {
+        return QueryOutcome {
+            row,
+            steered: false,
+        };
     };
     cyclesteal_obs::histogram!("sweep.query.attempts", u64::from(row.attempts));
     if row.degraded {
@@ -121,7 +94,7 @@ pub fn run_query(point: &Point, cache: &SolveCache, deadline: Option<&Deadline<'
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::LongLaw;
+    use crate::grid::{Evaluator, LongLaw};
     use crate::{run_points, SweepOptions};
     use cyclesteal_core::recover::Deadline;
     use cyclesteal_core::stability::Policy;
