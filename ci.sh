@@ -108,6 +108,31 @@ awk -v scalar="$pps_scalar_k2m2" -v batch="$pps_batch_k2m2" 'BEGIN {
     printf "qbd (2, 2) throughput: scalar %.0f points/s, batched %.0f points/s (%.2fx, report-only)\n", scalar, batch, batch / scalar
 }'
 
+echo "==> recovery bench: table CRC and bounded restore (hard >=4x and <=3x gates; ms informational)"
+# Both gates are ratios inside one binary: the table CRC against a bitwise
+# CRC on the same 4096-answer snapshot image, and opening a 16384-answer
+# store into a cache bounded at 4096 against the same open unbounded. The
+# bench asserts both; this re-check reads the emitted metrics so a stale
+# or hand-edited JSON also fails. Absolute milliseconds are report-only.
+cargo bench -p cyclesteal-bench --offline --bench recovery -- --quick
+recovery_metric() {
+    sed -n "s|.*\"id\": \"$1\", \"value\": \([0-9.e+-]*\).*|\1|p" crates/bench/BENCH_recovery.json
+}
+awk -v table="$(recovery_metric 'crc_mib_per_sec/table')" \
+    -v bitwise="$(recovery_metric 'crc_mib_per_sec/bitwise')" \
+    -v unbounded="$(recovery_metric 'open_ms/16384/unbounded')" \
+    -v bounded="$(recovery_metric 'open_ms/16384/capacity_4096')" \
+    -v open4096="$(recovery_metric 'open_ms/4096/unbounded')" 'BEGIN {
+    if (table == "" || bitwise == "" || unbounded == "" || bounded == "" || bitwise <= 0 || unbounded <= 0) {
+        print "recovery gate: missing metrics"; exit 1
+    }
+    printf "crc32: table %.0f MiB/s, bitwise %.0f MiB/s (%.1fx)\n", table, bitwise, table / bitwise
+    printf "open of 16384 answers: unbounded %.2f ms, capacity 4096 %.2f ms (%.2fx); 4096 answers %.2f ms (ms report-only)\n",
+           unbounded, bounded, bounded / unbounded, open4096
+    if (table < 4 * bitwise) { print "recovery gate: the table CRC must clear 4x the bitwise throughput"; exit 1 }
+    if (bounded > 3 * unbounded) { print "recovery gate: a bounded restore must stay within 3x of an unbounded one"; exit 1 }
+}'
+
 echo "==> obs zero-overhead gate (<1% compiled-but-disabled; cross-build delta informational)"
 # The same end-to-end sweep workload, benchmarked in both compile states;
 # ids differ only in their /obs_absent vs /obs_compiled_disabled suffix.
@@ -148,7 +173,7 @@ cargo run --release --offline --example sweep -- --quick --threads 1,8 --out cra
 # lands next to the bench crate; the sweep example writes there via --out.
 for f in crates/bench/BENCH_solver.json crates/bench/BENCH_analysis_vs_simulation.json \
          crates/bench/BENCH_sweep.json crates/bench/BENCH_obs_overhead.json \
-         crates/bench/BENCH_kernels.json; do
+         crates/bench/BENCH_kernels.json crates/bench/BENCH_recovery.json; do
     [ -s "$f" ] || { echo "missing bench output $f" >&2; exit 1; }
 done
 

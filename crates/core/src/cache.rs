@@ -67,7 +67,7 @@
 //! [`CacheStats::poison_recoveries`]).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -178,9 +178,9 @@ struct Slot<V> {
 }
 
 impl<V> Slot<V> {
-    fn new() -> Self {
+    fn new(state: SlotState<V>) -> Self {
         Slot {
-            state: Mutex::new(SlotState::Pending),
+            state: Mutex::new(state),
             cv: Condvar::new(),
         }
     }
@@ -360,6 +360,74 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         }
     }
 
+    /// Seeds the memo with ready values in one pass under one map lock,
+    /// counting exactly what one [`Memo::get_or_compute`] per entry would:
+    /// one tick per entry, a miss per new key, a hit per key already
+    /// present (whose value wins — every value is a pure function of its
+    /// key), and the same LRU evictions. Eviction pops a recency queue of
+    /// (tick, key) instead of rescanning the map for every insert past
+    /// the capacity, so a restore larger than the capacity stays linear.
+    /// Meant for a cache nothing else is using yet (restart recovery): a
+    /// pending entry is counted as a hit without waiting for it.
+    fn restore(&self, entries: impl IntoIterator<Item = (K, V)>) {
+        let mut map = lock(&self.map);
+        // Ready entries oldest first (queue entries whose tick is no
+        // longer their key's `last_used` are stale and skipped).
+        let mut by_age: VecDeque<(u64, K)> = VecDeque::new();
+        if self.capacity > 0 {
+            let mut ready: Vec<(u64, K)> = map
+                .iter()
+                .filter(|(_, e)| matches!(*lock(&e.slot.state), SlotState::Ready(_)))
+                .map(|(k, e)| (e.last_used, k.clone()))
+                .collect();
+            ready.sort_unstable_by_key(|(t, _)| *t);
+            by_age.extend(ready);
+        }
+        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        for (key, value) in entries {
+            let now = self.tick.fetch_add(1, Ordering::Relaxed);
+            // Queued after this entry's own evictions: a fresh slot is
+            // never its own insert's victim on the per-entry path either.
+            let touched = (self.capacity > 0).then(|| (now, key.clone()));
+            match map.entry(key) {
+                Entry::Occupied(mut e) => {
+                    e.get_mut().last_used = now;
+                    hits += 1;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(MemoEntry {
+                        slot: Arc::new(Slot::new(SlotState::Ready(value))),
+                        last_used: now,
+                    });
+                    misses += 1;
+                    while self.capacity > 0 && map.len() > self.capacity {
+                        let Some((t, k)) = by_age.pop_front() else {
+                            break;
+                        };
+                        if map.get(&k).is_some_and(|e| e.last_used == t) {
+                            map.remove(&k);
+                            evictions += 1;
+                        }
+                    }
+                }
+            }
+            by_age.extend(touched);
+        }
+        drop(map);
+        for (counter, label, n) in [
+            (&self.hits, self.hit_label, hits),
+            (&self.misses, self.miss_label, misses),
+            (&self.evictions, self.evict_label, evictions),
+        ] {
+            // A zero add would register a series the per-entry path never
+            // records.
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+                obs::counter!(label, n);
+            }
+        }
+    }
+
     /// The once-per-key protocol: the caller that installs the slot
     /// computes (counting a miss); everyone else waits on the condvar and
     /// either clones the ready value (counting a hit) or retries after a
@@ -382,7 +450,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
                     Entry::Vacant(e) => {
                         let slot = Arc::clone(
                             &e.insert(MemoEntry {
-                                slot: Arc::new(Slot::new()),
+                                slot: Arc::new(Slot::new(SlotState::Pending)),
                                 last_used: now,
                             })
                             .slot,
@@ -483,7 +551,7 @@ pub struct SolveCache {
     store: Arc<ReportStore>,
     /// A scope's reports *computed* through it and not yet taken by
     /// [`SolveCache::take_new_reports`]; `None` for a root cache. Reports
-    /// seeded by [`SolveCache::insert_report`] are never journaled — they
+    /// seeded by [`SolveCache::restore_reports`] are never journaled — they
     /// came from the persistence layer, which must not re-append its own
     /// records.
     journal: Option<Journal>,
@@ -689,20 +757,16 @@ impl SolveCache {
         peeked
     }
 
-    /// Seeds the report layer with an externally persisted entry (WAL or
-    /// snapshot recovery). Runs through the once-per-key protocol — the
-    /// restore counts as the key's single miss — and if the key is
-    /// already present the existing value wins and `report` is discarded
-    /// (both are pure functions of the key, hence identical for an
-    /// uncorrupted record; corrupted records are the persistence layer's
-    /// job to reject before calling this). Seeded entries are not
-    /// journaled.
-    pub fn insert_report(&self, key: ReportKey, report: CsCqReport) {
-        let seeded = self
-            .store
-            .reports
-            .get_or_compute(key, || Ok::<_, AnalysisError>(report));
-        debug_assert!(seeded.is_ok(), "seeding cannot fail");
+    /// Seeds the report layer with externally persisted entries (a
+    /// validated snapshot, or a WAL's valid prefix), in order, under one
+    /// lock of the report map. The counts are those of one lookup per
+    /// entry: a miss per new key, a hit per key already present — whose
+    /// value wins, since both are pure functions of the key (a corrupted
+    /// record is the persistence layer's job to reject before this) — and,
+    /// on a bounded cache, the same LRU evictions, found without a scan
+    /// of the map per insert. Restored entries are not journaled.
+    pub fn restore_reports(&self, entries: impl IntoIterator<Item = (ReportKey, CsCqReport)>) {
+        self.store.reports.restore(entries);
     }
 
     /// Every ready report, sorted by key: the deterministic full-state
@@ -989,12 +1053,11 @@ mod tests {
         assert_eq!(exported.len(), 1);
 
         let restored = SolveCache::new();
-        for (k, r) in &exported {
-            assert!(restored.peek_report(k).is_none());
-            restored.insert_report(*k, r.clone());
-            let peeked = restored.peek_report(k).unwrap();
-            assert_eq!(peeked.short_response.to_bits(), r.short_response.to_bits());
-        }
+        let (k, r) = &exported[0];
+        assert!(restored.peek_report(k).is_none());
+        restored.restore_reports(exported.clone());
+        let peeked = restored.peek_report(k).unwrap();
+        assert_eq!(peeked.short_response.to_bits(), r.short_response.to_bits());
         // The restored cache serves the report without re-solving: one
         // seed miss, then a pure report-layer hit.
         let before = restored.stats();
@@ -1006,10 +1069,112 @@ mod tests {
             served.short_response.to_bits(),
             original.short_response.to_bits()
         );
-        // Re-inserting an existing key is a no-op (existing value wins).
-        let (k, r) = &exported[0];
-        restored.insert_report(*k, r.clone());
+        // Restoring an existing key is a hit (existing value wins).
+        restored.restore_reports(exported.clone());
         assert_eq!(restored.report_len(), 1);
+        assert_eq!(restored.stats().hits, after.hits + 1);
+        assert_eq!(restored.stats().misses, after.misses);
+    }
+
+    fn restored_entry(i: u64) -> (ReportKey, CsCqReport) {
+        let key = ([i, i ^ 0x55, 0, 0, 0, 0], 1, (1, 1));
+        let report = CsCqReport {
+            short_response: i as f64,
+            long_response: 2.0,
+            mean_shorts_in_system: 0.5,
+            p_region1: 0.25,
+            p_region2: 0.25,
+            p_region5: 0.5,
+            setup_probability: 0.0,
+            bl_match: MatchQuality::ExactThree,
+            bn_match: MatchQuality::ExactTwo,
+            total_mass: 1.0,
+        };
+        (key, report)
+    }
+
+    /// The per-entry seeding a bulk restore must reproduce: one
+    /// once-per-key lookup per entry, in order.
+    fn insert_one_by_one(cache: &SolveCache, entries: &[(ReportKey, CsCqReport)]) {
+        for (key, report) in entries {
+            let seeded = cache
+                .store
+                .reports
+                .get_or_compute(*key, || Ok::<_, ()>(report.clone()));
+            assert!(seeded.is_ok());
+        }
+    }
+
+    /// Every key with its LRU timestamp and the bits it serves.
+    fn report_state(cache: &SolveCache) -> Vec<(ReportKey, u64, u64)> {
+        let map = lock(&cache.store.reports.map);
+        let mut state: Vec<_> = map
+            .iter()
+            .map(|(k, e)| {
+                let bits = match &*lock(&e.slot.state) {
+                    SlotState::Ready(r) => r.short_response.to_bits(),
+                    _ => panic!("a restored entry is ready"),
+                };
+                (*k, e.last_used, bits)
+            })
+            .collect();
+        state.sort_unstable();
+        state
+    }
+
+    #[test]
+    fn a_restore_past_the_capacity_keeps_and_counts_what_per_entry_insertion_does() {
+        let entries: Vec<_> = (0..4096).map(restored_entry).collect();
+        let bulk = SolveCache::with_capacity(1024);
+        bulk.restore_reports(entries.clone());
+        let one_by_one = SolveCache::with_capacity(1024);
+        insert_one_by_one(&one_by_one, &entries);
+
+        assert_eq!(report_state(&bulk), report_state(&one_by_one));
+        assert_eq!(bulk.report_len(), 1024);
+        assert_eq!(bulk.report_len(), one_by_one.report_len());
+        let stats = bulk.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 4096, 3072));
+        assert_eq!(stats, one_by_one.stats());
+        // The newest 1024 entries are the ones kept.
+        assert!(bulk.peek_report(&entries[3071].0).is_none());
+        assert!(bulk.peek_report(&entries[3072].0).is_some());
+    }
+
+    #[test]
+    fn repeated_keys_restore_as_hits_exactly_as_per_entry_insertion() {
+        // A snapshot, then a WAL that repeats some snapshot keys (a crash
+        // between the snapshot rename and the WAL reset) and repeats its
+        // own keys (a bounded daemon recomputing an evicted answer). Each
+        // source is one restore call; hits, misses, evictions, the kept
+        // keys and their LRU ticks all match one lookup per entry.
+        let snapshot: Vec<_> = (0..300).map(restored_entry).collect();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let wal: Vec<_> = (0..900)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                restored_entry(x % 600)
+            })
+            .collect();
+        for capacity in [0, 1, 7, 64, 250, 450, 2000] {
+            let bulk = SolveCache::with_capacity(capacity);
+            bulk.restore_reports(snapshot.clone());
+            bulk.restore_reports(wal.clone());
+            let one_by_one = SolveCache::with_capacity(capacity);
+            insert_one_by_one(&one_by_one, &snapshot);
+            insert_one_by_one(&one_by_one, &wal);
+            assert_eq!(bulk.stats(), one_by_one.stats(), "capacity {capacity}");
+            assert_eq!(
+                report_state(&bulk),
+                report_state(&one_by_one),
+                "capacity {capacity}"
+            );
+            if capacity == 0 || capacity >= 64 {
+                assert!(bulk.stats().hits > 0, "capacity {capacity}");
+            }
+        }
     }
 
     #[test]
@@ -1082,12 +1247,10 @@ mod tests {
         assert!(a.take_new_reports().is_empty(), "taking is destructive");
         assert!(root.take_new_reports().is_empty());
 
-        // Seeding through insert_report never journals.
+        // Seeding through restore_reports never journals.
         let fresh = SolveCache::new();
         let scope = fresh.scope();
-        for (k, r) in root.export_reports() {
-            scope.insert_report(k, r);
-        }
+        scope.restore_reports(root.export_reports());
         assert_eq!(fresh.report_len(), 3);
         assert!(scope.take_new_reports().is_empty());
     }

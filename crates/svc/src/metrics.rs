@@ -39,8 +39,12 @@
 //! * [`DurableCache`](crate::wal::DurableCache) owns `svc_wal_*`;
 //! * the server's [`BatchTotals`] own `svc_batch_*`, added once per
 //!   drain; `svc_batch_dedup_hits_total` is `presolved − unique`;
-//! * the server owns `svc_slow_queries_total`, and `cyclesteal_markov`
-//!   the process-wide `svc_qbd_signatures_total`.
+//! * the server owns `svc_slow_queries_total` and `svc_recovery_seconds`
+//!   (the start-up store open, timed under the `svc.recovery.open` span),
+//!   and `cyclesteal_markov` the process-wide `svc_qbd_signatures_total`;
+//! * the [`RecoveryReport`] of that open owns the other `svc_recovery_*`
+//!   gauges: `svc_recovery_entries{source="snapshot"|"wal"}`,
+//!   `svc_recovery_wal_truncated` and `svc_recovery_snapshot_rejected`.
 //!
 //! # HTTP subset
 //!
@@ -58,7 +62,7 @@ use cyclesteal_obs::ObsSnapshot;
 use cyclesteal_sweep::BatchStats;
 
 use crate::admission::AdmissionSnapshot;
-use crate::wal::WalStats;
+use crate::wal::{RecoveryReport, WalStats};
 
 /// What the daemon's micro-batch presolves did, summed over drains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -102,6 +106,10 @@ pub struct NativeMetrics {
     /// keyed by the question, so no serving path hashes a chain and this
     /// reads zero; anything else means a hash crept back in.
     pub qbd_signatures: u64,
+    /// What the start-up recovery found (zeros when memory-only).
+    pub recovery: RecoveryReport,
+    /// How long the start-up store open took, in nanoseconds.
+    pub recovery_ns: u64,
 }
 
 impl NativeMetrics {
@@ -114,19 +122,22 @@ impl NativeMetrics {
         let gauge = |s: &mut String, name: &str, v: u64| {
             let _ = writeln!(s, "# TYPE {name} gauge\n{name} {v}");
         };
-        let labeled = |s: &mut String, name: &str, values: &[(&str, u64)]| {
-            let _ = writeln!(s, "# TYPE {name} counter");
-            for (reason, v) in values {
-                let _ = writeln!(s, "{name}{{reason=\"{reason}\"}} {v}");
-            }
-        };
+        let labeled =
+            |s: &mut String, kind: &str, name: &str, label: &str, values: &[(&str, u64)]| {
+                let _ = writeln!(s, "# TYPE {name} {kind}");
+                for (value, v) in values {
+                    let _ = writeln!(s, "{name}{{{label}=\"{value}\"}} {v}");
+                }
+            };
         let (adm, batch, presolve) = (&self.admission, &self.batch, &self.batch.presolve);
         counter(&mut s, "svc_served_total", adm.completed);
         counter(&mut s, "svc_admitted_total", adm.admitted);
         counter(&mut s, "svc_completed_total", adm.completed);
         labeled(
             &mut s,
+            "counter",
             "svc_shed_total",
+            "reason",
             &[
                 ("queue_full", adm.sheds.queue_full),
                 ("draining", adm.sheds.draining),
@@ -153,7 +164,9 @@ impl NativeMetrics {
         counter(&mut s, "svc_batch_seeded_total", presolve.seeded as u64);
         labeled(
             &mut s,
+            "counter",
             "svc_batch_skipped_total",
+            "reason",
             &[
                 ("deadline", batch.skipped_deadline),
                 ("fault", presolve.skipped_faulted as u64),
@@ -172,6 +185,26 @@ impl NativeMetrics {
         gauge(&mut s, "svc_draining", u64::from(!adm.open));
         gauge(&mut s, "svc_cache_reports", self.cache_reports);
         gauge(&mut s, "svc_ewma_service_ns", adm.ewma_service_ns);
+        let rec = &self.recovery;
+        let _ = writeln!(
+            s,
+            "# TYPE svc_recovery_seconds gauge\nsvc_recovery_seconds {}",
+            self.recovery_ns as f64 / 1e9
+        );
+        labeled(
+            &mut s,
+            "gauge",
+            "svc_recovery_entries",
+            "source",
+            &[
+                ("snapshot", rec.snapshot_entries as u64),
+                ("wal", rec.wal_entries as u64),
+            ],
+        );
+        let truncated = u64::from(rec.wal_truncated_to.is_some());
+        gauge(&mut s, "svc_recovery_wal_truncated", truncated);
+        let rejected = u64::from(rec.snapshot_rejected);
+        gauge(&mut s, "svc_recovery_snapshot_rejected", rejected);
         s
     }
 }
@@ -289,6 +322,13 @@ mod tests {
                 },
                 ..BatchTotals::default()
             },
+            recovery: RecoveryReport {
+                snapshot_entries: 12,
+                wal_entries: 3,
+                wal_truncated_to: Some(400),
+                snapshot_rejected: false,
+            },
+            recovery_ns: 2_500_000,
             ..NativeMetrics::default()
         };
         let text = m.render();
@@ -319,6 +359,17 @@ mod tests {
             "served and completed read one count"
         );
         assert_eq!(value("svc_draining"), 0.0);
+        let source = |s: &str| {
+            series
+                .iter()
+                .find(|x| x.name == "svc_recovery_entries" && x.label("source") == Some(s))
+                .unwrap()
+                .value
+        };
+        assert_eq!((source("snapshot"), source("wal")), (12.0, 3.0));
+        assert_eq!(value("svc_recovery_seconds"), 0.0025);
+        assert_eq!(value("svc_recovery_wal_truncated"), 1.0);
+        assert_eq!(value("svc_recovery_snapshot_rejected"), 0.0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use cyclesteal_core::cache::SolveCache;
 use cyclesteal_core::cs_cq_km::Hosts;
@@ -194,6 +194,8 @@ struct Shared {
     admission: Admission<Job>,
     durable: Option<DurableCache>,
     recovery: RecoveryReport,
+    /// Wall time of the start-up store open (0 when memory-only).
+    recovery_ns: u64,
     slow_ms: u64,
     default_budget_ns: Option<u64>,
     /// Micro-batch drain width (1 = scalar serving).
@@ -244,6 +246,8 @@ impl Shared {
             batch: *lock(&self.batch),
             slow_queries: self.slow_logged.load(Ordering::Relaxed),
             qbd_signatures: cyclesteal_core::cache::signatures_hashed(),
+            recovery: self.recovery,
+            recovery_ns: self.recovery_ns,
         }
     }
 
@@ -352,9 +356,15 @@ impl Server {
             SolveCache::new()
         };
         let mut recovery = RecoveryReport::default();
+        let mut recovery_ns = 0;
         let durable = match &config.data_dir {
             Some(dir) => {
-                let (durable, rec) = DurableCache::open(dir, &cache)?;
+                let opened = Instant::now();
+                let (durable, rec) = {
+                    cyclesteal_obs::span!("svc.recovery.open");
+                    DurableCache::open(dir, &cache)?
+                };
+                recovery_ns = u64::try_from(opened.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 recovery = rec;
                 if let Some(n) = config.kill_after_appends {
                     durable.set_kill_after_appends(n);
@@ -378,6 +388,7 @@ impl Server {
             admission: Admission::new(config.queue_capacity, config.workers),
             durable,
             recovery,
+            recovery_ns,
             slow_ms: config.slow_ms,
             default_budget_ns: config.default_budget_ns,
             batch_max: config.batch_max.max(1),
@@ -928,8 +939,7 @@ fn error_response(error: &str, detail: &str) -> String {
 
 fn stats_response(shared: &Arc<Shared>) -> String {
     let m = shared.read();
-    let adm = &m.admission;
-    let rec = shared.recovery;
+    let (adm, rec) = (&m.admission, &m.recovery);
     format!(
         "{{\"ok\": true, \"stats\": {{\"served\": {}, \"queue_depth\": {}, \"admitted\": {}, \"shed\": {}, \"completed\": {}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"reports\": {}, \"entries\": {}}}, \"recovery\": {{\"snapshot_entries\": {}, \"wal_entries\": {}, \"wal_truncated\": {}, \"snapshot_rejected\": {}}}}}}}",
         adm.completed,

@@ -36,6 +36,15 @@
 //!   half-trusted snapshot could serve a corrupted entry.
 //! * Either way, **no corrupted entry is ever served**: every entry that
 //!   survives recovery passed its CRC and structural validation.
+//!
+//! # Recovery cost
+//!
+//! A restart costs about what reading the store costs: the CRC is
+//! table-driven ([`crc32`]), and each source — the validated snapshot,
+//! then the WAL's valid prefix — is seeded into the cache with one
+//! [`SolveCache::restore_reports`] call, which takes the report map's lock
+//! once and evicts from a recency queue rather than rescanning the map,
+//! so a store larger than a bounded cache also recovers in linear time.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -55,16 +64,61 @@ pub const RECORD_LEN: usize = 123;
 /// Bytes of record header (length + CRC) preceding each payload.
 pub const RECORD_HEADER: usize = 8;
 
-/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), bitwise — slow but
-/// dependency-free, and these payloads are 123 bytes.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables, built at compile time: `CRC_TABLES[0][b]` is
+/// the CRC register after shifting byte `b` through eight bit steps, and
+/// `CRC_TABLES[k][b]` the same byte followed by `k` zero bytes, so eight
+/// input bytes fold into the register with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), slice-by-8: every WAL
+/// record, snapshot image and recovery check runs through it, so a
+/// restart pays about one table lookup per byte of the store.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -302,9 +356,7 @@ impl DurableCache {
             Ok(bytes) => match decode_snapshot(&bytes) {
                 Some(entries) => {
                     report.snapshot_entries = entries.len();
-                    for (key, value) in entries {
-                        cache.insert_report(key, value);
-                    }
+                    cache.restore_reports(entries);
                 }
                 None => {
                     report.snapshot_rejected = true;
@@ -346,9 +398,7 @@ impl DurableCache {
                 }
                 file.seek(SeekFrom::End(0))?;
                 report.wal_entries = entries.len();
-                for (key, value) in entries {
-                    cache.insert_report(key, value);
-                }
+                cache.restore_reports(entries);
             }
         }
 
@@ -480,11 +530,78 @@ mod tests {
         dir
     }
 
+    /// The bitwise CRC-32 earlier binaries wrote every store with: the
+    /// oracle the table-driven [`crc32`] must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    cyclesteal_xtest::props! {
+        cases = 256;
+
+        /// The tables equal the bitwise oracle on random byte strings of
+        /// every length up to 1 KiB, starting at every offset within an
+        /// 8-byte word (the slice-by-8 loop and its tail both run).
+        fn crc32_equals_the_bitwise_oracle(
+            len in 0usize..1025,
+            offset in 0usize..8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut x = seed;
+            let buf: Vec<u8> = (0..offset + len)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    (x >> 56) as u8
+                })
+                .collect();
+            let bytes = &buf[offset..];
+            assert_eq!(crc32(bytes), crc32_bitwise(bytes), "len {len} offset {offset}");
+        }
+    }
+
+    #[test]
+    fn stores_checksummed_by_the_bitwise_oracle_still_decode() {
+        // Images built byte by byte with the oracle's checksums, as a
+        // binary from before the table-driven CRC wrote them.
+        let entries: Vec<_> = (0..5).map(sample_entry).collect();
+        let mut body = (entries.len() as u32).to_le_bytes().to_vec();
+        let mut wal = WAL_MAGIC.to_vec();
+        for (key, report) in &entries {
+            let payload = encode_record(key, report);
+            body.extend_from_slice(&payload);
+            wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            wal.extend_from_slice(&crc32_bitwise(&payload).to_le_bytes());
+            wal.extend_from_slice(&payload);
+        }
+        let mut snapshot = SNAP_MAGIC.to_vec();
+        snapshot.extend_from_slice(&body);
+        snapshot.extend_from_slice(&crc32_bitwise(&body).to_le_bytes());
+
+        assert_eq!(encode_snapshot(&entries), snapshot, "same bytes as before");
+        let decoded = decode_snapshot(&snapshot).expect("an oracle-checksummed snapshot decodes");
+        assert_eq!(
+            decoded.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            entries.iter().map(|(k, _)| *k).collect::<Vec<_>>()
+        );
+        let (replayed, valid) = decode_wal(&wal);
+        assert_eq!(replayed.len(), entries.len());
+        assert_eq!(valid, wal.len() as u64, "no record is cut");
     }
 
     #[test]

@@ -247,6 +247,107 @@ fn stats_shed_is_the_sum_of_every_shed_reason() {
     server.join().expect("join");
 }
 
+/// A restart's recovery is on the scrape: the series read what `stats`
+/// reads, the body stays valid exposition, and `stats` keeps every field.
+#[test]
+fn a_restart_shows_its_recovery_on_the_scrape() {
+    let dir = tmp_dir("recovery");
+    let durable = || ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..telemetry_config()
+    };
+    let answers = [0.9, 1.05, 1.15];
+    let server = Server::start(durable()).expect("start");
+    let fresh = prom::parse_exposition(&scrape(&server)).expect("parse");
+    for source in ["snapshot", "wal"] {
+        assert_eq!(
+            series_value(&fresh, "svc_recovery_entries", &[("source", source)]),
+            Some(0.0),
+            "a new store recovers nothing from the {source}"
+        );
+    }
+    let mut client = connect(&server);
+    for rho_s in answers {
+        let req = QueryRequest {
+            rho_s,
+            ..QueryRequest::default()
+        };
+        client.query(&req).expect("query");
+    }
+    drop(client);
+    server.drain();
+    server.join().expect("join");
+
+    // The drain compacted every answer into the snapshot.
+    let session = cyclesteal_obs::compiled().then(cyclesteal_obs::Session::start);
+    let server = Server::start(durable()).expect("restart");
+    if let Some(session) = &session {
+        assert_eq!(session.snapshot().span_count("svc.recovery.open"), 1);
+    }
+    let body = scrape(&server);
+    prom::check_exposition(&body).expect("valid exposition");
+    let parsed = prom::parse_exposition(&body).expect("parse");
+    let n = answers.len() as f64;
+    let value = |name: &str, labels: &[(&str, &str)]| {
+        series_value(&parsed, name, labels).unwrap_or_else(|| panic!("no {name} {labels:?}"))
+    };
+    assert_eq!(value("svc_recovery_entries", &[("source", "snapshot")]), n);
+    assert_eq!(value("svc_recovery_entries", &[("source", "wal")]), 0.0);
+    assert_eq!(value("svc_recovery_wal_truncated", &[]), 0.0);
+    assert_eq!(value("svc_recovery_snapshot_rejected", &[]), 0.0);
+    let seconds = value("svc_recovery_seconds", &[]);
+    assert!(
+        seconds > 0.0 && seconds < 60.0,
+        "svc_recovery_seconds {seconds}"
+    );
+    assert_eq!(value("svc_cache_reports", &[]), n);
+    assert_eq!(
+        value("svc_cache_misses_total", &[]),
+        n,
+        "one miss per restored answer"
+    );
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    proto::write_frame(&mut stream, br#"{"cmd": "stats"}"#).expect("send stats");
+    let v = read_response(&mut stream);
+    let stats = v.get("stats").expect("stats");
+    for field in ["served", "queue_depth", "admitted", "shed", "completed"] {
+        assert!(
+            stats.get(field).and_then(Value::as_u64).is_some(),
+            "stats.{field}"
+        );
+    }
+    let cache = stats.get("cache").expect("stats.cache");
+    for field in ["hits", "misses", "evictions", "reports", "entries"] {
+        assert!(
+            cache.get(field).and_then(Value::as_u64).is_some(),
+            "stats.cache.{field}"
+        );
+    }
+    let rec = stats.get("recovery").expect("stats.recovery");
+    assert_eq!(
+        rec.get("snapshot_entries").and_then(Value::as_u64),
+        Some(answers.len() as u64)
+    );
+    assert_eq!(rec.get("wal_entries").and_then(Value::as_u64), Some(0));
+    assert_eq!(
+        rec.get("wal_truncated").and_then(Value::as_bool),
+        Some(false)
+    );
+    assert_eq!(
+        rec.get("snapshot_rejected").and_then(Value::as_bool),
+        Some(false)
+    );
+    drop(stream);
+    server.drain();
+    server.join().expect("join");
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Counters never step backwards between scrapes: the scrape handler
 /// reads live registries, not windowed deltas.
 #[test]

@@ -327,9 +327,7 @@ mod tests {
                 .unwrap();
         }
         let restored = SolveCache::new();
-        for (key, report) in warm.export_reports() {
-            restored.insert_report(key, report);
-        }
+        restored.restore_reports(warm.export_reports());
         let stats = presolve(&points, &restored, &mut Workspace::new());
         assert_eq!(stats.eligible, points.len());
         assert_eq!(stats.unique, 0, "{stats:?}");
