@@ -1,19 +1,27 @@
-//! Restart-recovery micro-benchmarks for the daemon's durable store.
+//! Restart-recovery and bounded-cache micro-benchmarks for the daemon's
+//! durable store and report cache.
 //!
-//! Two ratios, each taken inside this one binary so code layout cancels:
+//! Three ratios, each taken inside this one binary so code layout cancels:
 //!
 //! * **CRC throughput** — the table-driven `wal::crc32` against a bitwise
 //!   CRC-32 (the loop it replaced, kept here as the reference) over one
 //!   4096-answer snapshot image. Gate: the tables are at least 4x faster.
 //! * **Bounded restore** — `DurableCache::open` of a 16384-answer snapshot
 //!   into a cache bounded at 4096 reports, against the same open into an
-//!   unbounded cache. Recovery evicts from a recency queue, so the bounded
-//!   open costs about what the unbounded one does; an eviction scan of
-//!   the whole map per insert made it 35-47x slower. Gate: at most 3x.
+//!   unbounded cache. Recovery evicts from the report layer's recency
+//!   queue, so the bounded open costs about what the unbounded one does;
+//!   an eviction scan of the whole map per insert made it 35-47x slower.
+//!   Gate: at most 3x.
+//! * **Serving misses on a full bounded cache** — never-seen cached (1, 1)
+//!   analyses, each in its own `scope()` as a daemon drain answers it, on
+//!   a report layer restored to 8192 answers: bounded at 8192, where every
+//!   miss evicts one report, against the same misses unbounded. Serving
+//!   evicts from the same recency queue as recovery; the whole-map scan
+//!   it replaced made each miss about 5x slower. Gate: at most 1.5x.
 //!
 //! Ratios come from best-of-N minimum times, the run least disturbed by
-//! the machine. Absolute milliseconds are printed and kept in
-//! `BENCH_recovery.json` but are report-only. `ci.sh` re-checks both
+//! the machine. Absolute times are printed and kept in
+//! `BENCH_recovery.json` but are report-only. `ci.sh` re-checks all three
 //! gates from the emitted metrics. `--quick` for smoke runs.
 
 use std::hint::black_box;
@@ -21,7 +29,8 @@ use std::path::Path;
 use std::time::Instant;
 
 use cyclesteal_core::cache::{ReportKey, SolveCache};
-use cyclesteal_core::cs_cq::CsCqReport;
+use cyclesteal_core::cs_cq::{self, BusyPeriodFit, CsCqReport};
+use cyclesteal_core::SystemParams;
 use cyclesteal_dist::match3::MatchQuality;
 use cyclesteal_svc::wal::{self, DurableCache};
 use cyclesteal_xtest::Bench;
@@ -152,6 +161,50 @@ fn main() {
         bounded_ms <= 3.0 * unbounded_ms,
         "restoring past the cache bound must stay within 3x of an unbounded \
          restore: capacity 4096 {bounded_ms:.2} ms, unbounded {unbounded_ms:.2} ms"
+    );
+
+    // --- Serving misses on a report layer full at its bound. ---
+    const FULL: usize = 8192;
+    let restored = answers(FULL as u64);
+    let n = if h.is_quick() { 128 } else { 256 };
+    let points: Vec<SystemParams> = (0..n)
+        .map(|i| {
+            let rho_s = 0.2 + 0.6 * i as f64 / n as f64;
+            SystemParams::exponential(rho_s, 1.0, 0.5, 1.0).expect("valid parameters")
+        })
+        .collect();
+    // Best microseconds per miss, unbounded then bounded, alternating so
+    // drift hits both sides alike. A round takes tens of milliseconds, so
+    // it gets three times the repetitions of the opens.
+    let mut miss_us = [f64::INFINITY; 2];
+    for _ in 0..3 * reps {
+        for (side, capacity) in [0, FULL].into_iter().enumerate() {
+            let cache = SolveCache::with_capacity(capacity);
+            cache.restore_reports(restored.clone());
+            let t = Instant::now();
+            for p in &points {
+                let scope = cache.scope();
+                let report = cs_cq::analyze_cached(p, BusyPeriodFit::ThreeMoment, &scope);
+                black_box(report.expect("a stable point"));
+            }
+            let us = t.elapsed().as_secs_f64() * 1e6 / n as f64;
+            miss_us[side] = miss_us[side].min(us);
+            let kept = if capacity == 0 { FULL + n } else { FULL };
+            assert_eq!(cache.report_len(), kept, "every point must be a miss");
+        }
+    }
+    let [unbounded_us, bounded_us] = miss_us;
+    h.metric("miss_us/8192/unbounded", unbounded_us);
+    h.metric("miss_us/8192/capacity_8192", bounded_us);
+    println!(
+        "never-seen (1, 1) miss on a full 8192-report layer: unbounded {unbounded_us:.1} us, \
+         capacity 8192 {bounded_us:.1} us ({:.2}x, us report-only)",
+        bounded_us / unbounded_us
+    );
+    assert!(
+        bounded_us <= 1.5 * unbounded_us,
+        "a miss on a full bounded cache must stay within 1.5x of an unbounded \
+         miss: capacity 8192 {bounded_us:.1} us, unbounded {unbounded_us:.1} us"
     );
 
     h.finish();

@@ -41,6 +41,15 @@
 //! a long-lived entry would have held (see below), so scoping moves
 //! memory, never answers.
 //!
+//! # One recency order for the bound
+//!
+//! Only the report layer can be bounded (`--cache-capacity` on the
+//! daemon). Its LRU order is one queue of `(tick, key)` touches kept for
+//! the cache's whole life: a serving lookup and a restart restore stamp,
+//! insert and evict through the same code, so a miss on a full layer and
+//! a restore past the bound each cost O(1) amortized, never a scan of the
+//! map. Unbounded layers keep no queue.
+//!
 //! # Why determinism survives parallelism
 //!
 //! Every cached value is a **pure function of its key**: inputs are
@@ -198,16 +207,81 @@ struct MemoEntry<V> {
     last_used: u64,
 }
 
-/// Removes `key` from `map` only while it still points at `slot`; a
+/// Everything a [`Memo`]'s one lock guards: the entries, the logical
+/// clock that stamps them, and the recency queue the LRU bound evicts
+/// from.
+struct Table<K, V> {
+    entries: HashMap<K, MemoEntry<V>>,
+    /// The next touch's timestamp.
+    tick: u64,
+    /// One `(tick, key)` pair per touch of a bounded memo, oldest first;
+    /// always empty when unbounded. A pair whose tick is no longer its
+    /// key's `last_used` (the key was touched again, evicted, or its
+    /// compute failed) is stale: eviction drops it, and [`Table::compact`]
+    /// sweeps stale pairs out before they outnumber the live ones.
+    recency: VecDeque<(u64, K)>,
+}
+
+impl<K: Eq + Hash, V> Table<K, V> {
+    /// The one eviction routine: pops the recency queue oldest first until
+    /// the entries fit `capacity`, dropping stale pairs and evicting Ready
+    /// entries, and returns how many it evicted. That is the choice a scan
+    /// of the whole map would make, the least-recently-touched Ready entry,
+    /// without the scan. Pending entries are never evicted (their
+    /// designated computer and waiters hold the slot): their pairs go back
+    /// to the front in order, and if only pending entries are left the map
+    /// stays over capacity rather than stalling the insert. Slot state
+    /// locks nest strictly inside the table lock everywhere in this module,
+    /// so peeking a state here cannot deadlock.
+    fn evict_over(&mut self, capacity: usize) -> u64 {
+        let mut evicted = 0;
+        let mut pending = Vec::new();
+        while self.entries.len() > capacity {
+            let Some((tick, key)) = self.recency.pop_front() else {
+                break;
+            };
+            let ready = match self.entries.get(&key) {
+                Some(e) if e.last_used == tick => {
+                    matches!(*lock(&e.slot.state), SlotState::Ready(_))
+                }
+                _ => continue,
+            };
+            if ready {
+                self.entries.remove(&key);
+                evicted += 1;
+            } else {
+                pending.push((tick, key));
+            }
+        }
+        for pair in pending.into_iter().rev() {
+            self.recency.push_front(pair);
+        }
+        evicted
+    }
+
+    /// Drops the stale pairs once the queue holds more than twice the
+    /// entries (plus slack), which leaves one pair per entry. The queue so
+    /// stays within `2 × entries + 64` pairs at amortized O(1) per touch.
+    fn compact(&mut self) {
+        if self.recency.len() > 2 * self.entries.len() + 64 {
+            let entries = &self.entries;
+            self.recency
+                .retain(|(tick, key)| entries.get(key).is_some_and(|e| e.last_used == *tick));
+        }
+    }
+}
+
+/// Removes `key` from `table` only while it still points at `slot`; a
 /// fresh slot inserted by a retrying caller must not be clobbered.
 fn remove_if_current<K: Eq + Hash, V>(
-    map: &Mutex<HashMap<K, MemoEntry<V>>>,
+    table: &Mutex<Table<K, V>>,
     key: &K,
     slot: &Arc<Slot<V>>,
 ) {
-    let mut m = lock(map);
-    if m.get(key).is_some_and(|e| Arc::ptr_eq(&e.slot, slot)) {
-        m.remove(key);
+    let mut t = lock(table);
+    if t.entries.get(key).is_some_and(|e| Arc::ptr_eq(&e.slot, slot)) {
+        t.entries.remove(key);
+        t.compact();
     }
 }
 
@@ -216,7 +290,7 @@ fn remove_if_current<K: Eq + Hash, V>(
 /// in the sweep pool sees the panic, so waiters never deadlock on a
 /// `Pending` slot whose computer died.
 struct PoisonOnUnwind<'a, K: Eq + Hash, V> {
-    map: &'a Mutex<HashMap<K, MemoEntry<V>>>,
+    table: &'a Mutex<Table<K, V>>,
     key: &'a K,
     slot: &'a Arc<Slot<V>>,
     armed: bool,
@@ -225,10 +299,18 @@ struct PoisonOnUnwind<'a, K: Eq + Hash, V> {
 impl<K: Eq + Hash, V> Drop for PoisonOnUnwind<'_, K, V> {
     fn drop(&mut self) {
         if self.armed {
-            remove_if_current(self.map, self.key, self.slot);
+            remove_if_current(self.table, self.key, self.slot);
             self.slot.finish(SlotState::Poisoned);
         }
     }
+}
+
+/// What one [`Memo::touch`] did: the caller's pick from the touched entry,
+/// whether the key was new, and how many entries its insert evicted.
+struct Touch<R> {
+    picked: R,
+    inserted: bool,
+    evicted: u64,
 }
 
 /// One cache family: a keyed map of once-per-key compute slots with its
@@ -238,19 +320,18 @@ impl<K: Eq + Hash, V> Drop for PoisonOnUnwind<'_, K, V> {
 /// With `capacity > 0` the family is LRU-bounded: inserting past the
 /// capacity evicts the least-recently-touched **Ready** entry (entries
 /// still being computed are never evicted — their designated computer and
-/// waiters hold the slot). Eviction changes only *where* a value lives,
-/// never what it is: every value is a pure function of its key, so an
-/// evicted-and-recomputed entry is bit-identical to the original. Reports
+/// waiters hold the slot); [`Table::evict_over`] finds it. Eviction
+/// changes only *where* a value lives, never what it is: every value is a
+/// pure function of its key, so an evicted-and-recomputed entry is
+/// bit-identical to the original. Reports
 /// therefore stay deterministic with eviction enabled; only the hit/miss
 /// *counters* become scheduling-dependent (a hit can turn into a
 /// recompute-miss depending on eviction order), which is why the obs
 /// determinism suites run on unbounded caches.
 struct Memo<K, V> {
-    map: Mutex<HashMap<K, MemoEntry<V>>>,
+    table: Mutex<Table<K, V>>,
     /// Max Ready entries (`0` = unbounded).
     capacity: usize,
-    /// Logical LRU timestamp, bumped on every touch.
-    tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     poison_recoveries: AtomicU64,
@@ -264,7 +345,7 @@ struct Memo<K, V> {
 impl<K, V> std::fmt::Debug for Memo<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memo")
-            .field("len", &lock(&self.map).len())
+            .field("len", &lock(&self.table).entries.len())
             .field("capacity", &self.capacity)
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .field("misses", &self.misses.load(Ordering::Relaxed))
@@ -282,9 +363,12 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         capacity: usize,
     ) -> Self {
         Memo {
-            map: Mutex::new(HashMap::new()),
+            table: Mutex::new(Table {
+                entries: HashMap::new(),
+                tick: 0,
+                recency: VecDeque::new(),
+            }),
             capacity,
-            tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
@@ -297,7 +381,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     }
 
     fn len(&self) -> usize {
-        lock(&self.map).len()
+        lock(&self.table).entries.len()
     }
 
     fn stats(&self) -> CacheStats {
@@ -314,118 +398,88 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     /// already seeded; a pending entry counts because its designated
     /// computer will finish it.
     fn contains(&self, key: &K) -> bool {
-        lock(&self.map).contains_key(key)
+        lock(&self.table).entries.contains_key(key)
     }
 
-    fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        obs::counter!(self.hit_label);
-    }
-
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::counter!(self.miss_label);
-    }
-
-    fn poison_recovery(&self) {
-        self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-        obs::counter!(self.poison_label);
-    }
-
-    /// Evicts least-recently-touched **Ready** entries until the map fits
-    /// the capacity (no-op when unbounded). Runs under the map lock; slot
-    /// state locks nest strictly inside the map lock everywhere in this
-    /// module, so peeking each entry's state here cannot deadlock. Pending
-    /// entries are never evicted (their designated computer and waiters
-    /// hold the slot); if every over-capacity entry is pending, the map is
-    /// left temporarily over capacity rather than stalling the insert.
-    fn evict_over_capacity(&self, map: &mut HashMap<K, MemoEntry<V>>) {
-        if self.capacity == 0 {
-            return;
+    /// Adds `n` to `counter` and to its obs series. A zero add records
+    /// nothing, so a batch registers no series a lookup would not.
+    fn count(&self, counter: &AtomicU64, label: &'static str, n: u64) {
+        if n > 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+            obs::counter!(label, n);
         }
-        while map.len() > self.capacity {
-            let victim = map
-                .iter()
-                .filter(|(_, e)| matches!(*lock(&e.slot.state), SlotState::Ready(_)))
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    obs::counter!(self.evict_label);
-                }
-                None => break,
+    }
+
+    /// The one insert body, shared by [`Memo::get_or_compute`] and
+    /// [`Memo::restore`], run under the table lock: stamps `key` with the
+    /// next tick, inserts a slot in the `fresh()` state if the key is new,
+    /// and returns `pick` of its entry. On a bounded memo it then evicts
+    /// past the capacity (after an insert) and queues the touch. The pair
+    /// is queued after those evictions, so a new entry is never its own
+    /// insert's victim. An unbounded memo queues nothing and clones
+    /// nothing.
+    fn touch<R>(
+        &self,
+        table: &mut Table<K, V>,
+        key: K,
+        fresh: impl FnOnce() -> SlotState<V>,
+        pick: impl FnOnce(&MemoEntry<V>) -> R,
+    ) -> Touch<R> {
+        let now = table.tick;
+        table.tick += 1;
+        let queued = (self.capacity > 0).then(|| (now, key.clone()));
+        let (picked, inserted) = match table.entries.entry(key) {
+            Entry::Occupied(mut e) => {
+                e.get_mut().last_used = now;
+                (pick(e.get()), false)
             }
+            Entry::Vacant(e) => {
+                let entry = e.insert(MemoEntry {
+                    slot: Arc::new(Slot::new(fresh())),
+                    last_used: now,
+                });
+                (pick(entry), true)
+            }
+        };
+        let mut evicted = 0;
+        if let Some(pair) = queued {
+            if inserted {
+                evicted = table.evict_over(self.capacity);
+            }
+            table.recency.push_back(pair);
+            table.compact();
+        }
+        Touch {
+            picked,
+            inserted,
+            evicted,
         }
     }
 
-    /// Seeds the memo with ready values in one pass under one map lock,
-    /// counting exactly what one [`Memo::get_or_compute`] per entry would:
-    /// one tick per entry, a miss per new key, a hit per key already
-    /// present (whose value wins — every value is a pure function of its
-    /// key), and the same LRU evictions. Eviction pops a recency queue of
-    /// (tick, key) instead of rescanning the map for every insert past
-    /// the capacity, so a restore larger than the capacity stays linear.
-    /// Meant for a cache nothing else is using yet (restart recovery): a
-    /// pending entry is counted as a hit without waiting for it.
+    /// Seeds the memo with ready values in one pass under one table lock,
+    /// through the same [`Memo::touch`] a lookup takes, so it counts
+    /// exactly what one [`Memo::get_or_compute`] per entry would: one tick
+    /// per entry, a miss per new key, a hit per key already present (whose
+    /// value wins — every value is a pure function of its key), and the
+    /// same LRU evictions. The counts are added once per call. Meant for a
+    /// cache nothing else is using yet (restart recovery): a pending entry
+    /// is counted as a hit without waiting for it.
     fn restore(&self, entries: impl IntoIterator<Item = (K, V)>) {
-        let mut map = lock(&self.map);
-        // Ready entries oldest first (queue entries whose tick is no
-        // longer their key's `last_used` are stale and skipped).
-        let mut by_age: VecDeque<(u64, K)> = VecDeque::new();
-        if self.capacity > 0 {
-            let mut ready: Vec<(u64, K)> = map
-                .iter()
-                .filter(|(_, e)| matches!(*lock(&e.slot.state), SlotState::Ready(_)))
-                .map(|(k, e)| (e.last_used, k.clone()))
-                .collect();
-            ready.sort_unstable_by_key(|(t, _)| *t);
-            by_age.extend(ready);
-        }
-        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        let mut table = lock(&self.table);
+        let (mut hits, mut misses, mut evictions) = (0, 0, 0);
         for (key, value) in entries {
-            let now = self.tick.fetch_add(1, Ordering::Relaxed);
-            // Queued after this entry's own evictions: a fresh slot is
-            // never its own insert's victim on the per-entry path either.
-            let touched = (self.capacity > 0).then(|| (now, key.clone()));
-            match map.entry(key) {
-                Entry::Occupied(mut e) => {
-                    e.get_mut().last_used = now;
-                    hits += 1;
-                }
-                Entry::Vacant(e) => {
-                    e.insert(MemoEntry {
-                        slot: Arc::new(Slot::new(SlotState::Ready(value))),
-                        last_used: now,
-                    });
-                    misses += 1;
-                    while self.capacity > 0 && map.len() > self.capacity {
-                        let Some((t, k)) = by_age.pop_front() else {
-                            break;
-                        };
-                        if map.get(&k).is_some_and(|e| e.last_used == t) {
-                            map.remove(&k);
-                            evictions += 1;
-                        }
-                    }
-                }
+            let t = self.touch(&mut table, key, || SlotState::Ready(value), |_| ());
+            if t.inserted {
+                misses += 1;
+            } else {
+                hits += 1;
             }
-            by_age.extend(touched);
+            evictions += t.evicted;
         }
-        drop(map);
-        for (counter, label, n) in [
-            (&self.hits, self.hit_label, hits),
-            (&self.misses, self.miss_label, misses),
-            (&self.evictions, self.evict_label, evictions),
-        ] {
-            // A zero add would register a series the per-entry path never
-            // records.
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-                obs::counter!(label, n);
-            }
-        }
+        drop(table);
+        self.count(&self.hits, self.hit_label, hits);
+        self.count(&self.misses, self.miss_label, misses);
+        self.count(&self.evictions, self.evict_label, evictions);
     }
 
     /// The once-per-key protocol: the caller that installs the slot
@@ -439,31 +493,18 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     ) -> Result<V, E> {
         let mut compute = Some(compute);
         loop {
-            let (slot, designated) = {
-                let mut map = lock(&self.map);
-                let now = self.tick.fetch_add(1, Ordering::Relaxed);
-                match map.entry(key.clone()) {
-                    Entry::Occupied(mut e) => {
-                        e.get_mut().last_used = now;
-                        (Arc::clone(&e.get().slot), false)
-                    }
-                    Entry::Vacant(e) => {
-                        let slot = Arc::clone(
-                            &e.insert(MemoEntry {
-                                slot: Arc::new(Slot::new(SlotState::Pending)),
-                                last_used: now,
-                            })
-                            .slot,
-                        );
-                        self.evict_over_capacity(&mut map);
-                        (slot, true)
-                    }
-                }
+            let touch = {
+                let mut table = lock(&self.table);
+                self.touch(&mut table, key.clone(), || SlotState::Pending, |e| {
+                    Arc::clone(&e.slot)
+                })
             };
-            if designated {
-                self.miss();
+            self.count(&self.evictions, self.evict_label, touch.evicted);
+            let slot = touch.picked;
+            if touch.inserted {
+                self.count(&self.misses, self.miss_label, 1);
                 let mut guard = PoisonOnUnwind {
-                    map: &self.map,
+                    table: &self.table,
                     key: &key,
                     slot: &slot,
                     armed: true,
@@ -480,7 +521,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
                     Err(e) => {
                         // Errors are not cached: remove before notifying
                         // so retries start a fresh slot.
-                        remove_if_current(&self.map, &key, &slot);
+                        remove_if_current(&self.table, &key, &slot);
                         slot.finish(SlotState::Failed);
                         Err(e)
                     }
@@ -494,7 +535,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
                 SlotState::Ready(v) => {
                     let v = v.clone();
                     drop(state);
-                    self.hit();
+                    self.count(&self.hits, self.hit_label, 1);
                     return Ok(v);
                 }
                 SlotState::Failed => {
@@ -504,7 +545,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
                 }
                 SlotState::Poisoned => {
                     drop(state);
-                    self.poison_recovery();
+                    self.count(&self.poison_recoveries, self.poison_label, 1);
                 }
                 SlotState::Pending => unreachable!("the wait loop exits on terminal states"),
             }
@@ -748,8 +789,8 @@ impl SolveCache {
     /// that touches no hit/miss counters and never waits on a pending
     /// compute.
     pub fn peek_report(&self, key: &ReportKey) -> Option<CsCqReport> {
-        let map = lock(&self.store.reports.map);
-        let entry = map.get(key)?;
+        let table = lock(&self.store.reports.table);
+        let entry = table.entries.get(key)?;
         let peeked = match &*lock(&entry.slot.state) {
             SlotState::Ready(v) => Some(v.clone()),
             _ => None,
@@ -763,8 +804,9 @@ impl SolveCache {
     /// entry: a miss per new key, a hit per key already present — whose
     /// value wins, since both are pure functions of the key (a corrupted
     /// record is the persistence layer's job to reject before this) — and,
-    /// on a bounded cache, the same LRU evictions, found without a scan
-    /// of the map per insert. Restored entries are not journaled.
+    /// on a bounded cache, the same LRU evictions: a restore takes the
+    /// same insert-and-evict path as a lookup, off the layer's one recency
+    /// queue. Restored entries are not journaled.
     pub fn restore_reports(&self, entries: impl IntoIterator<Item = (ReportKey, CsCqReport)>) {
         self.store.reports.restore(entries);
     }
@@ -774,15 +816,16 @@ impl SolveCache {
     /// entries are skipped — their designated computers' scopes journal
     /// them on completion.
     pub fn export_reports(&self) -> Vec<(ReportKey, CsCqReport)> {
-        let map = lock(&self.store.reports.map);
-        let mut out: Vec<(ReportKey, CsCqReport)> = map
+        let table = lock(&self.store.reports.table);
+        let mut out: Vec<(ReportKey, CsCqReport)> = table
+            .entries
             .iter()
             .filter_map(|(k, e)| match &*lock(&e.slot.state) {
                 SlotState::Ready(v) => Some((*k, v.clone())),
                 _ => None,
             })
             .collect();
-        drop(map);
+        drop(table);
         out.sort_unstable_by_key(|(k, _)| *k);
         out
     }
@@ -1107,8 +1150,9 @@ mod tests {
 
     /// Every key with its LRU timestamp and the bits it serves.
     fn report_state(cache: &SolveCache) -> Vec<(ReportKey, u64, u64)> {
-        let map = lock(&cache.store.reports.map);
-        let mut state: Vec<_> = map
+        let table = lock(&cache.store.reports.table);
+        let mut state: Vec<_> = table
+            .entries
             .iter()
             .map(|(k, e)| {
                 let bits = match &*lock(&e.slot.state) {
@@ -1253,5 +1297,247 @@ mod tests {
         scope.restore_reports(root.export_reports());
         assert_eq!(fresh.report_len(), 3);
         assert!(scope.take_new_reports().is_empty());
+    }
+
+    /// The reference eviction rule: a scan of the whole map on every
+    /// bounded insert for the least-recently-touched Ready entry, which is
+    /// how `Memo` evicted before its recency queue. Plain data, mirroring
+    /// the once-per-key protocol: `key -> (last_used, ready)`.
+    struct ScanOracle {
+        entries: HashMap<u32, (u64, bool)>,
+        capacity: usize,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl ScanOracle {
+        fn new(capacity: usize) -> Self {
+            ScanOracle {
+                entries: HashMap::new(),
+                capacity,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        /// One touch; `true` when it inserted a Pending entry, which the
+        /// caller computes and then settles with [`ScanOracle::finish`].
+        fn touch(&mut self, key: u32) -> bool {
+            let now = self.tick;
+            self.tick += 1;
+            if let Some(e) = self.entries.get_mut(&key) {
+                e.0 = now;
+                self.stats.hits += 1;
+                return false;
+            }
+            self.entries.insert(key, (now, false));
+            self.stats.misses += 1;
+            self.evict_over_capacity();
+            true
+        }
+
+        fn finish(&mut self, key: u32, ok: bool) {
+            if ok {
+                self.entries.get_mut(&key).expect("a pending entry stays").1 = true;
+            } else {
+                self.entries.remove(&key);
+            }
+        }
+
+        /// The Ready keys, sorted (held keys are Pending).
+        fn ready_keys(&self) -> Vec<u32> {
+            let mut keys: Vec<u32> =
+                self.entries.iter().filter(|(_, e)| e.1).map(|(k, _)| *k).collect();
+            keys.sort_unstable();
+            keys
+        }
+
+        fn evict_over_capacity(&mut self) {
+            while self.entries.len() > self.capacity {
+                let victim = self
+                    .entries
+                    .iter()
+                    .filter(|(_, e)| e.1)
+                    .min_by_key(|(_, e)| e.0)
+                    .map(|(k, _)| *k);
+                match victim {
+                    Some(k) => {
+                        self.entries.remove(&k);
+                        self.stats.evictions += 1;
+                    }
+                    None => break,
+                }
+            }
+        }
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    fn model_value(key: u32) -> u64 {
+        u64::from(key) * 10 + 1
+    }
+
+    /// The memo and the oracle keep the same keys with the same ticks and
+    /// states, count the same, and the recency queue stays compacted.
+    fn assert_agrees(memo: &Memo<u32, u64>, oracle: &ScanOracle, context: &str) {
+        let table = lock(&memo.table);
+        let mut kept: Vec<(u32, u64, bool)> = table
+            .entries
+            .iter()
+            .map(|(k, e)| {
+                let ready = matches!(*lock(&e.slot.state), SlotState::Ready(_));
+                (*k, e.last_used, ready)
+            })
+            .collect();
+        kept.sort_unstable();
+        let mut want: Vec<(u32, u64, bool)> =
+            oracle.entries.iter().map(|(k, e)| (*k, e.0, e.1)).collect();
+        want.sort_unstable();
+        assert_eq!(kept, want, "{context}");
+        assert_eq!(table.tick, oracle.tick, "{context}");
+        assert!(
+            table.recency.len() <= 2 * table.entries.len() + 64,
+            "{context}: {} pairs for {} entries",
+            table.recency.len(),
+            table.entries.len()
+        );
+        drop(table);
+        assert_eq!(memo.stats(), oracle.stats, "{context}");
+    }
+
+    /// Runs seeded ops on both until `budget` runs out (or, nested inside
+    /// a compute, after a few ops). `held` lists the keys whose computes
+    /// are on the stack: Pending, so a lookup of one would wait on itself.
+    fn drive_model(
+        memo: &Memo<u32, u64>,
+        oracle: &mut ScanOracle,
+        rng: &mut u64,
+        held: &mut Vec<u32>,
+        budget: &mut u32,
+    ) {
+        let keys = 2 * oracle.capacity as u64 + 4;
+        while *budget > 0 {
+            *budget -= 1;
+            let op = xorshift(rng) % 10;
+            let mut key = (xorshift(rng) % keys) as u32;
+            while held.contains(&key) {
+                key = (xorshift(rng) % keys) as u32;
+            }
+            if op >= 8 {
+                // A touch of a kept key: hits leave stale pairs behind.
+                let ready = oracle.ready_keys();
+                if !ready.is_empty() {
+                    key = ready[(xorshift(rng) % ready.len() as u64) as usize];
+                }
+            }
+            let context = format!("capacity {}, op {op}, key {key}", oracle.capacity);
+            match op {
+                // A restore batch, repeats and held keys included.
+                0 | 1 => {
+                    let len = 1 + xorshift(rng) % 8;
+                    let mut batch: Vec<u32> = Vec::new();
+                    for _ in 0..len {
+                        let r = xorshift(rng);
+                        let k = if !batch.is_empty() && r.is_multiple_of(3) {
+                            batch[(r / 3 % batch.len() as u64) as usize]
+                        } else {
+                            (r % keys) as u32
+                        };
+                        batch.push(k);
+                    }
+                    for &k in &batch {
+                        if oracle.touch(k) {
+                            oracle.finish(k, true);
+                        }
+                    }
+                    memo.restore(batch.iter().map(|&k| (k, model_value(k))));
+                }
+                // A failing compute: a hit if the key is ready.
+                2 => {
+                    let inserted = oracle.touch(key);
+                    let got = memo.get_or_compute(key, || Err::<u64, ()>(()));
+                    if inserted {
+                        oracle.finish(key, false);
+                        assert_eq!(got, Err(()), "{context}");
+                    } else {
+                        assert_eq!(got, Ok(model_value(key)), "{context}");
+                    }
+                }
+                // A compute that holds its entry Pending across nested
+                // ops, then succeeds or fails.
+                3 | 4 if held.len() < 3 => {
+                    let ok = !xorshift(rng).is_multiple_of(4);
+                    let inserted = oracle.touch(key);
+                    let got = memo.get_or_compute(key, || {
+                        assert!(inserted, "{context}: the memo missed where the scan hit");
+                        held.push(key);
+                        assert_agrees(memo, oracle, &context);
+                        drive_model(memo, oracle, rng, held, budget);
+                        held.pop();
+                        if ok {
+                            Ok(model_value(key))
+                        } else {
+                            Err(())
+                        }
+                    });
+                    if inserted {
+                        oracle.finish(key, ok);
+                    }
+                    assert_eq!(got.is_ok(), ok || !inserted, "{context}");
+                }
+                // A successful lookup: a hit or a computing miss.
+                _ => {
+                    let inserted = oracle.touch(key);
+                    let got = memo.get_or_compute(key, || {
+                        assert!(inserted, "{context}: the memo missed where the scan hit");
+                        Ok::<u64, ()>(model_value(key))
+                    });
+                    if inserted {
+                        oracle.finish(key, true);
+                    }
+                    assert_eq!(got, Ok(model_value(key)), "{context}");
+                }
+            }
+            assert_agrees(memo, oracle, &context);
+            if !held.is_empty() && xorshift(rng).is_multiple_of(4) {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn the_recency_queue_evicts_what_a_whole_map_scan_would() {
+        for capacity in [1, 2, 7, 64] {
+            for seed in 1..=24u64 {
+                let memo: Memo<u32, u64> =
+                    Memo::new("t.hit", "t.miss", "t.poison", "t.evict", capacity);
+                let mut oracle = ScanOracle::new(capacity);
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let mut budget = 400;
+                drive_model(&memo, &mut oracle, &mut rng, &mut Vec::new(), &mut budget);
+                // Hits alone, which only compaction keeps from growing the
+                // queue.
+                if oracle.ready_keys().is_empty() {
+                    assert!(oracle.touch(0));
+                    oracle.finish(0, true);
+                    assert_eq!(memo.get_or_compute(0, || Ok::<u64, ()>(1)), Ok(1));
+                }
+                let kept = oracle.ready_keys();
+                for i in 0..4 * capacity + 128 {
+                    let key = kept[i % kept.len()];
+                    assert!(!oracle.touch(key));
+                    let got = memo.get_or_compute(key, || Ok::<u64, ()>(0));
+                    assert_eq!(got, Ok(model_value(key)));
+                    assert_agrees(&memo, &oracle, &format!("capacity {capacity}, hit {i}"));
+                }
+                let stats = memo.stats();
+                assert!(stats.evictions > 0, "capacity {capacity}, seed {seed}: {stats:?}");
+            }
+        }
     }
 }

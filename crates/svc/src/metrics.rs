@@ -40,8 +40,7 @@
 //! * the server's [`BatchTotals`] own `svc_batch_*`, added once per
 //!   drain; `svc_batch_dedup_hits_total` is `presolved − unique`;
 //! * the server owns `svc_slow_queries_total` and `svc_recovery_seconds`
-//!   (the start-up store open, timed under the `svc.recovery.open` span),
-//!   and `cyclesteal_markov` the process-wide `svc_qbd_signatures_total`;
+//!   (the start-up store open, timed under the `svc.recovery.open` span);
 //! * the [`RecoveryReport`] of that open owns the other `svc_recovery_*`
 //!   gauges: `svc_recovery_entries{source="snapshot"|"wal"}`,
 //!   `svc_recovery_wal_truncated` and `svc_recovery_snapshot_rejected`.
@@ -101,11 +100,6 @@ pub struct NativeMetrics {
     pub batch: BatchTotals,
     /// Slow-query-log lines written.
     pub slow_queries: u64,
-    /// Chain-signature hashes computed by this process
-    /// ([`cyclesteal_core::cache::signatures_hashed`]). Solutions are
-    /// keyed by the question, so no serving path hashes a chain and this
-    /// reads zero; anything else means a hash crept back in.
-    pub qbd_signatures: u64,
     /// What the start-up recovery found (zeros when memory-only).
     pub recovery: RecoveryReport,
     /// How long the start-up store open took, in nanoseconds.
@@ -148,7 +142,6 @@ impl NativeMetrics {
         counter(&mut s, "svc_cache_hits_total", self.cache.hits);
         counter(&mut s, "svc_cache_misses_total", self.cache.misses);
         counter(&mut s, "svc_cache_evictions_total", self.cache.evictions);
-        counter(&mut s, "svc_qbd_signatures_total", self.qbd_signatures);
         counter(&mut s, "svc_wal_appends_total", self.wal.appends);
         counter(&mut s, "svc_wal_bytes_total", self.wal.bytes);
         counter(&mut s, "svc_wal_fsyncs_total", self.wal.fsyncs);

@@ -245,7 +245,6 @@ impl Shared {
             wal: self.durable.as_ref().map(DurableCache::stats).unwrap_or_default(),
             batch: *lock(&self.batch),
             slow_queries: self.slow_logged.load(Ordering::Relaxed),
-            qbd_signatures: cyclesteal_core::cache::signatures_hashed(),
             recovery: self.recovery,
             recovery_ns: self.recovery_ns,
         }
@@ -350,11 +349,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let cache = if config.cache_capacity > 0 {
-            SolveCache::with_capacity(config.cache_capacity)
-        } else {
-            SolveCache::new()
-        };
+        let cache = SolveCache::with_capacity(config.cache_capacity);
         let mut recovery = RecoveryReport::default();
         let mut recovery_ns = 0;
         let durable = match &config.data_dir {
