@@ -46,6 +46,14 @@ echo "==> (k, m) fleet reduction gate (1x1 bit-identity + {1,2,4}^2 analysis-vs-
 cargo test -q --offline --test km_reduction
 cargo test -q --offline --test km_props
 
+echo "==> CS-ID one-chain gate (Poisson bit oracle + MAP pins)"
+# CS-ID has one chain builder, long-host state x short-arrival MAP phase.
+# At a one-phase MAP it must reproduce the Poisson decomposition in
+# tests/support bit for bit (analyze, thinned-Poisson baseline and the
+# long-only Figure-6 formula, errors included) on a 2,145-point grid, and
+# analyze_map must hold its pinned bursty/asymmetric/near-overload values.
+cargo test -q --offline --test cs_id_reduction
+
 echo "==> clippy (incl. unwrap-free non-test code in core and sweep)"
 # core and sweep deny clippy::unwrap_used outside tests; warnings anywhere
 # in the workspace are promoted to errors so the gate cannot rot.

@@ -1059,8 +1059,11 @@ mod tests {
             // the map stays temporarily over capacity instead of evicting
             // the in-flight slot.
             memo.get_or_compute(2, || Ok::<u64, ()>(2)).unwrap();
-            assert!(memo.contains(&1), "pending slot must survive");
+            let survived = memo.contains(&1);
+            // Release before asserting: a failed assert must not leave the
+            // computer thread parked on the barrier, hanging the scope.
             release.wait();
+            assert!(survived, "pending slot must survive");
         });
         let v = memo.get_or_compute(1, || Ok::<u64, ()>(77)).unwrap();
         assert_eq!(v, 1, "the pending computer's value was kept");

@@ -1,28 +1,19 @@
 //! Cycle stealing with immediate dispatch (CS-ID), analyzed by the
 //! decomposition of the companion paper (\[9\], Harchol-Balter et al.,
-//! CMU-CS-02-158): the system splits into two stochastic processes.
+//! CMU-CS-02-158): the system splits into two stochastic processes, both
+//! read off **one chain** whose states are (long-host state, short-arrival
+//! MAP phase), the MAP phase innermost. Poisson short arrivals are the
+//! one-phase case, [`Map::poisson`]; [`analyze`] and [`analyze_map`] run
+//! the same builder.
 //!
 //! # The long host (exact for exponential shorts)
 //!
 //! Long jobs queue FCFS at the long host; a short is admitted only when the
-//! host is *completely idle*. A "no-long" period therefore lasts
-//! `Exp(λ_L)` (the memoryless wait for the next long), during which the
-//! host is a two-state CTMC — `idle ⇄ serving-one-short` with rates `λ_S`
-//! and `μ_S` — started at `idle` and killed by the long arrival. The killed
-//! chain yields `P(short in service at the kill) = λ_S/(λ_L+λ_S+μ_S)`, and
-//! the residual short is `Exp(μ_S)` by memorylessness: the long host is an
-//! **M/G/1 queue with setup** `K = Exp(μ_S)` with that probability, else 0.
-//!
-//! # The short host (Markov-modulated overflow)
-//!
-//! A short is stolen iff it arrives while the long host is completely idle;
-//! otherwise it joins the short host. The overflow stream is therefore *not*
-//! Poisson — it is on exactly while the long host is busy, and those on/off
-//! periods are long-job busy periods. Following the busy-period-transition
-//! methodology, the long host is summarized by an autonomous CTMC
+//! host is *completely idle*. The long host is summarized by an autonomous
+//! CTMC with PH-matched busy periods
 //!
 //! ```text
-//! I  --λ_S-->  S          (idle host admits a short)
+//! I  --arrival-->  S      (idle host admits, i.e. steals, a short)
 //! I  --λ_L-->  B          (ordinary long busy period B_L, PH-matched)
 //! S  --μ_S-->  I          (short finishes before any long shows up)
 //! S  --λ_L-->  S'         (a long now waits behind the short)
@@ -31,14 +22,30 @@
 //! B, B'' --exit--> I
 //! ```
 //!
-//! and the short host becomes an **MMPP/M/1 queue** — a QBD whose level is
-//! the short-host queue length and whose phases are the long-host states,
-//! with arrival rate `λ_S` in every phase except `I`. The stationary
-//! probability of `I` depends only on mean sojourns, so the steal
-//! probability `q` is *exact* and satisfies the work-conservation identity
-//! `q = (1−ρ_L)/(1+ρ_S)` to machine precision (tested); the queue-length
-//! distribution inherits the three-moment busy-period approximation, the
-//! same order of approximation the paper uses for CS-CQ.
+//! times the phase of the short-arrival MAP. A "no-long" period is the
+//! `{I, S}` × phase block: it is entered where busy periods end (at the
+//! stationary phase law of busy-period exits) and killed by the first long
+//! arrival at rate `λ_L`. The killed chain yields the setup probability
+//! `P(short in service at the kill)` — `λ_S/(λ_L+λ_S+μ_S)` for Poisson
+//! shorts — and the residual short is `Exp(μ_S)` by memorylessness: the
+//! long host is an **M/G/1 queue with setup** `K = Exp(μ_S)` with that
+//! probability, else 0.
+//!
+//! # The short host (Markov-modulated overflow)
+//!
+//! A short is stolen iff it arrives while the long host is in `I`;
+//! otherwise it joins the short host. The overflow stream is therefore *not*
+//! Poisson — it is on exactly while the long host is busy — and the short
+//! host becomes a **MAP/M/1 queue modulated by the long host**: a QBD whose
+//! level is the short-host queue length and whose phases are the chain's
+//! states, with MAP arrivals joining in every long-host state except `I`.
+//! The steal probability is the arrival-weighted stationary probability of
+//! `I` (MAP arrivals do not see time averages). For Poisson shorts it
+//! depends only on mean sojourns, so it is *exact* and satisfies the
+//! work-conservation identity `q = (1−ρ_L)/(1+ρ_S)` to machine precision
+//! (tested); the queue-length distribution inherits the three-moment
+//! busy-period approximation, the same order of approximation the paper
+//! uses for CS-CQ.
 
 use cyclesteal_dist::{busy, match3, Map, Moments3, Ph};
 use cyclesteal_linalg::Matrix;
@@ -96,23 +103,8 @@ impl From<CsIdReport> for PolicyMeans {
 pub fn analyze(params: &SystemParams) -> Result<CsIdReport, AnalysisError> {
     cyclesteal_obs::span!("core.cs_id.analyze");
     cyclesteal_obs::counter!("core.cs_id.analyze");
-    let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
-    if !stability::is_stable(Policy::CsId, rho_s, rho_l) {
-        return Err(AnalysisError::Unstable {
-            policy: "CS-ID",
-            rho_s,
-            rho_l,
-            rho_s_max: stability::max_rho_s(Policy::CsId, rho_l),
-        });
-    }
-    let longs = long_host(params)?;
-    let short_response = short_host_mmpp(params)?;
-    Ok(CsIdReport {
-        short_response: short_response.response,
-        long_response: longs.response,
-        steal_probability: short_response.q_idle,
-        setup_probability: longs.p_setup,
-    })
+    theorem1(params)?;
+    chain(params, &Map::poisson(params.lambda_s())?)
 }
 
 /// The naive decomposition in which the overflow stream is treated as a
@@ -125,16 +117,9 @@ pub fn analyze(params: &SystemParams) -> Result<CsIdReport, AnalysisError> {
 ///
 /// As for [`analyze`].
 pub fn analyze_thinned_poisson(params: &SystemParams) -> Result<CsIdReport, AnalysisError> {
+    theorem1(params)?;
     let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
-    if !stability::is_stable(Policy::CsId, rho_s, rho_l) {
-        return Err(AnalysisError::Unstable {
-            policy: "CS-ID",
-            rho_s,
-            rho_l,
-            rho_s_max: stability::max_rho_s(Policy::CsId, rho_l),
-        });
-    }
-    let longs = long_host(params)?;
+    let longs = long_host(params, &Map::poisson(params.lambda_s())?)?;
     let q = (1.0 - rho_l) / (1.0 + rho_s);
     let overflow = params.lambda_s() * (1.0 - q);
     let short_response =
@@ -155,162 +140,15 @@ pub fn analyze_thinned_poisson(params: &SystemParams) -> Result<CsIdReport, Anal
 ///
 /// [`AnalysisError::Param`] if `ρ_L ≥ 1`.
 pub fn long_response(params: &SystemParams) -> Result<f64, AnalysisError> {
-    Ok(long_host(params)?.response)
+    Ok(long_host(params, &Map::poisson(params.lambda_s())?)?.response)
 }
 
-struct LongHost {
-    response: f64,
-    p_setup: f64,
-}
-
-fn long_host(params: &SystemParams) -> Result<LongHost, AnalysisError> {
-    let (lambda_s, mu_s, lambda_l) = (params.lambda_s(), params.mu_s(), params.lambda_l());
-    if params.rho_l() >= 1.0 {
-        return Err(AnalysisError::Param(
-            cyclesteal_dist::DistError::Inconsistent {
-                reason: "long host requires rho_l < 1",
-            },
-        ));
-    }
-
-    // Two-state no-long chain {idle, short}, killed at rate lambda_l.
-    let q_chain =
-        Matrix::from_rows(&[&[-lambda_s, lambda_s], &[mu_s, -mu_s]]).expect("2x2 literal");
-    let killed = ctmc::killed_occupancy(&q_chain, lambda_l, 0)?;
-    let p_setup = killed.kill_state_probs()[1];
-
-    // Setup K = Exp(mu_s) with probability p_setup (memoryless residual).
-    let k1 = p_setup / mu_s;
-    let k2 = 2.0 * p_setup / (mu_s * mu_s);
-    let response = mg1::mean_response_with_setup(lambda_l, params.long_moments(), k1, k2)?;
-
-    Ok(LongHost { response, p_setup })
-}
-
-struct ShortHost {
-    response: f64,
-    q_idle: f64,
-}
-
-/// Long-host state indices inside the modulating chain.
-struct ModLayout {
-    kb: usize,
-    kn: usize,
-}
-
-impl ModLayout {
-    const IDLE: usize = 0;
-    const SHORT: usize = 1;
-    const SHORT_PENDING: usize = 2;
-
-    fn b(&self, i: usize) -> usize {
-        3 + i
-    }
-
-    fn bpp(&self, i: usize) -> usize {
-        3 + self.kb + i
-    }
-
-    fn dim(&self) -> usize {
-        3 + self.kb + self.kn
-    }
-}
-
-/// Builds the autonomous long-host chain with PH-matched busy periods and
-/// returns `(generator, layout)`.
-fn modulating_chain(params: &SystemParams) -> Result<(Matrix, ModLayout), AnalysisError> {
-    let (lambda_s, mu_s, lambda_l) = (params.lambda_s(), params.mu_s(), params.lambda_l());
-    let bl = fit(busy::mg1_busy(lambda_l, params.long_moments())?)?;
-    // Busy period started by the longs accumulated behind one short:
-    // theta = mu_s (a single short occupies the host in CS-ID).
-    let bpp = fit(busy::bn1(lambda_l, params.long_moments(), mu_s)?)?;
-    let layout = ModLayout {
-        kb: bl.dim(),
-        kn: bpp.dim(),
-    };
-    let n = layout.dim();
-    let mut q = Matrix::zeros(n, n);
-    q[(ModLayout::IDLE, ModLayout::SHORT)] = lambda_s;
-    for j in 0..layout.kb {
-        q[(ModLayout::IDLE, layout.b(j))] = lambda_l * bl.initial()[j];
-    }
-    q[(ModLayout::SHORT, ModLayout::IDLE)] = mu_s;
-    q[(ModLayout::SHORT, ModLayout::SHORT_PENDING)] = lambda_l;
-    for j in 0..layout.kn {
-        q[(ModLayout::SHORT_PENDING, layout.bpp(j))] = mu_s * bpp.initial()[j];
-    }
-    for i in 0..layout.kb {
-        for j in 0..layout.kb {
-            if i != j {
-                q[(layout.b(i), layout.b(j))] = bl.subgenerator()[(i, j)];
-            }
-        }
-        q[(layout.b(i), ModLayout::IDLE)] = bl.exit_rates()[i];
-    }
-    for i in 0..layout.kn {
-        for j in 0..layout.kn {
-            if i != j {
-                q[(layout.bpp(i), layout.bpp(j))] = bpp.subgenerator()[(i, j)];
-            }
-        }
-        q[(layout.bpp(i), ModLayout::IDLE)] = bpp.exit_rates()[i];
-    }
-    // Diagonal: conservative rows.
-    for i in 0..n {
-        let s: f64 = (0..n).filter(|&j| j != i).map(|j| q[(i, j)]).sum();
-        q[(i, i)] = -s;
-    }
-    Ok((q, layout))
-}
-
-fn fit(m: Moments3) -> Result<Ph, AnalysisError> {
-    Ok(match3::fit_ph(m)?.ph)
-}
-
-fn short_host_mmpp(params: &SystemParams) -> Result<ShortHost, AnalysisError> {
-    let (lambda_s, mu_s) = (params.lambda_s(), params.mu_s());
-    let (q, layout) = modulating_chain(params)?;
-    let n = layout.dim();
-
-    let q_idle = ctmc::stationary(&q)?[ModLayout::IDLE];
-
-    // MMPP/M/1: arrivals at rate lambda_s in every phase except IDLE.
-    let mut rates = vec![lambda_s; n];
-    rates[ModLayout::IDLE] = 0.0;
-    let a0 = Matrix::from_diag(&rates);
-    let a2 = Matrix::from_diag(&vec![mu_s; n]);
-    let mut a1 = q.clone();
-    for i in 0..n {
-        a1[(i, i)] -= rates[i] + mu_s;
-    }
-    // Boundary: empty short host; same phases, no departures.
-    let mut b00 = q;
-    for i in 0..n {
-        b00[(i, i)] -= rates[i];
-    }
-    let b01 = a0.clone();
-    let b10 = a2.clone();
-
-    let qbd = Qbd::new(b00, b01, b10, a0, a1, a2)?;
-    let sol = qbd.solve()?;
-    // Repeating level k = k+1 jobs at the short host.
-    let mean_jobs = sol.repeating_mass() + sol.expected_level_index();
-    let overflow_rate = lambda_s * (1.0 - q_idle);
-    let t_short_host = mean_jobs / overflow_rate;
-
-    Ok(ShortHost {
-        response: q_idle * params.mean_s() + (1.0 - q_idle) * t_short_host,
-        q_idle,
-    })
-}
-
-/// Analyzes CS-ID with **MAP short arrivals**. The modulating chain
-/// becomes the product of the long-host states and the MAP phases; an
-/// arrival fired from a `D1` transition is *stolen* (turns the idle host's
-/// state `I` into `S` without joining the short host) exactly when the long
-/// host is idle, so the steal probability is the *arrival-weighted*
-/// probability of `I` — MAP arrivals do not see time averages, and the
-/// analysis accounts for that.
+/// Analyzes CS-ID with **MAP short arrivals**: the builder of [`analyze`]
+/// at a MAP of any order. An arrival fired from a `D1` transition is
+/// *stolen* (turns the idle host's state `I` into `S` without joining the
+/// short host) exactly when the long host is idle, so the steal probability
+/// is the *arrival-weighted* probability of `I` — MAP arrivals do not see
+/// time averages, and the analysis accounts for that.
 ///
 /// # Errors
 ///
@@ -341,145 +179,212 @@ pub fn analyze_map(params: &SystemParams, arrivals: &Map) -> Result<CsIdReport, 
             },
         ));
     }
-    let (mu_s, lambda_l, rho_l) = (params.mu_s(), params.lambda_l(), params.rho_l());
-    if rho_l >= 1.0 {
+    if params.rho_l() >= 1.0 {
         return Err(AnalysisError::Unstable {
             policy: "CS-ID",
             rho_s: params.rho_s(),
-            rho_l,
+            rho_l: params.rho_l(),
             rho_s_max: 0.0,
         });
     }
+    chain(params, arrivals)
+}
 
-    // Long-host PH pieces (identical to the Poisson case: they only involve
-    // the Poisson longs and the exponential short in service).
+/// The Theorem-1 stability region of CS-ID with Poisson shorts.
+fn theorem1(params: &SystemParams) -> Result<(), AnalysisError> {
+    let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
+    if stability::is_stable(Policy::CsId, rho_s, rho_l) {
+        return Ok(());
+    }
+    Err(AnalysisError::Unstable {
+        policy: "CS-ID",
+        rho_s,
+        rho_l,
+        rho_s_max: stability::max_rho_s(Policy::CsId, rho_l),
+    })
+}
+
+/// Long-host states, outermost in the chain: state `(lh, a)` of long-host
+/// state `lh` and MAP phase `a` sits at `lh · ka + a`. The `B` busy phases
+/// follow `S'` from index 3, then the `B''` phases.
+const I: usize = 0;
+const S: usize = 1;
+const SP: usize = 2;
+
+/// The long-host half of the chain.
+struct LongHost {
+    /// Transitions that add a short to the short host (the QBD's level-up
+    /// block): MAP arrivals outside `I`.
+    a0: Matrix,
+    /// Every other transition (steals included), off-diagonal only.
+    rest: Matrix,
+    /// Stationary law of the modulating chain `rest + a0`.
+    pi: Vec<f64>,
+    /// Mean long-job response time.
+    response: f64,
+    /// Probability the first long of a busy period finds a short in service.
+    p_setup: f64,
+}
+
+/// Builds the long-host × MAP-phase modulating chain, its stationary law,
+/// and the long host's M/G/1-with-setup response from the killed no-long
+/// period.
+fn long_host(params: &SystemParams, arrivals: &Map) -> Result<LongHost, AnalysisError> {
+    if params.rho_l() >= 1.0 {
+        return Err(AnalysisError::Param(
+            cyclesteal_dist::DistError::Inconsistent {
+                reason: "long host requires rho_l < 1",
+            },
+        ));
+    }
+    let (mu_s, lambda_l) = (params.mu_s(), params.lambda_l());
     let bl = fit(busy::mg1_busy(lambda_l, params.long_moments())?)?;
+    // Busy period started by the longs accumulated behind one short:
+    // theta = mu_s (a single short occupies the host in CS-ID).
     let bpp = fit(busy::bn1(lambda_l, params.long_moments(), mu_s)?)?;
-    let (kb, kn) = (bl.dim(), bpp.dim());
-    let n_lh = 3 + kb + kn; // I, S, S', B.., B''..
-    let ka = arrivals.dim();
-    let n = n_lh * ka;
-    const I: usize = 0;
-    const S: usize = 1;
-    const SP: usize = 2;
-    let b_at = |i: usize| 3 + i;
-    let bpp_at = |i: usize| 3 + kb + i;
+    let (kb, kn, ka) = (bl.dim(), bpp.dim(), arrivals.dim());
+    let n = (3 + kb + kn) * ka;
+    let at = |lh: usize, a: usize| lh * ka + a;
 
-    // `a0` holds level-up transitions (arrivals joining the short host);
-    // `rest` all other phase transitions.
     let mut a0 = Matrix::zeros(n, n);
     let mut rest = Matrix::zeros(n, n);
-    for lh in 0..n_lh {
+    for lh in 0..n / ka {
         for a in 0..ka {
-            let from = lh * ka + a;
-            // MAP internal moves.
             for b in 0..ka {
                 if a != b {
-                    rest[(from, lh * ka + b)] += arrivals.d0()[(a, b)];
+                    rest[(at(lh, a), at(lh, b))] += arrivals.d0()[(a, b)];
                 }
-            }
-            // Arrivals: stolen from I, short-host-bound otherwise.
-            for b in 0..ka {
+                // Arrivals: stolen from I, short-host-bound otherwise.
                 let r = arrivals.d1()[(a, b)];
                 if lh == I {
-                    rest[(from, S * ka + b)] += r;
+                    rest[(at(lh, a), at(S, b))] += r;
                 } else {
-                    a0[(from, lh * ka + b)] += r;
+                    a0[(at(lh, a), at(lh, b))] += r;
                 }
             }
         }
     }
     for a in 0..ka {
-        // Long arrivals and exponential-short completions at the long host.
+        // Long arrivals, short completions and busy periods leave the MAP
+        // phase alone.
+        let mut ph = |from: usize, to: usize, r: f64| rest[(at(from, a), at(to, a))] += r;
         for j in 0..kb {
-            rest[(I * ka + a, b_at(j) * ka + a)] += lambda_l * bl.initial()[j];
+            ph(I, 3 + j, lambda_l * bl.initial()[j]);
         }
-        rest[(S * ka + a, I * ka + a)] += mu_s;
-        rest[(S * ka + a, SP * ka + a)] += lambda_l;
+        ph(S, I, mu_s);
+        ph(S, SP, lambda_l);
         for j in 0..kn {
-            rest[(SP * ka + a, bpp_at(j) * ka + a)] += mu_s * bpp.initial()[j];
+            ph(SP, 3 + kb + j, mu_s * bpp.initial()[j]);
         }
-        for i in 0..kb {
-            for j in 0..kb {
-                if i != j {
-                    rest[(b_at(i) * ka + a, b_at(j) * ka + a)] += bl.subgenerator()[(i, j)];
+        for (base, busy) in [(3, &bl), (3 + kb, &bpp)] {
+            for i in 0..busy.dim() {
+                for j in 0..busy.dim() {
+                    if i != j {
+                        ph(base + i, base + j, busy.subgenerator()[(i, j)]);
+                    }
                 }
+                ph(base + i, I, busy.exit_rates()[i]);
             }
-            rest[(b_at(i) * ka + a, I * ka + a)] += bl.exit_rates()[i];
-        }
-        for i in 0..kn {
-            for j in 0..kn {
-                if i != j {
-                    rest[(bpp_at(i) * ka + a, bpp_at(j) * ka + a)] += bpp.subgenerator()[(i, j)];
-                }
-            }
-            rest[(bpp_at(i) * ka + a, I * ka + a)] += bpp.exit_rates()[i];
         }
     }
 
-    // Stationary phase distribution of the full modulating process.
-    let mut phase_gen = rest.add(&a0).expect("same dims");
-    for i in 0..n {
-        let s: f64 = (0..n).filter(|&j| j != i).map(|j| phase_gen[(i, j)]).sum();
-        phase_gen[(i, i)] = -s;
+    let mut modulating = rest.add(&a0).expect("same dims");
+    conserve(&mut modulating);
+    let pi = ctmc::stationary(&modulating)?;
+
+    // The no-long period {I, S} × phase, entered at the phase law of
+    // busy-period exits and killed by the first long arrival.
+    let mut entry = vec![0.0; 2 * ka];
+    for r in 3 * ka..n {
+        entry[r % ka] += pi[r] * rest[(r, at(I, r % ka))];
     }
-    let pi = ctmc::stationary(&phase_gen)?;
+    let total: f64 = entry.iter().sum();
+    for e in &mut entry[..ka] {
+        *e /= total;
+    }
+    let block = (0..2 * ka).flat_map(|i| modulating.row(i)[..2 * ka].iter().copied());
+    let mut no_long = Matrix::from_vec(2 * ka, 2 * ka, block.collect());
+    conserve(&mut no_long);
+    let kill = ctmc::killed_occupancy(&no_long, lambda_l, &entry)?.kill_state_probs();
+    let p_setup: f64 = kill[at(S, 0)..].iter().sum();
+
+    // Setup K = Exp(mu_s) with probability p_setup (memoryless residual).
+    let k1 = p_setup / mu_s;
+    let k2 = 2.0 * p_setup / (mu_s * mu_s);
+    let response = mg1::mean_response_with_setup(lambda_l, params.long_moments(), k1, k2)?;
+
+    Ok(LongHost {
+        a0,
+        rest,
+        pi,
+        response,
+        p_setup,
+    })
+}
+
+/// Sets each diagonal entry so its row sums to zero.
+fn conserve(q: &mut Matrix) {
+    let n = q.rows();
+    for i in 0..n {
+        let s: f64 = (0..n).filter(|&j| j != i).map(|j| q[(i, j)]).sum();
+        q[(i, i)] = -s;
+    }
+}
+
+fn fit(m: Moments3) -> Result<Ph, AnalysisError> {
+    Ok(match3::fit_ph(m)?.ph)
+}
+
+/// The one CS-ID builder: the long host, then the short host as a QBD whose
+/// level is the short-host queue length and whose phases are the long-host
+/// chain's states.
+fn chain(params: &SystemParams, arrivals: &Map) -> Result<CsIdReport, AnalysisError> {
+    let mu_s = params.mu_s();
+    let LongHost {
+        a0,
+        rest,
+        pi,
+        response,
+        p_setup,
+    } = long_host(params, arrivals)?;
+    let n = rest.rows();
 
     // Steal probability: arrival-weighted P(long host idle).
     let rate = arrivals.rate();
-    let mut stolen_rate = 0.0;
-    for a in 0..ka {
-        let d1_row: f64 = (0..ka).map(|b| arrivals.d1()[(a, b)]).sum();
-        stolen_rate += pi[I * ka + a] * d1_row;
-    }
-    let q_steal = stolen_rate / rate;
-
-    // Setup probability: Poisson longs see time averages (PASTA) among the
-    // no-long states {I, S}.
-    let p_i: f64 = (0..ka).map(|a| pi[I * ka + a]).sum();
-    let p_s: f64 = (0..ka).map(|a| pi[S * ka + a]).sum();
-    let p_setup = p_s / (p_i + p_s);
-    let long_response = mg1::mean_response_with_setup(
-        lambda_l,
-        params.long_moments(),
-        p_setup / mu_s,
-        2.0 * p_setup / (mu_s * mu_s),
-    )?;
+    let d1_rows = arrivals.d1().row_sums();
+    let q_steal: f64 = (0..arrivals.dim())
+        .map(|a| pi[I * arrivals.dim() + a] * (d1_rows[a] / rate))
+        .sum();
 
     // Short-host stability on the overflow stream.
     let overflow_rate = rate * (1.0 - q_steal);
-    if overflow_rate >= params.mu_s() {
+    if overflow_rate >= mu_s {
         return Err(AnalysisError::Unstable {
             policy: "CS-ID",
             rho_s: params.rho_s(),
-            rho_l,
-            rho_s_max: params.rho_s() * params.mu_s() / overflow_rate,
+            rho_l: params.rho_l(),
+            rho_s_max: params.rho_s() * mu_s / overflow_rate,
         });
     }
 
-    // Short host QBD: level = jobs at the short host.
-    let mut a1 = rest.clone();
-    let a2 = Matrix::from_diag(&vec![mu_s; n]);
-    for i in 0..n {
-        let out: f64 = (0..n).filter(|&j| j != i).map(|j| a1[(i, j)]).sum::<f64>()
-            + a0.row(i).iter().sum::<f64>()
-            + mu_s;
-        a1[(i, i)] = -out;
-    }
+    // Boundary: empty short host; same phases, no departures.
     let mut b00 = rest;
+    conserve(&mut b00);
+    let mut a1 = b00.clone();
     for i in 0..n {
-        let out: f64 = (0..n).filter(|&j| j != i).map(|j| b00[(i, j)]).sum::<f64>()
-            + a0.row(i).iter().sum::<f64>();
-        b00[(i, i)] = -out;
+        let r: f64 = a0.row(i).iter().sum();
+        a1[(i, i)] -= r + mu_s;
+        b00[(i, i)] -= r;
     }
-    let qbd = Qbd::new(b00, a0.clone(), a2.clone(), a0, a1, a2)?;
-    let sol = qbd.solve()?;
+    let a2 = Matrix::from_diag(&vec![mu_s; n]);
+    let sol = Qbd::new(b00, a0.clone(), a2.clone(), a0, a1, a2)?.solve()?;
+    // Repeating level k = k+1 jobs at the short host.
     let mean_jobs = sol.repeating_mass() + sol.expected_level_index();
     let t_short_host = mean_jobs / overflow_rate;
 
     Ok(CsIdReport {
         short_response: q_steal * params.mean_s() + (1.0 - q_steal) * t_short_host,
-        long_response,
+        long_response: response,
         steal_probability: q_steal,
         setup_probability: p_setup,
     })
@@ -494,12 +399,12 @@ mod tests {
         // Independent exact identity: q = (1 - rho_l)/(1 + rho_s).
         for (rho_s, rho_l) in [(0.5, 0.3), (0.9, 0.5), (1.2, 0.2), (0.3, 0.9), (1.0, 0.5)] {
             let p = SystemParams::exponential(rho_s, 1.0, rho_l, 1.0).unwrap();
-            let sh = short_host_mmpp(&p).unwrap();
+            let sh = analyze(&p).unwrap();
             let balance = (1.0 - rho_l) / (1.0 + rho_s);
             assert!(
-                (sh.q_idle - balance).abs() < 1e-10,
+                (sh.steal_probability - balance).abs() < 1e-10,
                 "rho_s={rho_s} rho_l={rho_l}: {} vs {balance}",
-                sh.q_idle
+                sh.steal_probability
             );
         }
     }
@@ -508,17 +413,30 @@ mod tests {
     fn q_idle_exact_for_coxian_longs_too() {
         let longs = Moments3::from_mean_scv_balanced(1.0, 8.0).unwrap();
         let p = SystemParams::from_loads(0.8, 1.0, 0.4, longs).unwrap();
-        let sh = short_host_mmpp(&p).unwrap();
+        let sh = analyze(&p).unwrap();
         let balance = (1.0 - 0.4) / (1.0 + 0.8);
-        assert!((sh.q_idle - balance).abs() < 1e-9);
+        assert!((sh.steal_probability - balance).abs() < 1e-9);
     }
 
     #[test]
     fn setup_probability_closed_form() {
         let p = SystemParams::exponential(0.8, 1.0, 0.4, 1.0).unwrap();
-        let lh = long_host(&p).unwrap();
+        let lh = long_host(&p, &Map::poisson(p.lambda_s()).unwrap()).unwrap();
         let want = 0.8 / (0.4 + 0.8 + 1.0);
         assert!((lh.p_setup - want).abs() < 1e-12);
+    }
+
+    #[test]
+    fn map_setup_probability_is_the_pasta_ratio() {
+        // Longs are Poisson: the share of first longs that find a short in
+        // service is also P(S) / (P(I) + P(S)) under the stationary law.
+        let p = SystemParams::exponential(0.8, 1.0, 0.4, 1.0).unwrap();
+        let map = Map::bursty(0.8, 9.0, 10.0).unwrap();
+        let lh = long_host(&p, &map).unwrap();
+        let ka = map.dim();
+        let p_i: f64 = lh.pi[..ka].iter().sum();
+        let p_s: f64 = lh.pi[ka..2 * ka].iter().sum();
+        assert!((lh.p_setup - p_s / (p_i + p_s)).abs() < 1e-12);
     }
 
     #[test]

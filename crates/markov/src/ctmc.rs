@@ -106,22 +106,24 @@ pub(crate) fn stationary_into(
 
 /// Occupancy analysis of a CTMC killed at a state-independent rate.
 ///
-/// For a chain with generator `q` killed at rate `kappa`, started in state
-/// `start`, the matrix `(κI − Q)⁻¹` gives in row `start`:
+/// For a chain with generator `q` killed at rate `kappa`, entered with
+/// initial distribution `start`, the row vector `start · (κI − Q)⁻¹` gives:
 ///
 /// * entry `j` = expected total time spent in state `j` before the kill;
 /// * scaled by `κ`, the probability that the kill happens while in `j`.
 ///
 /// This is exactly what the CS-ID long-host decomposition needs: the no-long
-/// period is an idle/serving-short chain killed by the first long arrival.
+/// period is an idle/serving-short chain (times the short-arrival phase),
+/// entered where busy periods end and killed by the first long arrival. A
+/// unit vector `e_i` starts the chain in state `i`.
 ///
 /// # Errors
 ///
 /// [`MarkovError::InvalidGenerator`] for invalid input (including
-/// `kappa <= 0` and `start` out of range); [`MarkovError::Linalg`] if the
-/// resolvent is singular (cannot happen for `kappa > 0` and a valid
-/// generator).
-pub fn killed_occupancy(q: &Matrix, kappa: f64, start: usize) -> Result<KilledChain, MarkovError> {
+/// `kappa <= 0` and a `start` that is not a probability vector of length
+/// `n`); [`MarkovError::Linalg`] if the resolvent is singular (cannot happen
+/// for `kappa > 0` and a valid generator).
+pub fn killed_occupancy(q: &Matrix, kappa: f64, start: &[f64]) -> Result<KilledChain, MarkovError> {
     validate_generator(q)?;
     if !(kappa > 0.0 && kappa.is_finite()) {
         return Err(MarkovError::InvalidGenerator {
@@ -129,20 +131,21 @@ pub fn killed_occupancy(q: &Matrix, kappa: f64, start: usize) -> Result<KilledCh
         });
     }
     let n = q.rows();
-    if start >= n {
+    let mass: f64 = start.iter().sum();
+    if start.len() != n
+        || start.iter().any(|p| !p.is_finite() || *p < 0.0)
+        || (mass - 1.0).abs() > GEN_TOL
+    {
         return Err(MarkovError::InvalidGenerator {
-            reason: format!("start state {start} out of range (n = {n})"),
+            reason: format!("start must be a distribution over {n} states, got {start:?}"),
         });
     }
-    // (kappa I - Q) x = e_start, solved on the transpose to extract a row of
-    // the inverse.
+    // (kappa I - Q)^T x = start: the row vector start (kappa I - Q)^-1.
     let mut m = q.scale(-1.0);
     for i in 0..n {
         m[(i, i)] += kappa;
     }
-    let mut e = vec![0.0; n];
-    e[start] = 1.0;
-    let occupancy = m.transpose().solve(&e)?;
+    let occupancy = m.transpose().solve(start)?;
     Ok(KilledChain { kappa, occupancy })
 }
 
@@ -244,11 +247,6 @@ pub struct KilledChain {
 }
 
 impl KilledChain {
-    /// Expected time spent in each state before the kill.
-    pub fn expected_times(&self) -> &[f64] {
-        &self.occupancy
-    }
-
     /// Probability that the kill occurs while the chain is in each state.
     pub fn kill_state_probs(&self) -> Vec<f64> {
         self.occupancy.iter().map(|t| t * self.kappa).collect()
@@ -312,7 +310,7 @@ mod tests {
         // Regardless of internal dynamics, a conservative chain killed at
         // rate kappa lives Exp(kappa).
         let q = two_state(3.0, 0.7);
-        let k = killed_occupancy(&q, 2.5, 0).unwrap();
+        let k = killed_occupancy(&q, 2.5, &[1.0, 0.0]).unwrap();
         assert!((k.expected_lifetime() - 1.0 / 2.5).abs() < 1e-12);
         let probs = k.kill_state_probs();
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -324,7 +322,7 @@ mod tests {
         // start idle, kill = first long arrival.
         let (lambda_s, mu_s, lambda_l) = (0.8, 1.0, 0.4);
         let q = two_state(lambda_s, mu_s);
-        let k = killed_occupancy(&q, lambda_l, 0).unwrap();
+        let k = killed_occupancy(&q, lambda_l, &[1.0, 0.0]).unwrap();
         // P(killed while serving a short) = lambda_s / (lambda_l + lambda_s + mu_s)
         let p_short = k.kill_state_probs()[1];
         let expect = lambda_s / (lambda_l + lambda_s + mu_s);
@@ -389,7 +387,10 @@ mod tests {
     #[test]
     fn killed_chain_rejects_bad_inputs() {
         let q = two_state(1.0, 1.0);
-        assert!(killed_occupancy(&q, 0.0, 0).is_err());
-        assert!(killed_occupancy(&q, 1.0, 5).is_err());
+        assert!(killed_occupancy(&q, 0.0, &[1.0, 0.0]).is_err());
+        assert!(killed_occupancy(&q, 1.0, &[1.0]).is_err());
+        assert!(killed_occupancy(&q, 1.0, &[0.5, 0.4]).is_err());
+        assert!(killed_occupancy(&q, 1.0, &[1.5, -0.5]).is_err());
+        assert!(killed_occupancy(&q, 1.0, &[f64::NAN, 1.0]).is_err());
     }
 }

@@ -75,7 +75,7 @@ props! {
     /// Killed chains live Exp(kappa) regardless of internal structure, and
     /// the kill-state probabilities form a distribution.
     fn killed_chain_invariants(q in generator(4), kappa in 0.1f64..5.0) {
-        let k = ctmc::killed_occupancy(&q, kappa, 1).unwrap();
+        let k = ctmc::killed_occupancy(&q, kappa, &[0.0, 1.0, 0.0, 0.0]).unwrap();
         assert!((k.expected_lifetime() - 1.0 / kappa).abs() < 1e-9);
         let probs = k.kill_state_probs();
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);

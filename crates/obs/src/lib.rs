@@ -58,7 +58,7 @@ pub use registry::{
     snapshot, snapshot_if_active, span_enter, span_enter_root, trace_begin, Session, SpanGuard,
     TraceGuard,
 };
-pub use snapshot::{DeltaWindow, ObsSnapshot, SpanEntry};
+pub use snapshot::{ObsSnapshot, SpanEntry};
 
 /// Writes `s` as a JSON string literal, surrounding quotes included —
 /// the one escaper every JSON writer in the workspace uses. `"` and `\`

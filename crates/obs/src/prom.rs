@@ -4,11 +4,11 @@
 //!
 //! # Naming convention
 //!
-//! Registry names are dotted (`svc.query.served`); exposition names must
+//! Registry names are dotted (`svc.drain.requested`); exposition names must
 //! match `[a-zA-Z_:][a-zA-Z0-9_:]*`, so every invalid character maps to
 //! `_` (a leading digit gets a `_` prefix). A registry name may embed
-//! labels after a `|` separator — `svc.admission.shed|reason=queue_full`
-//! renders as `svc_admission_shed_total{reason="queue_full"}` — which is
+//! labels after a `|` separator — `svc.drain.requested|via=signal`
+//! renders as `svc_drain_requested_total{via="signal"}` — which is
 //! how one logical metric fans out into labeled series while the registry
 //! itself stays a flat name→value table.
 //!

@@ -342,42 +342,6 @@ impl ObsSnapshot {
     }
 }
 
-/// A scrape window over a cumulative registry: [`DeltaWindow::advance`]
-/// returns what changed since the previous call without ever resetting
-/// the registry itself.
-///
-/// This is the piece that lets two *consumers* coexist: a Prometheus
-/// scraper wants cumulative monotone counters (it computes rates itself),
-/// while a local "what happened in the last N seconds" view wants deltas.
-/// Both read the same registry; the window keeps its own baseline, so
-/// neither disturbs the other.
-#[derive(Debug, Default)]
-pub struct DeltaWindow {
-    last: ObsSnapshot,
-}
-
-impl DeltaWindow {
-    /// A window whose first [`advance`](DeltaWindow::advance) reports
-    /// everything recorded so far.
-    pub fn new() -> DeltaWindow {
-        DeltaWindow::default()
-    }
-
-    /// Feeds the window the latest cumulative snapshot and returns the
-    /// delta since the previous `advance` (gauges pass through as
-    /// current values — a high-water mark has no meaningful delta).
-    pub fn advance(&mut self, current: ObsSnapshot) -> ObsSnapshot {
-        let d = current.delta_since(&self.last);
-        self.last = current;
-        d
-    }
-
-    /// The cumulative snapshot the window last advanced to.
-    pub fn baseline(&self) -> &ObsSnapshot {
-        &self.last
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,21 +430,6 @@ mod tests {
         // Values 3 and 300 land in buckets 2 and 9 whose inclusive upper
         // bounds are 3 and 511.
         assert!(j.contains("\"buckets\":{\"2\":1,\"9\":1},\"le\":{\"2\":3,\"9\":511}"), "{j}");
-    }
-
-    #[test]
-    fn delta_window_reports_only_new_work_per_advance() {
-        let mut w = DeltaWindow::new();
-        let first = w.advance(sample());
-        assert_eq!(first.counter("a.hits"), 7, "first advance sees all");
-        let unchanged = w.advance(sample());
-        assert!(unchanged.counters.is_empty(), "no new work, no counters");
-        assert_eq!(unchanged.gauges, sample().gauges, "gauges pass through");
-        let mut grown = sample();
-        grown.counters[0].1 = 9;
-        let d = w.advance(grown);
-        assert_eq!(d.counter("a.hits"), 2);
-        assert_eq!(w.baseline().counter("a.hits"), 9);
     }
 
     #[test]

@@ -154,13 +154,12 @@ impl<T> Admission<T> {
     /// Counts one shed under `err`'s reason.
     fn shed(inner: &mut Inner<T>, err: AdmitError) -> AdmitError {
         let s = &mut inner.sheds;
-        let (count, label) = match err {
-            AdmitError::QueueFull { .. } => (&mut s.queue_full, "svc.admission.shed|reason=queue_full"),
-            AdmitError::Draining => (&mut s.draining, "svc.admission.shed|reason=draining"),
-            AdmitError::InflightCap => (&mut s.inflight_cap, "svc.admission.shed|reason=inflight_cap"),
+        let count = match err {
+            AdmitError::QueueFull { .. } => &mut s.queue_full,
+            AdmitError::Draining => &mut s.draining,
+            AdmitError::InflightCap => &mut s.inflight_cap,
         };
         *count += 1;
-        cyclesteal_obs::counter!(label);
         err
     }
 
@@ -184,7 +183,6 @@ impl<T> Admission<T> {
         // After the push: a snapshot reading `admitted` first and `depth`
         // second can only over-estimate live work, never under-estimate.
         self.admitted.fetch_add(1, Ordering::SeqCst);
-        cyclesteal_obs::counter!("svc.admission.admitted");
         self.ready.notify_one();
         Ok(())
     }

@@ -16,10 +16,13 @@
 //!    scrape *bit-match* the registry: a test can snapshot and assert
 //!    `body.ends_with(render_prometheus(&snapshot))`.
 //!
-//! Native metric names are disjoint from obs registry names
-//! (`svc_shed_total` vs `svc.admission.shed|reason=…` →
-//! `svc_admission_shed_total`), so the concatenation never emits
-//! duplicate series.
+//! Each daemon event is counted once: admissions, sheds, served queries,
+//! WAL appends and slow-log records are native series only, and the obs
+//! registry keeps the daemon's spans, latency histograms and the events
+//! no native series covers (`svc.drain.*`, `svc.conn.accepted`,
+//! `svc.wal.compact`). Their rendered names (`svc.drain.requested` →
+//! `svc_drain_requested_total`) stay disjoint from the native ones, so the
+//! concatenation never emits duplicate series.
 //!
 //! # One owner per counter
 //!
@@ -378,8 +381,9 @@ mod tests {
 
     #[test]
     fn native_and_obs_names_never_collide() {
-        // The obs registry's labeled admission counters deliberately
-        // render under svc_admission_shed_total, not svc_shed_total.
+        // Dotted registry names beside the native series they would
+        // shadow if they rendered flat: labeled ones land under
+        // svc_admission_shed_total, not svc_shed_total.
         let snap = ObsSnapshot {
             counters: vec![
                 ("svc.admission.shed|reason=queue_full".to_string(), 1),

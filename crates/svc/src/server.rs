@@ -289,7 +289,6 @@ impl Shared {
         let mut f = lock(file);
         if writeln!(f, "{line}").is_ok() {
             self.slow_logged.fetch_add(1, Ordering::Relaxed);
-            cyclesteal_obs::counter!("svc.slow_log.records");
         }
     }
 }
@@ -792,7 +791,6 @@ fn serve_query(shared: &Arc<Shared>, scope: &SolveCache, job: Job, clock: &Monot
             budget.saturating_sub(t1.saturating_sub(job.admitted_ns)) / 1_000
         );
     }
-    cyclesteal_obs::counter!("svc.query.served");
     shared.persist_new_reports(scope);
     shared.maybe_slow_log(&job, &outcome, t0, t1, &trace);
     // Flush before the response frame: once the client has its

@@ -450,7 +450,6 @@ impl DurableCache {
         wal.stats.appends += 1;
         wal.stats.bytes += rec.len() as u64;
         wal.stats.fsyncs += 1;
-        cyclesteal_obs::counter!("svc.wal.append");
         Ok(())
     }
 

@@ -418,14 +418,6 @@ pub struct SweepMetrics {
     pub obs: Option<cyclesteal_obs::ObsSnapshot>,
 }
 
-impl SweepMetrics {
-    /// Sum of per-point compute time — across threads this exceeds
-    /// `elapsed_ns`; the ratio is the achieved parallel speedup.
-    pub fn total_point_ns(&self) -> u64 {
-        self.point_ns.iter().map(|(_, ns)| ns).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -136,16 +136,6 @@ pub struct Xoshiro256PlusPlus {
     s: [u64; 4],
 }
 
-impl Xoshiro256PlusPlus {
-    /// Builds from raw state. At least one word must be nonzero (the
-    /// all-zero state is the generator's single fixed point); this is
-    /// guaranteed by [`SeedableRng::seed_from_u64`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro256++ state must be nonzero");
-        Xoshiro256PlusPlus { s }
-    }
-}
-
 impl SeedableRng for Xoshiro256PlusPlus {
     fn seed_from_u64(seed: u64) -> Self {
         let mut st = seed;
