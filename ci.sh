@@ -56,8 +56,9 @@ cargo test -q --offline --test cs_id_reduction
 
 echo "==> clippy (incl. unwrap-free non-test code in core and sweep)"
 # core and sweep deny clippy::unwrap_used outside tests; warnings anywhere
-# in the workspace are promoted to errors so the gate cannot rot.
-cargo clippy -q --workspace --offline -- -D warnings
+# in the workspace, tests, benches and examples included, are promoted to
+# errors so the gate cannot rot.
+cargo clippy -q --workspace --all-targets --offline -- -D warnings
 
 echo "==> rustdoc (warnings are errors)"
 # Deleted or private names leave dangling intra-doc links that neither the

@@ -384,7 +384,7 @@ pub fn build_qbd_model_map(params: &SystemParams, arrivals: &Map) -> Result<Qbd,
 }
 
 /// Builds the CS-CQ QBD exactly as [`analyze_cached`] would build it on a
-/// solution miss, **without solving it**, together with the report key
+/// report miss, **without solving it**, together with the report key
 /// it answers — [`cs_cq_km::plan_qbd_cached`], the batch planner's hook,
 /// at `(1, 1)`.
 ///

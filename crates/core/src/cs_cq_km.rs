@@ -64,10 +64,10 @@ use std::ops::Range;
 use cyclesteal_dist::match3::{self, MatchQuality};
 use cyclesteal_dist::{busy, DistError, Map, Moments3, Ph};
 use cyclesteal_linalg::{Matrix, Workspace};
-use cyclesteal_markov::Qbd;
+use cyclesteal_markov::{Qbd, QbdSolution};
 use cyclesteal_mg1::mg1;
 
-use crate::cache::{quantize, PlannedChain, ReportKey, SolveCache};
+use crate::cache::{quantize, ReportKey, SolveCache};
 use crate::cs_cq::{BusyPeriodFit, CsCqReport};
 use crate::{stability, AnalysisError, SystemParams};
 
@@ -183,7 +183,7 @@ pub fn analyze_with(
 }
 
 /// [`analyze_with`] through a [`SolveCache`] (parameters snapped onto the
-/// quantization grid; fits, QBD solutions and whole reports memoized).
+/// quantization grid; fits and whole reports memoized).
 /// The report key carries `(k, m)` verbatim — host counts are integers and
 /// are never quantized, so scenarios differing only in fleet shape cannot
 /// collide.
@@ -267,11 +267,11 @@ pub(crate) fn shorts_distribution(
     n_max: usize,
 ) -> Result<Vec<f64>, AnalysisError> {
     check_stable(hosts, params)?;
-    let fits = fit_slot_busy_periods(hosts, params, BusyPeriodFit::ThreeMoment, None)?;
-    let phs = slot_phs(&fits);
     let poisson = Map::poisson(params.lambda_s())?;
-    let layout = KmLayout::new(hosts, phs, poisson.dim());
-    let sol = build_with_layout(&layout, params, phs, &poisson)?.solve()?;
+    let fit = BusyPeriodFit::ThreeMoment;
+    let chain = Chain::build(hosts, params, fit, Arrivals::Map(&poisson))?;
+    let sol = chain.qbd.solve()?;
+    let layout = &chain.layout;
 
     let levels = hosts.k + hosts.m;
     let mut dist: Vec<f64> = (0..levels.min(n_max + 1))
@@ -313,12 +313,13 @@ pub fn build_qbd_model(
 }
 
 /// Builds the fleet QBD exactly as [`analyze_cached_in`] would on a
-/// solution miss — parameters snapped, fits served through the cache —
+/// report miss — parameters snapped, fits served through the cache —
 /// without solving, and returns it with its [`report_key`]. The sweep
 /// batch planner's hook: construction is bit-shared with the cached
-/// analysis path, so a solution seeded under the planned chain's key
-/// ([`SolveCache::seed_qbd_solution`]) is the one evaluation looks up.
-/// Nothing about the chain itself is cached.
+/// analysis path, so the report [`SolveCache::seed_qbd_solution`] reads
+/// off a presolved solution is the one evaluation would compute, filed
+/// under the key evaluation looks it up by. Nothing about the chain
+/// itself is cached.
 ///
 /// # Errors
 ///
@@ -332,9 +333,44 @@ pub fn plan_qbd_cached(
 ) -> Result<PlannedChain, AnalysisError> {
     let snapped = snap_params(params);
     check_stable(hosts, &snapped)?;
-    let qbd = build_model(hosts, &snapped, fit, Arrivals::PoissonCached(cache))?;
+    let chain = Chain::build(hosts, &snapped, fit, Arrivals::PoissonCached(cache))?;
     let key = report_key(hosts, &snapped, fit);
-    Ok(PlannedChain { key, qbd })
+    Ok(PlannedChain {
+        key,
+        chain: Box::new(chain),
+    })
+}
+
+/// A chain built for one question, with the [`ReportKey`] it was built
+/// for: what [`plan_qbd_cached`] hands the batch planner, and what
+/// [`SolveCache::seed_qbd_solution`] finishes into that question's report.
+/// Only the planner hook makes one, so the key is always the key the
+/// cached analysis looks the report up by. Derefs to the [`Qbd`].
+#[derive(Debug, Clone)]
+pub struct PlannedChain {
+    key: ReportKey,
+    /// Boxed: a planner holds a batch of these, and moves them to sort.
+    chain: Box<Chain>,
+}
+
+impl PlannedChain {
+    /// The question this chain answers.
+    pub fn key(&self) -> ReportKey {
+        self.key
+    }
+
+    /// The question's report, read off `sol`, a solution of this chain.
+    pub(crate) fn report(&self, sol: &QbdSolution) -> Result<CsCqReport, AnalysisError> {
+        assemble_report(&self.chain, sol)
+    }
+}
+
+impl std::ops::Deref for PlannedChain {
+    type Target = Qbd;
+
+    fn deref(&self) -> &Qbd {
+        &self.chain.qbd
+    }
 }
 
 /// Moments of a slot's `B_L`: the M/G/1 busy period of the slot's own
@@ -467,7 +503,7 @@ fn fit_busy_period(m: Moments3, fit: BusyPeriodFit) -> Result<(Ph, MatchQuality)
 /// A chain's short arrivals and whether its sub-solves are cached: the
 /// cache comes only with Poisson arrivals at the parameters' `λ_S`.
 pub(crate) enum Arrivals<'a> {
-    /// Poisson arrivals (built inside); fits and the QBD solution cached.
+    /// Poisson arrivals (built inside); fits cached.
     PoissonCached(&'a SolveCache),
     /// This MAP, nothing cached.
     Map(&'a Map),
@@ -494,14 +530,10 @@ pub(crate) fn build_model(
     fit: BusyPeriodFit,
     arrivals: Arrivals,
 ) -> Result<Qbd, AnalysisError> {
-    let (cache, map) = arrivals.split(params)?;
-    let fits = fit_slot_busy_periods(hosts, params, fit, cache)?;
-    let phs = slot_phs(&fits);
-    let layout = KmLayout::new(hosts, phs, map.dim());
-    build_with_layout(&layout, params, phs, &map)
+    Chain::build(hosts, params, fit, arrivals).map(|chain| chain.qbd)
 }
 
-/// The analysis behind every public entry point.
+/// The analysis behind every public entry point: build, solve, report.
 pub(crate) fn analyze_inner(
     hosts: Hosts,
     params: &SystemParams,
@@ -509,23 +541,66 @@ pub(crate) fn analyze_inner(
     arrivals: Arrivals,
     ws: &mut Workspace,
 ) -> Result<CsCqReport, AnalysisError> {
+    check_stable(hosts, params)?;
+    let chain = Chain::build(hosts, params, fit, arrivals)?;
+    let sol = chain.qbd.solve_in(ws)?;
+    assemble_report(&chain, &sol)
+}
+
+/// A fleet chain, built and not yet solved, with what its report is read
+/// off by: the layout that indexes the stationary vector, the busy-period
+/// fit qualities, and the parameters and hosts it was built for.
+#[derive(Debug, Clone)]
+struct Chain {
+    hosts: Hosts,
+    params: SystemParams,
+    layout: KmLayout,
+    /// Qualities of the `(B_L, B_{N+1})` fits.
+    quality: (MatchQuality, MatchQuality),
+    qbd: Qbd,
+}
+
+impl Chain {
+    /// Fits the busy periods and assembles the chain, unsolved.
+    fn build(
+        hosts: Hosts,
+        params: &SystemParams,
+        fit: BusyPeriodFit,
+        arrivals: Arrivals,
+    ) -> Result<Self, AnalysisError> {
+        let (cache, map) = arrivals.split(params)?;
+        let fits = fit_slot_busy_periods(hosts, params, fit, cache)?;
+        let phs = slot_phs(&fits);
+        let layout = KmLayout::new(hosts, phs, map.dim());
+        let qbd = build_with_layout(&layout, params, phs, &map)?;
+        let quality = match &fits {
+            Some(((_, blq), (_, bnq))) => (*blq, *bnq),
+            // m = 0: no busy periods exist; report the trivial quality.
+            None => (MatchQuality::MeanOnly, MatchQuality::MeanOnly),
+        };
+        Ok(Chain {
+            hosts,
+            params: *params,
+            layout,
+            quality,
+            qbd,
+        })
+    }
+}
+
+/// The one report-assembly body: reads `chain`'s report off `sol`, a
+/// solution of it. Every analysis runs it once per report it computes,
+/// the cached one, the uncached one and the batch presolve alike.
+fn assemble_report(chain: &Chain, sol: &QbdSolution) -> Result<CsCqReport, AnalysisError> {
     cyclesteal_obs::span!("core.cs_cq.analyze");
     cyclesteal_obs::counter!("core.cs_cq.analyze");
-    check_stable(hosts, params)?;
-
-    let (cache, map) = arrivals.split(params)?;
-    let fits = fit_slot_busy_periods(hosts, params, fit, cache)?;
-    let phs = slot_phs(&fits);
-    let layout = KmLayout::new(hosts, phs, map.dim());
-    let sol = match cache {
-        // Asked by key, the cache builds the chain only on a miss: a
-        // solution seeded by a batch presolve costs no build at all.
-        Some(c) => c.qbd_solution(report_key(hosts, params, fit), || {
-            Ok(build_with_layout(&layout, params, phs, &map)?.solve_in(ws)?)
-        })?,
-        None => build_with_layout(&layout, params, phs, &map)?.solve_in(ws)?,
-    };
-
+    let Chain {
+        hosts,
+        params,
+        layout,
+        quality: (bl_match, bn_match),
+        ..
+    } = chain;
     // E[N_S]: boundary level n holds n shorts; repeating level j holds
     // (k + m) + j. At (1, 1) this is the paper's expression
     // `level1_mass + 2·repeating_mass + expected_level_index`.
@@ -582,14 +657,9 @@ pub(crate) fn analyze_inner(
             }
         }
         let p_setup = p_region2 / (p_region1 + p_region2);
-        (p_setup, long_response_with_setup(hosts, params, p_setup)?)
+        (p_setup, long_response_with_setup(*hosts, params, p_setup)?)
     };
 
-    let (bl_match, bn_match) = match &fits {
-        Some(((_, blq), (_, bnq))) => (*blq, *bnq),
-        // m = 0: no busy periods exist; report the trivial quality.
-        None => (MatchQuality::MeanOnly, MatchQuality::MeanOnly),
-    };
     Ok(CsCqReport {
         short_response,
         long_response,
@@ -598,8 +668,8 @@ pub(crate) fn analyze_inner(
         p_region2,
         p_region5,
         setup_probability,
-        bl_match,
-        bn_match,
+        bl_match: *bl_match,
+        bn_match: *bn_match,
         total_mass: sol.total_mass(),
     })
 }
@@ -624,6 +694,7 @@ struct PhaseInfo {
 /// the bit-identity contract with the paper's chain at `m = 1`. Every
 /// index below (`levels`, `offsets`, `bidx`) counts slot phases; chain
 /// index = slot-phase index · `ka` + MAP phase.
+#[derive(Debug, Clone)]
 struct KmLayout {
     k: usize,
     m: usize,
@@ -1127,7 +1198,7 @@ mod tests {
     fn planned_fleet_chain_signature_matches_the_cached_analysis_path() {
         // The (k, m) mirror of the 2-host seeded-solution test: the batch
         // planner's chain must carry the exact key the analysis path looks
-        // up, and be the chain it would build, so a presolved solution is
+        // up, and be the chain it would build, so a presolved report is
         // served, not recomputed.
         let cache = SolveCache::new();
         let hosts = Hosts::new(2, 2).unwrap();
@@ -1137,17 +1208,17 @@ mod tests {
         assert_eq!(plan.key(), report_key(hosts, &p, fit));
         let built = build_qbd_model(hosts, &p, fit).unwrap();
         assert_eq!(plan.signature(), built.signature());
-        assert!(!cache.has_qbd_solution(&plan.key()));
+        assert!(!cache.has_report(&plan.key()));
         let sol = plan.solve().unwrap();
-        cache.seed_qbd_solution(&plan, sol);
-        assert!(cache.has_qbd_solution(&plan.key()));
-        // Planner: 2 fit misses; seed: 1 qbd miss.
+        assert!(cache.seed_qbd_solution(&plan, sol));
+        assert!(cache.has_report(&plan.key()));
+        // Planner: 2 fit misses; seed: 1 report miss.
         let before = cache.stats();
         assert_eq!((before.hits, before.misses), (0, 3), "{before:?}");
         let via_cache = analyze_cached(hosts, &p, fit, &cache).unwrap();
-        // Analysis: one report miss; hits on both fits and the seeded QBD.
+        // Analysis: one hit on the seeded report.
         let after = cache.stats();
-        assert_eq!((after.hits, after.misses), (3, 4), "{after:?}");
+        assert_eq!((after.hits, after.misses), (1, 3), "{after:?}");
         let direct = analyze(hosts, &p).unwrap();
         assert_eq!(
             via_cache.short_response.to_bits(),

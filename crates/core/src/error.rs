@@ -27,7 +27,7 @@ pub enum AnalysisError {
     },
     /// A deadline-budgeted analysis ran out of time before any rung of
     /// the degradation ladder could finish (see
-    /// `recover::analyze_deadline_cached_in`). The answer is *not*
+    /// `recover::analyze_cached_in`). The answer is *not*
     /// wrong, merely unaffordable within the caller's budget; retry with a
     /// larger budget or no deadline.
     DeadlineExceeded {

@@ -13,8 +13,8 @@
 //!   the QBD `R`-iteration exhausts both algorithms. Degraded results are
 //!   flagged (`degraded: true`) so reports never pass an approximation off
 //!   as the paper's method. One entry family serves every fleet shape
-//!   (keyed by [`Hosts`]); [`analyze_deadline_cached_in`] runs the same
-//!   ladder under a time budget.
+//!   (keyed by [`Hosts`]); [`analyze_cached_in`] runs the same ladder
+//!   with or without a time budget.
 //! * [`shorts_distribution`] — geometrically grows the truncation depth
 //!   `n_max` up to a budget when the tail mass is still non-negligible.
 //!
@@ -44,6 +44,11 @@ pub struct Recovery {
     pub degraded: bool,
     /// The busy-period fit order used on the final attempt.
     pub fit: BusyPeriodFit,
+    /// `true` when a [`Deadline`] (rather than a numeric failure) made the
+    /// ladder skip ahead to the cheapest rung because the remaining budget
+    /// could not afford the next escalation. A steered success is always
+    /// also `degraded`; without a deadline this is always `false`.
+    pub steered: bool,
 }
 
 /// The fit-order escalation ladder, strongest first. Each rung is exact
@@ -138,20 +143,6 @@ impl<'a> Deadline<'a> {
     }
 }
 
-/// What a deadline-budgeted ladder did: the ordinary [`Recovery`] plus
-/// whether the *deadline* (rather than a numeric failure) forced the
-/// ladder to skip ahead to the cheapest rung.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineRecovery {
-    /// Rungs tried and the fit that produced the outcome, exactly as in
-    /// the un-budgeted ladder.
-    pub recovery: Recovery,
-    /// `true` when remaining budget could not afford the next escalation
-    /// and the ladder jumped straight to the mean-only rung. A steered
-    /// success is always also `degraded`.
-    pub steered: bool,
-}
-
 /// Is this failure worth retrying with a lower fit order? Infeasible
 /// moment regions and exhausted `R`-iterations both depend on the fitted
 /// busy-period Coxians; a lower-order fit changes the chain and can
@@ -191,7 +182,7 @@ fn fit_retryable(e: &AnalysisError) -> bool {
 fn run_fit_ladder(
     deadline: Option<&Deadline<'_>>,
     mut attempt: impl FnMut(BusyPeriodFit) -> Result<CsCqReport, AnalysisError>,
-) -> (Result<CsCqReport, AnalysisError>, DeadlineRecovery) {
+) -> (Result<CsCqReport, AnalysisError>, Recovery) {
     let mut steered = false;
     let mut rung = 0usize;
     let mut attempts = 0u32;
@@ -205,12 +196,10 @@ fn run_fit_ladder(
                     stage: fit.name(),
                     budget_ns: deadline.budget_ns(),
                 }),
-                DeadlineRecovery {
-                    recovery: Recovery {
-                        attempts,
-                        degraded: false,
-                        fit,
-                    },
+                Recovery {
+                    attempts,
+                    degraded: false,
+                    fit,
                     steered,
                 },
             );
@@ -220,6 +209,7 @@ fn run_fit_ladder(
             attempts,
             degraded: rung > 0,
             fit,
+            steered,
         };
         cyclesteal_obs::counter!("core.recover.attempts");
         let before = deadline.map(Deadline::elapsed_ns);
@@ -229,7 +219,7 @@ fn run_fit_ladder(
                 if recovery.degraded {
                     cyclesteal_obs::counter!("core.recover.degraded");
                 }
-                return (Ok(report), DeadlineRecovery { recovery, steered });
+                return (Ok(report), recovery);
             }
             Err(e) if rung < last && fit_retryable(&e) => {
                 if let Some((deadline, before)) = deadline.zip(before) {
@@ -245,7 +235,7 @@ fn run_fit_ladder(
             }
             Err(e) => {
                 cyclesteal_obs::counter!("core.recover.exhausted");
-                return (Err(e), DeadlineRecovery { recovery, steered });
+                return (Err(e), recovery);
             }
         }
     }
@@ -258,7 +248,8 @@ fn run_fit_ladder(
 /// reached; a degraded success reports `degraded: true` and the fit order
 /// actually used. The cache is keyed on `(hosts, params, fit)` exactly as
 /// [`cs_cq_km::analyze_cached`] keys it, so a degraded result can never
-/// shadow a full-order one.
+/// shadow a full-order one. This is [`analyze_cached_in`] without a
+/// deadline.
 ///
 /// # Examples
 ///
@@ -282,40 +273,29 @@ pub fn analyze_cached(
     params: &SystemParams,
     cache: &SolveCache,
 ) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    analyze_cached_in(hosts, params, cache, &mut Workspace::new())
+    analyze_cached_in(hosts, params, cache, &mut Workspace::new(), None)
 }
 
 /// [`analyze_cached`] solving out of a caller-owned scratch
-/// [`Workspace`] (see [`cs_cq_km::analyze_cached_in`]). Every rung of the
-/// fit ladder reuses the same workspace; results are bit-identical to the
-/// plain variant.
+/// [`Workspace`] (see [`cs_cq_km::analyze_cached_in`]), optionally under
+/// a time budget. Every rung of the fit ladder reuses the same workspace;
+/// results are bit-identical to the plain variant.
+///
+/// With `deadline: Some`, the ladder is steered by the [`Deadline`] (see
+/// the fit ladder's rules — expired budgets fail with
+/// [`AnalysisError::DeadlineExceeded`], tight budgets jump straight to
+/// the mean-only rung and flag the result `steered` + `degraded`).
+/// Results that *are* produced remain pure functions of
+/// `(hosts, params, fit)`: the deadline picks which rung answers, never
+/// what a rung computes, so cached bit-identity survives.
 pub fn analyze_cached_in(
     hosts: Hosts,
     params: &SystemParams,
     cache: &SolveCache,
     ws: &mut Workspace,
+    deadline: Option<&Deadline<'_>>,
 ) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    let (res, rec) = run_fit_ladder(None, |fit| {
-        cs_cq_km::analyze_cached_in(hosts, params, fit, cache, ws)
-    });
-    (res, rec.recovery)
-}
-
-/// [`analyze_cached_in`] under a time budget: the fit ladder is steered
-/// by the [`Deadline`] (see the fit ladder's rules — expired budgets
-/// fail with [`AnalysisError::DeadlineExceeded`], tight budgets jump
-/// straight to the mean-only rung and flag the result `steered` +
-/// `degraded`). Results that *are* produced remain pure functions of
-/// `(hosts, params, fit)`: the deadline picks which rung answers, never
-/// what a rung computes, so cached bit-identity survives.
-pub fn analyze_deadline_cached_in(
-    hosts: Hosts,
-    params: &SystemParams,
-    cache: &SolveCache,
-    ws: &mut Workspace,
-    deadline: &Deadline<'_>,
-) -> (Result<CsCqReport, AnalysisError>, DeadlineRecovery) {
-    run_fit_ladder(Some(deadline), |fit| {
+    run_fit_ladder(deadline, |fit| {
         cs_cq_km::analyze_cached_in(hosts, params, fit, cache, ws)
     })
 }
@@ -374,6 +354,7 @@ pub fn shorts_distribution(
             attempts,
             degraded: false,
             fit: BusyPeriodFit::ThreeMoment,
+            steered: false,
         };
         match cs_cq::shorts_distribution(params, n) {
             Ok(dist) => return (Ok(dist), recovery),
@@ -401,6 +382,7 @@ mod tests {
                 attempts: 1,
                 degraded: false,
                 fit: BusyPeriodFit::ThreeMoment,
+                steered: false,
             }
         );
         let direct = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
@@ -514,7 +496,7 @@ mod tests {
                     budget_ns: 0,
                 })
             ));
-            assert_eq!(rec.recovery.attempts, 0);
+            assert_eq!(rec.attempts, 0);
             assert!(!rec.steered);
         }
 
@@ -529,8 +511,8 @@ mod tests {
                 Ok(report_tagged(3.0))
             });
             assert_eq!(res.unwrap().short_response, 3.0);
-            assert_eq!(rec.recovery.attempts, 1);
-            assert!(!rec.recovery.degraded);
+            assert_eq!(rec.attempts, 1);
+            assert!(!rec.degraded);
             assert!(!rec.steered);
         }
 
@@ -563,9 +545,9 @@ mod tests {
             );
             assert_eq!(res.unwrap().short_response, 1.0);
             assert!(rec.steered);
-            assert!(rec.recovery.degraded);
-            assert_eq!(rec.recovery.attempts, 2);
-            assert_eq!(rec.recovery.fit, BusyPeriodFit::MeanOnly);
+            assert!(rec.degraded);
+            assert_eq!(rec.attempts, 2);
+            assert_eq!(rec.fit, BusyPeriodFit::MeanOnly);
         }
 
         #[test]
@@ -589,8 +571,8 @@ mod tests {
             assert_eq!(tried, FIT_LADDER.to_vec());
             assert!(res.is_ok());
             assert!(!rec.steered, "nothing was skipped, only escalated");
-            assert!(rec.recovery.degraded);
-            assert_eq!(rec.recovery.attempts, 3);
+            assert!(rec.degraded);
+            assert_eq!(rec.attempts, 3);
         }
 
         #[test]
@@ -613,7 +595,7 @@ mod tests {
                 })
             ));
             assert!(rec.steered);
-            assert_eq!(rec.recovery.attempts, 1);
+            assert_eq!(rec.attempts, 1);
         }
 
         #[test]
@@ -628,8 +610,8 @@ mod tests {
                 Ok(report_tagged(3.0))
             });
             assert_eq!(res.unwrap().short_response, 3.0);
-            assert_eq!(rec.recovery.attempts, 1);
-            assert!(!rec.recovery.degraded);
+            assert_eq!(rec.attempts, 1);
+            assert!(!rec.degraded);
         }
 
         #[test]
@@ -646,7 +628,7 @@ mod tests {
                 })
             });
             assert!(matches!(res, Err(AnalysisError::Unstable { .. })));
-            assert_eq!(rec.recovery.attempts, 1, "instability is terminal");
+            assert_eq!(rec.attempts, 1, "instability is terminal");
             assert!(!rec.steered);
         }
 
@@ -658,7 +640,8 @@ mod tests {
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, u64::MAX);
             let mut ws = Workspace::new();
-            let (res, rec) = analyze_deadline_cached_in(Hosts::paper(), &p, &cache, &mut ws, &deadline);
+            let (res, rec) =
+                analyze_cached_in(Hosts::paper(), &p, &cache, &mut ws, Some(&deadline));
             let budgeted = res.unwrap();
             let direct = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
             assert_eq!(
@@ -666,7 +649,7 @@ mod tests {
                 direct.short_response.to_bits(),
                 "the deadline picks rungs, never changes what a rung computes"
             );
-            assert_eq!(rec.recovery.attempts, 1);
+            assert_eq!(rec.attempts, 1);
             assert!(!rec.steered);
         }
     }

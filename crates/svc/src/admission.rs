@@ -16,18 +16,17 @@
 //!
 //! # Accounting invariant
 //!
-//! A job admitted but not yet completed is *always* visible to probes: it
-//! is either still queued (`depth`) or claimed by a worker
-//! (`in_service`). The claim happens **inside** the dequeue's critical
-//! section — there is no instant where a popped job has left the queue
-//! but not yet been counted in service, so a health probe can never
-//! watch the queue drain while the daemon "looks idle". [`Admission::snapshot`]
-//! reads the counters in an order that preserves the
-//! `depth + in_service >= admitted - completed` direction under
-//! concurrent admits and completions.
+//! Every count lives beside the queue, under its one mutex, and changes in
+//! the same critical section as the queue change it accounts for: an admit
+//! pushes the job and counts it, a dequeue pops jobs and claims them in
+//! service, a completion counts the job done and drops its claim.
+//! [`Admission::snapshot`] reads everything in one critical section, so
+//! every snapshot satisfies `depth + in_service == admitted - completed`
+//! exactly: a job admitted but not yet completed is always visible,
+//! queued or claimed, and never counted twice. A health probe can never
+//! watch the queue drain while the daemon "looks idle".
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Why a job was not admitted.
@@ -73,15 +72,24 @@ impl Sheds {
     }
 }
 
+/// The queue and every count kept beside it (see the module docs).
 struct Inner<T> {
     queue: VecDeque<T>,
     open: bool,
-    /// Counted under the lock that decides them.
     sheds: Sheds,
+    admitted: u64,
+    completed: u64,
+    /// Jobs dequeued by a worker but not yet completed.
+    in_service: u64,
+    /// Workers currently holding claimed jobs (claimed with the dequeue,
+    /// released by `release_worker`).
+    busy_workers: u64,
+    /// EWMA of per-job service time in ns (`0` = no sample yet).
+    ewma_service_ns: u64,
 }
 
 /// One consistent read of the admission accounting, taken by
-/// [`Admission::snapshot`] in race-safe order (see the module docs).
+/// [`Admission::snapshot`] in one critical section (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionSnapshot {
     /// Jobs ever admitted to the queue.
@@ -112,18 +120,6 @@ pub struct Admission<T> {
     ready: Condvar,
     capacity: usize,
     workers: u64,
-    /// EWMA of per-job service time in ns (`0` = no sample yet).
-    ewma_service_ns: AtomicU64,
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    /// Jobs dequeued by a worker but not yet completed. Incremented inside
-    /// the dequeue critical section, decremented by `record_service_ns`
-    /// *after* `completed` — both orderings keep a concurrent snapshot
-    /// from undercounting live work.
-    in_service: AtomicU64,
-    /// Workers currently holding claimed jobs (claimed with the dequeue,
-    /// released by `release_worker`).
-    busy_workers: AtomicU64,
 }
 
 impl<T> Admission<T> {
@@ -135,15 +131,15 @@ impl<T> Admission<T> {
                 queue: VecDeque::with_capacity(capacity),
                 open: true,
                 sheds: Sheds::default(),
+                admitted: 0,
+                completed: 0,
+                in_service: 0,
+                busy_workers: 0,
+                ewma_service_ns: 0,
             }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
             workers: workers.max(1) as u64,
-            ewma_service_ns: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            in_service: AtomicU64::new(0),
-            busy_workers: AtomicU64::new(0),
         }
     }
 
@@ -175,14 +171,12 @@ impl<T> Admission<T> {
             return Err(Self::shed(&mut inner, AdmitError::Draining));
         }
         if inner.queue.len() >= self.capacity {
-            let retry_after_ms = self.retry_after_ms(inner.queue.len() as u64);
+            let retry_after_ms = self.retry_after_ms(&inner);
             return Err(Self::shed(&mut inner, AdmitError::QueueFull { retry_after_ms }));
         }
         inner.queue.push_back(job);
+        inner.admitted += 1;
         drop(inner);
-        // After the push: a snapshot reading `admitted` first and `depth`
-        // second can only over-estimate live work, never under-estimate.
-        self.admitted.fetch_add(1, Ordering::SeqCst);
         self.ready.notify_one();
         Ok(())
     }
@@ -208,9 +202,8 @@ impl<T> Admission<T> {
     /// The worker-busy claim and the per-job in-service claims happen
     /// **inside** the same critical section that pops the jobs, so a
     /// concurrent [`Admission::snapshot`] never sees queue depth drop
-    /// without the corresponding in-service work appearing — the fix for
-    /// the probe race where a saturated daemon scraped as idle. The
-    /// caller must call [`Admission::release_worker`] after finishing the
+    /// without the corresponding in-service work appearing. The caller
+    /// must call [`Admission::release_worker`] after finishing the
     /// batch and [`Admission::record_service_ns`] once per job.
     pub fn next_batch(&self, max: usize) -> Vec<T> {
         let max = max.max(1);
@@ -219,11 +212,8 @@ impl<T> Admission<T> {
             if !inner.queue.is_empty() {
                 let n = inner.queue.len().min(max);
                 let jobs: Vec<T> = inner.queue.drain(..n).collect();
-                // Claimed while still holding the queue lock: any probe
-                // that no longer sees these jobs in `depth` already sees
-                // them in `in_service`.
-                self.in_service.fetch_add(n as u64, Ordering::SeqCst);
-                self.busy_workers.fetch_add(1, Ordering::SeqCst);
+                inner.in_service += n as u64;
+                inner.busy_workers += 1;
                 return jobs;
             }
             if !inner.open {
@@ -239,7 +229,8 @@ impl<T> Admission<T> {
     /// Releases the busy-worker claim taken by [`Admission::next_batch`].
     /// Called once per dequeue, after every job of the batch is finished.
     pub fn release_worker(&self) {
-        self.busy_workers.fetch_sub(1, Ordering::SeqCst);
+        let mut inner = self.lock();
+        inner.busy_workers = inner.busy_workers.saturating_sub(1);
     }
 
     /// Stops admission and wakes every blocked worker. Already-queued jobs
@@ -254,67 +245,45 @@ impl<T> Admission<T> {
     /// EWMA (`new = (7·old + sample) / 8`, seeded by the **whole** first
     /// sample so the very first retry hint already prices one full
     /// service time instead of an 8×-too-cheap warm-up estimate).
-    ///
-    /// `completed` is incremented *before* the in-service claim is
-    /// dropped: a snapshot between the two sees the job on both sides
-    /// (overcounting live work), never on neither.
     pub fn record_service_ns(&self, ns: u64) {
-        self.completed.fetch_add(1, Ordering::SeqCst);
-        self.in_service.fetch_sub(1, Ordering::SeqCst);
-        let _ = self
-            .ewma_service_ns
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-                Some(if old == 0 {
-                    ns.max(1)
-                } else {
-                    (old / 8).saturating_mul(7).saturating_add(ns / 8).max(1)
-                })
-            });
+        let mut inner = self.lock();
+        inner.completed += 1;
+        inner.in_service = inner.in_service.saturating_sub(1);
+        let old = inner.ewma_service_ns;
+        inner.ewma_service_ns = if old == 0 {
+            ns.max(1)
+        } else {
+            (old / 8).saturating_mul(7).saturating_add(ns / 8).max(1)
+        };
     }
 
-    /// The backoff hint for a client seeing a full queue of `depth` jobs:
-    /// the backlog's expected drain time across the worker pool, floored
-    /// at 1 ms so clients never busy-spin.
-    fn retry_after_ms(&self, depth: u64) -> u64 {
-        let ewma = self.ewma_service_ns.load(Ordering::Relaxed);
+    /// The backoff hint for a client seeing a full queue: the backlog's
+    /// expected drain time across the worker pool, floored at 1 ms so
+    /// clients never busy-spin.
+    fn retry_after_ms(&self, inner: &Inner<T>) -> u64 {
+        let ewma = inner.ewma_service_ns;
         if ewma == 0 {
             return 1;
         }
-        let drain_ns = depth.saturating_mul(ewma) / self.workers;
+        let drain_ns = (inner.queue.len() as u64).saturating_mul(ewma) / self.workers;
         (drain_ns / 1_000_000).max(1)
     }
 
-    /// One probe-consistent load snapshot. The read order is load-bearing:
-    /// `admitted` first, then queue depth (under the lock), then
-    /// `in_service`, then `completed` last. Together with the write
-    /// orderings (push before `admitted`, claims inside the dequeue lock,
-    /// `completed` before the in-service release) this guarantees
-    /// `depth + in_service >= admitted - completed` for every snapshot,
-    /// no matter how admits, dequeues, and completions interleave — a
-    /// probe can overcount a job mid-handoff, but admitted-unfinished
-    /// work is never invisible.
-    ///
-    /// The shed counts and the open flag are read with the depth, under
-    /// the queue lock that decides them.
+    /// One consistent snapshot of every count, read in one critical
+    /// section: `depth + in_service == admitted - completed` holds
+    /// exactly, however admits, dequeues and completions interleave.
     pub fn snapshot(&self) -> AdmissionSnapshot {
-        let admitted = self.admitted.load(Ordering::SeqCst);
-        let (depth, sheds, open) = {
-            let inner = self.lock();
-            (inner.queue.len() as u64, inner.sheds, inner.open)
-        };
-        let in_service = self.in_service.load(Ordering::SeqCst);
-        let busy_workers = self.busy_workers.load(Ordering::SeqCst);
-        let completed = self.completed.load(Ordering::SeqCst);
+        let inner = self.lock();
         AdmissionSnapshot {
-            admitted,
-            depth,
-            in_service,
-            busy_workers,
+            admitted: inner.admitted,
+            depth: inner.queue.len() as u64,
+            in_service: inner.in_service,
+            busy_workers: inner.busy_workers,
             workers: self.workers,
-            completed,
-            sheds,
-            open,
-            ewma_service_ns: self.ewma_service_ns.load(Ordering::Relaxed),
+            completed: inner.completed,
+            sheds: inner.sheds,
+            open: inner.open,
+            ewma_service_ns: inner.ewma_service_ns,
         }
     }
 }
@@ -429,9 +398,10 @@ mod tests {
         }
         let check = |q: &Admission<i32>, note: &str| {
             let s = q.snapshot();
-            assert!(
-                s.depth + s.in_service >= s.admitted - s.completed,
-                "{note}: {s:?} undercounts admitted-but-unfinished work"
+            assert_eq!(
+                s.depth + s.in_service,
+                s.admitted - s.completed,
+                "{note}: {s:?} miscounts admitted-but-unfinished work"
             );
             s
         };
@@ -455,6 +425,51 @@ mod tests {
         q.release_worker();
         let s = check(&q, "batch finished");
         assert_eq!((s.in_service, s.busy_workers, s.completed), (0, 0, 4));
+    }
+
+    /// Snapshots taken while a producer admits and two workers drain and
+    /// complete always balance: every admitted job is queued, in service
+    /// or completed, and in exactly one of them.
+    #[test]
+    fn snapshots_under_concurrent_traffic_always_balance() {
+        const JOBS: u64 = 20_000;
+        let q = Admission::new(64, 2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut sent = 0;
+                while sent < JOBS {
+                    if q.admit(sent).is_ok() {
+                        sent += 1;
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+                q.close();
+            });
+            for _ in 0..2 {
+                s.spawn(|| loop {
+                    let jobs = q.next_batch(4);
+                    if jobs.is_empty() {
+                        break;
+                    }
+                    for _ in jobs {
+                        q.record_service_ns(1_000);
+                    }
+                    q.release_worker();
+                });
+            }
+            loop {
+                let s = q.snapshot();
+                assert_eq!(
+                    s.depth + s.in_service + s.completed,
+                    s.admitted,
+                    "{s:?} does not balance"
+                );
+                if !s.open && s.completed == JOBS {
+                    break;
+                }
+            }
+        });
     }
 
     #[test]
@@ -496,7 +511,7 @@ mod tests {
         for _ in 0..50 {
             q.record_service_ns(1_000_000);
         }
-        let ewma = q.ewma_service_ns.load(Ordering::Relaxed);
+        let ewma = q.snapshot().ewma_service_ns;
         assert!(
             (900_000..2_000_000).contains(&ewma),
             "EWMA should converge toward the recent 1 ms samples, got {ewma}"

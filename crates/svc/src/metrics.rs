@@ -37,7 +37,7 @@
 //!   `svc_served_total` reads the same count as `svc_completed_total`:
 //!   every admitted query a worker completes is answered;
 //! * [`SolveCache`](cyclesteal_core::cache::SolveCache) owns
-//!   `svc_cache_*` (a drain scope's fit and solution counts join the
+//!   `svc_cache_*` (a drain scope's fit counts join the
 //!   totals when the scope drops);
 //! * [`DurableCache`](crate::wal::DurableCache) owns `svc_wal_*`;
 //! * the server's [`BatchTotals`] own `svc_batch_*`, added once per
@@ -91,7 +91,7 @@ pub struct BatchTotals {
 pub struct NativeMetrics {
     /// Request accounting: admissions, completions, sheds, queue state.
     pub admission: AdmissionSnapshot,
-    /// Solve-cache counters, all three layers.
+    /// Solve-cache counters, both layers.
     pub cache: CacheStats,
     /// Reports resident in the long-lived cache. The daemon's root cache
     /// holds reports only (every drain solves in its own scope), so this

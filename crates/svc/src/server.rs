@@ -76,7 +76,7 @@ pub struct ServerConfig {
     pub per_conn_inflight: usize,
     /// LRU bound on the long-lived report cache (`0` = unbounded). Only
     /// reports outlive a drain: each worker drain solves through its own
-    /// fit and solution memo, dropped once the drain is answered, and
+    /// fit memo, dropped once the drain is answered, and
     /// [`SolveCache::with_capacity`] bounds the report layer alone.
     pub cache_capacity: usize,
     /// Durability directory; `None` runs memory-only.
@@ -234,8 +234,8 @@ impl Shared {
     }
 
     /// The one read behind `/metrics`, `/healthz` and `stats`: each
-    /// counter's owner snapshotted once. The admission snapshot's internal
-    /// ordering guarantees `depth + in_service` never undercounts
+    /// counter's owner snapshotted once. The admission snapshot is one
+    /// critical section, so `depth + in_service` is exactly the
     /// admitted-but-unfinished work, whatever the workers are doing.
     fn read(&self) -> NativeMetrics {
         NativeMetrics {
@@ -689,11 +689,10 @@ fn worker_loop(shared: &Arc<Shared>) {
         if jobs.is_empty() {
             break;
         }
-        // The drain's own solver memo: its fits and solutions go when the
-        // scope drops below, before the next wakeup, so at most one
-        // drain's solutions per worker are alive. Reports land in the
-        // shared long-lived layer, and in the scope's own journal for
-        // this worker to write to the WAL.
+        // The drain's own solver memo: its fits go when the scope drops
+        // below, before the next wakeup. Reports, presolved or computed,
+        // land in the shared long-lived layer, and in the scope's own
+        // journal for this worker to write to the WAL.
         let scope = shared.cache.scope();
         if jobs.len() > 1 {
             presolve_batch(shared, &scope, &jobs, &clock);
@@ -711,10 +710,11 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 /// The micro-batch presolve of one drained job batch: dedupe the batch's
 /// points by report key, solve the same-shape groups through the
-/// factor-once/solve-many pipeline, and seed the drain's `scope` — so the
-/// per-query evaluations below find their solutions already there and
-/// build no chain. A seeded solution is bit-identical to what the scalar path
-/// would compute, so responses cannot change; only the shared
+/// factor-once/solve-many pipeline, and file each question's report in the
+/// drain's `scope` — so the per-query evaluations below are report hits
+/// and build no chain, and the first answer's WAL write carries every
+/// presolved record. A seeded report is bit-identical to what the scalar
+/// path would compute, so responses cannot change; only the shared
 /// factorization work does.
 fn presolve_batch(shared: &Arc<Shared>, scope: &SolveCache, jobs: &[Job], clock: &MonotonicClock) {
     let now = clock.now_ns();
@@ -799,8 +799,8 @@ fn serve_query(shared: &Arc<Shared>, scope: &SolveCache, job: Job, clock: &Monot
     job.conn.send(&query_response(&outcome));
     job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
     // Counts the answer (`svc_served_total` and `svc_completed_total`
-    // read this one count), then drops the job's in-service claim, so
-    // probes never undercount.
+    // read this one count) and drops the job's in-service claim, in one
+    // critical section.
     shared.admission.record_service_ns(t1.saturating_sub(t0));
 }
 

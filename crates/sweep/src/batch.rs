@@ -1,9 +1,9 @@
 //! The batch presolve planner: groups a sweep's pending CS-CQ analysis
 //! points by QBD shape and solves each group through the batched
 //! factor-once/solve-many pipeline ([`Qbd::solve_batch_in`]) **before**
-//! the per-point evaluation phase, seeding the shared [`SolveCache`] so
-//! evaluation finds every question's solution already there, under the
-//! report key it looks the solution up by.
+//! the per-point evaluation phase, finishing each solution into its
+//! question's report in the shared [`SolveCache`], so evaluation finds
+//! every answer already there, under the report key it looks it up by.
 //!
 //! # Why this cannot change a report
 //!
@@ -12,9 +12,10 @@
 //! sequence, and every convergence/fallback decision is per-lane — see
 //! `cyclesteal_markov::qbd`), and the planner builds each chain through
 //! [`cs_cq_km::plan_qbd_cached`], the exact construction path the cached
-//! evaluation uses on a miss, for every fleet shape alike. A seeded
-//! solution is therefore the same bits evaluation would have computed
-//! itself; the presolve phase is a pure reordering of work. Error results
+//! evaluation uses on a miss, for every fleet shape alike, and the report
+//! is read off the solution by the same assembly body. A seeded report is
+//! therefore the same bits evaluation would have computed itself; the
+//! presolve phase is a pure reordering of work. Error results
 //! are never seeded — a failing point re-runs the scalar pipeline
 //! (recovery ladder included) during evaluation and gets its ordinary
 //! attributed failure record.
@@ -62,12 +63,12 @@ pub struct BatchStats {
     /// no fault planned on their scope (the planner's candidates,
     /// counted before deduplication).
     pub eligible: usize,
-    /// Distinct report keys planned whose report and solution were not
-    /// already cached — the solves the presolve phase actually performed.
-    /// An eligible point whose whole three-moment report is already cached
-    /// (say, recovered from the daemon's WAL), whose solution an earlier
-    /// presolve seeded, or whose key an earlier point of the same presolve
-    /// carried is not planned at all, so it never counts here; the
+    /// Distinct report keys planned whose report was not already cached
+    /// — the solves the presolve phase actually performed. An eligible
+    /// point whose three-moment report is already cached or being computed
+    /// (say, recovered from the daemon's WAL, or seeded by an earlier
+    /// presolve), or whose key an earlier point of the same presolve
+    /// carried, is not planned at all, so it never counts here; the
     /// daemon's `svc_batch_dedup_hits`, computed as `points − unique`,
     /// counts it as a dedup hit.
     pub unique: usize,
@@ -78,8 +79,8 @@ pub struct BatchStats {
     /// Chains whose shape group was narrower than that and were solved
     /// through the scalar path instead.
     pub scalar: usize,
-    /// Successful solutions seeded into the shared cache (failed solves
-    /// are never seeded; evaluation re-attributes them scalar-side).
+    /// Reports filed from successful solves (failed solves are never
+    /// seeded; evaluation re-attributes them scalar-side).
     pub seeded: usize,
     /// Otherwise-eligible points skipped because the armed fault plan
     /// targets their scope.
@@ -119,11 +120,13 @@ pub(crate) fn presolve(points: &[Point], cache: &SolveCache, ws: &mut Workspace)
 /// This is the seam a serving daemon shares with the sweep engine: a
 /// worker that drained several compatible queries hands their points
 /// here, then answers each query individually through the ordinary
-/// scalar path — which now finds every planned chain already in `cache`.
-/// The bit-identity argument of the module docs applies unchanged: a
-/// seeded solution is the same bits the per-query evaluation would have
-/// computed itself, deadline or no deadline, so batching can coalesce a
-/// burst's factorizations without moving a byte of any response.
+/// scalar path — which now finds every planned question's report already
+/// in `cache`. In a drain scope those reports are journaled here, before
+/// the first answer. The bit-identity argument of the module docs applies
+/// unchanged: a seeded report is the same bits the per-query evaluation
+/// would have computed itself, deadline or no deadline, so batching can
+/// coalesce a burst's factorizations without moving a byte of any
+/// response.
 ///
 /// Fault-planned points are skipped exactly as in a sweep presolve
 /// (their ids are the same canonical per-point fault scopes `run_query`
@@ -134,8 +137,7 @@ pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
 }
 
 /// The planning half of a presolve: filter to batch-eligible points, skip
-/// each whose report key is already answered, already solved or already
-/// planned, build each remaining chain through the exact cached
+/// each whose report key is already answered or already planned, build each remaining chain through the exact cached
 /// construction path evaluation uses, and return the plans in canonical
 /// order (tallying `stats`).
 fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<PlannedChain> {
@@ -167,11 +169,10 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<Pla
         };
         // The first rung of the recovery ladder — the fit the evaluator
         // will try first; deeper rungs are rare and stay scalar. A key
-        // already answered, solved or planned needs no chain at all.
+        // already answered (or being answered) or planned needs no chain.
         let fit = BusyPeriodFit::ThreeMoment;
         let key = cs_cq_km::report_key(hosts, &params, fit);
-        let answered = cache.peek_report(&key).is_some() || cache.has_qbd_solution(&key);
-        if answered || !seen.insert(key) {
+        if cache.has_report(&key) || !seen.insert(key) {
             continue;
         }
         if let Ok(plan) = cs_cq_km::plan_qbd_cached(hosts, &params, fit, cache) {
@@ -187,7 +188,7 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<Pla
 }
 
 /// The solving half of a presolve: group by shape, solve through the
-/// batched pipeline, and seed successful solutions.
+/// batched pipeline, and file the report of each successful solution.
 fn solve_and_seed(
     planned: Vec<PlannedChain>,
     cache: &SolveCache,
@@ -216,8 +217,7 @@ fn solve_and_seed(
                 chunk.iter().map(|q| q.solve_in(ws)).collect()
             };
             for (plan, result) in chunk.iter().zip(results) {
-                if let Ok(sol) = result {
-                    cache.seed_qbd_solution(plan, sol);
+                if result.is_ok_and(|sol| cache.seed_qbd_solution(plan, sol)) {
                     stats.seeded += 1;
                 }
             }

@@ -61,7 +61,7 @@ impl SweepOptions {
         }
     }
 
-    /// Attaches a shared cache (e.g. to carry solutions across sweeps or
+    /// Attaches a shared cache (e.g. to carry reports across sweeps or
     /// to observe hit counters from outside).
     pub fn with_cache(mut self, cache: Arc<SolveCache>) -> Self {
         self.cache = Some(cache);
@@ -336,7 +336,7 @@ pub(crate) fn point_stable(point: &Point) -> bool {
 
 /// Evaluates an analysis point into `row`. With `deadline: Some`, the
 /// CS-CQ recovery ladder is budget-steered (see
-/// [`recover::analyze_deadline_cached_in`]); `None` is the sweep engine's
+/// [`recover::analyze_cached_in`]); `None` is the sweep engine's
 /// un-budgeted path. Returns `true` when the deadline steered the ladder
 /// to a cheaper rung (always `false` un-budgeted).
 fn evaluate_analysis(
@@ -386,21 +386,11 @@ fn evaluate_analysis(
                 // Each worker thread owns one scratch workspace for the QBD
                 // solver; buffers are canonically reset on checkout, so rows
                 // stay bit-identical across thread counts and sweep orders.
-                let (res, rec, s) = WORKSPACE.with(|ws| {
+                let (res, rec) = WORKSPACE.with(|ws| {
                     let ws = &mut ws.borrow_mut();
-                    match deadline {
-                        Some(d) => {
-                            let (res, dr) =
-                                recover::analyze_deadline_cached_in(hosts, &params, cache, ws, d);
-                            (res, dr.recovery, dr.steered)
-                        }
-                        None => {
-                            let (res, rec) = recover::analyze_cached_in(hosts, &params, cache, ws);
-                            (res, rec, false)
-                        }
-                    }
+                    recover::analyze_cached_in(hosts, &params, cache, ws, deadline)
                 });
-                steered = s;
+                steered = rec.steered;
                 row.attempts = rec.attempts;
                 row.degraded = rec.degraded;
                 res.map(PolicyMeans::from)

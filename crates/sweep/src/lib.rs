@@ -7,9 +7,8 @@
 //! * [`GridSpec`] declares the grid; [`run`] (or [`run_points`] for an
 //!   explicit point list) evaluates it.
 //! * Analysis points share a [`cyclesteal_core::cache::SolveCache`]
-//!   (Coxian busy-period fits, QBD `R`-matrix solutions, whole CS-CQ
-//!   reports, all keyed on quantized inputs), so a sweep computes each
-//!   distinct sub-solve once.
+//!   (Coxian busy-period fits and whole CS-CQ reports, both keyed on
+//!   quantized inputs), so a sweep computes each distinct sub-solve once.
 //! * Simulation points derive their seeds from their own parameters, so
 //!   replication aggregates don't depend on where a point sits in the
 //!   grid.

@@ -10,7 +10,7 @@
 //! * `--queue N`               admission queue bound (default 64)
 //! * `--inflight N`            per-connection in-flight cap (default 32)
 //! * `--cache-capacity N`      LRU bound on the long-lived report cache
-//!   (default unbounded); fits and solutions live only for one worker
+//!   (default unbounded); fits live only for one worker
 //!   drain, so this bounds the report layer alone
 //! * `--data-dir DIR`          enable the durable WAL + snapshot in DIR
 //! * `--default-budget-ns NS`  budget for queries that carry none

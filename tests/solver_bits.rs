@@ -469,7 +469,7 @@ fn solver_bits_are_pinned_across_commits() {
                     let sol_fp = outcome_fp(sol);
                     let rep_fp = match &cases[c].report {
                         Report::Cached(hosts, p, plan) => {
-                            assert!(cache.has_qbd_solution(&plan.key()));
+                            assert!(cache.peek_report(&plan.key()).is_some());
                             let r = cs_cq_km::analyze_cached_in(
                                 *hosts,
                                 p,
