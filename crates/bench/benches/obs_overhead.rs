@@ -55,19 +55,29 @@ fn main() {
     );
 
     let points = workload_points();
-    h.bench(&format!("obs_overhead/sweep_{}pt/{state}", points.len()), || {
-        run_points("obs_overhead", black_box(&points), &SweepOptions::threads(1))
-    });
+    h.bench(
+        &format!("obs_overhead/sweep_{}pt/{state}", points.len()),
+        || {
+            run_points(
+                "obs_overhead",
+                black_box(&points),
+                &SweepOptions::threads(1),
+            )
+        },
+    );
 
     // The raw per-call cost of a disabled counter, 1,000 calls per
     // iteration (~0.3 ns each: one relaxed load + a never-taken branch).
-    h.bench(&format!("obs_overhead/disabled_counter_x1000/{state}"), || {
-        for _ in 0..1_000 {
-            // black_box stops LLVM from hoisting the active-flag check
-            // out of the loop: we want 1,000 honest call sites.
-            cyclesteal_obs::counter!(black_box("bench.noop"));
-        }
-    });
+    h.bench(
+        &format!("obs_overhead/disabled_counter_x1000/{state}"),
+        || {
+            for _ in 0..1_000 {
+                // black_box stops LLVM from hoisting the active-flag check
+                // out of the loop: we want 1,000 honest call sites.
+                cyclesteal_obs::counter!(black_box("bench.noop"));
+            }
+        },
+    );
 
     h.finish();
 
@@ -81,12 +91,20 @@ fn main() {
 /// workload's own runtime. Layout-stable because every number comes from
 /// one binary.
 fn assert_overhead_under_one_percent(points: &[Point], quick: bool) {
-    let (sweep_iters, call_iters) = if quick { (20, 200_000) } else { (100, 1_000_000) };
+    let (sweep_iters, call_iters) = if quick {
+        (20, 200_000)
+    } else {
+        (100, 1_000_000)
+    };
 
     let mut sweep_ns = u64::MAX;
     for _ in 0..sweep_iters {
         let t = Instant::now();
-        black_box(run_points("obs_overhead", black_box(points), &SweepOptions::threads(1)));
+        black_box(run_points(
+            "obs_overhead",
+            black_box(points),
+            &SweepOptions::threads(1),
+        ));
         sweep_ns = sweep_ns.min(t.elapsed().as_nanos() as u64);
     }
 
@@ -101,7 +119,11 @@ fn assert_overhead_under_one_percent(points: &[Point], quick: bool) {
     // is one call), histogram counts are exact, spans record at enter
     // and at drop; the gauge slack covers the pool's schedule gauges.
     let session = cyclesteal_obs::Session::start();
-    black_box(run_points("obs_overhead", black_box(points), &SweepOptions::threads(1)));
+    black_box(run_points(
+        "obs_overhead",
+        black_box(points),
+        &SweepOptions::threads(1),
+    ));
     let snap = session.snapshot();
     drop(session);
     let records: u64 = snap.counters.iter().map(|(_, v)| v).sum::<u64>()

@@ -275,13 +275,12 @@ impl<K: Eq + Hash, V> Table<K, V> {
 
 /// Removes `key` from `table` only while it still points at `slot`; a
 /// fresh slot inserted by a retrying caller must not be clobbered.
-fn remove_if_current<K: Eq + Hash, V>(
-    table: &Mutex<Table<K, V>>,
-    key: &K,
-    slot: &Arc<Slot<V>>,
-) {
+fn remove_if_current<K: Eq + Hash, V>(table: &Mutex<Table<K, V>>, key: &K, slot: &Arc<Slot<V>>) {
     let mut t = lock(table);
-    if t.entries.get(key).is_some_and(|e| Arc::ptr_eq(&e.slot, slot)) {
+    if t.entries
+        .get(key)
+        .is_some_and(|e| Arc::ptr_eq(&e.slot, slot))
+    {
         t.entries.remove(key);
         t.compact();
     }
@@ -486,18 +485,17 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     /// computes (counting a miss); everyone else waits on the condvar and
     /// either clones the ready value (counting a hit) or retries after a
     /// failure/poisoning.
-    fn get_or_compute<E>(
-        &self,
-        key: K,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<V, E> {
+    fn get_or_compute<E>(&self, key: K, compute: impl FnOnce() -> Result<V, E>) -> Result<V, E> {
         let mut compute = Some(compute);
         loop {
             let touch = {
                 let mut table = lock(&self.table);
-                self.touch(&mut table, key.clone(), || SlotState::Pending, |e| {
-                    Arc::clone(&e.slot)
-                })
+                self.touch(
+                    &mut table,
+                    key.clone(),
+                    || SlotState::Pending,
+                    |e| Arc::clone(&e.slot),
+                )
             };
             self.count(&self.evictions, self.evict_label, touch.evicted);
             let slot = touch.picked;
@@ -511,7 +509,8 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
                 };
                 let result = compute
                     .take()
-                    .expect("the designated branch runs at most once")();
+                    .expect("the designated branch runs at most once")(
+                );
                 guard.armed = false;
                 return match result {
                     Ok(v) => {
@@ -939,7 +938,11 @@ mod tests {
         }
         assert_eq!(memo.len(), 0, "failed slots are removed");
         let s = memo.stats();
-        assert_eq!((s.hits, s.misses), (0, 3), "each failing call recounts its miss");
+        assert_eq!(
+            (s.hits, s.misses),
+            (0, 3),
+            "each failing call recounts its miss"
+        );
         // The key still works once a compute succeeds.
         assert_eq!(memo.get_or_compute(1, || Ok::<u64, &str>(5)), Ok(5));
     }
@@ -1005,9 +1008,9 @@ mod tests {
                 .unwrap();
             });
             entered.wait(); // key 1 is now Pending
-            // Over-capacity insert while the only other entry is pending:
-            // the map stays temporarily over capacity instead of evicting
-            // the in-flight slot.
+                            // Over-capacity insert while the only other entry is pending:
+                            // the map stays temporarily over capacity instead of evicting
+                            // the in-flight slot.
             memo.get_or_compute(2, || Ok::<u64, ()>(2)).unwrap();
             let survived = memo.contains(&1);
             // Release before asserting: a failed assert must not leave the
@@ -1187,7 +1190,10 @@ mod tests {
         assert_eq!(scope.len(), 3);
         assert_eq!((root.len(), root.report_len()), (1, 1));
         assert_eq!(scope.take_new_reports().len(), 1);
-        assert!(root.take_new_reports().is_empty(), "a root journals nothing");
+        assert!(
+            root.take_new_reports().is_empty(),
+            "a root journals nothing"
+        );
         let in_scope = scope.stats();
         assert_eq!((in_scope.hits, in_scope.misses), (0, 3), "{in_scope:?}");
         assert_eq!(
@@ -1207,7 +1213,10 @@ mod tests {
             answer.short_response.to_bits()
         );
         assert_eq!(scope.len(), 1);
-        assert!(scope.take_new_reports().is_empty(), "a hit journals nothing");
+        assert!(
+            scope.take_new_reports().is_empty(),
+            "a hit journals nothing"
+        );
         drop(scope);
         let after = root.stats();
         assert_eq!((after.hits, after.misses), (1, 3), "{after:?}");
@@ -1240,7 +1249,10 @@ mod tests {
             r2.short_response.to_bits()
         );
         let taken = b.take_new_reports();
-        assert_eq!(taken.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [key(&p3)]);
+        assert_eq!(
+            taken.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            [key(&p3)]
+        );
         assert!(a.take_new_reports().is_empty(), "taking is destructive");
         assert!(root.take_new_reports().is_empty());
 
@@ -1299,8 +1311,12 @@ mod tests {
 
         /// The Ready keys, sorted (held keys are Pending).
         fn ready_keys(&self) -> Vec<u32> {
-            let mut keys: Vec<u32> =
-                self.entries.iter().filter(|(_, e)| e.1).map(|(k, _)| *k).collect();
+            let mut keys: Vec<u32> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.1)
+                .map(|(k, _)| *k)
+                .collect();
             keys.sort_unstable();
             keys
         }
@@ -1489,7 +1505,10 @@ mod tests {
                     assert_agrees(&memo, &oracle, &format!("capacity {capacity}, hit {i}"));
                 }
                 let stats = memo.stats();
-                assert!(stats.evictions > 0, "capacity {capacity}, seed {seed}: {stats:?}");
+                assert!(
+                    stats.evictions > 0,
+                    "capacity {capacity}, seed {seed}: {stats:?}"
+                );
             }
         }
     }

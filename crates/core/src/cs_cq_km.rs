@@ -243,17 +243,21 @@ pub fn report_key(hosts: Hosts, params: &SystemParams, fit: BusyPeriodFit) -> Re
 /// the feasible set (only possible exactly on a feasibility boundary).
 fn snap_params(params: &SystemParams) -> SystemParams {
     let long = params.long_moments();
-    Moments3::new(quantize(long.mean()), quantize(long.m2()), quantize(long.m3()))
-        .map_err(AnalysisError::from)
-        .and_then(|m| {
-            SystemParams::new(
-                quantize(params.lambda_s()),
-                quantize(params.mu_s()),
-                quantize(params.lambda_l()),
-                m,
-            )
-        })
-        .unwrap_or(*params)
+    Moments3::new(
+        quantize(long.mean()),
+        quantize(long.m2()),
+        quantize(long.m3()),
+    )
+    .map_err(AnalysisError::from)
+    .and_then(|m| {
+        SystemParams::new(
+            quantize(params.lambda_s()),
+            quantize(params.mu_s()),
+            quantize(params.lambda_l()),
+            m,
+        )
+    })
+    .unwrap_or(*params)
 }
 
 /// The stationary distribution `P(N_S = n)`, `n = 0 ..= n_max`, of the

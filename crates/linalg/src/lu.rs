@@ -90,7 +90,11 @@ impl Lu {
                 i = self.pivots[i];
             }
         }
-        let mut d = if (n - cycles).is_multiple_of(2) { 1.0 } else { -1.0 };
+        let mut d = if (n - cycles).is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        };
         for i in 0..n {
             d *= self.lu[(i, i)];
         }
@@ -230,7 +234,9 @@ pub fn lu_factor_into(
 pub(crate) fn zero_factor_skips_are_exact(data: &[f64]) -> bool {
     const NEG_ZERO: u64 = 1 << 63;
     // A full fold rather than an early-exit search, so it vectorizes.
-    !data.iter().fold(false, |seen, x| seen | (x.to_bits() == NEG_ZERO))
+    !data
+        .iter()
+        .fold(false, |seen, x| seen | (x.to_bits() == NEG_ZERO))
 }
 
 /// Solves `A x = b` into caller storage using factors from

@@ -606,7 +606,11 @@ pub fn spectral_radius_many(panel: &mut BatchPanel, max_iters: usize, out: &mut 
             }
         }
         std::mem::swap(&mut v, &mut w);
-        let lanes = ids.iter().zip(&norm).zip(lambda.iter_mut()).zip(latched.iter_mut());
+        let lanes = ids
+            .iter()
+            .zip(&norm)
+            .zip(lambda.iter_mut())
+            .zip(latched.iter_mut());
         for (((&id, &nm), prev), done) in lanes {
             // The scalar kernel returns 0 on a vanished iterate, and the
             // estimate once two consecutive ones agree.
@@ -748,10 +752,10 @@ mod tests {
     fn lu_solve_many_is_bit_identical_to_scalar() {
         let n = 5;
         for batch in [1usize, 2, 7] {
-            let mats: Vec<Matrix> =
-                (0..batch as u64).map(|s| test_matrix(n, s, true)).collect();
-            let rhs: Vec<Matrix> =
-                (0..batch as u64).map(|s| test_matrix(n, s + 31, false)).collect();
+            let mats: Vec<Matrix> = (0..batch as u64).map(|s| test_matrix(n, s, true)).collect();
+            let rhs: Vec<Matrix> = (0..batch as u64)
+                .map(|s| test_matrix(n, s + 31, false))
+                .collect();
             // Factor every lane through the scalar kernel; pack factors.
             let mut lus = BatchPanel::zeros(n, n, batch);
             let mut pivots = vec![0usize; n * batch];

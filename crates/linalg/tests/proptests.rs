@@ -291,7 +291,13 @@ fn salted(rows: usize, cols: usize, rng: &mut SmallRng) -> Matrix {
 /// the input on which the LU kernels skip the updates of zero factors.
 fn sparse(rows: usize, cols: usize, rng: &mut SmallRng) -> Matrix {
     let data = (0..rows * cols)
-        .map(|_| if rng.random_below(2) == 0 { 0.0 } else { entry(rng) + 0.0 })
+        .map(|_| {
+            if rng.random_below(2) == 0 {
+                0.0
+            } else {
+                entry(rng) + 0.0
+            }
+        })
         .collect();
     Matrix::from_vec(rows, cols, data)
 }

@@ -527,7 +527,9 @@ impl Qbd {
         for &b in &lane_ids {
             results[b] = Some(qbds[b].solve_in(ws));
         }
-        for p in [h_panel, l_panel, g_panel, t_panel, u_panel, lu_panel, tmp_panel, tmp2_panel] {
+        for p in [
+            h_panel, l_panel, g_panel, t_panel, u_panel, lu_panel, tmp_panel, tmp2_panel,
+        ] {
             ws.give_panel(p);
         }
         ws.give_idx(pivots);
@@ -550,7 +552,11 @@ impl Qbd {
         spectral_radius_many(&mut scratch, 200, &mut sps);
         ws.give_panel(scratch);
         let stable: Vec<bool> = sps.iter().map(|&sp| sp < STABILITY_MARGIN).collect();
-        for (&b, &sp) in ids.iter().zip(&sps).filter(|(_, &sp)| sp >= STABILITY_MARGIN) {
+        for (&b, &sp) in ids
+            .iter()
+            .zip(&sps)
+            .filter(|(_, &sp)| sp >= STABILITY_MARGIN)
+        {
             cyclesteal_obs::counter!("markov.qbd.solve");
             results[b] = Some(Err(MarkovError::Unstable {
                 spectral_radius: sp,
@@ -568,7 +574,9 @@ impl Qbd {
             let end = ids.len().min(start + group);
             let mut r_group = ws.take_panel(m, m, ids.len());
             r_group.copy_from(&r_panel);
-            let keep: Vec<bool> = (0..ids.len()).map(|lane| (start..end).contains(&lane)).collect();
+            let keep: Vec<bool> = (0..ids.len())
+                .map(|lane| (start..end).contains(&lane))
+                .collect();
             r_group.retain_lanes(&keep);
             for (b, res) in Qbd::boundary_solve_batch_in(qbds, &ids[start..end], r_group, ws) {
                 cyclesteal_obs::counter!("markov.qbd.solve");
@@ -748,7 +756,11 @@ impl Qbd {
     }
 
     /// One allocating solve attempt (see [`Qbd::solve_reference`]).
-    fn attempt_reference(&self, alg: RAlgorithm, fi_cap: usize) -> Result<QbdSolution, MarkovError> {
+    fn attempt_reference(
+        &self,
+        alg: RAlgorithm,
+        fi_cap: usize,
+    ) -> Result<QbdSolution, MarkovError> {
         self.attempt_precheck(&mut Workspace::new())?;
         let r = match alg {
             RAlgorithm::LogarithmicReduction => self.r_logarithmic_reduction_reference()?,
@@ -781,8 +793,10 @@ impl Qbd {
         let m = self.phase_dim();
         let mut a = ws.take_mat(m, m);
         a.copy_from(&self.a0);
-        a.add_assign(&self.a1).expect("A0 and A1 share the phase dimension");
-        a.add_assign(&self.a2).expect("A0 and A2 share the phase dimension");
+        a.add_assign(&self.a1)
+            .expect("A0 and A1 share the phase dimension");
+        a.add_assign(&self.a2)
+            .expect("A0 and A2 share the phase dimension");
         let mut phi = ws.take_vec(m);
         let mut sums = ws.take_vec(m);
         let solved = crate::ctmc::stationary_into(&a, ws, &mut phi).is_ok();
@@ -1020,14 +1034,22 @@ impl Qbd {
         })
     }
 
-    fn boundary_solve_in(&self, r: &Matrix, ws: &mut Workspace) -> Result<QbdSolution, MarkovError> {
+    fn boundary_solve_in(
+        &self,
+        r: &Matrix,
+        ws: &mut Workspace,
+    ) -> Result<QbdSolution, MarkovError> {
         let system = self.boundary_system_in(r, ws)?;
         self.boundary_pivots_in(r, system, ws)
     }
 
     /// The boundary system of the solve: `x F = 0, x·w = 1` with
     /// `F = [[B00, B01], [B10, A1 + R A2]]` and `w = [1, (I − R)⁻¹ 1]`.
-    fn boundary_system_in(&self, r: &Matrix, ws: &mut Workspace) -> Result<BoundarySystem, MarkovError> {
+    fn boundary_system_in(
+        &self,
+        r: &Matrix,
+        ws: &mut Workspace,
+    ) -> Result<BoundarySystem, MarkovError> {
         let m = self.phase_dim();
         let mut tmp = ws.take_mat(m, m);
         r.mul_into(&self.a2, &mut tmp)?;
@@ -1300,7 +1322,12 @@ impl Qbd {
 
 /// Loads `block(qbds[b])` for every member `b` of `ids` into the lanes
 /// of `panel`, in order.
-fn load_blocks(qbds: &[&Qbd], ids: &[usize], block: impl Fn(&Qbd) -> &Matrix, panel: &mut BatchPanel) {
+fn load_blocks(
+    qbds: &[&Qbd],
+    ids: &[usize],
+    block: impl Fn(&Qbd) -> &Matrix,
+    panel: &mut BatchPanel,
+) {
     for (lane, &b) in ids.iter().enumerate() {
         panel.load_lane(lane, block(qbds[b]));
     }
@@ -1817,11 +1844,7 @@ mod tests {
                     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(g.boundary()), bits(w.boundary()), "lane {i} boundary");
                     assert_eq!(bits(g.pi0()), bits(w.pi0()), "lane {i} pi0");
-                    assert_eq!(
-                        bits(g.r().as_slice()),
-                        bits(w.r().as_slice()),
-                        "lane {i} R"
-                    );
+                    assert_eq!(bits(g.r().as_slice()), bits(w.r().as_slice()), "lane {i} R");
                     assert_eq!(
                         g.normalization_pivot(),
                         w.normalization_pivot(),
@@ -1921,4 +1944,3 @@ mod tests {
         assert_eq!(ref_sol.normalization_pivot(), 0);
     }
 }
-

@@ -138,7 +138,10 @@ pub fn render_prometheus(snap: &ObsSnapshot) -> String {
     let mut counters: Grouped<u64> = BTreeMap::new();
     for (raw, v) in &snap.counters {
         let (base, labels) = split_labels(raw);
-        counters.entry(base + "_total").or_default().push((labels, *v));
+        counters
+            .entry(base + "_total")
+            .or_default()
+            .push((labels, *v));
     }
     for (name, series) in &counters {
         let _ = writeln!(out, "# TYPE {name} counter");
@@ -170,10 +173,7 @@ pub fn render_prometheus(snap: &ObsSnapshot) -> String {
         for (labels, h) in series {
             // Cumulative buckets: every index up to the highest non-empty
             // one, so the `le` ladder has no gaps a consumer must infer.
-            let max_idx = h
-                .buckets
-                .iter()
-                .rposition(|&n| n > 0);
+            let max_idx = h.buckets.iter().rposition(|&n| n > 0);
             let mut cum = 0u64;
             if let Some(max_idx) = max_idx {
                 for (i, &n) in h.buckets.iter().enumerate().take(max_idx + 1) {
@@ -299,7 +299,10 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Series>, String> {
                 if !is_metric_name(name) {
                     return Err(err("invalid metric name in TYPE"));
                 }
-                if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                if !matches!(
+                    kind,
+                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                ) {
                     return Err(err("unknown TYPE kind"));
                 }
                 if parts.next().is_some() {
@@ -603,7 +606,8 @@ mod tests {
         assert!(check_exposition("name 3\nname 4\n").is_err(), "duplicates");
         assert!(check_exposition("# TYPE x flavor\n").is_err());
         // Decreasing cumulative buckets.
-        let bad = "h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_count 5\n";
+        let bad =
+            "h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_count 5\n";
         assert!(check_exposition(bad).is_err());
         // +Inf must equal _count.
         let bad = "h_bucket{le=\"+Inf\"} 5\nh_count 6\n";

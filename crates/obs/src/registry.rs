@@ -211,7 +211,11 @@ mod imp {
                 .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
             gauges: a.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            histograms: a.hists.iter().map(|(k, h)| (k.to_string(), h.clone())).collect(),
+            histograms: a
+                .hists
+                .iter()
+                .map(|(k, h)| (k.to_string(), h.clone()))
+                .collect(),
             spans: a
                 .spans
                 .iter()
@@ -349,7 +353,13 @@ mod imp {
     #[cold]
     #[inline(never)]
     fn histogram_slow(name: &'static str, v: u64) {
-        with_local(|b| b.agg.hists.entry(Cow::Borrowed(name)).or_default().record(v));
+        with_local(|b| {
+            b.agg
+                .hists
+                .entry(Cow::Borrowed(name))
+                .or_default()
+                .record(v)
+        });
     }
 
     /// Records `v` into histogram `name`, rejecting NaN (counted in the
@@ -431,7 +441,7 @@ mod imp {
     fn span_close_slow(start: Instant) {
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         with_local(|b| {
-                let Some(top) = b.stack.pop() else { return };
+            let Some(top) = b.stack.pop() else { return };
             // Path = frames since the innermost root (inclusive),
             // joined with ';', ending in the span being closed.
             let from = if top.root {
@@ -537,8 +547,8 @@ mod imp {
 
 pub use imp::{
     disable, enable, flush_thread, is_active, record_counter, record_counter_owned,
-    record_gauge_max, record_histogram, record_histogram_f64, reset, snapshot,
-    snapshot_if_active, span_enter, span_enter_root, trace_begin, SpanGuard, TraceGuard,
+    record_gauge_max, record_histogram, record_histogram_f64, reset, snapshot, snapshot_if_active,
+    span_enter, span_enter_root, trace_begin, SpanGuard, TraceGuard,
 };
 
 /// RAII session for tests and tools: takes the exclusive lock, resets the

@@ -96,7 +96,10 @@ impl ObsSnapshot {
 
     /// The histogram `name`, if any values were recorded under it.
     pub fn histogram(&self, name: &str) -> Option<&Hist> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
+        self.histograms
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, h)| h)
     }
 
     /// The close-count of spans at `path`, or `0` when absent.
@@ -212,25 +215,39 @@ impl ObsSnapshot {
     /// Full pretty-printed JSON document (deterministic subset *and*
     /// timing-class data) in the workspace's hand-rolled style.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"harness\": \"cyclesteal-xtest\",\n  \"version\": 1,\n  \"kind\": \"obs\",\n");
+        let mut s = String::from(
+            "{\n  \"harness\": \"cyclesteal-xtest\",\n  \"version\": 1,\n  \"kind\": \"obs\",\n",
+        );
         s.push_str("  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(s, "    {}: {}", json_str(name), v);
         }
-        s.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
+        s.push_str(if self.counters.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         s.push_str("  \"gauges\": {");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(s, "    {}: {}", json_str(name), v);
         }
-        s.push_str(if self.gauges.is_empty() { "},\n" } else { "\n  },\n" });
+        s.push_str(if self.gauges.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         s.push_str("  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(s, "    {}: {}", json_str(name), hist_json(h));
         }
-        s.push_str(if self.histograms.is_empty() { "},\n" } else { "\n  },\n" });
+        s.push_str(if self.histograms.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         s.push_str("  \"spans\": [");
         for (i, e) in self.spans.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -242,7 +259,11 @@ impl ObsSnapshot {
                 e.total_ns
             );
         }
-        s.push_str(if self.spans.is_empty() { "]\n}\n" } else { "\n  ]\n}\n" });
+        s.push_str(if self.spans.is_empty() {
+            "]\n}\n"
+        } else {
+            "\n  ]\n}\n"
+        });
         s
     }
 
@@ -298,7 +319,11 @@ impl ObsSnapshot {
     pub fn summary_table(&self) -> String {
         let mut s = String::new();
         if !self.spans.is_empty() {
-            let _ = writeln!(s, "{:<52} {:>10} {:>12} {:>10}", "span path", "count", "total ms", "mean us");
+            let _ = writeln!(
+                s,
+                "{:<52} {:>10} {:>12} {:>10}",
+                "span path", "count", "total ms", "mean us"
+            );
             let mut spans: Vec<&SpanEntry> = self.spans.iter().collect();
             spans.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.path.cmp(&b.path)));
             for e in spans {
@@ -429,7 +454,10 @@ mod tests {
         let j = sample().counts_json();
         // Values 3 and 300 land in buckets 2 and 9 whose inclusive upper
         // bounds are 3 and 511.
-        assert!(j.contains("\"buckets\":{\"2\":1,\"9\":1},\"le\":{\"2\":3,\"9\":511}"), "{j}");
+        assert!(
+            j.contains("\"buckets\":{\"2\":1,\"9\":1},\"le\":{\"2\":3,\"9\":511}"),
+            "{j}"
+        );
     }
 
     #[test]
@@ -437,7 +465,10 @@ mod tests {
         let t = sample().trace_json();
         assert!(!t.contains('\n'));
         assert!(t.contains("\"a.hits\":7"), "{t}");
-        assert!(t.contains("\"root;leaf\":{\"count\":4,\"total_ns\":400}"), "{t}");
+        assert!(
+            t.contains("\"root;leaf\":{\"count\":4,\"total_ns\":400}"),
+            "{t}"
+        );
         assert!(t.contains("\"iters\":{\"count\":2"), "{t}");
     }
 

@@ -26,7 +26,12 @@ fn run(policy: PolicyKind, seed: u64) -> SimResult {
 /// Every observable statistic must agree exactly — not approximately —
 /// between two runs with the same seed.
 fn assert_bit_identical(a: &SimResult, b: &SimResult) {
-    for (x, y) in [(&a.short, &b.short), (&a.long, &b.long), (&a.short_wait, &b.short_wait), (&a.long_wait, &b.long_wait)] {
+    for (x, y) in [
+        (&a.short, &b.short),
+        (&a.long, &b.long),
+        (&a.short_wait, &b.short_wait),
+        (&a.long_wait, &b.long_wait),
+    ] {
         assert_eq!(x.count, y.count);
         assert_eq!(x.mean.to_bits(), y.mean.to_bits());
         assert_eq!(x.variance.to_bits(), y.variance.to_bits());

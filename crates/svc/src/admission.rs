@@ -172,7 +172,10 @@ impl<T> Admission<T> {
         }
         if inner.queue.len() >= self.capacity {
             let retry_after_ms = self.retry_after_ms(&inner);
-            return Err(Self::shed(&mut inner, AdmitError::QueueFull { retry_after_ms }));
+            return Err(Self::shed(
+                &mut inner,
+                AdmitError::QueueFull { retry_after_ms },
+            ));
         }
         inner.queue.push_back(job);
         inner.admitted += 1;
@@ -219,10 +222,7 @@ impl<T> Admission<T> {
             if !inner.open {
                 return Vec::new();
             }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(|e| e.into_inner());
+            inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -348,7 +348,11 @@ mod tests {
         // already price one whole observed service time, not ns/8.
         let q = Admission::new(1, 1);
         q.record_service_ns(8_000_000); // one 8 ms observation, nothing else
-        assert_eq!(q.snapshot().ewma_service_ns, 8_000_000, "EWMA must seed at full weight");
+        assert_eq!(
+            q.snapshot().ewma_service_ns,
+            8_000_000,
+            "EWMA must seed at full weight"
+        );
         q.admit(()).unwrap();
         match q.admit(()) {
             Err(AdmitError::QueueFull { retry_after_ms }) => {
@@ -370,7 +374,10 @@ mod tests {
         q.admit(()).unwrap();
         match q.admit(()) {
             Err(AdmitError::QueueFull { retry_after_ms }) => {
-                assert!(retry_after_ms >= 1, "hint must never be 0, got {retry_after_ms}");
+                assert!(
+                    retry_after_ms >= 1,
+                    "hint must never be 0, got {retry_after_ms}"
+                );
             }
             other => panic!("expected QueueFull, got {other:?}"),
         }
@@ -387,7 +394,10 @@ mod tests {
         let rest = q.next_batch(16);
         assert_eq!(rest, vec![3, 4], "a short queue drains whole");
         q.close();
-        assert!(q.next_batch(4).is_empty(), "closed and empty ends the worker");
+        assert!(
+            q.next_batch(4).is_empty(),
+            "closed and empty ends the worker"
+        );
     }
 
     #[test]

@@ -348,7 +348,11 @@ mod tests {
             .unwrap();
         assert_eq!(skipped.value, 5.0);
         let value = |name: &str| series.iter().find(|s| s.name == name).unwrap().value;
-        assert_eq!(value("svc_batch_dedup_hits_total"), 5.0, "presolved − unique");
+        assert_eq!(
+            value("svc_batch_dedup_hits_total"),
+            5.0,
+            "presolved − unique"
+        );
         assert_eq!(
             value("svc_served_total"),
             value("svc_completed_total"),

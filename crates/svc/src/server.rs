@@ -56,7 +56,7 @@ use cyclesteal_core::stability::Policy;
 use cyclesteal_obs::{json_str, ObsSnapshot};
 use cyclesteal_sweep::{presolve_points, run_query, Evaluator, LongLaw, Point, QueryOutcome};
 
-use crate::admission::{AdmitError, Admission};
+use crate::admission::{Admission, AdmitError};
 use crate::json::{self, Value};
 use crate::metrics::{self, BatchTotals, NativeMetrics};
 use crate::proto;
@@ -242,7 +242,11 @@ impl Shared {
             admission: self.admission.snapshot(),
             cache: self.cache.stats(),
             cache_reports: self.cache.report_len() as u64,
-            wal: self.durable.as_ref().map(DurableCache::stats).unwrap_or_default(),
+            wal: self
+                .durable
+                .as_ref()
+                .map(DurableCache::stats)
+                .unwrap_or_default(),
             batch: *lock(&self.batch),
             slow_queries: self.slow_logged.load(Ordering::Relaxed),
             recovery: self.recovery,
@@ -254,7 +258,14 @@ impl Shared {
     /// byte-computed time meets the configured threshold. One compact
     /// JSON line: identity, per-stage timings, outcome shape, and the
     /// captured per-query obs trace.
-    fn maybe_slow_log(&self, job: &Job, outcome: &QueryOutcome, t0: u64, t1: u64, trace: &ObsSnapshot) {
+    fn maybe_slow_log(
+        &self,
+        job: &Job,
+        outcome: &QueryOutcome,
+        t0: u64,
+        t1: u64,
+        trace: &ObsSnapshot,
+    ) {
         let Some(threshold_ms) = self.slow_log_ms else {
             return;
         };
@@ -270,10 +281,11 @@ impl Shared {
             .map_or(0, |d| d.as_millis());
         let row = &outcome.row;
         let budget = or_null(job.budget_ns.map(|b| b.to_string()));
-        let headroom = or_null(
-            job.budget_ns
-                .map(|b| i128::from(b).saturating_sub(i128::from(total_ns)).to_string()),
-        );
+        let headroom = or_null(job.budget_ns.map(|b| {
+            i128::from(b)
+                .saturating_sub(i128::from(total_ns))
+                .to_string()
+        }));
         let failure = or_null(row.failure.as_ref().map(|f| f.to_json()));
         let line = format!(
             "{{\"ts_ms\":{ts_ms},\"id\":{},\"admission_wait_ns\":{},\"queue_wait_ns\":{},\"service_ns\":{},\"total_ns\":{total_ns},\"budget_ns\":{budget},\"headroom_ns\":{headroom},\"attempts\":{},\"degraded\":{},\"steered\":{},\"failure\":{failure},\"trace\":{}}}",
@@ -817,7 +829,10 @@ fn parse_point(doc: &Value) -> Result<Point, String> {
     // A finite number; a field without a default is required.
     let num = |key: &str, default: Option<f64>| -> Result<f64, String> {
         let value = doc.get(key);
-        match (value.and_then(Value::as_f64).filter(|x| x.is_finite()), default) {
+        match (
+            value.and_then(Value::as_f64).filter(|x| x.is_finite()),
+            default,
+        ) {
             (Some(x), _) => Ok(x),
             (None, Some(d)) if value.is_none() => Ok(d),
             (None, Some(_)) => Err(format!("field {key:?} must be a finite number")),
@@ -865,9 +880,7 @@ fn parse_point(doc: &Value) -> Result<Point, String> {
     }
     let extend_longs = match doc.get("extend_longs") {
         None => false,
-        Some(v) => v
-            .as_bool()
-            .ok_or("field \"extend_longs\" must be a bool")?,
+        Some(v) => v.as_bool().ok_or("field \"extend_longs\" must be a bool")?,
     };
     let long = if (long_scv - 1.0).abs() < 1e-12 {
         LongLaw::exponential(long_mean)
@@ -912,7 +925,9 @@ fn query_response(outcome: &QueryOutcome) -> String {
 
 fn shed_response(e: &AdmitError) -> String {
     let retry = match e {
-        AdmitError::QueueFull { retry_after_ms } => format!(", \"retry_after_ms\": {retry_after_ms}"),
+        AdmitError::QueueFull { retry_after_ms } => {
+            format!(", \"retry_after_ms\": {retry_after_ms}")
+        }
         _ => String::new(),
     };
     format!(
@@ -958,7 +973,9 @@ fn stats_response(shared: &Arc<Shared>) -> String {
 /// on `Shared::stop`, after the final obs snapshot is on disk.
 fn metrics_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let running = || !shared.stop.load(Ordering::SeqCst);
-    poll_accept(listener, "metrics ", running, |stream| serve_metrics_conn(stream, shared));
+    poll_accept(listener, "metrics ", running, |stream| {
+        serve_metrics_conn(stream, shared)
+    });
 }
 
 fn serve_metrics_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -970,7 +987,8 @@ fn serve_metrics_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
     let path = match metrics::read_request_path(&mut stream) {
         Ok(Ok(p)) => p,
         Ok(Err(msg)) => {
-            let _ = metrics::write_http_response(&mut stream, "400 Bad Request", "text/plain", &msg);
+            let _ =
+                metrics::write_http_response(&mut stream, "400 Bad Request", "text/plain", &msg);
             return;
         }
         Err(_) => return,
@@ -980,7 +998,12 @@ fn serve_metrics_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
             let native = shared.read();
             let obs = cyclesteal_obs::snapshot_if_active();
             let body = metrics::render(&native, obs.as_ref());
-            metrics::write_http_response(&mut stream, "200 OK", metrics::METRICS_CONTENT_TYPE, &body)
+            metrics::write_http_response(
+                &mut stream,
+                "200 OK",
+                metrics::METRICS_CONTENT_TYPE,
+                &body,
+            )
         }
         "/healthz" => {
             let body = healthz_response(shared);

@@ -524,7 +524,8 @@ mod tests {
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cyclesteal-wal-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("cyclesteal-wal-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -194,7 +194,11 @@ fn a_burst_coalesces_multiple_queries_per_wakeup() {
         "the presolve must have seeded at least one chain"
     );
     assert_eq!(
-        series_value(&series, "svc_batch_skipped_total", &[("reason", "deadline")]),
+        series_value(
+            &series,
+            "svc_batch_skipped_total",
+            &[("reason", "deadline")]
+        ),
         Some(0.0)
     );
 
@@ -245,8 +249,12 @@ fn deadline_expired_jobs_skip_presolve_but_still_time_out() {
         proto::write_frame(&mut stream, req.to_json().as_bytes()).expect("send");
     }
 
-    let first = proto::read_frame(&mut stream).expect("read").expect("occupying response");
-    assert!(String::from_utf8(first).expect("utf8").contains("\"ok\": true"));
+    let first = proto::read_frame(&mut stream)
+        .expect("read")
+        .expect("occupying response");
+    assert!(String::from_utf8(first)
+        .expect("utf8")
+        .contains("\"ok\": true"));
     for i in 0..EXPIRED {
         let frame = proto::read_frame(&mut stream)
             .expect("read")
@@ -267,8 +275,12 @@ fn deadline_expired_jobs_skip_presolve_but_still_time_out() {
     }
 
     let series = scrape(&server);
-    let skipped =
-        series_value(&series, "svc_batch_skipped_total", &[("reason", "deadline")]).expect("series");
+    let skipped = series_value(
+        &series,
+        "svc_batch_skipped_total",
+        &[("reason", "deadline")],
+    )
+    .expect("series");
     assert!(
         skipped >= 1.0,
         "the drain must have excluded expired jobs from its presolve"

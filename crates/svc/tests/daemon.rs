@@ -17,15 +17,13 @@ fn local_config() -> ServerConfig {
 
 fn connect(server: &Server) -> Client {
     let mut c = Client::connect(server.addr()).expect("connect");
-    c.set_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    c.set_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
     c
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cyclesteal-daemon-{name}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("cyclesteal-daemon-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -144,14 +142,22 @@ fn an_oversized_fleet_is_refused_before_admission() {
                 ..QueryRequest::default()
             })
             .expect("query");
-        assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{hosts:?}");
+        assert_eq!(
+            resp.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{hosts:?}"
+        );
     }
     let stats = client.stats().expect("stats");
     let admitted = stats
         .get("stats")
         .and_then(|s| s.get("admitted"))
         .and_then(Value::as_u64);
-    assert_eq!(admitted, Some(shapes.len() as u64), "refusals never reach admission");
+    assert_eq!(
+        admitted,
+        Some(shapes.len() as u64),
+        "refusals never reach admission"
+    );
     server.drain();
     server.join().expect("join");
 }
@@ -169,10 +175,7 @@ fn a_hopeless_budget_times_out_with_an_attributed_stage() {
     assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(resp.get("short_response"), Some(&Value::Null));
     let failure = resp.get("failure").expect("failure record");
-    assert_eq!(
-        failure.get("kind").and_then(Value::as_str),
-        Some("timeout")
-    );
+    assert_eq!(failure.get("kind").and_then(Value::as_str), Some("timeout"));
     let stage = failure.get("stage").and_then(Value::as_str).expect("stage");
     assert!(
         ["admission", "three_moment", "two_moment", "mean_only"].contains(&stage),
@@ -231,10 +234,7 @@ fn overload_sheds_structurally_instead_of_queueing_unboundedly() {
         } else {
             shed += 1;
             assert_eq!(v.get("error").and_then(Value::as_str), Some("shed"));
-            assert_eq!(
-                v.get("reason").and_then(Value::as_str),
-                Some("queue_full")
-            );
+            assert_eq!(v.get("reason").and_then(Value::as_str), Some("queue_full"));
             let hint = v
                 .get("retry_after_ms")
                 .and_then(Value::as_u64)
@@ -315,10 +315,7 @@ fn drain_then_restart_recovers_and_answers_byte_identically() {
     let resp = client.drain().expect("drain");
     assert_eq!(resp.get("draining").and_then(Value::as_bool), Some(true));
     let shed = client.call(&reqs[0]).expect("post-drain query");
-    assert_eq!(
-        shed.get("reason").and_then(Value::as_str),
-        Some("draining")
-    );
+    assert_eq!(shed.get("reason").and_then(Value::as_str), Some("draining"));
     let report = server.join().expect("join");
     assert_eq!(report.served, 3);
     assert_eq!(report.compacted_entries, 3);

@@ -23,7 +23,8 @@ fn telemetry_config() -> ServerConfig {
 
 fn connect(server: &Server) -> Client {
     let mut c = Client::connect(server.addr()).expect("connect");
-    c.set_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    c.set_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
     c
 }
 
@@ -39,10 +40,8 @@ fn healthz(server: &Server) -> Value {
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cyclesteal-metrics-{name}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("cyclesteal-metrics-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -120,10 +119,7 @@ fn scrape_matches_the_overload_the_client_observed() {
         if v.get("ok").and_then(Value::as_bool) == Some(true) {
             ok += 1;
         } else {
-            assert_eq!(
-                v.get("reason").and_then(Value::as_str),
-                Some("queue_full")
-            );
+            assert_eq!(v.get("reason").and_then(Value::as_str), Some("queue_full"));
             shed += 1;
         }
     }
@@ -230,7 +226,10 @@ fn stats_shed_is_the_sum_of_every_shed_reason() {
     // The second query finds the first in flight: shed at once, then the
     // first is answered once its slowed evaluation finishes.
     let shed = read_response(&mut stream);
-    assert_eq!(shed.get("reason").and_then(Value::as_str), Some("inflight_cap"));
+    assert_eq!(
+        shed.get("reason").and_then(Value::as_str),
+        Some("inflight_cap")
+    );
     let answer = read_response(&mut stream);
     assert_eq!(answer.get("ok").and_then(Value::as_bool), Some(true));
 
@@ -382,9 +381,8 @@ fn counters_are_monotonic_across_scrapes() {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        let now = series_value(&after, &s.name, &labels).unwrap_or_else(|| {
-            panic!("series {} vanished between scrapes", s.name)
-        });
+        let now = series_value(&after, &s.name, &labels)
+            .unwrap_or_else(|| panic!("series {} vanished between scrapes", s.name));
         assert!(
             now >= s.value,
             "counter {} went backwards: {} -> {now}",
@@ -481,8 +479,7 @@ fn probes_never_undercount_admitted_but_unfinished_work() {
         let parsed = prom::parse_exposition(&scrape(&server)).expect("scrape");
         let gauge = |name: &str| series_value(&parsed, name, &[]).expect(name);
         assert!(
-            gauge("svc_inflight")
-                >= gauge("svc_admitted_total") - gauge("svc_completed_total"),
+            gauge("svc_inflight") >= gauge("svc_admitted_total") - gauge("svc_completed_total"),
             "scrape undercounts in-flight work"
         );
         samples += 1;

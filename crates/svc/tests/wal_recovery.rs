@@ -14,9 +14,7 @@ use std::path::{Path, PathBuf};
 use cyclesteal_core::cache::{ReportKey, SolveCache};
 use cyclesteal_core::cs_cq::CsCqReport;
 use cyclesteal_core::stability::Policy;
-use cyclesteal_svc::wal::{
-    decode_wal, DurableCache, RECORD_HEADER, RECORD_LEN, WAL_MAGIC,
-};
+use cyclesteal_svc::wal::{decode_wal, DurableCache, RECORD_HEADER, RECORD_LEN, WAL_MAGIC};
 use cyclesteal_sweep::{run_query, Evaluator, LongLaw, Point, SweepRow};
 use cyclesteal_xtest::props;
 
@@ -57,7 +55,10 @@ fn oracle() -> Oracle {
         rows.push(run_query(&p, &scope, None).row);
         appended.extend(scope.take_new_reports());
     }
-    assert!(cache.take_new_reports().is_empty(), "a root journals nothing");
+    assert!(
+        cache.take_new_reports().is_empty(),
+        "a root journals nothing"
+    );
     Oracle { appended, rows }
 }
 
@@ -74,10 +75,8 @@ fn build_wal(dir: &Path, oracle: &Oracle) -> Vec<u8> {
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cyclesteal-walprop-{name}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("cyclesteal-walprop-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }

@@ -200,7 +200,12 @@ fn live_frame(kind: u32, seed: u64, len: usize) -> (Vec<u8>, Expect) {
             Expect::Response,
         ),
         3 => {
-            let doc = [r#"{"cmd": "ping"}"#, r#"{"cmd": "stats"}"#, QUERY, FLEET_QUERY][len % 4];
+            let doc = [
+                r#"{"cmd": "ping"}"#,
+                r#"{"cmd": "stats"}"#,
+                QUERY,
+                FLEET_QUERY,
+            ][len % 4];
             let bytes = mutated(&mut rng, doc);
             if String::from_utf8_lossy(&bytes).contains("drain") {
                 (framed(b"{}"), Expect::Response)

@@ -239,11 +239,8 @@ mod tests {
     }
 
     fn cs_cq_points() -> Vec<Point> {
-        let mut spec = GridSpec::analysis(
-            "batch_unit",
-            vec![0.3, 0.5, 0.7, 0.9, 1.1],
-            vec![0.3, 0.5],
-        );
+        let mut spec =
+            GridSpec::analysis("batch_unit", vec![0.3, 0.5, 0.7, 0.9, 1.1], vec![0.3, 0.5]);
         spec.policies = vec![Policy::CsCq];
         spec.points()
     }
@@ -258,7 +255,10 @@ mod tests {
         assert_eq!(stats.eligible, points.len(), "all points stable and CS-CQ");
         assert!(stats.unique > 0);
         assert_eq!(stats.batched + stats.scalar, stats.unique);
-        assert_eq!(stats.seeded, stats.unique, "every planned chain solves cleanly");
+        assert_eq!(
+            stats.seeded, stats.unique,
+            "every planned chain solves cleanly"
+        );
         assert_eq!(stats.skipped_faulted, 0);
         // A second presolve over the same grid finds everything cached.
         let again = presolve(&points, &cache, &mut ws);

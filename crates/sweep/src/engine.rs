@@ -95,7 +95,11 @@ pub fn run(spec: &GridSpec, opts: &SweepOptions) -> (SweepReport, SweepMetrics) 
 /// [`FailureKind::Panicked`] record (its timing slot reads zero); the
 /// worker that caught the unwind keeps draining the queue, so one
 /// poisoned point can never take down a sweep or drop other points.
-pub fn run_points(name: &str, points: &[Point], opts: &SweepOptions) -> (SweepReport, SweepMetrics) {
+pub fn run_points(
+    name: &str,
+    points: &[Point],
+    opts: &SweepOptions,
+) -> (SweepReport, SweepMetrics) {
     let cache = opts
         .cache
         .clone()
@@ -549,7 +553,11 @@ mod tests {
         let (batched, bm) = run(&spec, &SweepOptions::threads(2));
         let (scalar, sm) = run(&spec, &SweepOptions::threads(2).with_batch(false));
         assert_eq!(batched.to_json(), scalar.to_json());
-        assert!(bm.batch.seeded > 0, "presolve did real work: {:?}", bm.batch);
+        assert!(
+            bm.batch.seeded > 0,
+            "presolve did real work: {:?}",
+            bm.batch
+        );
         assert_eq!(bm.batch.eligible, 6, "six stable CS-CQ points");
         assert_eq!(sm.batch, BatchStats::default(), "scalar run skips presolve");
     }

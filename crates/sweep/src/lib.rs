@@ -45,6 +45,4 @@ pub use batch::{presolve_points, BatchStats};
 pub use engine::{run, run_points, SweepOptions};
 pub use grid::{policy_name, Evaluator, GridSpec, LongLaw, Point};
 pub use query::{run_query, QueryOutcome};
-pub use report::{
-    FailureCounts, FailureKind, PointFailure, SweepMetrics, SweepReport, SweepRow,
-};
+pub use report::{FailureCounts, FailureKind, PointFailure, SweepMetrics, SweepReport, SweepRow};

@@ -51,7 +51,11 @@ pub struct QueryOutcome {
 /// reusing the calling thread's scratch workspace. Failure of any kind —
 /// including a deadline timeout — is an attributed record in the returned
 /// row, never a panic or a dropped answer.
-pub fn run_query(point: &Point, cache: &SolveCache, deadline: Option<&Deadline<'_>>) -> QueryOutcome {
+pub fn run_query(
+    point: &Point,
+    cache: &SolveCache,
+    deadline: Option<&Deadline<'_>>,
+) -> QueryOutcome {
     cyclesteal_obs::span_root!("sweep.query");
     cyclesteal_obs::counter!("sweep.query.count");
     let (row, steered) = engine::evaluate_point(point, cache, deadline, |row| {

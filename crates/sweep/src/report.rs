@@ -572,11 +572,11 @@ mod tests {
         };
         let id = SweepRow::id_of(&p);
         assert!(!id.contains("hosts"), "(1,1) keeps the pre-fleet id: {id}");
-        assert_eq!(id, "cs_cq|rho_s=0.9|rho_l=0.5|mean_s=1|lmean=1|lscv=1|analysis");
-        let f = Point {
-            hosts: (2, 4),
-            ..p
-        };
+        assert_eq!(
+            id,
+            "cs_cq|rho_s=0.9|rho_l=0.5|mean_s=1|lmean=1|lscv=1|analysis"
+        );
+        let f = Point { hosts: (2, 4), ..p };
         let fid = SweepRow::id_of(&f);
         assert!(fid.ends_with("|hosts=2x4"), "{fid}");
         assert_ne!(SweepRow::id_of(&Point { hosts: (4, 2), ..p }), fid);

@@ -113,7 +113,11 @@ fn lru_bounded_cache_keeps_sweeps_bit_identical() {
             let cache = Arc::new(SolveCache::with_capacity(capacity));
             let opts = SweepOptions::threads(threads).with_cache(Arc::clone(&cache));
             let (cold, _) = run_points("evict_det", &points, &opts);
-            assert_eq!(want, cold.to_json(), "threads={threads} capacity={capacity}");
+            assert_eq!(
+                want,
+                cold.to_json(),
+                "threads={threads} capacity={capacity}"
+            );
             // Replay on whatever survived eviction: still the same bytes.
             let mut shuffled = points.clone();
             shuffle(&mut shuffled, 0xE71C + capacity as u64);

@@ -249,7 +249,10 @@ fn fleet_faults_are_attributed_and_bypass_cache_and_batch() {
     }
     // Each layer's injection must actually be exercised on fleet chains.
     for (count, site) in fired.iter().zip(SITES) {
-        assert!(*count >= 3, "site {site} fired only {count} times on fleet rows");
+        assert!(
+            *count >= 3,
+            "site {site} fired only {count} times on fleet rows"
+        );
     }
 }
 

@@ -72,11 +72,17 @@ fn embedded_counts_are_bit_identical_across_threads_and_input_order() {
     assert!(counts.spans.iter().all(|e| e.total_ns == 0));
     // The full (timing-class) snapshot rides in the metrics instead.
     let full = metrics.obs.expect("metrics carry the full snapshot");
-    assert!(full.counter("sim.pool.queue_hwm") == 0, "gauge, not counter");
+    assert!(
+        full.counter("sim.pool.queue_hwm") == 0,
+        "gauge, not counter"
+    );
 
     for threads in [2, 8] {
-        let (rep, _) =
-            cyclesteal_sweep::run_points("obs_determinism", &points, &SweepOptions::threads(threads));
+        let (rep, _) = cyclesteal_sweep::run_points(
+            "obs_determinism",
+            &points,
+            &SweepOptions::threads(threads),
+        );
         assert_eq!(want, rep.to_json(), "threads = {threads}");
     }
 

@@ -107,8 +107,7 @@ impl Bench {
             black_box(f());
             warm_iters += 1;
         }
-        let per_iter_ns =
-            (start.elapsed().as_nanos() as f64 / warm_iters.max(1) as f64).max(1.0);
+        let per_iter_ns = (start.elapsed().as_nanos() as f64 / warm_iters.max(1) as f64).max(1.0);
 
         let iters = self
             .iters_override
@@ -276,7 +275,10 @@ mod tests {
         assert!(json.contains("\"p99_ns\""), "{json}");
         assert!(json.contains("spin/small"), "{json}");
         assert!(json.contains("\"metrics\""), "{json}");
-        assert!(json.contains("{\"id\": \"allocs/selftest\", \"value\": 42}"), "{json}");
+        assert!(
+            json.contains("{\"id\": \"allocs/selftest\", \"value\": 42}"),
+            "{json}"
+        );
     }
 
     #[test]
@@ -292,8 +294,13 @@ mod tests {
     fn filter_skips_nonmatching() {
         let mut b = Bench::with_args(
             "t",
-            ["--filter".to_string(), "yes".to_string(), "--iters".to_string(), "10".to_string()]
-                .into_iter(),
+            [
+                "--filter".to_string(),
+                "yes".to_string(),
+                "--iters".to_string(),
+                "10".to_string(),
+            ]
+            .into_iter(),
         );
         b.bench("no/match", || 1);
         assert!(b.entries.is_empty());

@@ -125,9 +125,7 @@ impl Drop for Armed {
 /// Installs `plan` process-wide. Blocks until any other armed section has
 /// finished; disarms when the returned guard drops.
 pub fn arm(plan: FaultPlan) -> Armed {
-    let exclusive = EXCLUSIVE
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let exclusive = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
     *lock(&PLAN) = Some(plan);
     ACTIVE.store(true, Ordering::SeqCst);
     Armed {
@@ -264,10 +262,7 @@ mod tests {
         // 5% of 10,000 = 500; allow wide but meaningful slack.
         assert!((300..=700).contains(&hits), "hit count {hits}");
         for site in ["a", "b", "c"] {
-            assert!(
-                first.contains(&Some(site)),
-                "site {site} never chosen"
-            );
+            assert!(first.contains(&Some(site)), "site {site} never chosen");
         }
     }
 

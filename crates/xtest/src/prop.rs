@@ -218,7 +218,16 @@ tuple_gen!((A, 0), (B, 1), (C, 2), (D, 3));
 tuple_gen!((A, 0), (B, 1), (C, 2), (D, 3), (E, 4));
 tuple_gen!((A, 0), (B, 1), (C, 2), (D, 3), (E, 4), (F, 5));
 tuple_gen!((A, 0), (B, 1), (C, 2), (D, 3), (E, 4), (F, 5), (G, 6));
-tuple_gen!((A, 0), (B, 1), (C, 2), (D, 3), (E, 4), (F, 5), (G, 6), (H, 7));
+tuple_gen!(
+    (A, 0),
+    (B, 1),
+    (C, 2),
+    (D, 3),
+    (E, 4),
+    (F, 5),
+    (G, 6),
+    (H, 7)
+);
 
 /// Default base seed; combined with the property name per test.
 const DEFAULT_BASE_SEED: u64 = 0x5EED_0FC5_C1E5_7EA1;
@@ -337,7 +346,10 @@ where
     F: Fn(G::Value) -> CaseResult,
 {
     install_hook();
-    let cases = env_u64("XTEST_CASES").map(|c| c as u32).unwrap_or(cases).max(1);
+    let cases = env_u64("XTEST_CASES")
+        .map(|c| c as u32)
+        .unwrap_or(cases)
+        .max(1);
     let base = env_u64("XTEST_SEED").unwrap_or(DEFAULT_BASE_SEED);
     let mut seed_state = base ^ fnv1a(name);
     let mut rng = SmallRng::seed_from_u64(splitmix64(&mut seed_state));
@@ -492,7 +504,10 @@ mod tests {
             .and_then(|s| s.split(',').next())
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or_else(|| panic!("unparseable report: {msg}"));
-        assert!((0.5..0.75).contains(&value), "poorly shrunk: {value} in {msg}");
+        assert!(
+            (0.5..0.75).contains(&value),
+            "poorly shrunk: {value} in {msg}"
+        );
     }
 
     #[test]

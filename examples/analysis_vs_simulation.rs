@@ -48,7 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let (report, metrics) = run_points(
         "analysis_vs_simulation",
         &points,
@@ -73,8 +75,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let ana = report.get_point(point).expect("analysis row");
         let sim = report.get_point(&sim_point).expect("simulation row");
-        print_pair(point, "shorts", ana.short_response, sim.short_response, sim.short_ci);
-        print_pair(point, "longs", ana.long_response, sim.long_response, sim.long_ci);
+        print_pair(
+            point,
+            "shorts",
+            ana.short_response,
+            sim.short_response,
+            sim.short_ci,
+        );
+        print_pair(
+            point,
+            "longs",
+            ana.long_response,
+            sim.long_response,
+            sim.long_ci,
+        );
     }
 
     let spent_ms = metrics.elapsed_ns as f64 / 1e6;

@@ -41,13 +41,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nOperating points meeting E[T_s] <= {slo} at rho_l = {rho_l} (means 1/1, exponential):"
     );
     let cache = Arc::new(SolveCache::new());
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     for policy in [Policy::CsId, Policy::CsCq] {
         let frontier = max_rho_s(policy, rho_l);
         let n = 400;
-        let grid: Vec<f64> = (1..n)
-            .map(|i| frontier * i as f64 / n as f64)
-            .collect();
+        let grid: Vec<f64> = (1..n).map(|i| frontier * i as f64 / n as f64).collect();
         let mut spec = GridSpec::analysis("capacity_planning", grid, vec![rho_l]);
         spec.policies = vec![policy];
         let (report, _) = run(

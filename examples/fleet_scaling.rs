@@ -18,8 +18,8 @@
 //!
 //! Run with: `cargo run --release --example fleet_scaling`
 
-use cyclesteal::core::cs_cq_km::{self, Hosts};
 use cyclesteal::core::cs_cq::BusyPeriodFit;
+use cyclesteal::core::cs_cq_km::{self, Hosts};
 use cyclesteal::core::SystemParams;
 use cyclesteal::dist::Exp;
 use cyclesteal::mg1::mmc;
@@ -51,8 +51,12 @@ fn simulate(k: usize, m: usize, rho_s: f64, rho_l: f64) -> Result<f64, Box<dyn s
         total_jobs: 400_000,
         ..SimConfig::default()
     };
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    Ok(replicate_parallel(kind, &params, &config, 2, threads).short.mean)
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    Ok(replicate_parallel(kind, &params, &config, 2, threads)
+        .short
+        .mean)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -94,8 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let addr = addr.ok_or("--addr HOST:PORT is required")?;
-    let command = command
-        .ok_or("a command (ping|stream|burst|pipeline|drain|metrics|health) is required")?;
+    let command =
+        command.ok_or("a command (ping|stream|burst|pipeline|drain|metrics|health) is required")?;
 
     match command.as_str() {
         "ping" => {

@@ -65,8 +65,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // rho_s x rho_l x C^2 x 3 policies: 25*20*2*3 = 3,000 points
     // (quick: 6*5*1*3 = 90).
-    let (n_s, n_l, scvs): (usize, usize, &[f64]) =
-        if quick { (6, 5, &[1.0]) } else { (25, 20, &[1.0, 8.0]) };
+    let (n_s, n_l, scvs): (usize, usize, &[f64]) = if quick {
+        (6, 5, &[1.0])
+    } else {
+        (25, 20, &[1.0, 8.0])
+    };
     let mut spec = GridSpec::analysis(
         "sweep",
         linspace(0.05, 1.45, n_s),
@@ -117,7 +120,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "speedup {t1} threads vs {t0}: {:.2}x (on {} available core(s))",
             *ns0 as f64 / *ns1 as f64,
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         );
     }
 

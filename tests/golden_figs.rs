@@ -18,7 +18,10 @@ use cyclesteal_sweep::{run_points, Evaluator, LongLaw, Point, SweepOptions};
 
 fn assert_close(got: f64, want: f64, what: &str) {
     let rel = (got - want).abs() / want.abs();
-    assert!(rel < 0.01, "{what}: {got} vs golden {want} (rel err {rel:.2e})");
+    assert!(
+        rel < 0.01,
+        "{what}: {got} vs golden {want} (rel err {rel:.2e})"
+    );
 }
 
 fn assert_cell(got: Option<f64>, want: Option<f64>, what: &str) {
@@ -37,8 +40,20 @@ fn assert_cell(got: Option<f64>, want: Option<f64>, what: &str) {
 
 /// `(ρ_S, P(region 1), P(region 2), P(region 5), P(setup))`.
 const GOLDEN_FIG2_REGIONS: [(f64, f64, f64, f64, f64); 2] = [
-    (0.9, 0.300545723192, 0.159563421446, 0.039890855362, 0.346794718831),
-    (1.2, 0.164446942139, 0.268442446289, 0.067110611572, 0.620117871828),
+    (
+        0.9,
+        0.300545723192,
+        0.159563421446,
+        0.039890855362,
+        0.346794718831,
+    ),
+    (
+        1.2,
+        0.164446942139,
+        0.268442446289,
+        0.067110611572,
+        0.620117871828,
+    ),
 ];
 
 #[test]
@@ -50,7 +65,11 @@ fn fig2_region_probabilities_match_golden() {
         assert_close(r.p_region1, p1, &format!("fig2 p_region1 at {rho_s}"));
         assert_close(r.p_region2, p2, &format!("fig2 p_region2 at {rho_s}"));
         assert_close(r.p_region5, p5, &format!("fig2 p_region5 at {rho_s}"));
-        assert_close(r.setup_probability, setup, &format!("fig2 setup at {rho_s}"));
+        assert_close(
+            r.setup_probability,
+            setup,
+            &format!("fig2 setup at {rho_s}"),
+        );
     }
     // More load in the system shifts mass from region 1 (idle-ish) toward
     // regions 2/5 and raises the setup probability — the figure's story.
@@ -104,18 +123,63 @@ fn fig56_point(rho_s: f64, rho_l: f64, policy: Policy, extend_longs: bool) -> Po
 /// marks a policy beyond its stability asymptote.
 #[allow(clippy::type_complexity)]
 const GOLDEN_FIG5: [(f64, Policy, Option<f64>, Option<f64>); 12] = [
-    (0.3, Policy::Dedicated, Some(1.428571428571), Some(5.500000000000)),
-    (0.3, Policy::CsId, Some(1.195766123208), Some(5.730769230769)),
-    (0.3, Policy::CsCq, Some(1.163704708025), Some(5.525023666215)),
-    (0.7, Policy::Dedicated, Some(3.333333333333), Some(5.500000000000)),
-    (0.7, Policy::CsId, Some(1.952440017931), Some(5.911764705882)),
-    (0.7, Policy::CsCq, Some(1.737703032109), Some(5.619673631613)),
+    (
+        0.3,
+        Policy::Dedicated,
+        Some(1.428571428571),
+        Some(5.500000000000),
+    ),
+    (
+        0.3,
+        Policy::CsId,
+        Some(1.195766123208),
+        Some(5.730769230769),
+    ),
+    (
+        0.3,
+        Policy::CsCq,
+        Some(1.163704708025),
+        Some(5.525023666215),
+    ),
+    (
+        0.7,
+        Policy::Dedicated,
+        Some(3.333333333333),
+        Some(5.500000000000),
+    ),
+    (
+        0.7,
+        Policy::CsId,
+        Some(1.952440017931),
+        Some(5.911764705882),
+    ),
+    (
+        0.7,
+        Policy::CsCq,
+        Some(1.737703032109),
+        Some(5.619673631613),
+    ),
     (1.0, Policy::Dedicated, None, None),
-    (1.0, Policy::CsId, Some(4.465409936758), Some(6.000000000000)),
-    (1.0, Policy::CsCq, Some(3.263983934407), Some(5.731425587009)),
+    (
+        1.0,
+        Policy::CsId,
+        Some(4.465409936758),
+        Some(6.000000000000),
+    ),
+    (
+        1.0,
+        Policy::CsCq,
+        Some(3.263983934407),
+        Some(5.731425587009),
+    ),
     (1.3, Policy::Dedicated, None, None),
     (1.3, Policy::CsId, None, None),
-    (1.3, Policy::CsCq, Some(10.686050836349), Some(5.882364882470)),
+    (
+        1.3,
+        Policy::CsCq,
+        Some(10.686050836349),
+        Some(5.882364882470),
+    ),
 ];
 
 #[test]

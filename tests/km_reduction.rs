@@ -49,11 +49,19 @@ fn assert_reports_bit_identical(a: &CsCqReport, b: &CsCqReport, what: &str) {
     for (field, x, y) in [
         ("short_response", a.short_response, b.short_response),
         ("long_response", a.long_response, b.long_response),
-        ("mean_shorts", a.mean_shorts_in_system, b.mean_shorts_in_system),
+        (
+            "mean_shorts",
+            a.mean_shorts_in_system,
+            b.mean_shorts_in_system,
+        ),
         ("p_region1", a.p_region1, b.p_region1),
         ("p_region2", a.p_region2, b.p_region2),
         ("p_region5", a.p_region5, b.p_region5),
-        ("setup_probability", a.setup_probability, b.setup_probability),
+        (
+            "setup_probability",
+            a.setup_probability,
+            b.setup_probability,
+        ),
         ("total_mass", a.total_mass, b.total_mass),
     ] {
         assert_eq!(x.to_bits(), y.to_bits(), "{what}: {field} {x} vs {y}");
@@ -269,7 +277,10 @@ fn fleet_analysis_tracks_fleet_simulation_within_5_percent() {
             ("short", ana.short_response, sim.short_response),
             ("long", ana.long_response, sim.long_response),
         ] {
-            let (a, s) = (a.expect("stable fleet point"), s.expect("stable fleet point"));
+            let (a, s) = (
+                a.expect("stable fleet point"),
+                s.expect("stable fleet point"),
+            );
             let rel = (a - s).abs() / s;
             assert!(
                 rel < 0.05,
