@@ -1,26 +1,20 @@
-//! The zero-overhead gate for the telemetry layer.
+//! The overhead gate for the telemetry layer.
 //!
-//! The same end-to-end sweep workload is benchmarked in two compile
-//! states — obs feature off (macros expand to nothing) and obs compiled
-//! in but runtime-disabled (every record is one relaxed atomic load) —
-//! and the id encodes the state so `ci.sh` can put both in one report:
+//! The obs runtime is compiled into every build and starts off, so every
+//! instrumented call site in a default run pays one relaxed atomic load
+//! and a never-taken branch. This bench times an end-to-end sweep with
+//! recording off and asserts that this cost stays under 1% of it:
 //!
 //! ```text
-//! cargo bench --bench obs_overhead -- --out A            # obs_absent
-//! cargo bench --bench obs_overhead --features obs -- --out B
-//!                                                        # obs_compiled_disabled
+//! cargo bench --bench obs_overhead -- [--quick] [--out DIR]
 //! ```
 //!
-//! Comparing those two *binaries* by wall clock bounds the overhead only
-//! loosely: the hot functions compile to byte-identical code in both
-//! states (verified by disassembly), but two separate link jobs place
-//! them differently and code alignment alone moves this workload by
-//! several percent. So the hard `<1%` gate is computed *within* the
-//! obs-compiled binary instead, where layout is fixed: measure the
-//! per-call cost of a disabled record, count exactly how many records
-//! the workload would emit (by running it once with recording on), and
-//! assert `per_call_ns x records / workload_ns < 1%`. The cross-binary
-//! delta stays in the JSON as an informational trend line.
+//! The gate is computed inside this one binary, where code layout is
+//! fixed: measure the per-call cost of a disabled record, count exactly
+//! how many records the workload would emit (by running it once with
+//! recording on), and assert `per_call_ns x records / workload_ns < 1%`.
+//! A wall-clock comparison against some other binary would gate on link
+//! layout, which alone moves this workload by several percent.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -44,52 +38,38 @@ fn workload_points() -> Vec<Point> {
 fn main() {
     let mut h = Bench::new("obs_overhead");
     let quick = h.is_quick();
-    let state = if cyclesteal_obs::compiled() {
-        "obs_compiled_disabled"
-    } else {
-        "obs_absent"
-    };
     assert!(
         !cyclesteal_obs::is_active(),
         "the overhead gate measures the disabled runtime"
     );
 
     let points = workload_points();
-    h.bench(
-        &format!("obs_overhead/sweep_{}pt/{state}", points.len()),
-        || {
-            run_points(
-                "obs_overhead",
-                black_box(&points),
-                &SweepOptions::threads(1),
-            )
-        },
-    );
+    h.bench(&format!("obs_overhead/sweep_{}pt", points.len()), || {
+        run_points(
+            "obs_overhead",
+            black_box(&points),
+            &SweepOptions::threads(1),
+        )
+    });
 
     // The raw per-call cost of a disabled counter, 1,000 calls per
     // iteration (~0.3 ns each: one relaxed load + a never-taken branch).
-    h.bench(
-        &format!("obs_overhead/disabled_counter_x1000/{state}"),
-        || {
-            for _ in 0..1_000 {
-                // black_box stops LLVM from hoisting the active-flag check
-                // out of the loop: we want 1,000 honest call sites.
-                cyclesteal_obs::counter!(black_box("bench.noop"));
-            }
-        },
-    );
+    h.bench("obs_overhead/disabled_counter_x1000", || {
+        for _ in 0..1_000 {
+            // black_box stops LLVM from hoisting the active-flag check
+            // out of the loop: we want 1,000 honest call sites.
+            cyclesteal_obs::counter!(black_box("bench.noop"));
+        }
+    });
 
     h.finish();
 
-    if cyclesteal_obs::compiled() {
-        assert_overhead_under_one_percent(&points, quick);
-    }
+    assert_overhead_under_one_percent(&points, quick);
 }
 
-/// The hard gate (obs-compiled binary only): disabled-record cost times
-/// the workload's exact record volume must stay under 1% of the
-/// workload's own runtime. Layout-stable because every number comes from
-/// one binary.
+/// The hard gate: disabled-record cost times the workload's exact record
+/// volume must stay under 1% of the workload's own runtime.
+/// Layout-stable because every number comes from one binary.
 fn assert_overhead_under_one_percent(points: &[Point], quick: bool) {
     let (sweep_iters, call_iters) = if quick {
         (20, 200_000)
@@ -139,6 +119,6 @@ fn assert_overhead_under_one_percent(points: &[Point], quick: bool) {
     );
     assert!(
         overhead_pct < 1.0,
-        "compiled-but-disabled telemetry overhead {overhead_pct:.4}% >= 1%"
+        "disabled telemetry overhead {overhead_pct:.4}% >= 1%"
     );
 }

@@ -49,7 +49,7 @@ static SIGNATURES_HASHED: AtomicU64 = AtomicU64::new(0);
 
 /// How many times this process has hashed a chain's blocks for
 /// [`Qbd::signature`]. A plain process-wide atomic, so a daemon can export
-/// it whether or not telemetry is compiled in; the same events also count
+/// it whether or not telemetry is recording; the same events also count
 /// as `markov.qbd.signature` in the obs registry.
 pub fn signatures_hashed() -> u64 {
     SIGNATURES_HASHED.load(Ordering::Relaxed)

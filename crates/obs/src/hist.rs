@@ -6,8 +6,7 @@
 //! addition — which is what makes histogram contents part of the
 //! deterministic "counts" side of the observability contract (see
 //! DESIGN.md §8). Values too large for the fixed range land in an
-//! explicit `overflow` bucket rather than being dropped, and `NaN` input
-//! is counted in `nan_rejected` instead of corrupting `sum`.
+//! explicit `overflow` bucket rather than being dropped.
 
 /// Number of fixed buckets: bit lengths `0..=39`, i.e. values below
 /// `2^39` (~5.5·10¹¹) resolve to a bucket; anything larger overflows.
@@ -24,10 +23,7 @@ pub struct Hist {
     /// Values of bit length ≥ [`HIST_BUCKETS`] (still included in
     /// `count` and `sum`).
     pub overflow: u64,
-    /// `NaN` inputs rejected by [`Hist::record_f64`] (excluded from
-    /// `count` and `sum`).
-    pub nan_rejected: u64,
-    /// Total recorded values (including overflow, excluding NaN).
+    /// Total recorded values (including overflow).
     pub count: u64,
     /// Sum of recorded values; `u128` so `u64::MAX`-sized overflow
     /// values cannot wrap within any realistic run.
@@ -46,7 +42,6 @@ impl Hist {
         Hist {
             buckets: [0; HIST_BUCKETS],
             overflow: 0,
-            nan_rejected: 0,
             count: 0,
             sum: 0,
         }
@@ -82,24 +77,6 @@ impl Hist {
         }
     }
 
-    /// Records one `f64` value: `NaN` is counted in `nan_rejected` and
-    /// otherwise ignored; finite values are clamped to `[0, u64::MAX]`
-    /// and rounded.
-    pub fn record_f64(&mut self, v: f64) {
-        if v.is_nan() {
-            self.nan_rejected += 1;
-            return;
-        }
-        let clamped = if v <= 0.0 {
-            0
-        } else if v >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            v.round() as u64
-        };
-        self.record(clamped);
-    }
-
     /// Adds `other` into `self`. Addition-only, so merging per-thread
     /// histograms in any order yields identical contents.
     pub fn merge_from(&mut self, other: &Hist) {
@@ -107,7 +84,6 @@ impl Hist {
             *b += o;
         }
         self.overflow += other.overflow;
-        self.nan_rejected += other.nan_rejected;
         self.count += other.count;
         self.sum += other.sum;
     }
@@ -120,15 +96,14 @@ impl Hist {
             d.buckets[i] = a.saturating_sub(*b);
         }
         d.overflow = self.overflow.saturating_sub(before.overflow);
-        d.nan_rejected = self.nan_rejected.saturating_sub(before.nan_rejected);
         d.count = self.count.saturating_sub(before.count);
         d.sum = self.sum.saturating_sub(before.sum);
         d
     }
 
-    /// `true` when nothing (not even a rejected NaN) has been recorded.
+    /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.count == 0 && self.nan_rejected == 0
+        self.count == 0
     }
 }
 
@@ -173,21 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn nan_is_rejected_without_touching_counts() {
-        let mut h = Hist::new();
-        h.record_f64(f64::NAN);
-        assert_eq!(h.nan_rejected, 1);
-        assert_eq!((h.count, h.sum), (0, 0));
-        assert!(!h.is_empty(), "a rejected NaN is still evidence");
-        h.record_f64(2.6);
-        assert_eq!(h.buckets[2], 1, "2.6 rounds to 3, bit length 2");
-        h.record_f64(-5.0);
-        assert_eq!(h.buckets[0], 1, "negative clamps to zero");
-        h.record_f64(f64::INFINITY);
-        assert_eq!(h.overflow, 1, "infinity clamps to u64::MAX -> overflow");
-    }
-
-    #[test]
     fn merge_is_order_independent() {
         let mut a = Hist::new();
         let mut b = Hist::new();
@@ -197,14 +157,12 @@ mod tests {
         for v in [3u64, 3, 1 << 39] {
             b.record(v);
         }
-        b.record_f64(f64::NAN);
         let mut ab = a.clone();
         ab.merge_from(&b);
         let mut ba = b.clone();
         ba.merge_from(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.count, 8);
-        assert_eq!(ab.nan_rejected, 1);
     }
 
     #[test]
@@ -214,11 +172,9 @@ mod tests {
         let mut after = before.clone();
         after.record(5);
         after.record(1 << 50);
-        after.record_f64(f64::NAN);
         let d = after.delta_since(&before);
         assert_eq!(d.buckets[3], 1, "one new 5 (bit length 3)");
         assert_eq!(d.overflow, 1);
-        assert_eq!(d.nan_rejected, 1);
         assert_eq!(d.count, 2);
         assert_eq!(d.sum, 5 + (1u128 << 50));
     }

@@ -17,15 +17,14 @@
 //!   depend on the clock and the scheduler and are explicitly excluded
 //!   from determinism checks.
 //!
-//! # Zero cost when off
+//! # One build, switched at run time
 //!
-//! All recording goes through the [`span!`], [`counter!`], [`gauge_max!`]
-//! and [`histogram!`] macros, which expand to `#[inline(always)]`
-//! functions whose bodies are empty unless the `enabled` cargo feature is
-//! on. Leaf crates forward an `obs` feature here; with it off the
-//! workspace builds with zero observability code (the `obs_overhead`
-//! bench asserts the runtime cost is also ~zero when compiled in but
-//! disabled).
+//! The runtime is compiled into every build and records nothing until
+//! [`enable`] (or [`Session::start`]) turns it on. All recording goes
+//! through the [`span!`], [`counter!`], [`gauge_max!`] and [`histogram!`]
+//! macros; while the runtime is off each call site costs one relaxed
+//! atomic load and a never-taken branch, and the `obs_overhead` bench
+//! asserts that this stays under 1% of a sweep.
 //!
 //! # Usage
 //!
@@ -53,10 +52,9 @@ mod snapshot;
 
 pub use hist::{Hist, HIST_BUCKETS};
 pub use registry::{
-    compiled, disable, enable, exclusive, flush_thread, is_active, record_counter,
-    record_counter_owned, record_gauge_max, record_histogram, record_histogram_f64, reset,
-    snapshot, snapshot_if_active, span_enter, span_enter_root, trace_begin, Session, SpanGuard,
-    TraceGuard,
+    disable, enable, exclusive, flush_thread, is_active, record_counter, record_counter_owned,
+    record_gauge_max, record_histogram, reset, snapshot, snapshot_if_active, span_enter,
+    span_enter_root, trace_begin, Session, SpanGuard, TraceGuard,
 };
 pub use snapshot::{ObsSnapshot, SpanEntry};
 
@@ -134,7 +132,7 @@ macro_rules! span_root {
     };
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use crate as obs;
 
@@ -163,14 +161,12 @@ mod tests {
         obs::gauge_max!("g.hwm", 9);
         obs::gauge_max!("g.hwm", 5);
         obs::histogram!("h.iters", 12);
-        obs::record_histogram_f64("h.float", f64::NAN);
         let snap = s.snapshot();
         assert_eq!(snap.counter("c.one"), 2);
         assert_eq!(snap.counter("c.many"), 41);
         assert_eq!(snap.counter("c.dyn:site"), 2);
         assert_eq!(snap.gauges, vec![("g.hwm".to_string(), 9)]);
         assert_eq!(snap.histogram("h.iters").unwrap().count, 1);
-        assert_eq!(snap.histogram("h.float").unwrap().nan_rejected, 1);
         drop(s);
         assert!(obs::snapshot().is_empty(), "session drop resets");
     }
@@ -323,8 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_runtime_flags() {
-        assert!(obs::compiled());
+    fn enable_and_disable_flip_the_runtime_flag() {
         let _x = obs::exclusive();
         obs::reset();
         obs::enable();

@@ -21,7 +21,6 @@
 //!   `[2^(i-1), 2^i)`, so its inclusive upper bound `2^i - 1` is the `le`
 //!   value), `+Inf` equals `_count` (overflowed values are counted, just
 //!   unbucketed), and `_sum`/`_count` come straight from the histogram;
-//!   NaN rejections surface as `<name>_nan_rejected_total` when nonzero;
 //! * **spans** → `obs_span_total{path="..."}` (deterministic close
 //!   counts) and `obs_span_seconds_total{path="..."}` (timing-class).
 //!
@@ -167,7 +166,6 @@ pub fn render_prometheus(snap: &ObsSnapshot) -> String {
         let (base, labels) = split_labels(raw);
         hists.entry(base).or_default().push((labels, h));
     }
-    let mut nan_counters: Vec<(String, String, u64)> = Vec::new();
     for (name, series) in &hists {
         let _ = writeln!(out, "# TYPE {name} histogram");
         for (labels, h) in series {
@@ -196,18 +194,7 @@ pub fn render_prometheus(snap: &ObsSnapshot) -> String {
             );
             let _ = writeln!(out, "{name}_sum{} {}", fmt_labels(labels), h.sum);
             let _ = writeln!(out, "{name}_count{} {}", fmt_labels(labels), h.count);
-            if h.nan_rejected > 0 {
-                nan_counters.push((
-                    format!("{name}_nan_rejected_total"),
-                    fmt_labels(labels),
-                    h.nan_rejected,
-                ));
-            }
         }
-    }
-    for (name, labels, v) in &nan_counters {
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name}{labels} {v}");
     }
 
     if !snap.spans.is_empty() {
@@ -550,20 +537,6 @@ mod tests {
             .unwrap();
         assert_eq!(count.value, 5.0);
         check_exposition(&text).expect("cumulative ladder is valid");
-    }
-
-    #[test]
-    fn nan_rejections_render_as_their_own_counter() {
-        let mut h = Hist::new();
-        h.record_f64(f64::NAN);
-        h.record(1);
-        let snap = ObsSnapshot {
-            histograms: vec![("h".to_string(), h)],
-            ..ObsSnapshot::default()
-        };
-        let text = render_prometheus(&snap);
-        assert!(text.contains("h_nan_rejected_total 1"), "{text}");
-        check_exposition(&text).unwrap();
     }
 
     #[test]

@@ -47,8 +47,8 @@ fn hist_json(h: &Hist) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "{{\"count\":{},\"sum\":{},\"overflow\":{},\"nan_rejected\":{},\"buckets\":{{",
-        h.count, h.sum, h.overflow, h.nan_rejected
+        "{{\"count\":{},\"sum\":{},\"overflow\":{},\"buckets\":{{",
+        h.count, h.sum, h.overflow
     );
     let mut first = true;
     for (i, &n) in h.buckets.iter().enumerate() {

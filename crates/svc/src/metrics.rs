@@ -8,8 +8,7 @@
 //!
 //! 1. **native series** — rendered from one [`NativeMetrics`] read, the
 //!    same read `/healthz` and the `stats` command render. These exist
-//!    even when the `obs` feature is compiled out, so `/metrics` always
-//!    answers;
+//!    whether or not obs recording is on, so `/metrics` always answers;
 //! 2. **the live obs registry** — `cyclesteal_obs::prom::render_prometheus`
 //!    over the current snapshot, appended verbatim when recording is
 //!    active. Appending the renderer's exact output is what makes the

@@ -278,11 +278,9 @@ fn a_restart_shows_its_recovery_on_the_scrape() {
     server.join().expect("join");
 
     // The drain compacted every answer into the snapshot.
-    let session = cyclesteal_obs::compiled().then(cyclesteal_obs::Session::start);
+    let session = cyclesteal_obs::Session::start();
     let server = Server::start(durable()).expect("restart");
-    if let Some(session) = &session {
-        assert_eq!(session.snapshot().span_count("svc.recovery.open"), 1);
-    }
+    assert_eq!(session.snapshot().span_count("svc.recovery.open"), 1);
     let body = scrape(&server);
     prom::check_exposition(&body).expect("valid exposition");
     let parsed = prom::parse_exposition(&body).expect("parse");
@@ -399,9 +397,6 @@ fn counters_are_monotonic_across_scrapes() {
 /// instant because other tests in this binary may record concurrently.
 #[test]
 fn scrape_obs_section_bit_matches_the_registry_snapshot() {
-    if !cyclesteal_obs::compiled() {
-        return; // recording runtime not compiled into this test build
-    }
     let session = cyclesteal_obs::Session::start();
     let server = Server::start(telemetry_config()).expect("start");
     let mut client = connect(&server);
@@ -565,9 +560,6 @@ fn slow_log_records_every_query_at_threshold_zero() {
 /// telemetry to the drain-only flush.
 #[test]
 fn obs_snapshot_flushes_periodically_before_drain() {
-    if !cyclesteal_obs::compiled() {
-        return; // the flusher is a no-op when recording is inactive
-    }
     let session = cyclesteal_obs::Session::start();
     let dir = tmp_dir("periodic");
     let server = Server::start(ServerConfig {

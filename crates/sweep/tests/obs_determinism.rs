@@ -4,7 +4,6 @@
 //! across thread counts and input order, exactly like the rows they ride
 //! with. Timing-class data (span nanoseconds, gauges) stays in
 //! `SweepMetrics` and is never part of the comparison.
-#![cfg(feature = "obs")]
 
 use cyclesteal_obs as obs;
 use cyclesteal_sweep::{run, Evaluator, GridSpec, LongLaw, SweepOptions};

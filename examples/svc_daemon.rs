@@ -21,6 +21,9 @@
 //! * `--metrics-addr HOST:PORT` serve HTTP `GET /metrics` + `/healthz`
 //! * `--slow-log-ms MS`        log queries slower than MS to
 //!   `slow_queries.jsonl` in the data dir (`0` logs every query)
+//! * `--obs`                   record telemetry (spans, counters, the
+//!   `svc.query.*` histograms) from start-up; off by default, since
+//!   recording costs CPU on every answer
 //! * `--obs-flush-secs N`      seconds between periodic obs-snapshot
 //!   flushes (default 5; `0` disables)
 //! * `--slow-ms MS`            test hook: delay each evaluation
@@ -37,6 +40,7 @@ use cyclesteal_svc::server::{install_sigterm_handler, Server, ServerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ServerConfig::default();
+    let mut obs = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = || args.next().ok_or(format!("{arg} needs a value"));
@@ -51,6 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--batch" => config.batch_max = take()?.parse()?,
             "--no-batch" => config.batch_max = 1,
             "--metrics-addr" => config.metrics_addr = Some(take()?),
+            "--obs" => obs = true,
             "--slow-log-ms" => config.slow_log_ms = Some(take()?.parse()?),
             "--obs-flush-secs" => config.obs_flush_secs = take()?.parse()?,
             "--slow-ms" => config.slow_ms = take()?.parse()?,
@@ -59,8 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    #[cfg(feature = "obs")]
-    cyclesteal_obs::enable();
+    if obs {
+        cyclesteal_obs::enable();
+    }
 
     install_sigterm_handler();
     let server = Server::start(config)?;

@@ -3,7 +3,7 @@
 //! bit-identical, and record the wall-clock trajectory in
 //! `BENCH_sweep.json` (xtest bench schema).
 //!
-//! Usage: `cargo run --release --example sweep --features obs --
+//! Usage: `cargo run --release --example sweep --
 //! [--quick] [--threads 1,8] [--out DIR] [--obs]`
 //!
 //! * `--quick`    small grid for CI smoke runs (90 points instead of 3,000)
@@ -11,7 +11,6 @@
 //! * `--out`      directory for `BENCH_sweep.json` (default: cwd)
 //! * `--obs`      record solver telemetry: print the span/counter summary
 //!   and write a flamegraph-ready `obs_profile.collapsed` to the out dir
-//!   (needs the binary built with `--features obs`)
 
 use std::time::Instant;
 
@@ -51,13 +50,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if threads.is_empty() {
         threads = vec![1];
-    }
-    if obs && !cyclesteal_obs::compiled() {
-        eprintln!(
-            "--obs requested but the telemetry runtime is compiled out; \
-             rebuild with `cargo run --release --example sweep --features obs -- --obs`"
-        );
-        obs = false;
     }
     if obs {
         cyclesteal_obs::enable();
