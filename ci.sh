@@ -15,47 +15,40 @@ echo "==> cargo build --release (workspace)"
 cargo build --workspace --release --offline
 
 echo "==> cargo test (workspace, offline)"
+# One run of every test target in the workspace. Among them, the suites
+# that gate the properties below (each runs here once, in this step):
+#
+# * sweep determinism (crates/sweep/tests/determinism.rs): 1/2/8 worker
+#   threads, shuffled input, warm cache.
+# * fault injection (crates/sweep/tests/fault_injection.rs): a
+#   3,000-point sweep, 5% injected faults, 1/2/8 threads.
+# * obs determinism (crates/sweep/tests/obs_determinism.rs): telemetry
+#   counts bit-identical across 1/2/8 threads.
+# * svc telemetry e2e (crates/svc/tests/metrics.rs): healthz,
+#   scrape-vs-registry bit-match, slow log, periodic flush.
+# * batch differential oracle (tests/batch_vs_scalar_props.rs,
+#   tests/golden_batched.rs, and the `batch` unit tests of
+#   cyclesteal-markov): batched QBD solves bit-identical to scalar. The
+#   batched solver is a pure performance transform; these suites are the
+#   oracle. Random same-shape/mixed-shape/frontier batches shrink on
+#   failure, the golden suite replays the Figure-4 sweep
+#   batched-vs-scalar at 1/2/8 threads, and the solver's own unit tests
+#   cover widths {1, 2, 7, 64}.
+# * (k, m) fleet reduction gate (tests/km_reduction.rs, tests/km_props.rs):
+#   the fleet chain is the only CS-CQ builder, trusted through its
+#   reduction. The differential suite proves the (1, 1) fleet chain IS
+#   the paper's 2-host chain as the reference builder in tests/support
+#   builds it (same QBD signature, solution bits, reports and
+#   distribution, for Poisson and MAP arrivals), then cross-validates
+#   every {1,2,4}^2 shape against the simulator's fleet policy; the
+#   property suite shrinks random workloads over the same invariants.
+# * CS-ID one-chain gate (tests/cs_id_reduction.rs): CS-ID has one chain
+#   builder, long-host state x short-arrival MAP phase. At a one-phase
+#   MAP it must reproduce the Poisson decomposition in tests/support bit
+#   for bit (analyze, thinned-Poisson baseline and the long-only Figure-6
+#   formula, errors included) on a 2,145-point grid, and analyze_map must
+#   hold its pinned bursty/asymmetric/near-overload values.
 cargo test -q --workspace --offline
-
-echo "==> sweep determinism (1/2/8 worker threads, shuffled input, warm cache)"
-cargo test -q -p cyclesteal-sweep --offline --test determinism
-
-echo "==> fault injection (3,000-point sweep, 5% injected faults, 1/2/8 threads)"
-cargo test -q -p cyclesteal-sweep --offline --test fault_injection
-
-echo "==> obs determinism (telemetry counts bit-identical across 1/2/8 threads)"
-cargo test -q -p cyclesteal-sweep --offline --test obs_determinism
-
-echo "==> svc telemetry e2e (healthz, scrape-vs-registry bit-match, slow log, periodic flush)"
-cargo test -q -p cyclesteal-svc --offline --test metrics
-
-echo "==> batch differential oracle (batched QBD solves bit-identical to scalar)"
-# The batched solver is a pure performance transform; these suites are the
-# oracle. Random same-shape/mixed-shape/frontier batches shrink on failure,
-# the golden suite replays the Figure-4 sweep batched-vs-scalar at 1/2/8
-# threads, and the solver's own unit tests cover widths {1, 2, 7, 64}.
-cargo test -q --offline --test batch_vs_scalar_props
-cargo test -q --offline --test golden_batched
-cargo test -q -p cyclesteal-markov --offline batch
-
-echo "==> (k, m) fleet reduction gate (1x1 bit-identity + {1,2,4}^2 analysis-vs-sim grid)"
-# The fleet chain is the only CS-CQ builder, trusted through its
-# reduction: the differential suite proves the (1, 1) fleet chain IS the
-# paper's 2-host chain as the reference builder in tests/support builds
-# it (same QBD signature, solution bits, reports and distribution, for
-# Poisson and MAP arrivals), then cross-validates every {1,2,4}^2 shape
-# against the simulator's fleet policy; the property suite shrinks random
-# workloads over the same invariants.
-cargo test -q --offline --test km_reduction
-cargo test -q --offline --test km_props
-
-echo "==> CS-ID one-chain gate (Poisson bit oracle + MAP pins)"
-# CS-ID has one chain builder, long-host state x short-arrival MAP phase.
-# At a one-phase MAP it must reproduce the Poisson decomposition in
-# tests/support bit for bit (analyze, thinned-Poisson baseline and the
-# long-only Figure-6 formula, errors included) on a 2,145-point grid, and
-# analyze_map must hold its pinned bursty/asymmetric/near-overload values.
-cargo test -q --offline --test cs_id_reduction
 
 echo "==> clippy (incl. unwrap-free non-test code in core and sweep)"
 # core and sweep deny clippy::unwrap_used outside tests; warnings anywhere
@@ -77,16 +70,18 @@ echo "==> bench smoke (--quick)"
 cargo bench -p cyclesteal-bench --offline --bench solver -- --quick
 cargo bench -p cyclesteal-bench --offline --bench analysis_vs_simulation -- --quick
 
-echo "==> kernel bench: allocations per QBD solve (hard >=5x and <=15 gates; timings informational)"
+echo "==> kernel bench: allocations per QBD solve and per chain build (hard >=5x, <=15 and <=42 gates; timings informational)"
 # The bench binary itself asserts workspace_allocs * 5 <= reference_allocs
-# (counting-allocator probe, deterministic); the re-check below reads the
-# emitted metrics so a stale or hand-edited JSON also fails the gate.
-# Wall-clock stays report-only: cross-binary timing gates on code layout.
+# and the build counts (counting-allocator probe, deterministic); the
+# re-check below reads the emitted metrics so a stale or hand-edited JSON
+# also fails the gate. Wall-clock stays report-only: cross-binary timing
+# gates on code layout.
 cargo bench -p cyclesteal-bench --offline --bench kernels -- --quick
-allocs_ref=$(sed -n 's|.*"id": "allocs/qbd_solve/reference", "value": \([0-9.]*\).*|\1|p' \
-    crates/bench/BENCH_kernels.json)
-allocs_ws=$(sed -n 's|.*"id": "allocs/qbd_solve/workspace", "value": \([0-9.]*\).*|\1|p' \
-    crates/bench/BENCH_kernels.json)
+kernel_metric() {
+    sed -n "s|.*\"id\": \"$1\", \"value\": \([0-9.e+-]*\).*|\1|p" crates/bench/BENCH_kernels.json
+}
+allocs_ref=$(kernel_metric 'allocs/qbd_solve/reference')
+allocs_ws=$(kernel_metric 'allocs/qbd_solve/workspace')
 # The workspace count is also capped absolutely: a kernel rewrite must not
 # buy speed with allocations (15 is the count before the slice kernels).
 awk -v ref="$allocs_ref" -v ws="$allocs_ws" 'BEGIN {
@@ -95,29 +90,48 @@ awk -v ref="$allocs_ref" -v ws="$allocs_ws" 'BEGIN {
     if (ws * 5 > ref) { print "kernel gate: workspace path must allocate >= 5x less"; exit 1 }
     if (ws > 15) { print "kernel gate: workspace path must allocate <= 15 times per solve"; exit 1 }
 }'
+# A chain build (busy-period fits, block assembly, validation) is capped
+# at the counts the stack-buffer layout reached: 42 for the heavy (2, 2)
+# fleet (467 before) and for the Figure-4 chain (105 before); the fits
+# and the Poisson MAP take 31 of them.
+awk -v k2m2="$(kernel_metric 'allocs/build/k2m2')" -v fig4="$(kernel_metric 'allocs/build/figure4')" 'BEGIN {
+    if (k2m2 == "" || fig4 == "") { print "kernel gate: missing build alloc metrics"; exit 1 }
+    printf "chain build heap allocations: (2, 2) %d, Figure-4 %d\n", k2m2, fig4
+    if (k2m2 > 42) { print "kernel gate: a (2, 2) chain build must allocate <= 42 times"; exit 1 }
+    if (fig4 > 42) { print "kernel gate: a Figure-4 chain build must allocate <= 42 times"; exit 1 }
+}'
+# The multi-RHS row sweep against the per-column substitution it
+# replaced, on one 21 x 21 (2, 2) factor inside one binary.
+awk -v ratio="$(kernel_metric 'multi_rhs_solve/k2m2/per_column_over_sweep')" 'BEGIN {
+    if (ratio == "") { print "kernel gate: missing multi-RHS sweep ratio"; exit 1 }
+    printf "multi-RHS solve, 21 x 21: per-column / row sweep %.2fx\n", ratio
+    if (ratio < 2) { print "kernel gate: the row sweep must clear 2x the per-column solve"; exit 1 }
+}'
 
 echo "==> kernel bench: batched throughput (hard >=1.5x gate over scalar)"
 # Unlike the cross-binary wall-clock comparisons above, this ratio is
 # scalar-vs-batched inside ONE binary on the SAME 64-point Figure-4 grid,
 # so code-layout noise largely cancels; the bench asserts it too, and this
 # re-check keeps a stale or hand-edited JSON from sneaking past.
-pps_scalar=$(sed -n 's|.*"id": "points_per_sec/qbd_scalar", "value": \([0-9.]*\).*|\1|p' \
-    crates/bench/BENCH_kernels.json)
-pps_batch=$(sed -n 's|.*"id": "points_per_sec/qbd_batch", "value": \([0-9.]*\).*|\1|p' \
-    crates/bench/BENCH_kernels.json)
+pps_scalar=$(kernel_metric 'points_per_sec/qbd_scalar')
+pps_batch=$(kernel_metric 'points_per_sec/qbd_batch')
 awk -v scalar="$pps_scalar" -v batch="$pps_batch" 'BEGIN {
     if (scalar == "" || batch == "" || scalar <= 0) { print "batch gate: missing points_per_sec metrics"; exit 1 }
     printf "qbd throughput: scalar %.0f points/s, batched %.0f points/s (%.2fx)\n", scalar, batch, batch / scalar
     if (batch < 1.5 * scalar) { print "batch gate: batched solve must clear 1.5x scalar throughput"; exit 1 }
 }'
-# The (2, 2) fleet group is report-only: printed for the trend, not gated.
-pps_scalar_k2m2=$(sed -n 's|.*"id": "points_per_sec/qbd_scalar_k2m2", "value": \([0-9.]*\).*|\1|p' \
-    crates/bench/BENCH_kernels.json)
-pps_batch_k2m2=$(sed -n 's|.*"id": "points_per_sec/qbd_batch_k2m2", "value": \([0-9.]*\).*|\1|p' \
-    crates/bench/BENCH_kernels.json)
-awk -v scalar="$pps_scalar_k2m2" -v batch="$pps_batch_k2m2" 'BEGIN {
+# The (2, 2) fleet group and the narrow lockstep widths are report-only:
+# printed for the trend, not gated. lockstep_vs_scalar is chain-by-chain
+# time over lockstep time for the first 2 or 8 chains of each grid.
+awk -v scalar="$(kernel_metric 'points_per_sec/qbd_scalar_k2m2')" \
+    -v batch="$(kernel_metric 'points_per_sec/qbd_batch_k2m2')" \
+    -v f2="$(kernel_metric 'lockstep_vs_scalar/figure4/w2')" \
+    -v f8="$(kernel_metric 'lockstep_vs_scalar/figure4/w8')" \
+    -v k2="$(kernel_metric 'lockstep_vs_scalar/k2m2/w2')" \
+    -v k8="$(kernel_metric 'lockstep_vs_scalar/k2m2/w8')" 'BEGIN {
     if (scalar == "" || batch == "" || scalar <= 0) { print "k2m2 throughput: missing metrics (report-only)"; exit 0 }
     printf "qbd (2, 2) throughput: scalar %.0f points/s, batched %.0f points/s (%.2fx, report-only)\n", scalar, batch, batch / scalar
+    printf "lockstep vs scalar (report-only): Figure-4 w2 %.2fx, w8 %.2fx; (2, 2) w2 %.2fx, w8 %.2fx\n", f2, f8, k2, k8
 }'
 
 echo "==> recovery bench: table CRC, bounded restore, bounded serving misses (hard >=4x, <=3x, <=1.5x gates; times informational)"

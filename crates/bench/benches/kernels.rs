@@ -12,19 +12,28 @@
 //!
 //! Heap-allocation counts come from a counting `#[global_allocator]`
 //! probe. Unlike wall-clock they are exactly reproducible, so this bench
-//! **asserts** the workspace path allocates at least 5x less per solve
-//! (the bar CI re-checks on every run); timings are report-only.
+//! **asserts** them: the workspace path allocates at least 5x less per
+//! solve, and a chain build (fits, block assembly, validation) allocates
+//! at most 42 times for the heavy (2, 2) fleet and for the Figure-4
+//! chain. CI re-checks every count on every run.
+//!
+//! Wall clock is report-only across binaries. Two ratios inside this
+//! binary are gated: the batched solve's throughput against the scalar
+//! one on the Figure-4 grid (≥ 1.5x), and the multi-RHS row sweep
+//! against the per-column substitution it replaced (≥ 2x). The
+//! lockstep-vs-scalar figures at widths 2 and 8 are report-only.
 //!
 //! Results land in `BENCH_kernels.json` (`results` for timings,
-//! `metrics` for allocation counts). `--quick` for smoke runs.
+//! `metrics` for counts and ratios). `--quick` for smoke runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use cyclesteal_core::cs_cq_km::{self, Hosts};
 use cyclesteal_core::{cs_cq, SystemParams};
-use cyclesteal_linalg::Workspace;
+use cyclesteal_linalg::{lu_factor_into, lu_solve_cols_into, Matrix, Workspace};
 use cyclesteal_markov::qbd::Qbd;
 use cyclesteal_xtest::Bench;
 
@@ -53,6 +62,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations allowed per chain build.
+const MAX_BUILD_ALLOCS_K2M2: u64 = 42;
+const MAX_BUILD_ALLOCS_FIGURE4: u64 = 42;
 
 fn allocs_during(mut f: impl FnMut()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -94,6 +107,37 @@ fn main() {
          workspace = {ws_allocs}, reference = {ref_allocs}"
     );
 
+    // --- Chain builds: heap allocations per build, asserted. A build is
+    // the busy-period fits, the block assembly and `Qbd::new`'s checks;
+    // the fits and the Poisson MAP account for 31 of the (2, 2) count.
+    let fleet_hosts = Hosts::new(2, 2).unwrap();
+    let heavy_k2m2 = SystemParams::exponential(2.0, 1.0, 0.8, 1.0).unwrap();
+    let figure4 = SystemParams::exponential(1.2, 1.0, 0.5, 1.0).unwrap();
+    let build_allocs = |build: &dyn Fn() -> Qbd| {
+        black_box(build());
+        allocs_during(|| {
+            for _ in 0..PROBE_ITERS {
+                black_box(build());
+            }
+        }) / PROBE_ITERS
+    };
+    let build_k2m2 =
+        || cs_cq_km::build_qbd_model(fleet_hosts, &heavy_k2m2, Default::default()).unwrap();
+    let allocs_k2m2 = build_allocs(&build_k2m2);
+    let allocs_figure4 =
+        build_allocs(&|| cs_cq::build_qbd_model(&figure4, Default::default()).unwrap());
+    h.metric("allocs/build/k2m2", allocs_k2m2 as f64);
+    h.metric("allocs/build/figure4", allocs_figure4 as f64);
+    assert!(
+        allocs_k2m2 <= MAX_BUILD_ALLOCS_K2M2,
+        "a (2, 2) chain build must allocate at most {MAX_BUILD_ALLOCS_K2M2} times: {allocs_k2m2}"
+    );
+    assert!(
+        allocs_figure4 <= MAX_BUILD_ALLOCS_FIGURE4,
+        "a Figure-4 chain build must allocate at most {MAX_BUILD_ALLOCS_FIGURE4} times: \
+         {allocs_figure4}"
+    );
+
     // --- Wall clock: report-only (layout noise makes it unassertable). ---
     h.bench("qbd_solve/figure4/reference", || {
         qbd.solve_reference().unwrap()
@@ -125,25 +169,19 @@ fn main() {
     black_box(Qbd::solve_batch_in(&refs, &mut ws));
 
     let reps = if h.is_quick() { 3 } else { 12 };
-    let best_of = |mut f: Box<dyn FnMut() + '_>| -> f64 {
-        (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
     let mut ws_scalar = Workspace::new();
     black_box(grid[0].solve_in(&mut ws_scalar).unwrap());
-    let scalar_secs = best_of(Box::new(|| {
-        for q in &grid {
-            black_box(q.solve_in(&mut ws_scalar).unwrap());
-        }
-    }));
-    let batch_secs = best_of(Box::new(|| {
-        black_box(Qbd::solve_batch_in(&refs, &mut ws));
-    }));
+    let (scalar_secs, batch_secs) = best_of_pair(
+        reps,
+        || {
+            for q in &grid {
+                black_box(q.solve_in(&mut ws_scalar).unwrap());
+            }
+        },
+        || {
+            black_box(Qbd::solve_batch_in(&refs, &mut ws));
+        },
+    );
     let scalar_pps = grid.len() as f64 / scalar_secs;
     let batch_pps = grid.len() as f64 / batch_secs;
     h.metric("points_per_sec/qbd_scalar", scalar_pps);
@@ -161,13 +199,11 @@ fn main() {
     // deeper boundary than the 2-host chain, so its batched throughput is
     // tracked separately; no gate ratio — the group exists to catch
     // regressions in the trend line, not to fail CI on machine noise.
-    let fleet_hosts = cyclesteal_core::cs_cq_km::Hosts::new(2, 2).unwrap();
     let fleet_grid: Vec<Qbd> = (0..32)
         .map(|i| {
             let rho_s = 0.1 + 2.9 * (i as f64) / 31.0;
             let params = SystemParams::exponential(rho_s, 1.0, 0.8, 1.0).unwrap();
-            cyclesteal_core::cs_cq_km::build_qbd_model(fleet_hosts, &params, Default::default())
-                .unwrap()
+            cs_cq_km::build_qbd_model(fleet_hosts, &params, Default::default()).unwrap()
         })
         .collect();
     let fleet_refs: Vec<&Qbd> = fleet_grid.iter().collect();
@@ -175,14 +211,17 @@ fn main() {
         black_box(q.solve_in(&mut ws).unwrap());
     }
     black_box(Qbd::solve_batch_in(&fleet_refs, &mut ws));
-    let fleet_scalar_secs = best_of(Box::new(|| {
-        for q in &fleet_grid {
-            black_box(q.solve_in(&mut ws_scalar).unwrap());
-        }
-    }));
-    let fleet_batch_secs = best_of(Box::new(|| {
-        black_box(Qbd::solve_batch_in(&fleet_refs, &mut ws));
-    }));
+    let (fleet_scalar_secs, fleet_batch_secs) = best_of_pair(
+        reps,
+        || {
+            for q in &fleet_grid {
+                black_box(q.solve_in(&mut ws_scalar).unwrap());
+            }
+        },
+        || {
+            black_box(Qbd::solve_batch_in(&fleet_refs, &mut ws));
+        },
+    );
     h.metric(
         "points_per_sec/qbd_scalar_k2m2",
         fleet_grid.len() as f64 / fleet_scalar_secs,
@@ -192,5 +231,138 @@ fn main() {
         fleet_grid.len() as f64 / fleet_batch_secs,
     );
 
+    // --- Lockstep against chain by chain at narrow widths, report-only:
+    // the first `width` chains of each grid, as one lockstep group and
+    // one at a time. Reads > 1 where lockstep is the cheaper way to solve
+    // that many chains.
+    for (shape, chains) in [("figure4", &refs), ("k2m2", &fleet_refs)] {
+        for width in [2, 8] {
+            let group = &chains[..width];
+            let (scalar, lockstep) = best_of_pair(
+                reps,
+                || {
+                    for q in group {
+                        black_box(q.solve_in(&mut ws_scalar).unwrap());
+                    }
+                },
+                || {
+                    black_box(Qbd::solve_batch_in(group, &mut ws));
+                },
+            );
+            h.metric(
+                &format!("lockstep_vs_scalar/{shape}/w{width}"),
+                scalar / lockstep,
+            );
+        }
+    }
+
+    // --- Multi-RHS substitution: the row sweep against the per-column
+    // loop it replaced, on the (2, 2) boundary factor `I − R` (21 × 21)
+    // with `R` as the 21 right-hand sides. Both run in this binary on the
+    // same factor, so the ratio is gated; the bits must agree too.
+    let r = heavy_k2m2_r(fleet_hosts, &heavy_k2m2);
+    let n = r.rows();
+    let i_minus_r = Matrix::identity(n).sub(&r).unwrap();
+    let (mut lu, mut piv) = (Matrix::zeros(0, 0), Vec::new());
+    lu_factor_into(&i_minus_r, &mut lu, &mut piv).unwrap();
+    let (mut swept, mut by_column) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    lu_solve_cols_into(&lu, &piv, &r, &mut swept).unwrap();
+    let mut x = Vec::new();
+    solve_cols_per_column(&lu, &piv, &r, &mut by_column, &mut x);
+    assert!(
+        swept
+            .as_slice()
+            .iter()
+            .zip(by_column.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "the row sweep must reproduce the per-column solve bit for bit"
+    );
+    // Short timed runs, many of them in either mode: a best-of-30 minimum
+    // is steady where three long runs are not.
+    const SOLVES: usize = 40;
+    const SOLVE_REPS: usize = 30;
+    let (column_secs, sweep_secs) = best_of_pair(
+        SOLVE_REPS,
+        || {
+            for _ in 0..SOLVES {
+                solve_cols_per_column(&lu, &piv, black_box(&r), &mut by_column, &mut x);
+            }
+        },
+        || {
+            for _ in 0..SOLVES {
+                lu_solve_cols_into(&lu, &piv, black_box(&r), &mut swept).unwrap();
+            }
+        },
+    );
+    let sweep_ratio = column_secs / sweep_secs;
+    h.metric("multi_rhs_solve/k2m2/per_column_over_sweep", sweep_ratio);
+    assert!(
+        sweep_ratio >= 2.0,
+        "the row sweep must clear 2x the per-column multi-RHS solve on a \
+         {n} x {n} (2, 2) factor: ratio {sweep_ratio:.2}"
+    );
+
     h.finish();
+}
+
+/// The least wall times of `reps` runs each of `f` and `g`, in seconds,
+/// the runs alternating so that both sides meet the same machine. The
+/// minimum is the run least disturbed by the machine, the right
+/// statistic for a ratio gate.
+fn best_of_pair(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
+    let time = |h: &mut dyn FnMut()| {
+        let t = Instant::now();
+        h();
+        t.elapsed().as_secs_f64()
+    };
+    (0..reps).fold((f64::INFINITY, f64::INFINITY), |(bf, bg), _| {
+        (bf.min(time(&mut f)), bg.min(time(&mut g)))
+    })
+}
+
+/// The heavy (2, 2) chain's rate matrix `R`.
+fn heavy_k2m2_r(hosts: Hosts, params: &SystemParams) -> Matrix {
+    let qbd = cs_cq_km::build_qbd_model(hosts, params, Default::default()).unwrap();
+    qbd.solve().unwrap().r().clone()
+}
+
+/// The multi-RHS solve as it ran before the row sweep: one column at a
+/// time, each a gather, a forward and a back substitution over row
+/// slices, and a scatter. The oracle and the baseline of the sweep gate.
+fn solve_cols_per_column(
+    lu: &Matrix,
+    pivots: &[usize],
+    b: &Matrix,
+    out: &mut Matrix,
+    x: &mut Vec<f64>,
+) {
+    let n = lu.rows();
+    out.reshape(n, b.cols());
+    x.clear();
+    x.resize(n, 0.0);
+    let rows = lu.as_slice().chunks_exact(n);
+    for j in 0..b.cols() {
+        for (xi, &p) in x.iter_mut().zip(pivots) {
+            *xi = b[(p, j)];
+        }
+        for (i, row) in rows.clone().enumerate().skip(1) {
+            let (done, rest) = x.split_at_mut(i);
+            let mut xi = rest[0];
+            for (&l, &xj) in row[..i].iter().zip(done.iter()) {
+                xi -= l * xj;
+            }
+            rest[0] = xi;
+        }
+        for (i, row) in rows.clone().enumerate().rev() {
+            let (head, tail) = x.split_at_mut(i + 1);
+            let mut xi = head[i];
+            for (&u, &xj) in row[i + 1..].iter().zip(tail.iter()) {
+                xi -= u * xj;
+            }
+            head[i] = xi / row[i];
+        }
+        for (i, &xi) in x.iter().enumerate() {
+            out[(i, j)] = xi;
+        }
+    }
 }

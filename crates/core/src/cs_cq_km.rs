@@ -123,7 +123,6 @@ impl Hosts {
     /// building its chain.
     pub fn chain_phases(&self, order: usize) -> usize {
         let (k, m) = (self.k, self.m);
-        let choose = |n: usize, r: usize| (0..r).fold(1, |acc, i| acc * (n - i) / (i + 1));
         let (mut boundary, mut repeating) = (0, 0);
         for free in 0..=m {
             for waiting in 0..=m - free {
@@ -633,7 +632,7 @@ fn assemble_report(chain: &Chain, sol: &QbdSolution) -> Result<CsCqReport, Analy
         let phase_mass = sol.phase_mass();
         for a in 0..ka {
             for n in 0..(k + m) {
-                for (pos, &p) in layout.levels[n].iter().enumerate() {
+                for (pos, &p) in layout.level(n).iter().enumerate() {
                     let x = sol.boundary()[(layout.offsets[n] + pos) * ka + a];
                     let info = layout.info[p];
                     if info.free >= 1 {
@@ -697,7 +696,10 @@ struct PhaseInfo {
 /// into `ka` chain phases, one per short-arrival MAP phase, innermost —
 /// the bit-identity contract with the paper's chain at `m = 1`. Every
 /// index below (`levels`, `offsets`, `bidx`) counts slot phases; chain
-/// index = slot-phase index · `ka` + MAP phase.
+/// index = slot-phase index · `ka` + MAP phase. Each table is one flat
+/// allocation, and the transitions between phases ([`KmLayout::replace`],
+/// [`KmLayout::replace2`]) edit a copy of the tuple on the stack
+/// ([`Hosts::new`] caps `m` below [`MAX_SLOTS`]).
 #[derive(Debug, Clone)]
 struct KmLayout {
     k: usize,
@@ -706,17 +708,22 @@ struct KmLayout {
     k2: usize,
     /// Phases of the short-arrival MAP (1 for Poisson).
     ka: usize,
-    phases: Vec<Vec<u8>>,
+    /// The slot tuples, `m` states each, concatenated in phase order.
+    phases: Vec<u8>,
     info: Vec<PhaseInfo>,
-    /// Valid phase ids per boundary level `0 .. k + m`, ascending.
-    levels: Vec<Vec<usize>>,
+    /// Valid phase ids per boundary level, ascending within a level;
+    /// level `n`'s are `levels[offsets[n] .. offsets[n + 1]]`.
+    levels: Vec<usize>,
     /// `offsets[n]` = boundary index of level `n`'s first phase;
     /// `offsets[k + m]` = total boundary dimension.
     offsets: Vec<usize>,
-    /// `level_pos[n][p]` = position of phase `p` within level `n`
+    /// `level_pos[n · np + p]` = position of phase `p` within level `n`
     /// (`usize::MAX` when invalid there).
-    level_pos: Vec<Vec<usize>>,
+    level_pos: Vec<usize>,
 }
+
+/// Slots a phase tuple can hold: [`Hosts::new`] caps `k + m` at 32.
+const MAX_SLOTS: usize = 32;
 
 impl KmLayout {
     fn new(hosts: Hosts, phs: Option<(&Ph, &Ph)>, ka: usize) -> Self {
@@ -726,14 +733,13 @@ impl KmLayout {
             None => (0, 0),
         };
         let hs = if m == 0 { 0 } else { 2 + k1 + k2 };
-        let mut phases = Vec::new();
-        let mut cur = Vec::new();
-        enumerate_multisets(&mut phases, &mut cur, 0, m, hs as u8);
+        let np = if m == 0 { 1 } else { choose(hs + m - 1, m) };
+        let phases = enumerate_multisets(np, m, hs as u8);
 
-        let info: Vec<PhaseInfo> = phases
-            .iter()
-            .map(|t| {
-                let r5_id = (1 + k1 + k2) as u8;
+        let r5_id = (1 + k1 + k2) as u8;
+        let info: Vec<PhaseInfo> = (0..np)
+            .map(|p| {
+                let t = &phases[p * m..(p + 1) * m];
                 let free = t.iter().filter(|&&s| s == 0).count();
                 let r5 = t.iter().filter(|&&s| s == r5_id).count();
                 PhaseInfo {
@@ -744,25 +750,19 @@ impl KmLayout {
             })
             .collect();
 
-        let mut levels = Vec::with_capacity(k + m);
+        let mut levels = Vec::with_capacity((k + m) * np);
         let mut offsets = Vec::with_capacity(k + m + 1);
-        let mut level_pos = Vec::with_capacity(k + m);
-        let mut off = 0;
-        for n in 0..(k + m) {
-            let mut valid = Vec::new();
-            let mut pos = vec![usize::MAX; phases.len()];
+        let mut level_pos = vec![usize::MAX; (k + m) * np];
+        for (n, pos) in level_pos.chunks_exact_mut(np).enumerate() {
+            offsets.push(levels.len());
             for (p, i) in info.iter().enumerate() {
                 if i.r5 == 0 || n >= k + i.free + i.r5 {
-                    pos[p] = valid.len();
-                    valid.push(p);
+                    pos[p] = levels.len() - offsets[n];
+                    levels.push(p);
                 }
             }
-            offsets.push(off);
-            off += valid.len();
-            levels.push(valid);
-            level_pos.push(pos);
         }
-        offsets.push(off);
+        offsets.push(levels.len());
 
         KmLayout {
             k,
@@ -776,6 +776,16 @@ impl KmLayout {
             offsets,
             level_pos,
         }
+    }
+
+    /// Number of slot phases.
+    fn np(&self) -> usize {
+        self.info.len()
+    }
+
+    /// Valid phase ids of boundary level `n`, ascending.
+    fn level(&self, n: usize) -> &[usize] {
+        &self.levels[self.offsets[n]..self.offsets[n + 1]]
     }
 
     /// Chain indices of boundary level `n` (all its phases × MAP phases).
@@ -804,27 +814,44 @@ impl KmLayout {
         (1 + self.k1 + self.k2) as u8
     }
 
+    /// Phase `p`'s sorted slot tuple.
+    fn phase(&self, p: usize) -> &[u8] {
+        &self.phases[p * self.m..(p + 1) * self.m]
+    }
+
+    /// The phase whose tuple is `t` (sorted), by binary search.
     fn index_of(&self, t: &[u8]) -> usize {
-        self.phases
-            .binary_search_by(|x| x.as_slice().cmp(t))
-            .expect("every sorted slot tuple is enumerated")
+        let (mut lo, mut hi) = (0, self.np());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.phase(mid).cmp(t) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return mid,
+            }
+        }
+        panic!("every sorted slot tuple is enumerated")
     }
 
     /// Phase reached from `p` by moving one slot `from → to`.
     fn replace(&self, p: usize, from: u8, to: u8) -> usize {
-        let mut t = self.phases[p].clone();
+        let mut buf = [0u8; MAX_SLOTS];
+        let t = &mut buf[..self.m];
+        t.copy_from_slice(self.phase(p));
         let pos = t
             .iter()
             .position(|&s| s == from)
             .expect("slot state present in phase");
         t[pos] = to;
         t.sort_unstable();
-        self.index_of(&t)
+        self.index_of(t)
     }
 
     /// Phase reached from `p` by moving two slots at once.
     fn replace2(&self, p: usize, from1: u8, to1: u8, from2: u8, to2: u8) -> usize {
-        let mut t = self.phases[p].clone();
+        let mut buf = [0u8; MAX_SLOTS];
+        let t = &mut buf[..self.m];
+        t.copy_from_slice(self.phase(p));
         let pos1 = t
             .iter()
             .position(|&s| s == from1)
@@ -837,55 +864,62 @@ impl KmLayout {
             .expect("second slot state present");
         t[pos2] = to2;
         t.sort_unstable();
-        self.index_of(&t)
+        self.index_of(t)
     }
 
     /// Boundary column of phase `p` at level `n` (must be valid there).
     fn bidx(&self, n: usize, p: usize) -> usize {
-        let pos = self.level_pos[n][p];
+        let pos = self.level_pos[n * self.np() + p];
         debug_assert_ne!(pos, usize::MAX, "phase invalid at boundary level");
         self.offsets[n] + pos
     }
 
     /// Distinct `(state, count)` runs of phase `p`'s sorted tuple.
-    fn runs(&self, p: usize) -> Vec<(u8, usize)> {
-        let mut out: Vec<(u8, usize)> = Vec::new();
-        for &s in &self.phases[p] {
-            match out.last_mut() {
-                Some((last, c)) if *last == s => *c += 1,
-                _ => out.push((s, 1)),
-            }
-        }
-        out
+    fn runs(&self, p: usize) -> impl Iterator<Item = (u8, usize)> + '_ {
+        self.phase(p)
+            .chunk_by(|a, b| a == b)
+            .map(|r| (r[0], r.len()))
     }
 }
 
-/// Non-decreasing tuples of length `left` over `start..hs`, lex order.
-fn enumerate_multisets(out: &mut Vec<Vec<u8>>, cur: &mut Vec<u8>, start: u8, left: usize, hs: u8) {
-    if left == 0 {
-        out.push(cur.clone());
-        return;
+/// The `count` non-decreasing tuples of length `m` over `0..hs`, in lex
+/// order, concatenated: the next tuple bumps the last state that can grow
+/// and copies it into every slot after it.
+fn enumerate_multisets(count: usize, m: usize, hs: u8) -> Vec<u8> {
+    let mut out = Vec::with_capacity(count * m);
+    out.resize(m, 0);
+    while out.len() < count * m {
+        let last = out.len() - m;
+        let i = out[last..]
+            .iter()
+            .rposition(|&s| s + 1 < hs)
+            .expect("a tuple before the last can grow");
+        let bumped = out[last + i] + 1;
+        out.extend_from_within(last..last + i);
+        out.resize(last + 2 * m, bumped);
     }
-    for s in start..hs {
-        cur.push(s);
-        enumerate_multisets(out, cur, s, left - 1, hs);
-        cur.pop();
-    }
+    out
 }
 
-/// Fills `diag` so that the row sums of the concatenated blocks vanish.
+/// The binomial coefficient `C(n, r)`.
+fn choose(n: usize, r: usize) -> usize {
+    (0..r).fold(1, |acc, i| acc * (n - i) / (i + 1))
+}
+
+/// Fills `diag` so that the row sums of the concatenated blocks vanish:
+/// the off-diagonal entries of `local`'s row in ascending column, then
+/// each other block's row sum.
 fn fix_diagonal(local: &mut Matrix, others: &[&Matrix]) {
     for i in 0..local.rows() {
+        let row = local.row_mut(i);
         let mut out: f64 = 0.0;
-        for j in 0..local.cols() {
-            if j != i {
-                out += local[(i, j)];
-            }
+        for &v in row[..i].iter().chain(&row[i + 1..]) {
+            out += v;
         }
         for b in others {
             out += b.row(i).iter().sum::<f64>();
         }
-        local[(i, i)] = -out;
+        row[i] = -out;
     }
 }
 
@@ -915,7 +949,7 @@ fn build_with_layout(
     let (k, m, ka) = (layout.k, layout.m, layout.ka);
     let (mu_s, lambda_l) = (params.mu_s(), params.lambda_l());
     let (d0, d1) = (arrivals.d0(), arrivals.d1());
-    let np = layout.phases.len();
+    let np = layout.np();
     let nb = layout.offsets[k + m];
     let bn_initial = phs.map(|(_, bn)| bn.initial());
 
@@ -1053,7 +1087,7 @@ fn build_with_layout(
     let mut b10 = Matrix::zeros(np * ka, nb * ka);
 
     for n in 0..(k + m) {
-        for &p in &layout.levels[n] {
+        for &p in layout.level(n) {
             let row = layout.bidx(n, p);
             // Short arrival: up one level (into the repeating portion from
             // the last boundary level).
@@ -1103,7 +1137,7 @@ mod tests {
             for (k, m) in [(1, 0), (1, 1), (2, 2), (1, 3), (3, 2), (2, 4), (5, 1)] {
                 let hosts = Hosts::new(k, m).unwrap();
                 let layout = KmLayout::new(hosts, Some((&ph, &ph)), 1);
-                let enumerated = layout.offsets[k + m] + layout.phases.len();
+                let enumerated = layout.offsets[k + m] + layout.np();
                 assert_eq!(
                     hosts.chain_phases(order as usize),
                     enumerated,

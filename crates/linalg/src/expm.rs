@@ -146,10 +146,9 @@ impl Matrix {
         // deliberately: it reproduces `expm`'s exact operation sequence.
         let mut lu = ws.take_mat(n, n);
         let mut piv = ws.take_idx();
-        let mut x = ws.take_vec(n);
         lu_factor_into(&den, &mut lu, &mut piv)?;
         let mut inv = ws.take_mat(n, n);
-        lu_inverse_into(&lu, &piv, &mut inv, &mut x);
+        lu_inverse_into(&lu, &piv, &mut inv);
         let mut result = ws.take_mat(n, n);
         inv.mul_into(&num, &mut result)?;
         // Undo the scaling by repeated squaring.
@@ -168,7 +167,6 @@ impl Matrix {
         ws.give_mat(tmp);
         ws.give_mat(lu);
         ws.give_idx(piv);
-        ws.give_vec(x);
         ws.give_mat(inv);
         Ok(result)
     }

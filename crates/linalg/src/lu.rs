@@ -1,3 +1,17 @@
+//! LU factorization with partial pivoting, and the triangular solves on
+//! its factors.
+//!
+//! One right-hand side ([`lu_solve_into`], [`Lu::solve`]) is substituted
+//! by `substitute_in_place`, one dependent chain of `x[i] -= l · x[j]`
+//! steps per row. A block of right-hand sides ([`lu_solve_cols_into`],
+//! [`lu_solve_rows_into`], [`lu_inverse_into`], [`Lu::inverse`]) is
+//! substituted by one row sweep, `sweep_rows_in_place`, which runs the
+//! forward and back passes a row of the block at a time: every entry sees
+//! the operations, in the order, that a one-column solve gives it, so the
+//! bits are the same, and the inner loop along the row vectorizes.
+//! [`crate::lu_solve_many_into`] is the same sweep with a lane loop
+//! innermost.
+
 use crate::{LinalgError, Matrix};
 
 /// LU factorization with partial pivoting: `P * A = L * U`.
@@ -109,17 +123,17 @@ impl Lu {
     /// `Result` signature for uniformity with the other solvers.
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
         let mut inv = Matrix::zeros(0, 0);
-        lu_inverse_into(&self.lu, &self.pivots, &mut inv, &mut Vec::new());
+        lu_inverse_into(&self.lu, &self.pivots, &mut inv);
         Ok(inv)
     }
 }
 
 /// Forward substitution with unit lower-triangular `L`, then back
-/// substitution with `U`, on a right-hand side that has already been
-/// permuted. Shared by every solve kernel below, so they all perform the
-/// identical floating-point operation sequence: `x[i]` subtracts
-/// `L[i][j] · x[j]` in ascending `j < i`, then `U[i][j] · x[j]` in
-/// ascending `j > i`, then divides by `U[i][i]`.
+/// substitution with `U`, on one right-hand side that has already been
+/// permuted: `x[i]` subtracts `L[i][j] · x[j]` in ascending `j < i`, then
+/// `U[i][j] · x[j]` in ascending `j > i`, then divides by `U[i][i]`.
+/// [`lu_solve_into`]'s body; [`sweep_rows_in_place`] gives every entry of
+/// a multi-RHS block this same operation sequence.
 fn substitute_in_place(lu: &Matrix, x: &mut [f64]) {
     let n = lu.rows();
     if n == 0 {
@@ -141,6 +155,47 @@ fn substitute_in_place(lu: &Matrix, x: &mut [f64]) {
             xi -= u * xj;
         }
         head[i] = xi / row[i];
+    }
+}
+
+/// The multi-RHS substitution body: `x` is an `n × c` row-major block of
+/// `c` permuted right-hand sides, solved in place against the packed
+/// factors. The forward pass has row `i` subtract `L[i][j] · x[j, :]` for
+/// ascending `j < i`; the back pass has row `i` subtract
+/// `U[i][j] · x[j, :]` for ascending `j > i`, then divide by `U[i][i]`.
+/// Each entry of `x` therefore sees exactly the operations, in the order,
+/// that [`substitute_in_place`] gives its column, so the result is
+/// bit-identical to solving the columns one at a time; the innermost loop
+/// runs along a row of `x` with no dependency between its entries, so it
+/// vectorizes.
+fn sweep_rows_in_place(lu: &Matrix, x: &mut [f64], c: usize) {
+    let n = lu.rows();
+    debug_assert_eq!(x.len(), n * c);
+    if n == 0 || c == 0 {
+        return;
+    }
+    let rows = lu.as_slice().chunks_exact(n);
+    for (i, row) in rows.clone().enumerate().skip(1) {
+        let (done, rest) = x.split_at_mut(i * c);
+        let x_i = &mut rest[..c];
+        for (&l, x_j) in row[..i].iter().zip(done.chunks_exact(c)) {
+            for (xi, &xj) in x_i.iter_mut().zip(x_j) {
+                *xi -= l * xj;
+            }
+        }
+    }
+    for (i, row) in rows.enumerate().rev() {
+        let (head, tail) = x.split_at_mut((i + 1) * c);
+        let x_i = &mut head[i * c..];
+        for (&u, x_j) in row[i + 1..].iter().zip(tail.chunks_exact(c)) {
+            for (xi, &xj) in x_i.iter_mut().zip(x_j) {
+                *xi -= u * xj;
+            }
+        }
+        let d = row[i];
+        for xi in x_i.iter_mut() {
+            *xi /= d;
+        }
     }
 }
 
@@ -257,10 +312,12 @@ pub fn lu_solve_into(lu: &Matrix, pivots: &[usize], b: &[f64], x: &mut [f64]) {
     substitute_in_place(lu, x);
 }
 
-/// Multi-RHS solve `out = A⁻¹ B`, column by column, using factors of `A`
-/// from [`lu_factor_into`]. `x` is caller scratch of any capacity;
-/// `out` is reshaped to `B`'s shape. This replaces the
-/// `inverse()`-then-`mul` pattern with one triangular solve per column.
+/// Multi-RHS solve `out = A⁻¹ B`, using factors of `A` from
+/// [`lu_factor_into`]: the rows of `B` are gathered into `out` in pivot
+/// order and every column is substituted at once, a row of `out` at a
+/// time. `out` is reshaped to `B`'s shape. This replaces the
+/// `inverse()`-then-`mul` pattern; each column's bits are those of a
+/// one-column [`lu_solve_into`].
 ///
 /// # Errors
 ///
@@ -271,7 +328,6 @@ pub fn lu_solve_cols_into(
     pivots: &[usize],
     b: &Matrix,
     out: &mut Matrix,
-    x: &mut Vec<f64>,
 ) -> Result<(), LinalgError> {
     let n = lu.rows();
     if b.rows() != n {
@@ -281,25 +337,21 @@ pub fn lu_solve_cols_into(
             rhs: (b.rows(), b.cols()),
         });
     }
-    out.reshape(n, b.cols());
-    x.clear();
-    x.resize(n, 0.0);
-    for j in 0..b.cols() {
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi = b[(pivots[i], j)];
-        }
-        substitute_in_place(lu, x);
-        for (i, &xi) in x.iter().enumerate() {
-            out[(i, j)] = xi;
-        }
+    let c = b.cols();
+    out.reshape(n, c);
+    for (i, &p) in pivots.iter().enumerate() {
+        out.row_mut(i).copy_from_slice(b.row(p));
     }
+    sweep_rows_in_place(lu, out.as_mut_slice(), c);
     Ok(())
 }
 
-/// Multi-RHS right-division `out = B A⁻¹`, row by row, using factors of
-/// the **transpose** `Aᵀ` from [`lu_factor_into`] (because
+/// Multi-RHS right-division `out = B A⁻¹`, using factors of the
+/// **transpose** `Aᵀ` from [`lu_factor_into`] (because
 /// `X A = B  ⟺  Aᵀ Xᵀ = Bᵀ`, each row of `X` is one triangular solve
-/// against the transposed factors). `x` is caller scratch; `out` is
+/// against the transposed factors). `Bᵀ` is gathered in pivot order into
+/// the caller's scratch `x` (grown to `n × rows`, then reused), swept
+/// like [`lu_solve_cols_into`], and transposed back into `out`, which is
 /// reshaped to `B`'s shape.
 ///
 /// # Errors
@@ -321,36 +373,39 @@ pub fn lu_solve_rows_into(
             rhs: (b.rows(), b.cols()),
         });
     }
-    out.reshape(b.rows(), n);
+    let r = b.rows();
+    out.reshape(r, n);
     x.clear();
-    x.resize(n, 0.0);
-    for i in 0..b.rows() {
-        for (k, xk) in x.iter_mut().enumerate() {
-            *xk = b[(i, pivots[k])];
+    x.resize(n * r, 0.0);
+    if r == 0 {
+        return Ok(());
+    }
+    let src = b.as_slice();
+    for (x_k, &p) in x.chunks_exact_mut(r).zip(pivots) {
+        for (xk, &v) in x_k.iter_mut().zip(src[p..].iter().step_by(n)) {
+            *xk = v;
         }
-        substitute_in_place(lu_t, x);
-        out.row_mut(i).copy_from_slice(x);
+    }
+    sweep_rows_in_place(lu_t, x, r);
+    for (k, x_k) in x.chunks_exact(r).enumerate() {
+        for (o, &v) in out.as_mut_slice()[k..].iter_mut().step_by(n).zip(x_k) {
+            *o = v;
+        }
     }
     Ok(())
 }
 
 /// Inverse into caller storage using factors from [`lu_factor_into`];
-/// [`Lu::inverse`] is this kernel on fresh storage. Each unit column is
-/// permuted, substituted, and scattered into column `j` of `out`.
-pub fn lu_inverse_into(lu: &Matrix, pivots: &[usize], out: &mut Matrix, x: &mut Vec<f64>) {
+/// [`Lu::inverse`] is this kernel on fresh storage. Row `i` of `out`
+/// starts as the unit row `e_{pivots[i]}` (the permuted identity), and
+/// the whole block is swept like [`lu_solve_cols_into`].
+pub fn lu_inverse_into(lu: &Matrix, pivots: &[usize], out: &mut Matrix) {
     let n = lu.rows();
     out.reshape(n, n);
-    x.clear();
-    x.resize(n, 0.0);
-    for j in 0..n {
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi = if pivots[i] == j { 1.0 } else { 0.0 };
-        }
-        substitute_in_place(lu, x);
-        for (i, &xi) in x.iter().enumerate() {
-            out[(i, j)] = xi;
-        }
+    for (i, &p) in pivots.iter().enumerate() {
+        out.row_mut(i)[p] = 1.0;
     }
+    sweep_rows_in_place(lu, out.as_mut_slice(), n);
 }
 
 #[cfg(test)]
@@ -469,14 +524,13 @@ mod tests {
         let mut piv = Vec::new();
         lu_factor_into(&a, &mut lu, &mut piv).unwrap();
         let mut out = Matrix::zeros(1, 1);
-        let mut x = Vec::new();
-        lu_solve_cols_into(&lu, &piv, &b, &mut out, &mut x).unwrap();
+        lu_solve_cols_into(&lu, &piv, &b, &mut out).unwrap();
         // out solves A X = B: residual check is exact up to roundoff.
         let back = a.mul(&out).unwrap();
         assert!(back.sub(&b).unwrap().max_abs() < 1e-12, "{back:?}");
         // Wrong-height rhs is rejected.
         let bad = Matrix::zeros(2, 2);
-        assert!(lu_solve_cols_into(&lu, &piv, &bad, &mut out, &mut x).is_err());
+        assert!(lu_solve_cols_into(&lu, &piv, &bad, &mut out).is_err());
     }
 
     #[test]
@@ -508,8 +562,7 @@ mod tests {
         // Dirty, wrongly-shaped output storage must not influence the result.
         let mut out = Matrix::zeros(2, 5);
         out[(0, 0)] = 123.0;
-        let mut x = Vec::new();
-        lu_inverse_into(&lu, &piv, &mut out, &mut x);
+        lu_inverse_into(&lu, &piv, &mut out);
         assert_eq!(out.as_slice(), expect.as_slice());
     }
 }

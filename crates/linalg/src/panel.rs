@@ -33,10 +33,12 @@
 //!   lane is skipped under the scalar kernel's exactness condition (no
 //!   `-0.0` in the input, a finite pivot row), where the update would
 //!   leave it unchanged.
-//! * [`lu_solve_many_into`] mirrors [`crate::lu_solve_cols_into`]'s
-//!   gather → forward/back substitution, with the same operation order per
-//!   lane and column (no zero skips, division by the diagonal in the back
-//!   pass).
+//! * [`lu_solve_many_into`] mirrors [`crate::lu_solve_cols_into`]: the
+//!   permuted gather of the right-hand sides, then the row sweep of the
+//!   forward and back substitution over all columns at once (no zero
+//!   skips, division by the diagonal in the back pass), with the lanes
+//!   innermost. At batch 1 a panel has [`Matrix`]'s layout and the loop
+//!   nest is the scalar sweep's.
 //! * [`spectral_radius_many`] mirrors
 //!   [`Matrix::spectral_radius_estimate_converged`].
 //!
@@ -460,12 +462,13 @@ pub fn lu_factor_many_in_place(lus: &mut BatchPanel, pivots: &mut Vec<usize>, ok
 /// [`BatchPanel`]) and the flat pivot store (`pivots`, lane `b`'s pivots
 /// at `pivots[b * n .. (b + 1) * n]`), writing `X` into `out`.
 ///
-/// Per lane and column this replays exactly the scalar
-/// [`crate::lu_solve_cols_into`] — permuted gather, forward substitution,
-/// back substitution with the diagonal division — so each lane's solution
-/// is bit-identical to solving that lane through the scalar kernel. All
-/// columns are substituted together in place in `out`, so the innermost
-/// loop runs over a whole row of cells.
+/// Per lane this replays exactly the scalar
+/// [`crate::lu_solve_cols_into`] — permuted gather, then its row sweep of
+/// the forward substitution and the back substitution with the diagonal
+/// division — so each lane's solution is bit-identical to solving that
+/// lane through the scalar kernel. All columns are substituted together
+/// in place in `out`, so the innermost loop runs over a whole row of
+/// cells.
 ///
 /// Panics if shapes or the pivot store length disagree.
 pub fn lu_solve_many_into(
@@ -500,7 +503,7 @@ pub fn lu_solve_many_into(
         }
     }
     // Forward substitution (unit lower triangle), then back substitution
-    // — the scalar `substitute_in_place` per lane and column.
+    // — the scalar row sweep, per lane.
     let lu_rows = lus.data.chunks_exact(n * nb);
     for (i, lu_row) in lu_rows.clone().enumerate().skip(1) {
         let (done, rest) = out.data.split_at_mut(i * row_len);
@@ -774,8 +777,7 @@ mod tests {
             for (b, m) in mats.iter().enumerate() {
                 lu_factor_into(m, &mut lu, &mut piv).unwrap();
                 let mut want = Matrix::zeros(n, n);
-                let mut xs = Vec::new();
-                lu_solve_cols_into(&lu, &piv, &rhs[b], &mut want, &mut xs).unwrap();
+                lu_solve_cols_into(&lu, &piv, &rhs[b], &mut want).unwrap();
                 out.store_lane(b, &mut got);
                 for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
                     assert_eq!(g.to_bits(), w.to_bits());

@@ -11,9 +11,9 @@
 //! by every lane or sit in some lanes only.
 
 use cyclesteal_linalg::{
-    dot, lu_factor_into, lu_factor_many_in_place, lu_inverse_into, lu_solve_into,
-    lu_solve_many_into, max_abs_diff, spectral_radius_many, BatchPanel, LinalgError, Lu, Matrix,
-    Workspace, SPECTRAL_RADIUS_RTOL,
+    dot, lu_factor_into, lu_factor_many_in_place, lu_inverse_into, lu_solve_cols_into,
+    lu_solve_into, lu_solve_many_into, lu_solve_rows_into, max_abs_diff, spectral_radius_many,
+    BatchPanel, LinalgError, Lu, Matrix, Workspace, SPECTRAL_RADIUS_RTOL,
 };
 use cyclesteal_xtest::prop::{vec, Gen};
 use cyclesteal_xtest::{props, RngExt, SeedableRng, SmallRng};
@@ -175,6 +175,42 @@ fn oracle_substitute(lu: &Matrix, x: &mut [f64]) {
         }
         x[i] /= lu[(i, i)];
     }
+}
+
+/// The multi-RHS solve one column at a time: each column of `b` gathered
+/// in pivot order, substituted by [`oracle_substitute`], scattered back.
+fn oracle_solve_cols(lu: &Matrix, pivots: &[usize], b: &Matrix) -> Matrix {
+    let (n, c) = (lu.rows(), b.cols());
+    let mut out = Matrix::zeros(n, c);
+    let mut x = vec![0.0; n];
+    for j in 0..c {
+        for i in 0..n {
+            x[i] = b[(pivots[i], j)];
+        }
+        oracle_substitute(lu, &mut x);
+        for i in 0..n {
+            out[(i, j)] = x[i];
+        }
+    }
+    out
+}
+
+/// The right-division `B A⁻¹` one row at a time against the factors of
+/// `Aᵀ`: each row of `b` gathered in pivot order and substituted.
+fn oracle_solve_rows(lu_t: &Matrix, pivots: &[usize], b: &Matrix) -> Matrix {
+    let (n, r) = (lu_t.rows(), b.rows());
+    let mut out = Matrix::zeros(r, n);
+    let mut x = vec![0.0; n];
+    for i in 0..r {
+        for k in 0..n {
+            x[k] = b[(i, pivots[k])];
+        }
+        oracle_substitute(lu_t, &mut x);
+        for k in 0..n {
+            out[(i, k)] = x[k];
+        }
+    }
+    out
 }
 
 fn oracle_spectral(a: &Matrix, max_iters: usize) -> (f64, usize) {
@@ -430,7 +466,7 @@ props! {
                 let wrapped = Lu::factor(&a).unwrap();
                 assert_bits(&wrapped.solve(&rhs).unwrap(), &want_x, "Lu::solve");
                 let mut inv = Matrix::zeros(1, 1);
-                lu_inverse_into(&lu, &piv, &mut inv, &mut Vec::new());
+                lu_inverse_into(&lu, &piv, &mut inv);
                 assert_bits(wrapped.inverse().unwrap().as_slice(), inv.as_slice(), "Lu::inverse");
                 let mut det = sign;
                 for i in 0..n {
@@ -548,6 +584,77 @@ props! {
             if finite[lane] {
                 let want = oracle_spectral(m, budget).0;
                 assert_eq!(got[lane].to_bits(), want.to_bits(), "lane {lane}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Multi-RHS solves against the per-column oracle
+// ---------------------------------------------------------------------
+
+/// [`salted`] with a tenth of the entries NaN, `+∞` or `-∞`.
+fn tainted(rows: usize, cols: usize, rng: &mut SmallRng) -> Matrix {
+    let mut m = salted(rows, cols, rng);
+    for i in 0..rows {
+        for j in 0..cols {
+            m[(i, j)] = match rng.random_below(30) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => m[(i, j)],
+            };
+        }
+    }
+    m
+}
+
+/// `lu_solve_cols_into`, `lu_solve_rows_into` and `lu_inverse_into` sweep
+/// all right-hand sides at once; each entry must carry the bits of the
+/// per-column solve. Factors come from salted, dominant and half-zero
+/// matrices; right-hand sides hold `±0.0` and, on every other seed, NaN
+/// and `±∞`; shapes cover `n = 0, 1` and `c = 0`, square and not.
+#[test]
+fn multi_rhs_solves_match_the_per_column_oracle() {
+    let mut rng = SmallRng::seed_from_u64(0x5eed_50fe);
+    let (mut lu, mut piv) = (Matrix::zeros(1, 1), Vec::new());
+    let mut out = Matrix::zeros(1, 1);
+    let mut x = vec![3.0; 2]; // dirty scratch
+    for n in [0, 1, 2, 3, 6, 21, 40] {
+        for c in [0, 1, 2, 5, 21, 33] {
+            for seed in 0..6 {
+                let a = match seed % 3 {
+                    0 => salted(n, n, &mut rng),
+                    1 => dominant(n, &mut rng),
+                    _ => sparse(n, n, &mut rng),
+                };
+                if lu_factor_into(&a, &mut lu, &mut piv).is_err() {
+                    continue;
+                }
+                let b = if seed % 2 == 0 {
+                    salted(n, c, &mut rng)
+                } else {
+                    tainted(n, c, &mut rng)
+                };
+                let shape = format!("n = {n}, c = {c}, seed {seed}");
+                lu_solve_cols_into(&lu, &piv, &b, &mut out).unwrap();
+                assert_eq!((out.rows(), out.cols()), (n, c));
+                let want = oracle_solve_cols(&lu, &piv, &b);
+                assert_bits(out.as_slice(), want.as_slice(), &format!("cols, {shape}"));
+
+                let b_t = b.transpose();
+                lu_solve_rows_into(&lu, &piv, &b_t, &mut out, &mut x).unwrap();
+                assert_eq!((out.rows(), out.cols()), (c, n));
+                let want = oracle_solve_rows(&lu, &piv, &b_t);
+                assert_bits(out.as_slice(), want.as_slice(), &format!("rows, {shape}"));
+
+                lu_inverse_into(&lu, &piv, &mut out);
+                let want = oracle_solve_cols(&lu, &piv, &Matrix::identity(n));
+                assert_bits(
+                    out.as_slice(),
+                    want.as_slice(),
+                    &format!("inverse, {shape}"),
+                );
             }
         }
     }

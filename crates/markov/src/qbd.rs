@@ -71,6 +71,56 @@ pub struct Qbd {
     a2: Matrix,
 }
 
+/// The first cell of `mat`, in row-major order, whose `(row, col, value)`
+/// satisfies `hit`. Rows are walked as slices; a row is searched cell by
+/// cell only once a branch-free fold over it has seen a hit.
+fn first_cell(mat: &Matrix, hit: impl Fn(usize, usize, f64) -> bool) -> Option<(usize, usize)> {
+    let cols = mat.cols();
+    if cols == 0 {
+        return None;
+    }
+    mat.as_slice()
+        .chunks_exact(cols)
+        .enumerate()
+        .find_map(|(i, row)| {
+            let seen = row
+                .iter()
+                .enumerate()
+                .fold(false, |seen, (j, &v)| seen | hit(i, j, v));
+            if !seen {
+                return None;
+            }
+            let j = row.iter().enumerate().position(|(j, &v)| hit(i, j, v))?;
+            Some((i, j))
+        })
+}
+
+/// Whether every entry of `data` is finite, and the largest `|entry|`.
+/// Eight running maxima side by side let the compiler vectorize the
+/// pass; a maximum of finite values does not depend on the order it is
+/// taken in, so they give the bits of [`Matrix::max_abs`].
+fn finite_max_abs(data: &[f64]) -> (bool, f64) {
+    let (mut finite, mut max) = ([true; 8], [0.0f64; 8]);
+    let chunks = data.chunks_exact(8);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for ((f, m), &x) in finite.iter_mut().zip(&mut max).zip(c) {
+            let a = x.abs();
+            *f &= a < f64::INFINITY;
+            *m = if a > *m { a } else { *m };
+        }
+    }
+    for ((f, m), &x) in finite.iter_mut().zip(&mut max).zip(tail) {
+        let a = x.abs();
+        *f &= a < f64::INFINITY;
+        *m = if a > *m { a } else { *m };
+    }
+    (
+        finite.iter().all(|&f| f),
+        max.iter().fold(0.0, |a, &b| a.max(b)),
+    )
+}
+
 /// Which algorithm computes `R`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RAlgorithm {
@@ -87,7 +137,8 @@ impl Qbd {
     /// # Errors
     ///
     /// [`MarkovError::InvalidGenerator`] if block shapes disagree, any
-    /// off-diagonal rate is negative, or row sums are not conservative.
+    /// entry is NaN or infinite, any off-diagonal rate is negative, or row
+    /// sums are not conservative.
     pub fn new(
         b00: Matrix,
         b01: Matrix,
@@ -114,32 +165,36 @@ impl Qbd {
                 reason: "QBD block shapes are inconsistent".into(),
             });
         }
-        let scale = [&b00, &b01, &b10, &a0, &a1, &a2]
-            .iter()
-            .map(|b| b.max_abs())
-            .fold(1.0, f64::max);
-
-        let nonneg = |mat: &Matrix, name: &str, skip_diag: bool| -> Result<(), MarkovError> {
-            for i in 0..mat.rows() {
-                for j in 0..mat.cols() {
-                    if skip_diag && i == j {
-                        continue;
-                    }
-                    if mat[(i, j)] < -GEN_TOL * scale {
-                        return Err(MarkovError::InvalidGenerator {
-                            reason: format!("negative rate in {name} at ({i},{j})"),
-                        });
-                    }
-                }
+        let blocks = [
+            (&b00, "B00", true),
+            (&b01, "B01", false),
+            (&b10, "B10", false),
+            (&a0, "A0", false),
+            (&a1, "A1", true),
+            (&a2, "A2", false),
+        ];
+        // Finiteness first: a NaN fails every tolerance test below, and
+        // an infinity makes the tolerance itself infinite.
+        let mut scale: f64 = 1.0;
+        for (mat, name, _) in blocks {
+            let (finite, max) = finite_max_abs(mat.as_slice());
+            if !finite {
+                let (i, j) = first_cell(mat, |_, _, v| !v.is_finite())
+                    .expect("a non-finite entry is in the block");
+                return Err(MarkovError::InvalidGenerator {
+                    reason: format!("non-finite rate in {name} at ({i},{j})"),
+                });
             }
-            Ok(())
-        };
-        nonneg(&b00, "B00", true)?;
-        nonneg(&b01, "B01", false)?;
-        nonneg(&b10, "B10", false)?;
-        nonneg(&a0, "A0", false)?;
-        nonneg(&a1, "A1", true)?;
-        nonneg(&a2, "A2", false)?;
+            scale = scale.max(max);
+        }
+        let floor = -GEN_TOL * scale;
+        for (mat, name, skip_diag) in blocks {
+            if let Some((i, j)) = first_cell(mat, |i, j, v| v < floor && !(skip_diag && i == j)) {
+                return Err(MarkovError::InvalidGenerator {
+                    reason: format!("negative rate in {name} at ({i},{j})"),
+                });
+            }
+        }
 
         for i in 0..nb {
             let s: f64 = b00.row(i).iter().sum::<f64>() + b01.row(i).iter().sum::<f64>();
@@ -150,17 +205,14 @@ impl Qbd {
             }
         }
         for i in 0..m {
-            let s_rep: f64 = a0.row(i).iter().sum::<f64>()
-                + a1.row(i).iter().sum::<f64>()
-                + a2.row(i).iter().sum::<f64>();
+            let local: f64 = a0.row(i).iter().sum::<f64>() + a1.row(i).iter().sum::<f64>();
+            let s_rep = local + a2.row(i).iter().sum::<f64>();
             if s_rep.abs() > GEN_TOL * scale {
                 return Err(MarkovError::InvalidGenerator {
                     reason: format!("repeating row {i} sums to {s_rep}"),
                 });
             }
-            let s_l0: f64 = a0.row(i).iter().sum::<f64>()
-                + a1.row(i).iter().sum::<f64>()
-                + b10.row(i).iter().sum::<f64>();
+            let s_l0 = local + b10.row(i).iter().sum::<f64>();
             if s_l0.abs() > GEN_TOL * scale {
                 return Err(MarkovError::InvalidGenerator {
                     reason: format!("level-0 row {i} sums to {s_l0}"),
@@ -594,7 +646,8 @@ impl Qbd {
     /// [`Qbd::r_from_g_in`] for the converged lanes of
     /// [`Qbd::solve_batch_in`], all at once: `R = A0 · (−(A1 + A0·G))⁻¹`
     /// as the transpose of `(−(A1 + A0·G))ᵀ \ A0ᵀ` — per lane the scalar
-    /// kernel's right division row by row. Returns the members whose `R`
+    /// right division, which sweeps the transposed block the same way
+    /// ([`lu_solve_rows_into`]). Returns the members whose `R`
     /// exists and the panel of their `R`s; a lane whose factorization
     /// fails replays `solve_in` into `results`.
     fn r_from_g_batch_in(
@@ -873,7 +926,7 @@ impl Qbd {
         acc.transpose_into(&mut acc_t);
         let mut lu = ws.take_mat(m, m);
         let mut piv = ws.take_idx();
-        let mut x = ws.take_vec(m);
+        let mut x = ws.take_vec(m * m);
         lu_factor_into(&acc_t, &mut lu, &mut piv)?;
         let mut r = ws.take_mat(m, m);
         lu_solve_rows_into(&lu, &piv, &self.a0, &mut r, &mut x)?;
@@ -894,7 +947,6 @@ impl Qbd {
         }
         let mut lu = ws.take_mat(m, m);
         let mut piv = ws.take_idx();
-        let mut x = ws.take_vec(m);
         let mut tmp = ws.take_mat(m, m);
         let mut tmp2 = ws.take_mat(m, m);
         // Factor (−A1) once; H₀ = (−A1)⁻¹A0 and L₀ = (−A1)⁻¹A2 are two
@@ -904,8 +956,8 @@ impl Qbd {
         lu_factor_into(&tmp, &mut lu, &mut piv)?;
         let mut h = ws.take_mat(m, m);
         let mut l = ws.take_mat(m, m);
-        lu_solve_cols_into(&lu, &piv, &self.a0, &mut h, &mut x)?;
-        lu_solve_cols_into(&lu, &piv, &self.a2, &mut l, &mut x)?;
+        lu_solve_cols_into(&lu, &piv, &self.a0, &mut h)?;
+        lu_solve_cols_into(&lu, &piv, &self.a2, &mut l)?;
         let mut g = ws.take_mat(m, m);
         g.copy_from(&l);
         let mut t = ws.take_mat(m, m);
@@ -924,9 +976,9 @@ impl Qbd {
             id.sub_into(&u, &mut iu)?;
             lu_factor_into(&iu, &mut lu, &mut piv)?;
             h.mul_into(&h, &mut tmp)?;
-            lu_solve_cols_into(&lu, &piv, &tmp, &mut h, &mut x)?;
+            lu_solve_cols_into(&lu, &piv, &tmp, &mut h)?;
             l.mul_into(&l, &mut tmp)?;
-            lu_solve_cols_into(&lu, &piv, &tmp, &mut l, &mut x)?;
+            lu_solve_cols_into(&lu, &piv, &tmp, &mut l)?;
             t.mul_into(&l, &mut tmp)?; // inc = T·L
             g.add_assign(&tmp)?;
             t.mul_into(&h, &mut tmp2)?;
@@ -960,7 +1012,6 @@ impl Qbd {
         ws.give_mat(id);
         ws.give_mat(lu);
         ws.give_idx(piv);
-        ws.give_vec(x);
         ws.give_mat(tmp);
         ws.give_mat(tmp2);
         ws.give_mat(h);
@@ -998,7 +1049,7 @@ impl Qbd {
         tmp.transpose_into(&mut neg_a1_t);
         let mut lu = ws.take_mat(m, m);
         let mut piv = ws.take_idx();
-        let mut x = ws.take_vec(m);
+        let mut x = ws.take_vec(m * m);
         lu_factor_into(&neg_a1_t, &mut lu, &mut piv)?;
         let mut r = ws.take_mat(m, m);
         let mut acc = ws.take_mat(m, m);
@@ -1064,18 +1115,16 @@ impl Qbd {
         id.sub_into(r, &mut tmp)?; // tmp = I − R
         let mut lu = ws.take_mat(m, m);
         let mut piv = ws.take_idx();
-        let mut x = ws.take_vec(m);
         lu_factor_into(&tmp, &mut lu, &mut piv)?;
         // (I − R)⁻¹ escapes into the solution, so it is owned, not pooled.
         let mut i_minus_r_inv = Matrix::zeros(m, m);
-        lu_inverse_into(&lu, &piv, &mut i_minus_r_inv, &mut x);
+        lu_inverse_into(&lu, &piv, &mut i_minus_r_inv);
         let system = self.boundary_system_from(&level0_local, i_minus_r_inv, ws);
         ws.give_mat(tmp);
         ws.give_mat(level0_local);
         ws.give_mat(id);
         ws.give_mat(lu);
         ws.give_idx(piv);
-        ws.give_vec(x);
         Ok(system)
     }
 
@@ -1664,6 +1713,94 @@ mod tests {
             m1(1.0),
         );
         assert!(r.is_err());
+    }
+
+    /// The six blocks of an M/M/1 queue in a two-phase environment that
+    /// switches at rate 0.5, so that `B00` and `A1` have off-diagonals.
+    fn mm1_two_phase_blocks() -> [Matrix; 6] {
+        let (lambda, mu, s) = (0.7, 1.0, 0.5);
+        let local = |d: f64| Matrix::from_rows(&[&[-d, s], &[s, -d]]).unwrap();
+        let diag = |r: f64| Matrix::from_diag(&[r, r]);
+        [
+            local(lambda + s),
+            diag(lambda),
+            diag(mu),
+            diag(lambda),
+            local(lambda + mu + s),
+            diag(mu),
+        ]
+    }
+
+    fn qbd_from(blocks: [Matrix; 6]) -> Result<Qbd, MarkovError> {
+        let [b00, b01, b10, a0, a1, a2] = blocks;
+        Qbd::new(b00, b01, b10, a0, a1, a2)
+    }
+
+    #[test]
+    fn non_finite_rates_are_rejected_naming_block_and_cell() {
+        assert!(qbd_from(mm1_two_phase_blocks()).is_ok());
+        let cases = [
+            (4, (0, 0), f64::NAN, "non-finite rate in A1 at (0,0)"),
+            (4, (1, 0), f64::NAN, "non-finite rate in A1 at (1,0)"),
+            (5, (1, 1), f64::INFINITY, "non-finite rate in A2 at (1,1)"),
+            (
+                0,
+                (0, 1),
+                f64::NEG_INFINITY,
+                "non-finite rate in B00 at (0,1)",
+            ),
+            (
+                2,
+                (1, 1),
+                f64::NEG_INFINITY,
+                "non-finite rate in B10 at (1,1)",
+            ),
+        ];
+        for (block, (i, j), v, want) in cases {
+            let mut blocks = mm1_two_phase_blocks();
+            blocks[block][(i, j)] = v;
+            match qbd_from(blocks) {
+                Err(MarkovError::InvalidGenerator { reason }) => assert_eq!(reason, want),
+                other => panic!("{want}: expected a rejection, got {other:?}"),
+            }
+        }
+        // A non-finite entry is reported ahead of a negative rate in an
+        // earlier block.
+        let mut blocks = mm1_two_phase_blocks();
+        blocks[1][(0, 1)] = -1.0;
+        blocks[4][(0, 1)] = f64::NAN;
+        match qbd_from(blocks) {
+            Err(MarkovError::InvalidGenerator { reason }) => {
+                assert_eq!(reason, "non-finite rate in A1 at (0,1)")
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejections_name_the_first_offending_cell() {
+        // Negative off-diagonal rates: the first in block order, then in
+        // row-major order, is named; diagonals of B00 and A1 are exempt.
+        let mut blocks = mm1_two_phase_blocks();
+        blocks[3][(1, 0)] = -0.25;
+        blocks[3][(0, 1)] = -0.25;
+        blocks[3][(0, 0)] += 0.5;
+        blocks[5][(0, 1)] = -0.1;
+        match qbd_from(blocks) {
+            Err(MarkovError::InvalidGenerator { reason }) => {
+                assert_eq!(reason, "negative rate in A0 at (0,1)")
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        // A broken row sum names its row.
+        let mut blocks = mm1_two_phase_blocks();
+        blocks[1][(1, 1)] = 0.9;
+        match qbd_from(blocks) {
+            Err(MarkovError::InvalidGenerator { reason }) => {
+                assert!(reason.starts_with("boundary row 1 sums to "), "{reason}")
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
     }
 
     #[test]
