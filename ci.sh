@@ -26,14 +26,13 @@ echo "==> cargo test (workspace, offline)"
 #   counts bit-identical across 1/2/8 threads.
 # * svc telemetry e2e (crates/svc/tests/metrics.rs): healthz,
 #   scrape-vs-registry bit-match, slow log, periodic flush.
-# * batch differential oracle (tests/batch_vs_scalar_props.rs,
+# * presolve differential oracle (tests/batch_vs_scalar_props.rs,
 #   tests/golden_batched.rs, and the `batch` unit tests of
-#   cyclesteal-markov): batched QBD solves bit-identical to scalar. The
-#   batched solver is a pure performance transform; these suites are the
-#   oracle. Random same-shape/mixed-shape/frontier batches shrink on
-#   failure, the golden suite replays the Figure-4 sweep
-#   batched-vs-scalar at 1/2/8 threads, and the solver's own unit tests
-#   cover widths {1, 2, 7, 64}.
+#   cyclesteal-markov): a group solve and a presolved sweep are
+#   bit-identical to solving each chain alone. Random
+#   same-shape/mixed-shape/frontier groups shrink on failure, and the
+#   golden suite replays the Figure-4 sweep presolved-vs-scalar at 1/2/8
+#   threads.
 # * (k, m) fleet reduction gate (tests/km_reduction.rs, tests/km_props.rs):
 #   the fleet chain is the only CS-CQ builder, trusted through its
 #   reduction. The differential suite proves the (1, 1) fleet chain IS
@@ -70,12 +69,12 @@ echo "==> bench smoke (--quick)"
 cargo bench -p cyclesteal-bench --offline --bench solver -- --quick
 cargo bench -p cyclesteal-bench --offline --bench analysis_vs_simulation -- --quick
 
-echo "==> kernel bench: allocations per QBD solve and per chain build (hard >=5x, <=15 and <=42 gates; timings informational)"
-# The bench binary itself asserts workspace_allocs * 5 <= reference_allocs
-# and the build counts (counting-allocator probe, deterministic); the
-# re-check below reads the emitted metrics so a stale or hand-edited JSON
-# also fails the gate. Wall-clock stays report-only: cross-binary timing
-# gates on code layout.
+echo "==> kernel bench: allocations per QBD solve and per chain build, certificate power steps (hard >=5x, <=4, <=42 and step gates; timings informational)"
+# The bench binary itself asserts workspace_allocs * 5 <= reference_allocs,
+# the solve and build counts (counting-allocator probe, deterministic) and
+# the certificate step totals; the re-check below reads the emitted
+# metrics so a stale or hand-edited JSON also fails the gate. Wall-clock
+# stays report-only: cross-binary timing gates on code layout.
 cargo bench -p cyclesteal-bench --offline --bench kernels -- --quick
 kernel_metric() {
     sed -n "s|.*\"id\": \"$1\", \"value\": \([0-9.e+-]*\).*|\1|p" crates/bench/BENCH_kernels.json
@@ -83,12 +82,13 @@ kernel_metric() {
 allocs_ref=$(kernel_metric 'allocs/qbd_solve/reference')
 allocs_ws=$(kernel_metric 'allocs/qbd_solve/workspace')
 # The workspace count is also capped absolutely: a kernel rewrite must not
-# buy speed with allocations (15 is the count before the slice kernels).
+# buy speed with allocations. 4 is the solution's four owned fields; the
+# stability certificate borrows its buffers from the workspace.
 awk -v ref="$allocs_ref" -v ws="$allocs_ws" 'BEGIN {
     if (ref == "" || ws == "" || ref <= 0) { print "kernel gate: missing alloc metrics"; exit 1 }
     printf "qbd solve heap allocations: reference %d, workspace %d (%.1fx fewer)\n", ref, ws, ref / (ws > 0 ? ws : 1)
     if (ws * 5 > ref) { print "kernel gate: workspace path must allocate >= 5x less"; exit 1 }
-    if (ws > 15) { print "kernel gate: workspace path must allocate <= 15 times per solve"; exit 1 }
+    if (ws > 4) { print "kernel gate: workspace path must allocate <= 4 times per solve"; exit 1 }
 }'
 # A chain build (busy-period fits, block assembly, validation) is capped
 # at the counts the stack-buffer layout reached: 42 for the heavy (2, 2)
@@ -108,30 +108,23 @@ awk -v ratio="$(kernel_metric 'multi_rhs_solve/k2m2/per_column_over_sweep')" 'BE
     if (ratio < 2) { print "kernel gate: the row sweep must clear 2x the per-column solve"; exit 1 }
 }'
 
-echo "==> kernel bench: batched throughput (hard >=1.5x gate over scalar)"
-# Unlike the cross-binary wall-clock comparisons above, this ratio is
-# scalar-vs-batched inside ONE binary on the SAME 64-point Figure-4 grid,
-# so code-layout noise largely cancels; the bench asserts it too, and this
-# re-check keeps a stale or hand-edited JSON from sneaking past.
-pps_scalar=$(kernel_metric 'points_per_sec/qbd_scalar')
-pps_batch=$(kernel_metric 'points_per_sec/qbd_batch')
-awk -v scalar="$pps_scalar" -v batch="$pps_batch" 'BEGIN {
-    if (scalar == "" || batch == "" || scalar <= 0) { print "batch gate: missing points_per_sec metrics"; exit 1 }
-    printf "qbd throughput: scalar %.0f points/s, batched %.0f points/s (%.2fx)\n", scalar, batch, batch / scalar
-    if (batch < 1.5 * scalar) { print "batch gate: batched solve must clear 1.5x scalar throughput"; exit 1 }
+# The stability certificate stops the power iteration on R once a
+# Collatz-Wielandt bound is below the margin. Its power steps over the
+# bench's 64 Figure-4 chains and 32 (2, 2) chains are exact counts; the
+# full estimate's total, which the certificate replaces, is printed
+# beside each.
+awk -v f4="$(kernel_metric 'cert_steps/figure4/certificate')" \
+    -v f4_full="$(kernel_metric 'cert_steps/figure4/full_estimate')" \
+    -v k2="$(kernel_metric 'cert_steps/k2m2/certificate')" \
+    -v k2_full="$(kernel_metric 'cert_steps/k2m2/full_estimate')" 'BEGIN {
+    if (f4 == "" || f4_full == "" || k2 == "" || k2_full == "") { print "kernel gate: missing certificate step metrics"; exit 1 }
+    printf "stability certificate power steps: Figure-4 %d (full estimate %d), (2, 2) %d (full estimate %d)\n", f4, f4_full, k2, k2_full
+    if (f4 > 96) { print "kernel gate: the Figure-4 grid certificates must take <= 96 power steps"; exit 1 }
+    if (k2 > 64) { print "kernel gate: the (2, 2) grid certificates must take <= 64 power steps"; exit 1 }
 }'
-# The (2, 2) fleet group and the narrow lockstep widths are report-only:
-# printed for the trend, not gated. lockstep_vs_scalar is chain-by-chain
-# time over lockstep time for the first 2 or 8 chains of each grid.
-awk -v scalar="$(kernel_metric 'points_per_sec/qbd_scalar_k2m2')" \
-    -v batch="$(kernel_metric 'points_per_sec/qbd_batch_k2m2')" \
-    -v f2="$(kernel_metric 'lockstep_vs_scalar/figure4/w2')" \
-    -v f8="$(kernel_metric 'lockstep_vs_scalar/figure4/w8')" \
-    -v k2="$(kernel_metric 'lockstep_vs_scalar/k2m2/w2')" \
-    -v k8="$(kernel_metric 'lockstep_vs_scalar/k2m2/w8')" 'BEGIN {
-    if (scalar == "" || batch == "" || scalar <= 0) { print "k2m2 throughput: missing metrics (report-only)"; exit 0 }
-    printf "qbd (2, 2) throughput: scalar %.0f points/s, batched %.0f points/s (%.2fx, report-only)\n", scalar, batch, batch / scalar
-    printf "lockstep vs scalar (report-only): Figure-4 w2 %.2fx, w8 %.2fx; (2, 2) w2 %.2fx, w8 %.2fx\n", f2, f8, k2, k8
+# Chain-by-chain solve throughput, report-only.
+awk -v f4="$(kernel_metric 'points_per_sec/qbd_scalar')" -v k2="$(kernel_metric 'points_per_sec/qbd_scalar_k2m2')" 'BEGIN {
+    printf "qbd solve throughput (report-only): Figure-4 %.0f points/s, (2, 2) %.0f points/s\n", f4, k2
 }'
 
 echo "==> recovery bench: table CRC, bounded restore, bounded serving misses (hard >=4x, <=3x, <=1.5x gates; times informational)"
@@ -363,22 +356,18 @@ echo "$burst" | awk '{
     if (b[2] < 1) { print "overload gate: nothing was shed under 10x load"; exit 1 }
 }'
 
-echo "==> batched serving gate (byte-identity vs --no-batch; batched lanes per answer)"
+echo "==> batched serving gate (byte-identity vs --no-batch)"
 # The same pipelined burst of 128 distinct heavy (2, 2)-fleet points
 # (rho_s from 2.0 up, where the QBD solve dominates construction and
 # framing) against a batching daemon (--batch 64: one wakeup can drain
-# the whole burst) and a --no-batch daemon, over real TCP. At one worker
-# responses arrive in admission order, so the transcripts must be
-# byte-identical (cmp); at four workers completion order races, so the
-# client sorts both sides (--sorted) before the compare. The batching run
-# must also prove it actually coalesced (svc_batch_width > 1 on the
-# scrape).
-#
-# The hard gate is on a count the code moves, read off each round's
-# scrape: the batching daemon must solve at least BATCH_LANE_SHARE of its
-# presolved points inside lockstep groups (svc_batch_batched_total /
-# svc_batch_presolved_total). That no serving path hashes a chain
-# signature is gated in-process by tests/serving_counts.rs.
+# the whole burst, dedupe it and presolve it) and a --no-batch daemon,
+# over real TCP. At one worker responses arrive in admission order, so
+# the transcripts must be byte-identical (cmp); at four workers
+# completion order races, so the client sorts both sides (--sorted)
+# before the compare. The batching run must also prove it actually
+# coalesced (svc_batch_width > 1 on the scrape). That no serving path
+# hashes a chain signature is gated in-process by
+# tests/serving_counts.rs.
 # Throughput (client-measured points/s, best of BATCH_REPS interleaved
 # rounds, a fresh daemon per round) is printed and written to
 # crates/bench/BENCH_svc_batch.json, but not gated: it is a wall-clock
@@ -386,7 +375,6 @@ echo "==> batched serving gate (byte-identity vs --no-batch; batched lanes per a
 # percent.
 BATCH_COUNT=128
 BATCH_REPS=6
-BATCH_LANE_SHARE=0.75
 
 # Runs one daemon + pipeline burst: svc_batch_run <tag> <workers> <daemon-flags...>
 svc_batch_run() {
@@ -409,19 +397,6 @@ svc_batch_run() {
         || { echo "batch gate[$tag]: burst did not fully serve" >&2; exit 1; }
 }
 
-# Lanes solved in lockstep groups per presolved point, from a batching
-# round's scrape: svc_batch_lanes <tag>
-svc_batch_lanes() {
-    scrape="$SVC_TMP/scrape_$1.txt"
-    batched=$(sed -n 's/^svc_batch_batched_total \([0-9]*\)$/\1/p' "$scrape")
-    presolved=$(sed -n 's/^svc_batch_presolved_total \([0-9]*\)$/\1/p' "$scrape")
-    awk -v b="$batched" -v p="$presolved" -v min="$BATCH_LANE_SHARE" -v tag="$1" 'BEGIN {
-        if (b == "" || p == "" || p <= 0) { print "batch gate[" tag "]: no presolved points on the scrape"; exit 1 }
-        printf "batch gate[%s]: %d of %d presolved points solved in lockstep groups (%.2f)\n", tag, b, p, b / p
-        if (b < min * p) { printf "batch gate[%s]: lockstep share below %.2f\n", tag, min; exit 1 }
-    }'
-}
-
 r=1
 while [ "$r" -le "$BATCH_REPS" ]; do
     svc_batch_run "batched$r" 1 --batch 64
@@ -432,7 +407,6 @@ while [ "$r" -le "$BATCH_REPS" ]; do
     # Every batching round must have genuinely coalesced at least one wakeup.
     grep -q '^svc_batch_width \([2-9]\|[0-9][0-9]\)' "$SVC_TMP/scrape_batched$r.txt" \
         || { echo "batch gate: svc_batch_width never exceeded 1 (round $r)" >&2; exit 1; }
-    svc_batch_lanes "batched$r"
     r=$((r + 1))
 done
 grep '^svc_batch_width ' "$SVC_TMP/scrape_batched1.txt"

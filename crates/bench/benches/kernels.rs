@@ -13,15 +13,15 @@
 //! Heap-allocation counts come from a counting `#[global_allocator]`
 //! probe. Unlike wall-clock they are exactly reproducible, so this bench
 //! **asserts** them: the workspace path allocates at least 5x less per
-//! solve, and a chain build (fits, block assembly, validation) allocates
-//! at most 42 times for the heavy (2, 2) fleet and for the Figure-4
-//! chain. CI re-checks every count on every run.
+//! solve and at most 4 times, and a chain build (fits, block assembly,
+//! validation) allocates at most 42 times for the heavy (2, 2) fleet and
+//! for the Figure-4 chain. The power steps the stability certificate
+//! takes over a Figure-4 grid and a (2, 2) grid are counts too, and
+//! asserted. CI re-checks every count on every run.
 //!
-//! Wall clock is report-only across binaries. Two ratios inside this
-//! binary are gated: the batched solve's throughput against the scalar
-//! one on the Figure-4 grid (≥ 1.5x), and the multi-RHS row sweep
-//! against the per-column substitution it replaced (≥ 2x). The
-//! lockstep-vs-scalar figures at widths 2 and 8 are report-only.
+//! Wall clock is report-only across binaries. One ratio inside this
+//! binary is gated: the multi-RHS row sweep against the per-column
+//! substitution it replaced (≥ 2x).
 //!
 //! Results land in `BENCH_kernels.json` (`results` for timings,
 //! `metrics` for counts and ratios). `--quick` for smoke runs.
@@ -33,8 +33,8 @@ use std::time::Instant;
 
 use cyclesteal_core::cs_cq_km::{self, Hosts};
 use cyclesteal_core::{cs_cq, SystemParams};
-use cyclesteal_linalg::{lu_factor_into, lu_solve_cols_into, Matrix, Workspace};
-use cyclesteal_markov::qbd::Qbd;
+use cyclesteal_linalg::{lu_factor_into, lu_solve_cols_into, Matrix, SpectralBound, Workspace};
+use cyclesteal_markov::qbd::{Qbd, STABILITY_MARGIN};
 use cyclesteal_xtest::Bench;
 
 /// Counts every `alloc`/`realloc` (i.e. every fresh heap block the solver
@@ -66,6 +66,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Heap allocations allowed per chain build.
 const MAX_BUILD_ALLOCS_K2M2: u64 = 42;
 const MAX_BUILD_ALLOCS_FIGURE4: u64 = 42;
+/// Heap allocations allowed per warm workspace solve: the four owned
+/// fields of the solution.
+const MAX_SOLVE_ALLOCS_WORKSPACE: u64 = 4;
+/// Power steps allowed over each grid's stability certificates: the
+/// measured totals (85 over the 64 Figure-4 chains, 51 over the 32 (2, 2)
+/// chains) with some headroom. The full estimates take 5930 and 5337.
+const MAX_CERT_STEPS_FIGURE4: usize = 96;
+const MAX_CERT_STEPS_K2M2: usize = 64;
 
 fn allocs_during(mut f: impl FnMut()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -105,6 +113,11 @@ fn main() {
         ws_allocs * 5 <= ref_allocs,
         "workspace path must allocate >= 5x less per Figure-4 solve: \
          workspace = {ws_allocs}, reference = {ref_allocs}"
+    );
+    assert!(
+        ws_allocs <= MAX_SOLVE_ALLOCS_WORKSPACE,
+        "a warm workspace solve must allocate at most {MAX_SOLVE_ALLOCS_WORKSPACE} times: \
+         {ws_allocs}"
     );
 
     // --- Chain builds: heap allocations per build, asserted. A build is
@@ -146,14 +159,9 @@ fn main() {
         qbd.solve_in(&mut ws).unwrap()
     });
 
-    // --- Batched throughput: scalar loop vs factor-once/solve-many on a
-    // Figure-4-style grid of same-shape chains (ρ_S varied below the
-    // ρ_L = 0.5 frontier; the busy-period fits — and so the chain shape —
-    // depend only on ρ_L and the long law, so all points share one shape
-    // and the whole grid rides a single batched group). Points/sec come
-    // from best-of-N minimum times: the minimum is the run least
-    // disturbed by the machine, which is the right statistic for a
-    // ratio gate. CI re-checks the ratio from the emitted metrics.
+    // --- Solve throughput, report-only: chain by chain over a Figure-4
+    // grid (ρ_S varied below the ρ_L = 0.5 frontier) and a (k = 2, m = 2)
+    // fleet grid, best of N passes.
     let grid: Vec<Qbd> = (0..64)
         .map(|i| {
             let rho_s = 0.05 + 1.35 * (i as f64) / 63.0;
@@ -161,44 +169,6 @@ fn main() {
             cs_cq::build_qbd_model(&params, Default::default()).unwrap()
         })
         .collect();
-    let refs: Vec<&Qbd> = grid.iter().collect();
-    // Warm both paths so the pool holds every buffer shape they need.
-    for q in &grid {
-        black_box(q.solve_in(&mut ws).unwrap());
-    }
-    black_box(Qbd::solve_batch_in(&refs, &mut ws));
-
-    let reps = if h.is_quick() { 3 } else { 12 };
-    let mut ws_scalar = Workspace::new();
-    black_box(grid[0].solve_in(&mut ws_scalar).unwrap());
-    let (scalar_secs, batch_secs) = best_of_pair(
-        reps,
-        || {
-            for q in &grid {
-                black_box(q.solve_in(&mut ws_scalar).unwrap());
-            }
-        },
-        || {
-            black_box(Qbd::solve_batch_in(&refs, &mut ws));
-        },
-    );
-    let scalar_pps = grid.len() as f64 / scalar_secs;
-    let batch_pps = grid.len() as f64 / batch_secs;
-    h.metric("points_per_sec/qbd_scalar", scalar_pps);
-    h.metric("points_per_sec/qbd_batch", batch_pps);
-    assert!(
-        batch_pps >= 1.5 * scalar_pps,
-        "batched solve must clear 1.5x scalar throughput on the Figure-4 \
-         grid: batch = {batch_pps:.0} points/s, scalar = {scalar_pps:.0} points/s \
-         (ratio {:.2})",
-        batch_pps / scalar_pps
-    );
-
-    // --- Fleet chains: one (k = 2, m = 2) batched group, report-only.
-    // The fleet QBD has a wider phase block (multiset slot phases) and a
-    // deeper boundary than the 2-host chain, so its batched throughput is
-    // tracked separately; no gate ratio — the group exists to catch
-    // regressions in the trend line, not to fail CI on machine noise.
     let fleet_grid: Vec<Qbd> = (0..32)
         .map(|i| {
             let rho_s = 0.1 + 2.9 * (i as f64) / 31.0;
@@ -206,54 +176,43 @@ fn main() {
             cs_cq_km::build_qbd_model(fleet_hosts, &params, Default::default()).unwrap()
         })
         .collect();
-    let fleet_refs: Vec<&Qbd> = fleet_grid.iter().collect();
-    for q in &fleet_grid {
-        black_box(q.solve_in(&mut ws).unwrap());
-    }
-    black_box(Qbd::solve_batch_in(&fleet_refs, &mut ws));
-    let (fleet_scalar_secs, fleet_batch_secs) = best_of_pair(
-        reps,
-        || {
-            for q in &fleet_grid {
-                black_box(q.solve_in(&mut ws_scalar).unwrap());
+    let reps = if h.is_quick() { 3 } else { 12 };
+    for (name, chains) in [("qbd_scalar", &grid), ("qbd_scalar_k2m2", &fleet_grid)] {
+        let secs = best_of(reps, || {
+            for q in chains {
+                black_box(q.solve_in(&mut ws).unwrap());
             }
-        },
-        || {
-            black_box(Qbd::solve_batch_in(&fleet_refs, &mut ws));
-        },
-    );
-    h.metric(
-        "points_per_sec/qbd_scalar_k2m2",
-        fleet_grid.len() as f64 / fleet_scalar_secs,
-    );
-    h.metric(
-        "points_per_sec/qbd_batch_k2m2",
-        fleet_grid.len() as f64 / fleet_batch_secs,
-    );
+        });
+        h.metric(
+            &format!("points_per_sec/{name}"),
+            chains.len() as f64 / secs,
+        );
+    }
 
-    // --- Lockstep against chain by chain at narrow widths, report-only:
-    // the first `width` chains of each grid, as one lockstep group and
-    // one at a time. Reads > 1 where lockstep is the cheaper way to solve
-    // that many chains.
-    for (shape, chains) in [("figure4", &refs), ("k2m2", &fleet_refs)] {
-        for width in [2, 8] {
-            let group = &chains[..width];
-            let (scalar, lockstep) = best_of_pair(
-                reps,
-                || {
-                    for q in group {
-                        black_box(q.solve_in(&mut ws_scalar).unwrap());
-                    }
-                },
-                || {
-                    black_box(Qbd::solve_batch_in(group, &mut ws));
-                },
-            );
-            h.metric(
-                &format!("lockstep_vs_scalar/{shape}/w{width}"),
-                scalar / lockstep,
-            );
+    // --- Stability certificate: power steps per grid, asserted. The
+    // solve stops the power iteration on R as soon as a Collatz–Wielandt
+    // bound is below the stability margin; the full estimate would run to
+    // 1e-13 agreement or 200 steps. Both totals are exact counts.
+    for (name, chains, max_steps) in [
+        ("figure4", &grid, MAX_CERT_STEPS_FIGURE4),
+        ("k2m2", &fleet_grid, MAX_CERT_STEPS_K2M2),
+    ] {
+        let (mut cert, mut full) = (0, 0);
+        for q in chains {
+            let r = q.r_logarithmic_reduction().unwrap();
+            full += r.spectral_radius_estimate_in(200, &mut ws).1;
+            cert += match r.spectral_radius_below_in(STABILITY_MARGIN, 200, &mut ws) {
+                SpectralBound::Below { steps } => steps,
+                SpectralBound::Estimate { iterations, .. } => iterations,
+            };
         }
+        h.metric(&format!("cert_steps/{name}/certificate"), cert as f64);
+        h.metric(&format!("cert_steps/{name}/full_estimate"), full as f64);
+        assert!(
+            cert <= max_steps,
+            "the {name} grid's certificates must take at most {max_steps} power steps \
+             in all: {cert} (the full estimates take {full})"
+        );
     }
 
     // --- Multi-RHS substitution: the row sweep against the per-column
@@ -310,14 +269,20 @@ fn main() {
 /// minimum is the run least disturbed by the machine, the right
 /// statistic for a ratio gate.
 fn best_of_pair(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
-    let time = |h: &mut dyn FnMut()| {
-        let t = Instant::now();
-        h();
-        t.elapsed().as_secs_f64()
-    };
     (0..reps).fold((f64::INFINITY, f64::INFINITY), |(bf, bg), _| {
-        (bf.min(time(&mut f)), bg.min(time(&mut g)))
+        (bf.min(best_of(1, &mut f)), bg.min(best_of(1, &mut g)))
     })
+}
+
+/// The least wall time of `reps` runs of `f`, in seconds.
+fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// The heavy (2, 2) chain's rate matrix `R`.

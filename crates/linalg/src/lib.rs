@@ -27,15 +27,13 @@ mod error;
 mod expm;
 mod lu;
 mod matrix;
-mod panel;
 mod workspace;
 
 pub use error::LinalgError;
 pub use lu::{
     lu_factor_into, lu_inverse_into, lu_solve_cols_into, lu_solve_into, lu_solve_rows_into, Lu,
 };
-pub use matrix::{Matrix, SPECTRAL_RADIUS_RTOL};
-pub use panel::{lu_factor_many_in_place, lu_solve_many_into, spectral_radius_many, BatchPanel};
+pub use matrix::{Matrix, SpectralBound, SPECTRAL_RADIUS_RTOL};
 pub use workspace::Workspace;
 
 /// Dot product of two equal-length slices.

@@ -9,8 +9,6 @@
 //! forward and back passes a row of the block at a time: every entry sees
 //! the operations, in the order, that a one-column solve gives it, so the
 //! bits are the same, and the inner loop along the row vectorizes.
-//! [`crate::lu_solve_many_into`] is the same sweep with a lane loop
-//! innermost.
 
 use crate::{LinalgError, Matrix};
 

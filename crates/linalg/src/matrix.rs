@@ -508,8 +508,74 @@ impl Matrix {
         max_iters: usize,
         ws: &mut Workspace,
     ) -> (f64, usize) {
+        match self.power_iterate_in(None, max_iters, ws) {
+            SpectralBound::Estimate { value, iterations } => (value, iterations),
+            SpectralBound::Below { .. } => unreachable!("no bound was asked for"),
+        }
+    }
+
+    /// The power iteration of [`Matrix::spectral_radius_estimate_in`],
+    /// stopped as soon as a Collatz–Wielandt bound proves that neither
+    /// `sp(|A|)` nor any estimate the full iteration would return reaches
+    /// `bound`. Without such a proof it runs on unchanged and returns the
+    /// full estimate, bit for bit.
+    ///
+    /// # The certificate
+    ///
+    /// For a nonnegative `B = |A|` and a vector `v > 0`,
+    /// `sp(B) ≤ max_i (Bv)_i / v_i` (Collatz–Wielandt). Each step already
+    /// forms `w = fl(Bv)` from the current iterate `v`, so the bound
+    /// costs `n` divisions. A row of `A` that is all zeros (`±0.0`) adds
+    /// nothing to `sp(B)` and has `w_i = 0`, so it is left out. Any other
+    /// row with `v_i` below the smallest normal number blocks the
+    /// certificate at that step: with `v_i = 0` and `(Bv)_i > 0` the
+    /// ratio is infinite.
+    ///
+    /// If `Bv ≤ c·v` componentwise, then `B(Bv) ≤ c·Bv`, so every later
+    /// power iterate keeps the property, and each estimate the iteration
+    /// returns, `max_i (By)_i` over an iterate `y` with `max_i y_i ≤ 1`,
+    /// is at most `c`. Rounding loosens this. With `u = 2⁻⁵³`, a sum of
+    /// `n` nonnegative products is within a factor `1 ± γ_n`,
+    /// `γ_n = nu / (1 − nu)`, of its exact value, and the normalizing
+    /// division adds `1 ± u`. So one step can raise `c` by a factor of at
+    /// most `(1 + u)(1 + γ_n) / ((1 − u)(1 − γ_n)) ≈ 1 + 2(n + 1)u`, and
+    /// the computed ratio may sit below the exact one by a factor
+    /// `1 − γ_n − u`. Gradual underflow adds an absolute error: a product
+    /// below `2⁻¹⁰²²` loses up to `2⁻¹⁰⁷⁵`, which a normal `v_i` turns
+    /// into at most `u` of ratio, `(n + 1)u` per row. Over at most
+    /// `max_iters` later steps, every estimate stays below
+    /// `c·(1 + 2(n + 1)(max_iters + 1)u)` to first order (n·u per step,
+    /// twice). The test uses twice that, `slack = 4(n + 2)(max_iters +
+    /// 2)u`, and certifies once every computed ratio is below
+    /// `bound / (1 + slack) − slack`; the `− slack` covers the absolute
+    /// underflow term. For `n ≤ 1024` and 200 steps, `slack` is below
+    /// `9.3e-11`, a tenth of the solver's `1e-9` margin, and the
+    /// first-order terms dwarf the dropped ones. The argument assumes no
+    /// product of a *later* step underflows: an iterate entry that decays
+    /// past `2⁻¹⁰²²` loses its relative error bound.
+    ///
+    /// The buffers are the three of
+    /// [`Matrix::spectral_radius_estimate_in`], borrowed from `ws`.
+    pub fn spectral_radius_below_in(
+        &self,
+        bound: f64,
+        max_iters: usize,
+        ws: &mut Workspace,
+    ) -> SpectralBound {
+        self.power_iterate_in(Some(bound), max_iters, ws)
+    }
+
+    fn power_iterate_in(
+        &self,
+        bound: Option<f64>,
+        max_iters: usize,
+        ws: &mut Workspace,
+    ) -> SpectralBound {
         if self.rows == 0 || !self.is_square() {
-            return (0.0, 0);
+            return SpectralBound::Estimate {
+                value: 0.0,
+                iterations: 0,
+            };
         }
         let n = self.rows;
         let mut abs_t = ws.take_mat(n, n);
@@ -520,7 +586,11 @@ impl Matrix {
         let mut v = ws.take_vec(n);
         v.fill(1.0 / n as f64);
         let mut w = ws.take_vec(n);
-        let result = power_iterate(&abs_t, max_iters, &mut v, &mut w);
+        let limit = bound.map(|bound| {
+            let slack = 4.0 * (n as f64 + 2.0) * (max_iters as f64 + 2.0) * (f64::EPSILON / 2.0);
+            bound / (1.0 + slack) - slack
+        });
+        let result = power_iterate(self, &abs_t, limit, max_iters, &mut v, &mut w);
         ws.give_mat(abs_t);
         ws.give_vec(v);
         ws.give_vec(w);
@@ -528,16 +598,41 @@ impl Matrix {
     }
 }
 
+/// What [`Matrix::spectral_radius_below_in`] found.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SpectralBound {
+    /// After `steps` power steps, a Collatz–Wielandt bound proved the
+    /// spectral radius, and every estimate the full iteration would
+    /// return, below the bound.
+    Below {
+        /// Power steps taken (each one product `|A| v`).
+        steps: usize,
+    },
+    /// No proof: the full estimate, the bits and iteration count of
+    /// [`Matrix::spectral_radius_estimate_in`].
+    Estimate {
+        /// The spectral radius estimate.
+        value: f64,
+        /// Power steps taken.
+        iterations: usize,
+    },
+}
+
 /// The power iteration of [`Matrix::spectral_radius_estimate_in`] on a
-/// precomputed `|A|ᵀ`, from the start vector in `v`.
+/// precomputed `|A|ᵀ`, from the start vector in `v`. With a `limit`,
+/// each step first checks the Collatz–Wielandt ratios of `w = |A| v`
+/// against it (see [`Matrix::spectral_radius_below_in`]).
 fn power_iterate(
+    a: &Matrix,
     abs_t: &Matrix,
+    limit: Option<f64>,
     max_iters: usize,
     v: &mut Vec<f64>,
     w: &mut Vec<f64>,
-) -> (f64, usize) {
+) -> SpectralBound {
     let n = abs_t.rows;
     let mut lambda = 0.0;
+    let estimate = |value, iterations| SpectralBound::Estimate { value, iterations };
     for it in 0..max_iters {
         w.fill(0.0);
         for (col, &vj) in abs_t.data.chunks_exact(n).zip(v.iter()) {
@@ -545,9 +640,12 @@ fn power_iterate(
                 *wi += a * vj;
             }
         }
+        if limit.is_some_and(|limit| ratios_below(a, v, w, limit)) {
+            return SpectralBound::Below { steps: it + 1 };
+        }
         let norm: f64 = w.iter().map(|x| x.abs()).fold(0.0, f64::max);
         if norm == 0.0 {
-            return (0.0, it + 1);
+            return estimate(0.0, it + 1);
         }
         for x in w.iter_mut() {
             *x /= norm;
@@ -556,10 +654,22 @@ fn power_iterate(
         lambda = norm;
         std::mem::swap(v, w);
         if it > 0 && (lambda - prev).abs() <= SPECTRAL_RADIUS_RTOL * lambda.abs() {
-            return (lambda, it + 1);
+            return estimate(lambda, it + 1);
         }
     }
-    (lambda, max_iters)
+    estimate(lambda, max_iters)
+}
+
+/// Whether `w_i / v_i < limit` on every row of `a` that is not all zeros,
+/// each such `v_i` being a normal number. A NaN ratio fails.
+fn ratios_below(a: &Matrix, v: &[f64], w: &[f64], limit: f64) -> bool {
+    v.iter().zip(w).enumerate().all(|(i, (&vi, &wi))| {
+        if vi >= f64::MIN_POSITIVE {
+            wi / vi < limit
+        } else {
+            a.row(i).iter().all(|&x| x == 0.0)
+        }
+    })
 }
 
 /// Relative tolerance for the early exit of

@@ -1,7 +1,8 @@
 //! Reusable scratch buffers for the solver hot path.
 //!
 //! The matrix-analytic pipeline (logarithmic reduction, functional
-//! iteration, the QBD boundary solve, `expm`) performs thousands of small
+//! iteration, the spectral-radius certificate, the QBD boundary solve,
+//! `expm`) performs thousands of small
 //! matrix operations per solve; with the plain [`Matrix`] API every
 //! `mul`/`add`/`inverse` allocates a fresh `Vec`. A [`Workspace`] owns a
 //! pool of buffers that callers borrow for the duration of one operation
@@ -22,7 +23,6 @@
 //! [`take_vec`]: Workspace::take_vec
 //! [`take_idx`]: Workspace::take_idx
 
-use crate::panel::BatchPanel;
 use crate::Matrix;
 
 /// A pool of reusable matrices, index lists, and vectors.
@@ -52,7 +52,6 @@ pub struct Workspace {
     mats: Vec<Matrix>,
     idxs: Vec<Vec<usize>>,
     vecs: Vec<Vec<f64>>,
-    panels: Vec<BatchPanel>,
 }
 
 impl Workspace {
@@ -112,27 +111,9 @@ impl Workspace {
         pool_insert(&mut self.vecs, v, Vec::capacity);
     }
 
-    /// Borrows a zero-filled `rows x cols x batch` SoA panel from the
-    /// pool. Like every `take_*`, the buffer is canonically reset so the
-    /// batched solvers stay bit-identical regardless of pool history.
-    pub fn take_panel(&mut self, rows: usize, cols: usize, batch: usize) -> BatchPanel {
-        match best_fit(&mut self.panels, rows * cols * batch, BatchPanel::capacity) {
-            Some(mut p) => {
-                p.reshape(rows, cols, batch);
-                p
-            }
-            None => BatchPanel::zeros(rows, cols, batch),
-        }
-    }
-
-    /// Returns a panel to the pool, retaining its capacity.
-    pub fn give_panel(&mut self, p: BatchPanel) {
-        pool_insert(&mut self.panels, p, BatchPanel::capacity);
-    }
-
     /// Number of currently pooled (idle) buffers across all kinds.
     pub fn pooled(&self) -> usize {
-        self.mats.len() + self.idxs.len() + self.vecs.len() + self.panels.len()
+        self.mats.len() + self.idxs.len() + self.vecs.len()
     }
 }
 

@@ -5,15 +5,14 @@
 //! nests of the hot kernels are kept below, verbatim up to using the
 //! public accessors, as test-only oracles, and every slice- or
 //! chunk-based kernel must reproduce its oracle **bit for bit** — over
-//! shapes 0–90 (non-square products included), matrices salted with
+//! shapes 0–90 (non-square products included), and matrices salted with
 //! exact `0.0` and `-0.0` entries and unscaled rows that force pivot
-//! swaps, and panels of width 1, 2, 7, 16 and 64 whose zeros are shared
-//! by every lane or sit in some lanes only.
+//! swaps. The spectral-radius certificate is checked against the full
+//! power iteration it stops early.
 
 use cyclesteal_linalg::{
-    dot, lu_factor_into, lu_factor_many_in_place, lu_inverse_into, lu_solve_cols_into,
-    lu_solve_into, lu_solve_many_into, lu_solve_rows_into, max_abs_diff, spectral_radius_many,
-    BatchPanel, LinalgError, Lu, Matrix, Workspace, SPECTRAL_RADIUS_RTOL,
+    dot, lu_factor_into, lu_inverse_into, lu_solve_cols_into, lu_solve_into, lu_solve_rows_into,
+    max_abs_diff, LinalgError, Lu, Matrix, SpectralBound, Workspace, SPECTRAL_RADIUS_RTOL,
 };
 use cyclesteal_xtest::prop::{vec, Gen};
 use cyclesteal_xtest::{props, RngExt, SeedableRng, SmallRng};
@@ -245,63 +244,6 @@ fn oracle_spectral(a: &Matrix, max_iters: usize) -> (f64, usize) {
     (lambda, max_iters)
 }
 
-/// The panel product as a per-lane select over the `i → k → j` nest.
-fn oracle_panel_mul(a: &BatchPanel, rhs: &BatchPanel) -> BatchPanel {
-    let nb = a.batch();
-    let mut out = BatchPanel::zeros(a.rows(), rhs.cols(), nb);
-    for i in 0..a.rows() {
-        for k in 0..a.cols() {
-            for j in 0..rhs.cols() {
-                for b in 0..nb {
-                    let x = a.at(i, k, b);
-                    let acc = out.at(i, j, b) + x * rhs.at(k, j, b);
-                    *out.at_mut(i, j, b) = if x != 0.0 { acc } else { out.at(i, j, b) };
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The panel solve: gather, forward and back substitution, column by
-/// column, lanes innermost.
-fn oracle_panel_solve(lus: &BatchPanel, pivots: &[usize], b: &BatchPanel) -> BatchPanel {
-    let n = lus.rows();
-    let nb = lus.batch();
-    let mut out = BatchPanel::zeros(n, b.cols(), nb);
-    let mut x = vec![0.0; n * nb];
-    for j in 0..b.cols() {
-        for i in 0..n {
-            for lane in 0..nb {
-                x[i * nb + lane] = b.at(pivots[lane * n + i], j, lane);
-            }
-        }
-        for i in 1..n {
-            for k in 0..i {
-                for lane in 0..nb {
-                    x[i * nb + lane] -= lus.at(i, k, lane) * x[k * nb + lane];
-                }
-            }
-        }
-        for i in (0..n).rev() {
-            for k in (i + 1)..n {
-                for lane in 0..nb {
-                    x[i * nb + lane] -= lus.at(i, k, lane) * x[k * nb + lane];
-                }
-            }
-            for lane in 0..nb {
-                x[i * nb + lane] /= lus.at(i, i, lane);
-            }
-        }
-        for i in 0..n {
-            for lane in 0..nb {
-                *out.at_mut(i, j, lane) = x[i * nb + lane];
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Inputs
 // ---------------------------------------------------------------------
@@ -353,56 +295,6 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 fn assert_bits(got: &[f64], want: &[f64], what: &str) {
     assert_eq!(bits(got), bits(want), "{what}");
-}
-
-/// Panel widths the batched kernels must handle.
-const WIDTHS: [usize; 5] = [1, 2, 7, 16, 64];
-
-/// `width` lanes of `rows x cols` matrices. With `shared`, one zero
-/// pattern is stamped on every lane (structural zeros) over lanes free of
-/// `-0.0`; otherwise each lane draws its own zeros, of both signs.
-fn lanes(rows: usize, cols: usize, width: usize, shared: bool, rng: &mut SmallRng) -> Vec<Matrix> {
-    let pattern = sparse(rows, cols, rng);
-    (0..width)
-        .map(|_| {
-            if !shared {
-                return salted(rows, cols, rng);
-            }
-            // Zero exactly where the pattern is.
-            let mut m = sparse(rows, cols, rng);
-            for i in 0..rows {
-                for j in 0..cols {
-                    if pattern[(i, j)] == 0.0 {
-                        m[(i, j)] = 0.0;
-                    } else if m[(i, j)] == 0.0 {
-                        m[(i, j)] = 1.0;
-                    }
-                }
-            }
-            m
-        })
-        .collect()
-}
-
-fn panel_of(mats: &[Matrix]) -> BatchPanel {
-    let mut p = BatchPanel::zeros(mats[0].rows(), mats[0].cols(), mats.len());
-    for (b, m) in mats.iter().enumerate() {
-        p.load_lane(b, m);
-    }
-    p
-}
-
-/// Lane `b` of `p` through the kernel under test ([`BatchPanel::store_lane`]),
-/// checked against an indexed read.
-fn lane_of(p: &BatchPanel, b: usize) -> Matrix {
-    let mut m = Matrix::zeros(1, 1);
-    p.store_lane(b, &mut m);
-    for i in 0..p.rows() {
-        for j in 0..p.cols() {
-            assert_eq!(m[(i, j)].to_bits(), p.at(i, j, b).to_bits(), "store_lane");
-        }
-    }
-    m
 }
 
 // ---------------------------------------------------------------------
@@ -491,105 +383,6 @@ props! {
 }
 
 // ---------------------------------------------------------------------
-// Panel kernels against their oracles
-// ---------------------------------------------------------------------
-
-props! {
-    cases = 24;
-
-    fn panel_mul_matches_the_per_lane_select_oracle(
-        (rows, inner, cols, w, shared, seed) in
-            (0usize..25, 0usize..25, 0usize..25, 0usize..5, 0u8..2, 0u64..u64::MAX),
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let width = WIDTHS[w];
-        let a = lanes(rows.max(1), inner.max(1), width, shared == 1, &mut rng);
-        let b = lanes(inner.max(1), cols.max(1), width, shared == 1, &mut rng);
-        let (pa, pb) = (panel_of(&a), panel_of(&b));
-        let mut out = BatchPanel::zeros(2, 3, 1);
-        pa.mul_into(&pb, &mut out);
-        let want = oracle_panel_mul(&pa, &pb);
-        assert_eq!(out, want);
-        for lane in 0..width {
-            // Per lane, the batched product is the scalar product.
-            let scalar = oracle_mul(&a[lane], &b[lane]);
-            assert_bits(lane_of(&out, lane).as_slice(), scalar.as_slice(), "panel lane");
-        }
-    }
-
-    fn panel_lu_and_solve_match_their_oracles(
-        (n, cols, w, shared, seed) in (1usize..25, 1usize..25, 0usize..5, 0u8..2, 0u64..u64::MAX),
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let width = WIDTHS[w];
-        let mats = lanes(n, n, width, shared == 1, &mut rng);
-        let mut lus = panel_of(&mats);
-        let (mut pivots, mut ok) = (Vec::new(), Vec::new());
-        lu_factor_many_in_place(&mut lus, &mut pivots, &mut ok);
-        for (lane, m) in mats.iter().enumerate() {
-            match oracle_lu(m) {
-                Err(_) => assert!(!ok[lane], "lane {lane} factored where the oracle failed"),
-                Ok((want_lu, want_piv, _)) => {
-                    assert!(ok[lane], "lane {lane} failed where the oracle factored");
-                    assert_bits(lane_of(&lus, lane).as_slice(), want_lu.as_slice(), "lane LU");
-                    assert_eq!(&pivots[lane * n..(lane + 1) * n], want_piv.as_slice());
-                }
-            }
-        }
-        // Solves need factorizable lanes: swap in dominant ones.
-        let mats: Vec<Matrix> = mats
-            .into_iter()
-            .zip(&ok)
-            .map(|(m, &fine)| if fine { m } else { dominant(n, &mut rng) })
-            .collect();
-        let mut lus = panel_of(&mats);
-        lu_factor_many_in_place(&mut lus, &mut pivots, &mut ok);
-        assert!(ok.iter().all(|&fine| fine));
-        let rhs = panel_of(&lanes(n, cols, width, shared == 1, &mut rng));
-        let mut out = BatchPanel::zeros(1, 1, 1);
-        lu_solve_many_into(&lus, &pivots, &rhs, &mut out);
-        assert_eq!(out, oracle_panel_solve(&lus, &pivots, &rhs));
-    }
-
-    fn panel_spectral_radius_and_lane_checks_match_their_oracles(
-        (n, w, seed, budget) in (0usize..20, 0usize..5, 0u64..u64::MAX, 0usize..250),
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let width = WIDTHS[w];
-        let mut mats = lanes(n.max(1), n.max(1), width, seed % 2 == 0, &mut rng);
-        if width > 1 {
-            // A vanishing lane and a non-finite lane.
-            mats[0] = Matrix::zeros(n.max(1), n.max(1));
-            mats[1][(0, 0)] = f64::INFINITY;
-        }
-        let panel = panel_of(&mats);
-        let (mut max_abs, mut finite) = (Vec::new(), Vec::new());
-        panel.lanes_max_abs_into(&mut max_abs);
-        panel.lanes_finite_into(&mut finite);
-        for (lane, m) in mats.iter().enumerate() {
-            let mut acc: f64 = 0.0;
-            let mut fin = true;
-            for i in 0..m.rows() {
-                for j in 0..m.cols() {
-                    acc = acc.max(m[(i, j)].abs());
-                    fin &= m[(i, j)].is_finite();
-                }
-            }
-            assert_eq!(max_abs[lane].to_bits(), acc.to_bits(), "lanes_max_abs_into");
-            assert_eq!(finite[lane], fin, "lanes_finite_into");
-        }
-        let mut got = Vec::new();
-        spectral_radius_many(&mut panel.clone(), budget, &mut got);
-        for (lane, m) in mats.iter().enumerate() {
-            if finite[lane] {
-                let want = oracle_spectral(m, budget).0;
-                assert_eq!(got[lane].to_bits(), want.to_bits(), "lane {lane}");
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Multi-RHS solves against the per-column oracle
 // ---------------------------------------------------------------------
 
@@ -657,5 +450,176 @@ fn multi_rhs_solves_match_the_per_column_oracle() {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The spectral-radius certificate against the full power iteration
+// ---------------------------------------------------------------------
+
+/// The stability margin the QBD solver certifies `sp(R)` against.
+const MARGIN: f64 = 1.0 - 1e-9;
+
+/// Nonnegative `n x n` matrices of six kinds: dense; salted with `±0.0`;
+/// with zero rows and zero columns; reducible (block upper triangular,
+/// either diagonal block the larger); equal row sums of `radius`, so the
+/// uniform start vector is already the Perron vector and only rounding
+/// tells the ratios apart; and a nilpotent chain of huge entries beside a
+/// self-loop, whose start-up transient underflows the self-loop's iterate
+/// entry to `0.0` while the chain still feeds it.
+fn nonnegative(n: usize, kind: u8, radius: f64, rng: &mut SmallRng) -> Matrix {
+    let mut a = Matrix::zeros(n, n);
+    match kind {
+        0 => {
+            let data = (0..n * n).map(|_| rng.random_range(0.0, 1.0)).collect();
+            a = Matrix::from_vec(n, n, data);
+        }
+        1 | 2 => {
+            let data = (0..n * n)
+                .map(|_| {
+                    let e = entry(rng);
+                    if e == 0.0 {
+                        e
+                    } else {
+                        e.abs()
+                    }
+                })
+                .collect();
+            a = Matrix::from_vec(n, n, data);
+            if kind == 2 {
+                for _ in 0..n.div_ceil(3) {
+                    let (i, j) = (rng.random_below(n as u64), rng.random_below(n as u64));
+                    a.row_mut(i as usize).fill(0.0);
+                    for r in 0..n {
+                        a[(r, j as usize)] = if r % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+            }
+        }
+        3 => {
+            let split = 1 + rng.random_below(n as u64) as usize;
+            let heavy_first = rng.random_below(2) == 0;
+            for i in 0..n {
+                for j in 0..n {
+                    if j < split && i >= split {
+                        continue;
+                    }
+                    let light = if heavy_first { i >= split } else { i < split };
+                    let scale = if light { 0.25 } else { 1.0 };
+                    a[(i, j)] = scale * rng.random_range(0.0, 1.0);
+                }
+            }
+        }
+        4 => {
+            for i in 0..n {
+                let row = a.row_mut(i);
+                for x in row.iter_mut() {
+                    *x = rng.random_range(0.0, 1.0);
+                }
+                let sum: f64 = row.iter().sum();
+                for x in row.iter_mut() {
+                    *x *= radius / sum;
+                }
+            }
+        }
+        _ => {
+            // 0 -> 1 -> 2 -> 3 with distinct entries near 1e200 (3 is a
+            // zero row), and 4 -> 0 at 1e-200 beside the self-loop
+            // 4 -> 4 that sets the radius. Four steps in,
+            // v = (1, 0, 0, 0, 0, ..) while (|A| v)_4 = 1e-200: a
+            // certificate that skipped v_i = 0 would find every ratio 0.
+            assert!(n >= 6);
+            let big = 1e200 * rng.random_range(1.0, 2.0);
+            for (i, scale) in [1.0, 2.0, 4.0].into_iter().enumerate() {
+                a[(i, i + 1)] = scale * big;
+            }
+            a[(4, 0)] = 1e-200;
+            a[(4, 4)] = radius.max(MARGIN) + rng.random_range(0.0, 2.0);
+        }
+    }
+    a
+}
+
+/// Checks one matrix: when the certificate fires, the full 200-step
+/// estimate is below [`MARGIN`] and took at least as many steps; when it
+/// does not, the certified iteration returned the full estimate bit for
+/// bit. Returns whether it fired.
+fn check_certificate(a: &Matrix, ws: &mut Workspace) -> bool {
+    let (value, iterations) = a.spectral_radius_estimate_in(200, ws);
+    match a.spectral_radius_below_in(MARGIN, 200, ws) {
+        SpectralBound::Below { steps } => {
+            assert!(
+                value < MARGIN,
+                "certified after {steps} steps, but the full estimate is {value:e}"
+            );
+            assert!(
+                steps <= iterations,
+                "{steps} steps, {iterations} iterations"
+            );
+            true
+        }
+        SpectralBound::Estimate {
+            value: got,
+            iterations: taken,
+        } => {
+            assert_eq!((got.to_bits(), taken), (value.to_bits(), iterations));
+            false
+        }
+    }
+}
+
+/// Equal row sums a few units in the last place from [`MARGIN`], and
+/// `1e-10` below it, over many draws per size: the uniform start vector
+/// is the Perron vector, so only rounding separates the Collatz–Wielandt
+/// ratios from the full estimate, and the slack is what keeps a
+/// certificate honest.
+#[test]
+fn the_spectral_certificate_holds_within_ulps_of_the_bound() {
+    let mut rng = SmallRng::seed_from_u64(0xce27_5107);
+    let mut ws = Workspace::new();
+    let mut fired = 0;
+    let offsets = (-3i32..=3).map(|ulps| f64::from(ulps) * f64::EPSILON / 2.0);
+    for (n, draws) in [(1, 50), (2, 600), (6, 600), (21, 60), (85, 8)] {
+        for offset in offsets.clone().chain([-1e-10]) {
+            let radius = MARGIN * (1.0 + offset);
+            for _ in 0..draws {
+                let a = nonnegative(n, 4, radius, &mut rng);
+                fired += usize::from(check_certificate(&a, &mut ws));
+            }
+        }
+    }
+    assert!(fired > 0, "no certificate fired near the bound");
+}
+
+props! {
+    cases = 256;
+
+    /// When the Collatz–Wielandt certificate fires, the full 200-step
+    /// estimate is below the bound; when it does not, the certified
+    /// iteration returned the full estimate bit for bit. Radii are scaled
+    /// to within `1e-15`–`1e-10` of the bound, on both sides, and
+    /// farther off; the underflow chain must never certify.
+    fn the_spectral_certificate_never_outruns_the_full_estimate(
+        (size, kind, offset, seed) in (0usize..5, 0u8..6, 0usize..13, 0u64..u64::MAX),
+    ) {
+        const SIZES: [usize; 5] = [1, 2, 6, 21, 85];
+        const OFFSETS: [f64; 13] = [
+            -0.5, -1e-3, -1e-10, -1e-12, -1e-15, -2e-16, 0.0, 2e-16, 1e-15, 1e-12, 1e-10, 1e-3,
+            0.5,
+        ];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = SIZES[size].max(if kind == 5 { 6 } else { 0 });
+        let radius = MARGIN * (1.0 + OFFSETS[offset]);
+        let mut a = nonnegative(n, kind, radius, &mut rng);
+        if kind < 4 {
+            // Put the radius `OFFSETS[offset]` away from the bound,
+            // relatively, as far as a long power iteration can tell.
+            let (estimate, _) = a.spectral_radius_estimate_converged(5000);
+            if estimate > 0.0 {
+                a.scale_assign(MARGIN / estimate * (1.0 + OFFSETS[offset]));
+            }
+        }
+        let fired = check_certificate(&a, &mut Workspace::new());
+        assert!(!(fired && kind == 5), "the underflow chain certified");
     }
 }

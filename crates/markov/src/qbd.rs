@@ -21,9 +21,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cyclesteal_linalg::{
-    lu_factor_into, lu_factor_many_in_place, lu_inverse_into, lu_solve_cols_into, lu_solve_into,
-    lu_solve_many_into, lu_solve_rows_into, max_abs_diff, spectral_radius_many, BatchPanel, Matrix,
-    Workspace,
+    lu_factor_into, lu_inverse_into, lu_solve_cols_into, lu_solve_into, lu_solve_rows_into,
+    max_abs_diff, Matrix, SpectralBound, Workspace,
 };
 
 use crate::MarkovError;
@@ -41,8 +40,8 @@ const FI_MAX_ITER: usize = 200_000;
 /// close to the stability frontier, where the linearly-convergent
 /// iteration needs the extra budget.
 const FI_FALLBACK_MAX_ITER: usize = 2 * FI_MAX_ITER;
-/// Spectral radii above this are reported as unstable.
-const STABILITY_MARGIN: f64 = 1.0 - 1e-9;
+/// Spectral radii of `R` at or above this are reported as unstable.
+pub const STABILITY_MARGIN: f64 = 1.0 - 1e-9;
 
 /// Signature hashes computed by this process (see [`signatures_hashed`]).
 static SIGNATURES_HASHED: AtomicU64 = AtomicU64::new(0);
@@ -407,405 +406,32 @@ impl Qbd {
             RAlgorithm::LogarithmicReduction => self.r_logarithmic_reduction_in(ws)?,
             RAlgorithm::FunctionalIteration => self.r_functional_iteration_capped_in(fi_cap, ws)?,
         };
-        let (sp, _) = r.spectral_radius_estimate_in(200, ws);
-        if sp >= STABILITY_MARGIN {
-            return Err(MarkovError::Unstable {
-                spectral_radius: sp,
-            });
+        // Theorem 1's test, sp(R) < 1: a Collatz–Wielandt bound usually
+        // settles it in a few power steps; otherwise the full estimate
+        // decides, as it always did.
+        if let SpectralBound::Estimate { value: sp, .. } =
+            r.spectral_radius_below_in(STABILITY_MARGIN, 200, ws)
+        {
+            if sp >= STABILITY_MARGIN {
+                return Err(MarkovError::Unstable {
+                    spectral_radius: sp,
+                });
+            }
         }
         let sol = self.boundary_solve_in(&r, ws);
         ws.give_mat(r);
         sol
     }
 
-    /// Solves a batch of **same-shape** QBDs in lockstep: after a per-lane
-    /// precheck, the logarithmic reduction, `R`, its spectral-radius
-    /// certificate and the boundary solve's first attempt run for all
-    /// lanes at once on the structure-of-arrays kernels of
-    /// `cyclesteal_linalg` (panel products, [`lu_factor_many_in_place`],
-    /// [`lu_solve_many_into`], [`spectral_radius_many`]).
-    ///
-    /// # Bit-identity contract
-    ///
-    /// Every batched kernel replays, per lane, exactly the scalar kernel's
-    /// floating-point operation sequence (see `cyclesteal_linalg::panel`),
-    /// and each lane converges, freezes, and error-exits on its own
-    /// per-lane tests — so the result for every batch member is
-    /// **bit-identical** to [`Qbd::solve_in`] on that member alone,
-    /// regardless of batch size or composition. Lanes that leave the
-    /// batched fast path for any reason (injected `qbd.solve` fault,
-    /// drift-ratio instability, a singular intermediate factorization,
-    /// divergence to non-finite values, or exhausting the reduction's
-    /// iteration cap) are replayed wholesale through the scalar
-    /// [`Qbd::solve_in`] — fallback ladder included — which reproduces the
-    /// scalar result and telemetry for that lane exactly; a lane whose
-    /// first boundary attempt misses the residual check finishes on the
-    /// scalar pivot loop. The batch layer is therefore a pure
-    /// optimization with the scalar pipeline as its differential oracle.
-    ///
-    /// Batches of size ≤ 1 and mixed-shape batches degenerate to per-point
-    /// [`Qbd::solve_in`] calls.
-    ///
-    /// The returned vector is index-aligned with `qbds`; the
-    /// `markov.qbd.solve` counter is emitted exactly once per member
-    /// (matching a scalar per-point run), with one `markov.qbd.solve_batch`
-    /// counter per batched group.
+    /// Solves every chain of `qbds` through [`Qbd::solve_in`], one after
+    /// another, into an index-aligned vector. A loop, not a second solve
+    /// path: it stays because the benchmark harness in `perfbench/`
+    /// calls it.
     pub fn solve_batch_in(
         qbds: &[&Qbd],
         ws: &mut Workspace,
     ) -> Vec<Result<QbdSolution, MarkovError>> {
-        let same_shape = qbds.windows(2).all(|w| {
-            w[0].boundary_dim() == w[1].boundary_dim() && w[0].phase_dim() == w[1].phase_dim()
-        });
-        if qbds.len() <= 1 || !same_shape {
-            return qbds.iter().map(|q| q.solve_in(ws)).collect();
-        }
-        cyclesteal_obs::span!("markov.qbd.solve_batch");
-        cyclesteal_obs::counter!("markov.qbd.solve_batch");
-        let nb = qbds.len();
-        let m = qbds[0].phase_dim();
-
-        let mut results: Vec<Option<Result<QbdSolution, MarkovError>>> = Vec::with_capacity(nb);
-        results.resize_with(nb, || None);
-
-        // The preamble of `logred_g_in` for every lane: the precheck per
-        // lane, then (−A1) factored and H₀ = (−A1)⁻¹A0, L₀ = (−A1)⁻¹A2
-        // solved for all lanes at once. Lanes are packed densely:
-        // `lane_ids[lane]` maps a panel lane back to its member index, and
-        // as members converge or fall back the surviving lanes are
-        // compacted leftward ([`BatchPanel::retain_lanes`]) so the panel
-        // kernels only ever touch live lanes. Compaction cannot change a
-        // lane's bits — every kernel is per-lane independent — it only
-        // sheds dead work. Any preamble failure — injected fault,
-        // drift-ratio instability, singular A1 — replays through the full
-        // scalar ladder, which reproduces the scalar outcome (fault sites
-        // re-fire deterministically per scope).
-        let mut lane_ids: Vec<usize> = Vec::with_capacity(nb);
-        for (b, q) in qbds.iter().enumerate() {
-            match q.attempt_precheck(ws) {
-                Ok(()) => lane_ids.push(b),
-                Err(_) => results[b] = Some(q.solve_in(ws)),
-            }
-        }
-        let live = lane_ids.len();
-        let mut lu_panel = ws.take_panel(m, m, live);
-        load_blocks(qbds, &lane_ids, |q| &q.a1, &mut lu_panel);
-        lu_panel.scale_assign(-1.0);
-        let mut pivots = ws.take_idx();
-        let mut factored = Vec::with_capacity(nb);
-        lu_factor_many_in_place(&mut lu_panel, &mut pivots, &mut factored);
-        let mut h_panel = ws.take_panel(m, m, live);
-        let mut l_panel = ws.take_panel(m, m, live);
-        let mut tmp_panel = ws.take_panel(m, m, live);
-        load_blocks(qbds, &lane_ids, |q| &q.a0, &mut tmp_panel);
-        lu_solve_many_into(&lu_panel, &pivots, &tmp_panel, &mut h_panel);
-        load_blocks(qbds, &lane_ids, |q| &q.a2, &mut tmp_panel);
-        lu_solve_many_into(&lu_panel, &pivots, &tmp_panel, &mut l_panel);
-        if factored.iter().any(|ok| !ok) {
-            for (&b, _) in lane_ids.iter().zip(&factored).filter(|(_, ok)| !**ok) {
-                results[b] = Some(qbds[b].solve_in(ws));
-            }
-            h_panel.retain_lanes(&factored);
-            l_panel.retain_lanes(&factored);
-            retain_ids(&mut lane_ids, &factored);
-        }
-
-        let mut g_panel = ws.take_panel(m, m, nb);
-        g_panel.copy_from(&l_panel);
-        let mut t_panel = ws.take_panel(m, m, nb);
-        t_panel.copy_from(&h_panel);
-        let mut u_panel = ws.take_panel(m, m, nb);
-        let mut tmp2_panel = ws.take_panel(m, m, nb);
-        let mut residuals = ws.take_vec(nb);
-        let mut g_finite = Vec::with_capacity(nb);
-        let mut t_finite = Vec::with_capacity(nb);
-        let mut alive = Vec::with_capacity(nb);
-        // `(member, G)` for every lane whose reduction converged.
-        let mut converged: Vec<(usize, Matrix)> = Vec::with_capacity(nb);
-
-        for iter in 0..LR_MAX_ITER {
-            let live = lane_ids.len();
-            if live == 0 {
-                break;
-            }
-            // U = H·L + L·H; factor (I − U) in every live lane at once.
-            h_panel.mul_into(&l_panel, &mut u_panel);
-            l_panel.mul_into(&h_panel, &mut tmp_panel);
-            u_panel.add_assign(&tmp_panel);
-            u_panel.identity_minus_into(&mut lu_panel);
-            lu_factor_many_in_place(&mut lu_panel, &mut pivots, &mut factored);
-            h_panel.mul_into(&h_panel, &mut tmp_panel);
-            lu_solve_many_into(&lu_panel, &pivots, &tmp_panel, &mut h_panel);
-            l_panel.mul_into(&l_panel, &mut tmp_panel);
-            lu_solve_many_into(&lu_panel, &pivots, &tmp_panel, &mut l_panel);
-            t_panel.mul_into(&l_panel, &mut tmp_panel); // inc = T·L
-            g_panel.add_assign(&tmp_panel);
-            t_panel.mul_into(&h_panel, &mut tmp2_panel);
-            std::mem::swap(&mut t_panel, &mut tmp2_panel);
-            g_panel.lanes_finite_into(&mut g_finite);
-            t_panel.lanes_finite_into(&mut t_finite);
-            tmp_panel.lanes_max_abs_into(&mut residuals);
-            alive.clear();
-            for lane in 0..live {
-                let b = lane_ids[lane];
-                // Same per-lane tests, in the same order, as the scalar
-                // iteration: a failed factorization of (I − U) (garbage
-                // in this lane since), then non-finite G/T, then the
-                // G-increment residual. Failures replay the scalar path,
-                // which meets the same failure at the same iteration.
-                if !factored[lane] || !g_finite[lane] || !t_finite[lane] {
-                    results[b] = Some(qbds[b].solve_in(ws));
-                    alive.push(false);
-                } else if residuals[lane] < FP_TOL {
-                    cyclesteal_obs::histogram!("markov.qbd.lr_iters", iter as u64 + 1);
-                    let mut g = ws.take_mat(m, m);
-                    g_panel.store_lane(lane, &mut g);
-                    converged.push((b, g));
-                    alive.push(false);
-                } else {
-                    alive.push(true);
-                }
-            }
-            if alive.iter().any(|a| !*a) {
-                h_panel.retain_lanes(&alive);
-                l_panel.retain_lanes(&alive);
-                g_panel.retain_lanes(&alive);
-                t_panel.retain_lanes(&alive);
-                retain_ids(&mut lane_ids, &alive);
-            }
-        }
-        // Lanes that exhausted LR_MAX_ITER: the scalar path raises
-        // NoConvergence and ladders into functional iteration; replay it.
-        for &b in &lane_ids {
-            results[b] = Some(qbds[b].solve_in(ws));
-        }
-        for p in [
-            h_panel, l_panel, g_panel, t_panel, u_panel, lu_panel, tmp_panel, tmp2_panel,
-        ] {
-            ws.give_panel(p);
-        }
-        ws.give_idx(pivots);
-        ws.give_vec(residuals);
-
-        // Converged lanes run the tail of [`Qbd::attempt_in`]'s
-        // logarithmic-reduction branch from their own `G`, all lanes at
-        // once: `R`, one batched spectral-radius certificate (bit-identical
-        // per lane — see [`spectral_radius_many`]), then the boundary
-        // solve. No step here can raise `NoConvergence`, so a lane that
-        // fails one replays `solve_in`, which surfaces the same error
-        // directly. One `markov.qbd.solve` counter fires per member,
-        // batched or not — parity with a scalar per-point run (replayed
-        // lanes are counted inside their `solve_in`).
-        converged.sort_by_key(|(b, _)| *b);
-        let (mut ids, mut r_panel) = Qbd::r_from_g_batch_in(qbds, converged, &mut results, ws);
-        let mut scratch = ws.take_panel(m, m, ids.len());
-        scratch.copy_from(&r_panel);
-        let mut sps = ws.take_vec(ids.len());
-        spectral_radius_many(&mut scratch, 200, &mut sps);
-        ws.give_panel(scratch);
-        let stable: Vec<bool> = sps.iter().map(|&sp| sp < STABILITY_MARGIN).collect();
-        for (&b, &sp) in ids
-            .iter()
-            .zip(&sps)
-            .filter(|(_, &sp)| sp >= STABILITY_MARGIN)
-        {
-            cyclesteal_obs::counter!("markov.qbd.solve");
-            results[b] = Some(Err(MarkovError::Unstable {
-                spectral_radius: sp,
-            }));
-        }
-        ws.give_vec(sps);
-        r_panel.retain_lanes(&stable);
-        retain_ids(&mut ids, &stable);
-        // The boundary panels are n x n per lane; solve them in groups
-        // small enough to keep a panel within BOUNDARY_PANEL_BYTES.
-        let n = qbds[0].boundary_dim() + m;
-        let group = (BOUNDARY_PANEL_BYTES / (n * n * 8)).max(1);
-        let mut start = 0;
-        while start < ids.len() {
-            let end = ids.len().min(start + group);
-            let mut r_group = ws.take_panel(m, m, ids.len());
-            r_group.copy_from(&r_panel);
-            let keep: Vec<bool> = (0..ids.len())
-                .map(|lane| (start..end).contains(&lane))
-                .collect();
-            r_group.retain_lanes(&keep);
-            for (b, res) in Qbd::boundary_solve_batch_in(qbds, &ids[start..end], r_group, ws) {
-                cyclesteal_obs::counter!("markov.qbd.solve");
-                results[b] = Some(res);
-            }
-            start = end;
-        }
-        ws.give_panel(r_panel);
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch lane resolves to a result"))
-            .collect()
-    }
-
-    /// [`Qbd::r_from_g_in`] for the converged lanes of
-    /// [`Qbd::solve_batch_in`], all at once: `R = A0 · (−(A1 + A0·G))⁻¹`
-    /// as the transpose of `(−(A1 + A0·G))ᵀ \ A0ᵀ` — per lane the scalar
-    /// right division, which sweeps the transposed block the same way
-    /// ([`lu_solve_rows_into`]). Returns the members whose `R`
-    /// exists and the panel of their `R`s; a lane whose factorization
-    /// fails replays `solve_in` into `results`.
-    fn r_from_g_batch_in(
-        qbds: &[&Qbd],
-        converged: Vec<(usize, Matrix)>,
-        results: &mut [Option<Result<QbdSolution, MarkovError>>],
-        ws: &mut Workspace,
-    ) -> (Vec<usize>, BatchPanel) {
-        let m = qbds[0].phase_dim();
-        let width = converged.len();
-        let mut ids: Vec<usize> = converged.iter().map(|(b, _)| *b).collect();
-        let mut g = ws.take_panel(m, m, width);
-        for (lane, (_, gm)) in converged.into_iter().enumerate() {
-            g.load_lane(lane, &gm);
-            ws.give_mat(gm);
-        }
-        let mut a0 = ws.take_panel(m, m, width);
-        load_blocks(qbds, &ids, |q| &q.a0, &mut a0);
-        let mut inner = ws.take_panel(m, m, width);
-        a0.mul_into(&g, &mut inner);
-        let mut acc = ws.take_panel(m, m, width);
-        load_blocks(qbds, &ids, |q| &q.a1, &mut acc);
-        acc.add_assign(&inner);
-        acc.scale_assign(-1.0);
-        acc.transpose_into(&mut inner);
-        let mut pivots = ws.take_idx();
-        let mut factored = Vec::with_capacity(width);
-        lu_factor_many_in_place(&mut inner, &mut pivots, &mut factored);
-        a0.transpose_into(&mut g);
-        lu_solve_many_into(&inner, &pivots, &g, &mut acc);
-        let mut r = ws.take_panel(m, m, width);
-        acc.transpose_into(&mut r);
-        if factored.iter().any(|ok| !ok) {
-            for (&b, _) in ids.iter().zip(&factored).filter(|(_, ok)| !**ok) {
-                results[b] = Some(qbds[b].solve_in(ws));
-            }
-            r.retain_lanes(&factored);
-            retain_ids(&mut ids, &factored);
-        }
-        for p in [g, a0, inner, acc] {
-            ws.give_panel(p);
-        }
-        ws.give_idx(pivots);
-        (ids, r)
-    }
-
-    /// The boundary solves of [`Qbd::solve_batch_in`]'s stable lanes:
-    /// members `ids` with their `R`s in `r`, `(member, result)` pairs out.
-    ///
-    /// Each lane's boundary system is built as [`Qbd::boundary_system_in`]
-    /// builds it, with `A1 + R·A2` and `(I − R)⁻¹` formed for all lanes at
-    /// once; then the first attempt of the scalar pivot loop —
-    /// normalization in equation `n − 1` — runs for every lane at once
-    /// through [`lu_factor_many_in_place`] and [`lu_solve_many_into`]. A
-    /// lane whose attempt passes the scalar residual check has the scalar
-    /// result; a lane whose factorization failed or whose residual did not
-    /// pass replays the scalar pivot loop from its system, which retries
-    /// the same attempt first and then pivot 0. A lane whose `I − R`
-    /// cannot be factored replays the scalar boundary solve.
-    fn boundary_solve_batch_in(
-        qbds: &[&Qbd],
-        ids: &[usize],
-        r: BatchPanel,
-        ws: &mut Workspace,
-    ) -> Vec<(usize, Result<QbdSolution, MarkovError>)> {
-        let mut out = Vec::with_capacity(ids.len());
-        let Some(&first) = ids.first() else {
-            ws.give_panel(r);
-            return out;
-        };
-        let m = qbds[first].phase_dim();
-        let n = qbds[first].boundary_dim() + m;
-        let width = ids.len();
-        // A1 + R·A2 and (I − R)⁻¹, every lane.
-        let mut a2 = ws.take_panel(m, m, width);
-        load_blocks(qbds, ids, |q| &q.a2, &mut a2);
-        let mut tmp = ws.take_panel(m, m, width);
-        r.mul_into(&a2, &mut tmp);
-        let mut level0 = ws.take_panel(m, m, width);
-        load_blocks(qbds, ids, |q| &q.a1, &mut level0);
-        level0.add_assign(&tmp);
-        r.identity_minus_into(&mut tmp);
-        let mut pivots = ws.take_idx();
-        let mut factored = Vec::with_capacity(width);
-        lu_factor_many_in_place(&mut tmp, &mut pivots, &mut factored);
-        let mut eye = a2; // A2 is spent; its buffer becomes the identity
-        eye.reshape(m, m, width);
-        for lane in 0..width {
-            for i in 0..m {
-                *eye.at_mut(i, i, lane) = 1.0;
-            }
-        }
-        let mut inv = ws.take_panel(m, m, width);
-        lu_solve_many_into(&tmp, &pivots, &eye, &mut inv);
-
-        let mut level0_lane = ws.take_mat(m, m);
-        let mut lanes = Vec::with_capacity(width);
-        for (lane, &b) in ids.iter().enumerate() {
-            let mut r_lane = ws.take_mat(m, m);
-            r.store_lane(lane, &mut r_lane);
-            if factored[lane] {
-                level0.store_lane(lane, &mut level0_lane);
-                let mut i_minus_r_inv = Matrix::zeros(m, m);
-                inv.store_lane(lane, &mut i_minus_r_inv);
-                let system = qbds[b].boundary_system_from(&level0_lane, i_minus_r_inv, ws);
-                lanes.push((b, r_lane, system));
-            } else {
-                out.push((b, qbds[b].boundary_solve_in(&r_lane, ws)));
-                ws.give_mat(r_lane);
-            }
-        }
-        ws.give_mat(level0_lane);
-        for p in [r, eye, tmp, level0, inv] {
-            ws.give_panel(p);
-        }
-
-        // The first pivot attempt, every lane: Fᵀ with equation n − 1
-        // swapped for the normalization, as `BoundarySystem::equations_into`
-        // writes it.
-        let width = lanes.len();
-        let mut lus = ws.take_panel(n, n, width);
-        let fs: Vec<&Matrix> = lanes.iter().map(|(_, _, system)| &system.f).collect();
-        lus.load_lanes_transposed(&fs);
-        for (lane, (_, _, system)) in lanes.iter().enumerate() {
-            for (j, &w) in system.w.iter().enumerate() {
-                *lus.at_mut(n - 1, j, lane) = w;
-            }
-        }
-        lu_factor_many_in_place(&mut lus, &mut pivots, &mut factored);
-        // Right-hand side e_{n−1} in every lane.
-        let mut rhs = ws.take_panel(n, 1, width);
-        for lane in 0..width {
-            *rhs.at_mut(n - 1, 0, lane) = 1.0;
-        }
-        let mut x_panel = ws.take_panel(n, 1, width);
-        lu_solve_many_into(&lus, &pivots, &rhs, &mut x_panel);
-        let mut x = ws.take_mat(n, 1);
-        let mut resid = ws.take_vec(n);
-        for (lane, (b, r, system)) in lanes.into_iter().enumerate() {
-            let accepted = factored[lane] && {
-                x_panel.store_lane(lane, &mut x);
-                system.residual(x.as_slice(), n - 1, &mut resid) < BOUNDARY_RESID_TOL
-            };
-            let res = if accepted {
-                Ok(system.solution(&r, x.as_slice(), n - 1, ws))
-            } else {
-                qbds[b].boundary_pivots_in(&r, system, ws)
-            };
-            ws.give_mat(r);
-            out.push((b, res));
-        }
-        for p in [lus, rhs, x_panel] {
-            ws.give_panel(p);
-        }
-        ws.give_idx(pivots);
-        ws.give_mat(x);
-        ws.give_vec(resid);
-        out
+        qbds.iter().map(|q| q.solve_in(ws)).collect()
     }
 
     /// One allocating solve attempt (see [`Qbd::solve_reference`]).
@@ -901,16 +527,10 @@ impl Qbd {
         self.r_logarithmic_reduction_in(&mut ws)
     }
 
+    /// `R` from the converged `G` of [`Qbd::g_matrix`] via
+    /// `R = A0 · (−(A1 + A0 G))⁻¹`.
     fn r_logarithmic_reduction_in(&self, ws: &mut Workspace) -> Result<Matrix, MarkovError> {
         let g = self.logred_g_in(ws)?;
-        self.r_from_g_in(g, ws)
-    }
-
-    /// The tail of the logarithmic-reduction pipeline: `R` from a converged
-    /// `G` via `R = A0 · (−(A1 + A0 G))⁻¹`. Consumes `g` (returned to the
-    /// pool). Shared by the scalar and the batched solvers so both compute
-    /// bit-identical `R` matrices from the same `G`.
-    fn r_from_g_in(&self, g: Matrix, ws: &mut Workspace) -> Result<Matrix, MarkovError> {
         let m = self.phase_dim();
         // inner = −(A1 + A0·G)
         let mut inner = ws.take_mat(m, m);
@@ -1119,24 +739,7 @@ impl Qbd {
         // (I − R)⁻¹ escapes into the solution, so it is owned, not pooled.
         let mut i_minus_r_inv = Matrix::zeros(m, m);
         lu_inverse_into(&lu, &piv, &mut i_minus_r_inv);
-        let system = self.boundary_system_from(&level0_local, i_minus_r_inv, ws);
-        ws.give_mat(tmp);
-        ws.give_mat(level0_local);
-        ws.give_mat(id);
-        ws.give_mat(lu);
-        ws.give_idx(piv);
-        Ok(system)
-    }
-
-    /// Assembles the boundary system from `A1 + R A2` and `(I − R)⁻¹`.
-    fn boundary_system_from(
-        &self,
-        level0_local: &Matrix,
-        i_minus_r_inv: Matrix,
-        ws: &mut Workspace,
-    ) -> BoundarySystem {
         let nb = self.boundary_dim();
-        let m = self.phase_dim();
         let n = nb + m;
         let mut f = ws.take_mat(n, n);
         for i in 0..nb {
@@ -1155,12 +758,17 @@ impl Qbd {
         w[..nb].fill(1.0);
         i_minus_r_inv.mul_vec_into(&ones, &mut w[nb..]);
         ws.give_vec(ones);
-        BoundarySystem {
+        ws.give_mat(tmp);
+        ws.give_mat(level0_local);
+        ws.give_mat(id);
+        ws.give_mat(lu);
+        ws.give_idx(piv);
+        Ok(BoundarySystem {
             nb,
             f,
             w,
             i_minus_r_inv,
-        }
+        })
     }
 
     /// Solves `system`: replace one balance equation (one row of `Fᵀ`)
@@ -1368,31 +976,6 @@ impl Qbd {
         })
     }
 }
-
-/// Loads `block(qbds[b])` for every member `b` of `ids` into the lanes
-/// of `panel`, in order.
-fn load_blocks(
-    qbds: &[&Qbd],
-    ids: &[usize],
-    block: impl Fn(&Qbd) -> &Matrix,
-    panel: &mut BatchPanel,
-) {
-    for (lane, &b) in ids.iter().enumerate() {
-        panel.load_lane(lane, block(qbds[b]));
-    }
-}
-
-/// Keeps the member ids whose `keep` flag is set, as
-/// [`BatchPanel::retain_lanes`] keeps their lanes.
-fn retain_ids(ids: &mut Vec<usize>, keep: &[bool]) {
-    let mut keep = keep.iter();
-    ids.retain(|_| *keep.next().expect("mask covers every lane"));
-}
-
-/// Largest boundary-system panel [`Qbd::solve_batch_in`] factors at once
-/// (1 MiB, half an L2 cache): wider lane groups of large chains run out
-/// of cache and lose more than the extra lanes save.
-const BOUNDARY_PANEL_BYTES: usize = 1 << 20;
 
 /// Residual below which the boundary solve accepts a normalization
 /// pivot without trying the next one.

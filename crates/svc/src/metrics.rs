@@ -147,6 +147,13 @@ impl NativeMetrics {
         counter(&mut s, "svc_wal_appends_total", self.wal.appends);
         counter(&mut s, "svc_wal_bytes_total", self.wal.bytes);
         counter(&mut s, "svc_wal_fsyncs_total", self.wal.fsyncs);
+        labeled(
+            &mut s,
+            "counter",
+            "svc_wal_errors_total",
+            "op",
+            &[("append", self.wal.append_errors)],
+        );
         counter(&mut s, "svc_batch_drains_total", batch.drains);
         counter(&mut s, "svc_batch_presolved_total", batch.presolved);
         // Presolved points that needed no new solve: their report key was

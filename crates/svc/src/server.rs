@@ -101,9 +101,9 @@ pub struct ServerConfig {
     /// recording).
     pub obs_flush_secs: u64,
     /// Micro-batching width: the most jobs one worker wakeup drains from
-    /// the admission queue to presolve through the batched
-    /// factor-once/solve-many pipeline before answering each query
-    /// individually. `1` (or `0`) disables batching — the scalar control
+    /// the admission queue. A drain dedupes its points by report key and
+    /// solves the unique chains one by one before it answers each query.
+    /// `1` (or `0`) disables batching — the scalar control
     /// configuration; responses are byte-identical either way.
     pub batch_max: usize,
 }
@@ -227,8 +227,8 @@ impl Shared {
             if let Err(e) = durable.append(&key, &report) {
                 // The entry stays perfectly usable in memory; losing one
                 // WAL record only means recomputing it after a restart.
+                // The WAL counts the failure for the scrape.
                 eprintln!("svc: WAL append failed (entry stays in memory): {e}");
-                cyclesteal_obs::counter!("svc.wal.append_failed");
             }
         }
     }
@@ -721,13 +721,12 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// The micro-batch presolve of one drained job batch: dedupe the batch's
-/// points by report key, solve the same-shape groups through the
-/// factor-once/solve-many pipeline, and file each question's report in the
-/// drain's `scope` — so the per-query evaluations below are report hits
-/// and build no chain, and the first answer's WAL write carries every
-/// presolved record. A seeded report is bit-identical to what the scalar
-/// path would compute, so responses cannot change; only the shared
-/// factorization work does.
+/// points by report key, solve each unique chain once, and file each
+/// question's report in the drain's `scope` — so the per-query
+/// evaluations below are report hits and build no chain, and the first
+/// answer's WAL write carries every presolved record. A seeded report is
+/// bit-identical to what the scalar path would compute, so responses
+/// cannot change; only the duplicated work does.
 fn presolve_batch(shared: &Arc<Shared>, scope: &SolveCache, jobs: &[Job], clock: &MonotonicClock) {
     let now = clock.now_ns();
     // A job whose budget already expired in the queue must spend no

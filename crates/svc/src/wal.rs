@@ -319,6 +319,9 @@ pub struct WalStats {
     pub bytes: u64,
     /// Disk syncs issued (appends and compactions).
     pub fsyncs: u64,
+    /// Appends that failed to write or sync their record. The entry
+    /// stays served from memory.
+    pub append_errors: u64,
 }
 
 /// The persistence half of the daemon's [`SolveCache`]: owns the WAL file
@@ -445,15 +448,18 @@ impl DurableCache {
             let _ = wal.file.sync_data();
             crate::raw_self_sigkill();
         }
-        wal.file.write_all(&rec)?;
-        wal.file.sync_data()?;
+        if let Err(e) = wal.file.write_all(&rec).and_then(|()| wal.file.sync_data()) {
+            wal.stats.append_errors += 1;
+            return Err(e);
+        }
         wal.stats.appends += 1;
         wal.stats.bytes += rec.len() as u64;
         wal.stats.fsyncs += 1;
         Ok(())
     }
 
-    /// Write-side counters of this handle (appends, bytes, fsyncs).
+    /// Write-side counters of this handle (appends, bytes, fsyncs and
+    /// failed appends).
     pub fn stats(&self) -> WalStats {
         lock(&self.wal).stats
     }
@@ -747,6 +753,29 @@ mod tests {
         durable.compact(&[]).unwrap();
         assert_eq!(durable.stats().fsyncs, 4, "compact adds three syncs");
         assert_eq!(durable.stats().appends, 1, "compact is not an append");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An append whose write fails is counted in `append_errors`, not
+    /// in `appends`, and the report the cache holds stays there.
+    #[test]
+    fn a_failed_append_is_counted_and_the_entry_stays_in_memory() {
+        let dir = tmp_dir("append-error");
+        let cache = SolveCache::new();
+        let (durable, _) = DurableCache::open(&dir, &cache).unwrap();
+        let (k, r) = sample_entry(2);
+        cache.restore_reports([(k, r.clone())]);
+        // Writes through a read-only handle fail.
+        lock(&durable.wal).file = File::open(DurableCache::wal_path(&dir)).unwrap();
+        assert!(durable.append(&k, &r).is_err());
+        assert!(durable.append(&k, &r).is_err());
+        let s = durable.stats();
+        assert_eq!(
+            (s.append_errors, s.appends, s.bytes, s.fsyncs),
+            (2, 0, 0, 0)
+        );
+        assert!(cache.has_report(&k));
+        assert_eq!(cache.export_reports().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

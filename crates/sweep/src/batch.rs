@@ -1,29 +1,28 @@
-//! The batch presolve planner: groups a sweep's pending CS-CQ analysis
-//! points by QBD shape and solves each group through the batched
-//! factor-once/solve-many pipeline ([`Qbd::solve_batch_in`]) **before**
-//! the per-point evaluation phase, finishing each solution into its
-//! question's report in the shared [`SolveCache`], so evaluation finds
-//! every answer already there, under the report key it looks it up by.
+//! The presolve planner: collects a sweep's pending CS-CQ analysis
+//! points, builds each distinct chain once, and solves it through
+//! [`Qbd::solve_in`] **before** the per-point evaluation phase, finishing
+//! each solution into its question's report in the shared [`SolveCache`],
+//! so evaluation finds every answer already there, under the report key
+//! it looks it up by.
 //!
 //! # Why this cannot change a report
 //!
-//! The batched solver is bit-identical to the scalar [`Qbd::solve_in`]
-//! per lane (every batched kernel replays the scalar floating-point
-//! sequence, and every convergence/fallback decision is per-lane — see
-//! `cyclesteal_markov::qbd`), and the planner builds each chain through
-//! [`cs_cq_km::plan_qbd_cached`], the exact construction path the cached
-//! evaluation uses on a miss, for every fleet shape alike, and the report
-//! is read off the solution by the same assembly body. A seeded report is
-//! therefore the same bits evaluation would have computed itself; the
-//! presolve phase is a pure reordering of work. Error results
-//! are never seeded — a failing point re-runs the scalar pipeline
-//! (recovery ladder included) during evaluation and gets its ordinary
-//! attributed failure record.
+//! The planner builds each chain through [`cs_cq_km::plan_qbd_cached`],
+//! the exact construction path the cached evaluation uses on a miss, for
+//! every fleet shape alike, solves it with the same [`Qbd::solve_in`],
+//! and reads the report off the solution by the same assembly body. A
+//! seeded report is therefore the same bits evaluation would have
+//! computed itself; the presolve phase is a pure reordering of work.
+//! Error results are never seeded — a failing point re-runs the scalar
+//! pipeline (recovery ladder included) during evaluation and gets its
+//! ordinary attributed failure record.
 //!
 //! Points with a planned fault on their scope are skipped wholesale:
 //! faulted points bypass the shared cache during evaluation (see the
 //! engine), so presolving them would be wasted work at best and at worst
 //! would let a clean presolve mask an injection site.
+//!
+//! [`Qbd::solve_in`]: cyclesteal_markov::Qbd::solve_in
 
 use std::collections::HashSet;
 
@@ -33,25 +32,10 @@ use cyclesteal_core::cs_cq_km::{self, Hosts};
 use cyclesteal_core::stability::Policy;
 use cyclesteal_core::SystemParams;
 use cyclesteal_linalg::Workspace;
-use cyclesteal_markov::Qbd;
 use cyclesteal_xtest::fault;
 
 use crate::grid::{Evaluator, Point};
 use crate::report::SweepRow;
-
-/// Largest number of chains solved in one batched lockstep group. Chosen
-/// to keep the per-iteration SoA panels (9 of `m x m x batch` doubles)
-/// comfortably inside L2 for the paper's chain sizes.
-const MAX_BATCH: usize = 64;
-
-/// Narrowest group solved in lockstep; the members of a narrower one are
-/// solved one by one. A lane kernel pays a fixed cost per cell of its
-/// panels, which the lanes of that cell share: with few lanes it loses to
-/// the scalar kernels. Measured on a 2-vCPU VM, the lockstep solve
-/// overtakes per-chain solves at about 6 lanes for the Figure-4 chain and
-/// about 10 for a heavy (2, 2) chain (at 2 lanes it takes 1.6x and 2.3x
-/// as long).
-const MIN_BATCH: usize = 8;
 
 /// What the batch presolve phase did, surfaced through
 /// [`SweepMetrics::batch`](crate::SweepMetrics::batch). Purely
@@ -72,12 +56,15 @@ pub struct BatchStats {
     /// daemon's `svc_batch_dedup_hits`, computed as `points − unique`,
     /// counts it as a dedup hit.
     pub unique: usize,
-    /// Same-shape groups (≥ 8 chains) dispatched to the batched solver.
+    /// Always 0: no chains are solved in groups any more.
     pub batches: usize,
-    /// Chains solved inside those batched groups.
+    /// Always 0: every planned chain is solved on its own. Kept because
+    /// the benchmark harness in `perfbench/` reads it as a share of
+    /// `unique`.
     pub batched: usize,
-    /// Chains whose shape group was narrower than that and were solved
-    /// through the scalar path instead.
+    /// Chains solved, one by one, through
+    /// [`Qbd::solve_in`](cyclesteal_markov::Qbd::solve_in): every planned
+    /// chain, so this equals `unique`.
     pub scalar: usize,
     /// Reports filed from successful solves (failed solves are never
     /// seeded; evaluation re-attributes them scalar-side).
@@ -112,7 +99,7 @@ pub(crate) fn presolve(points: &[Point], cache: &SolveCache, ws: &mut Workspace)
     stats
 }
 
-/// The query-stream presolve entry: plan, batch-solve, and seed the
+/// The query-stream presolve entry: plan, solve, and seed the
 /// chains of `points` on the calling thread, using the calling thread's
 /// scratch [`Workspace`] (the same per-thread workspace
 /// [`crate::run_query`] evaluates with).
@@ -179,16 +166,15 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<Pla
             planned.push(plan);
         }
     }
-    // Canonical order: same-shape chains together, by key within a shape.
-    // It makes the grouping — and therefore every stat — independent of
-    // the input permutation; batch *composition* cannot affect results
-    // because every batched kernel is per-lane independent.
+    // Canonical order: by shape, then by key within a shape. It makes the
+    // order of the solves, and of the reports they file, independent of
+    // the input permutation.
     planned.sort_by_key(|p| (p.boundary_dim(), p.phase_dim(), p.key()));
     planned
 }
 
-/// The solving half of a presolve: group by shape, solve through the
-/// batched pipeline, and file the report of each successful solution.
+/// The solving half of a presolve: solve each planned chain and file the
+/// report of each successful solution.
 fn solve_and_seed(
     planned: Vec<PlannedChain>,
     cache: &SolveCache,
@@ -196,31 +182,13 @@ fn solve_and_seed(
     stats: &mut BatchStats,
 ) {
     stats.unique = planned.len();
-
-    let mut group = planned.as_slice();
-    while let Some(first) = group.first() {
-        let shape = (first.boundary_dim(), first.phase_dim());
-        let len = group
-            .iter()
-            .take_while(|q| (q.boundary_dim(), q.phase_dim()) == shape)
-            .count();
-        let (shaped, rest) = group.split_at(len);
-        group = rest;
-        for chunk in shaped.chunks(MAX_BATCH) {
-            let results = if chunk.len() >= MIN_BATCH {
-                stats.batches += 1;
-                stats.batched += chunk.len();
-                let refs: Vec<&Qbd> = chunk.iter().map(|p| &**p).collect();
-                Qbd::solve_batch_in(&refs, ws)
-            } else {
-                stats.scalar += chunk.len();
-                chunk.iter().map(|q| q.solve_in(ws)).collect()
-            };
-            for (plan, result) in chunk.iter().zip(results) {
-                if result.is_ok_and(|sol| cache.seed_qbd_solution(plan, sol)) {
-                    stats.seeded += 1;
-                }
-            }
+    stats.scalar = planned.len();
+    for plan in &planned {
+        if plan
+            .solve_in(ws)
+            .is_ok_and(|sol| cache.seed_qbd_solution(plan, sol))
+        {
+            stats.seeded += 1;
         }
     }
 }

@@ -32,9 +32,9 @@ use crate::grid::{Evaluator, GridSpec, Point};
 use crate::report::{FailureCounts, FailureKind, SweepMetrics, SweepReport, SweepRow};
 
 /// Execution knobs of a sweep run. Only wall-clock time depends on them —
-/// never the report: the batched presolve is bit-identical to the scalar
-/// pipeline (see [`crate::BatchStats`]), so `batch` on/off, like thread
-/// count and chunking, cannot move a single row.
+/// never the report: the presolve files the reports evaluation would
+/// have computed itself (see [`crate::BatchStats`]), so `batch` on/off,
+/// like thread count and chunking, cannot move a single row.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Worker threads (`0` or `1` = serial on the calling thread).
@@ -43,15 +43,15 @@ pub struct SweepOptions {
     pub chunk: usize,
     /// A cache to reuse across runs; a fresh one is created when `None`.
     pub cache: Option<Arc<SolveCache>>,
-    /// When `true`, a serial presolve phase groups the sweep's CS-CQ
-    /// chains by shape and solves them through the batched
-    /// factor-once/solve-many pipeline before evaluation fans out.
+    /// When `true`, a serial presolve phase builds and solves each
+    /// distinct CS-CQ chain of the sweep once, before evaluation fans
+    /// out.
     pub batch: bool,
 }
 
 impl SweepOptions {
-    /// Options with `threads` workers, default chunking, and the batched
-    /// presolve enabled.
+    /// Options with `threads` workers, default chunking, and the presolve
+    /// enabled.
     pub fn threads(threads: usize) -> Self {
         SweepOptions {
             threads,
@@ -68,7 +68,7 @@ impl SweepOptions {
         self
     }
 
-    /// Forces the batched presolve on or off — `with_batch(false)` is the
+    /// Forces the presolve on or off — `with_batch(false)` is the
     /// differential harness's scalar oracle configuration.
     pub fn with_batch(mut self, batch: bool) -> Self {
         self.batch = batch;
@@ -109,7 +109,7 @@ pub fn run_points(
     // this run only the work it actually did.
     let obs_before = cyclesteal_obs::snapshot_if_active();
     let start = Instant::now();
-    // Batched presolve: serial, on the calling thread, before the pool
+    // The presolve: serial, on the calling thread, before the pool
     // fans out — so its work (and its telemetry) is identical for every
     // thread count and input order of the same multiset of points.
     let batch_stats = if opts.batch {

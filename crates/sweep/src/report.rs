@@ -406,9 +406,9 @@ pub struct SweepMetrics {
     /// Failure tallies over the report's rows (a pure function of the
     /// report; duplicated here so health checks don't re-scan rows).
     pub failures: FailureCounts,
-    /// What the batched presolve phase did (all zeros when the run was
-    /// configured scalar). Informational only: the presolve is
-    /// bit-identical to the scalar pipeline, so these counters never
+    /// What the presolve phase did (all zeros when the run was
+    /// configured scalar). Informational only: the presolve files the
+    /// reports evaluation would have computed, so these counters never
     /// correlate with a report difference.
     pub batch: crate::batch::BatchStats,
     /// The run's **full** telemetry delta — counts *plus* the timing

@@ -290,8 +290,8 @@ fn faulted_points_bypass_the_batch_without_poisoning_their_mates() {
     assert_eq!(bm.batch.skipped_faulted, planned, "{:?}", bm.batch);
     assert_eq!(bm.batch.eligible, spec.len() - planned, "{:?}", bm.batch);
     assert!(
-        bm.batch.batched > 0 && bm.batch.seeded > 0,
-        "the non-faulted mates must still batch: {:?}",
+        bm.batch.batched == 0 && bm.batch.scalar == bm.batch.unique && bm.batch.seeded > 0,
+        "the non-faulted mates must still presolve: {:?}",
         bm.batch
     );
     assert_eq!(

@@ -14,10 +14,11 @@
 //!   drain, so this bounds the report layer alone
 //! * `--data-dir DIR`          enable the durable WAL + snapshot in DIR
 //! * `--default-budget-ns NS`  budget for queries that carry none
-//! * `--batch N`               max jobs a worker wakeup drains and
-//!   presolves through the batched QBD pipeline (default 16)
+//! * `--batch N`               max jobs a worker wakeup drains (default
+//!   16); a drain dedupes its chains and solves the unique ones one by
+//!   one before it answers
 //! * `--no-batch`              shorthand for `--batch 1`: every job is
-//!   served purely scalar (the byte-identity comparison baseline)
+//!   served on its own (the byte-identity comparison baseline)
 //! * `--metrics-addr HOST:PORT` serve HTTP `GET /metrics` + `/healthz`
 //! * `--slow-log-ms MS`        log queries slower than MS to
 //!   `slow_queries.jsonl` in the data dir (`0` logs every query)

@@ -97,8 +97,8 @@ fn cache_stat(server: &Server, field: &str) -> u64 {
         .unwrap_or_else(|| panic!("stats.cache.{field}"))
 }
 
-/// Ten (2, 2) questions, which solve in one lockstep group, and six
-/// (1, 1) questions, which solve one by one: both halves of the planner.
+/// Ten (2, 2) questions and six (1, 1) questions: two chain shapes for
+/// the planner, each chain solved on its own.
 fn mixed_points() -> Vec<Point> {
     (0..10)
         .map(|i| point(2.0 + 0.01 * i as f64, (2, 2)))
@@ -119,7 +119,11 @@ fn a_presolve_journals_every_answer_and_evaluation_only_hits_reports() {
     let scope = root.scope();
     let stats = presolve_points(&points, &scope);
     assert_eq!(stats.unique as u64, n, "{stats:?}");
-    assert!(stats.batched > 0 && stats.scalar > 0, "{stats:?}");
+    assert_eq!(
+        (stats.batched, stats.scalar),
+        (0, stats.unique),
+        "{stats:?}"
+    );
     assert_eq!(stats.seeded, stats.unique, "{stats:?}");
     assert_eq!(scope.take_new_reports().len(), stats.unique);
 
@@ -183,7 +187,11 @@ fn each_chain_is_hashed_once_and_a_report_hit_hashes_none() {
     let before = signatures_hashed();
     let stats = presolve_points(&points, &scope);
     assert_eq!(stats.unique as u64, n, "{stats:?}");
-    assert!(stats.batched > 0 && stats.scalar > 0, "{stats:?}");
+    assert_eq!(
+        (stats.batched, stats.scalar),
+        (0, stats.unique),
+        "{stats:?}"
+    );
     assert_eq!(
         signatures_hashed() - before,
         0,
