@@ -686,9 +686,9 @@ impl SolveCache {
         self.fits.get_or_compute(key, compute)
     }
 
-    /// Finishes a planned chain with an externally computed solution (the
-    /// sweep engine's batched presolve): reads the question's report off
-    /// `sol` and files it under the key the chain was built for, through
+    /// Finishes a planned question with a solution of its chain (the sweep
+    /// engine's presolve): reads the question's report off `sol` and
+    /// files it under the key the chain was planned for, through
     /// the same once-per-key protocol as a report miss, so a scope
     /// journals it and the telemetry of a presolved sweep stays
     /// deterministic. If the key is already present the existing report
@@ -873,7 +873,7 @@ mod tests {
         let key = cs_cq::report_key(&p, BusyPeriodFit::ThreeMoment);
         assert_eq!(plan.key(), key);
         assert!(!cache.has_report(&plan.key()));
-        let sol = plan.solve().unwrap();
+        let sol = plan.build().unwrap().solve().unwrap();
         assert!(cache.seed_qbd_solution(&plan, sol));
         assert!(cache.peek_report(&plan.key()).is_some());
         // Planner: 2 fit misses; seed: 1 report miss (the once-per-key
@@ -899,7 +899,7 @@ mod tests {
         // Seeding an already-present key is a no-op hit, not a new miss
         // (and replanning hits the fit layer).
         let again = cs_cq::plan_qbd_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        assert!(cache.seed_qbd_solution(&again, again.solve().unwrap()));
+        assert!(cache.seed_qbd_solution(&again, again.build().unwrap().solve().unwrap()));
         assert_eq!(cache.stats().misses, 3);
     }
 

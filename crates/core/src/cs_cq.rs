@@ -383,16 +383,16 @@ pub fn build_qbd_model_map(params: &SystemParams, arrivals: &Map) -> Result<Qbd,
     cs_cq_km::build_model(hosts, params, fit, Arrivals::Map(arrivals))
 }
 
-/// Builds the CS-CQ QBD exactly as [`analyze_cached`] would build it on a
-/// report miss, **without solving it**, together with the report key
-/// it answers — [`cs_cq_km::plan_qbd_cached`], the batch planner's hook,
-/// at `(1, 1)`.
+/// Plans the CS-CQ QBD exactly as [`analyze_cached`] would on a report
+/// miss, **without building it**, together with the report key it
+/// answers — [`cs_cq_km::plan_qbd_cached`], the batch planner's hook, at
+/// `(1, 1)`.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::Unstable`] outside Theorem 1's region (judged on the
 /// *snapped* loads, as the cached analysis does); otherwise as for
-/// [`build_qbd_model`].
+/// [`cs_cq_km::plan_qbd_cached`].
 pub fn plan_qbd_cached(
     params: &SystemParams,
     fit: BusyPeriodFit,

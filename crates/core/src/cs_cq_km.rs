@@ -272,9 +272,9 @@ pub(crate) fn shorts_distribution(
     check_stable(hosts, params)?;
     let poisson = Map::poisson(params.lambda_s())?;
     let fit = BusyPeriodFit::ThreeMoment;
-    let chain = Chain::build(hosts, params, fit, Arrivals::Map(&poisson))?;
-    let sol = chain.qbd.solve()?;
-    let layout = &chain.layout;
+    let (plan, qbd) = plan_and_build(hosts, params, fit, Arrivals::Map(&poisson))?;
+    let sol = qbd.solve()?;
+    let layout = &plan.layout;
 
     let levels = hosts.k + hosts.m;
     let mut dist: Vec<f64> = (0..levels.min(n_max + 1))
@@ -315,19 +315,21 @@ pub fn build_qbd_model(
     build_model(hosts, params, fit, Arrivals::Map(&poisson))
 }
 
-/// Builds the fleet QBD exactly as [`analyze_cached_in`] would on a
+/// Plans the fleet chain exactly as [`analyze_cached_in`] would on a
 /// report miss — parameters snapped, fits served through the cache —
-/// without solving, and returns it with its [`report_key`]. The sweep
-/// batch planner's hook: construction is bit-shared with the cached
-/// analysis path, so the report [`SolveCache::seed_qbd_solution`] reads
-/// off a presolved solution is the one evaluation would compute, filed
-/// under the key evaluation looks it up by. Nothing about the chain
-/// itself is cached.
+/// **without building it**, and returns the plan with its [`report_key`].
+/// The sweep batch planner's hook: [`PlannedChain::build`] then assembles
+/// the blocks bit for bit as the cached analysis path does, and the report
+/// [`SolveCache::seed_qbd_solution`] reads off a solution is the one
+/// evaluation would compute, filed under the key evaluation looks it up
+/// by. Nothing about the chain itself is cached.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::Unstable`] outside the fleet stability region (judged
-/// on the snapped loads); otherwise as for [`build_qbd_model`].
+/// on the snapped loads); otherwise as for [`build_qbd_model`], minus the
+/// errors only block assembly can raise, which [`PlannedChain::build`]
+/// returns.
 pub fn plan_qbd_cached(
     hosts: Hosts,
     params: &SystemParams,
@@ -336,24 +338,29 @@ pub fn plan_qbd_cached(
 ) -> Result<PlannedChain, AnalysisError> {
     let snapped = snap_params(params);
     check_stable(hosts, &snapped)?;
-    let chain = Chain::build(hosts, &snapped, fit, Arrivals::PoissonCached(cache))?;
-    let key = report_key(hosts, &snapped, fit);
+    let arrivals = Map::poisson(snapped.lambda_s())?;
+    let plan = Plan::new(hosts, &snapped, fit, Some(cache), arrivals.dim())?;
     Ok(PlannedChain {
-        key,
-        chain: Box::new(chain),
+        key: report_key(hosts, &snapped, fit),
+        plan,
+        arrivals,
     })
 }
 
-/// A chain built for one question, with the [`ReportKey`] it was built
-/// for: what [`plan_qbd_cached`] hands the batch planner, and what
-/// [`SolveCache::seed_qbd_solution`] finishes into that question's report.
-/// Only the planner hook makes one, so the key is always the key the
-/// cached analysis looks the report up by. Derefs to the [`Qbd`].
+/// A chain planned for one question and not yet built, with the
+/// [`ReportKey`] it answers: what [`plan_qbd_cached`] hands the batch
+/// planner, and what [`SolveCache::seed_qbd_solution`] finishes into that
+/// question's report. It holds the busy-period fits and the phase layout,
+/// a small fraction of the generator blocks, so a planner can hold many;
+/// [`PlannedChain::build`] assembles the blocks, which need live only for
+/// their solve. Only the planner hook makes one, so the key is always the
+/// key the cached analysis looks the report up by.
 #[derive(Debug, Clone)]
 pub struct PlannedChain {
     key: ReportKey,
-    /// Boxed: a planner holds a batch of these, and moves them to sort.
-    chain: Box<Chain>,
+    plan: Plan,
+    /// The Poisson short arrivals at the snapped `λ_S`.
+    arrivals: Map,
 }
 
 impl PlannedChain {
@@ -362,17 +369,41 @@ impl PlannedChain {
         self.key
     }
 
+    /// The built chain's [`Qbd::boundary_dim`], read off the layout.
+    pub fn boundary_dim(&self) -> usize {
+        self.plan.boundary_dim()
+    }
+
+    /// The built chain's [`Qbd::phase_dim`], read off the layout.
+    pub fn phase_dim(&self) -> usize {
+        self.plan.phase_dim()
+    }
+
+    /// Assembles the chain's generator blocks: the chain
+    /// [`analyze_cached_in`] builds for this question, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As for [`build_qbd_model`].
+    pub fn build(&self) -> Result<Qbd, AnalysisError> {
+        self.plan.build(&self.arrivals)
+    }
+
+    /// Builds the chain, solves it out of `ws` and drops it: the blocks
+    /// live for this call only. The benchmark harness in `perfbench/`
+    /// calls it; the presolve builds and solves in two steps, to count
+    /// the chains that built.
+    ///
+    /// # Errors
+    ///
+    /// As for [`PlannedChain::build`], then the solver's errors.
+    pub fn solve_in(&self, ws: &mut Workspace) -> Result<QbdSolution, AnalysisError> {
+        Ok(self.build()?.solve_in(ws)?)
+    }
+
     /// The question's report, read off `sol`, a solution of this chain.
     pub(crate) fn report(&self, sol: &QbdSolution) -> Result<CsCqReport, AnalysisError> {
-        assemble_report(&self.chain, sol)
-    }
-}
-
-impl std::ops::Deref for PlannedChain {
-    type Target = Qbd;
-
-    fn deref(&self) -> &Qbd {
-        &self.chain.qbd
+        assemble_report(&self.plan, sol)
     }
 }
 
@@ -533,7 +564,7 @@ pub(crate) fn build_model(
     fit: BusyPeriodFit,
     arrivals: Arrivals,
 ) -> Result<Qbd, AnalysisError> {
-    Chain::build(hosts, params, fit, arrivals).map(|chain| chain.qbd)
+    plan_and_build(hosts, params, fit, arrivals).map(|(_, qbd)| qbd)
 }
 
 /// The analysis behind every public entry point: build, solve, report.
@@ -545,65 +576,99 @@ pub(crate) fn analyze_inner(
     ws: &mut Workspace,
 ) -> Result<CsCqReport, AnalysisError> {
     check_stable(hosts, params)?;
-    let chain = Chain::build(hosts, params, fit, arrivals)?;
-    let sol = chain.qbd.solve_in(ws)?;
-    assemble_report(&chain, &sol)
+    let (plan, qbd) = plan_and_build(hosts, params, fit, arrivals)?;
+    let sol = qbd.solve_in(ws)?;
+    assemble_report(&plan, &sol)
 }
 
-/// A fleet chain, built and not yet solved, with what its report is read
-/// off by: the layout that indexes the stationary vector, the busy-period
-/// fit qualities, and the parameters and hosts it was built for.
+/// Plans the chain for `arrivals` and builds it.
+fn plan_and_build(
+    hosts: Hosts,
+    params: &SystemParams,
+    fit: BusyPeriodFit,
+    arrivals: Arrivals,
+) -> Result<(Plan, Qbd), AnalysisError> {
+    let (cache, map) = arrivals.split(params)?;
+    let plan = Plan::new(hosts, params, fit, cache, map.dim())?;
+    let qbd = plan.build(&map)?;
+    Ok((plan, qbd))
+}
+
+/// A fleet chain planned and not yet built: the busy-period fits and the
+/// layout that sizes the generator blocks and indexes the stationary
+/// vector, with the parameters and hosts they were made for. A report is
+/// read off a solution by the plan alone, so the blocks
+/// [`Plan::build`] assembles need live only for their solve.
 #[derive(Debug, Clone)]
-struct Chain {
+struct Plan {
     hosts: Hosts,
     params: SystemParams,
     layout: KmLayout,
-    /// Qualities of the `(B_L, B_{N+1})` fits.
-    quality: (MatchQuality, MatchQuality),
-    qbd: Qbd,
+    /// The `(B_L, B_{N+1})` fits with their qualities; `None` at `m = 0`.
+    fits: Option<SlotFits>,
 }
 
-impl Chain {
-    /// Fits the busy periods and assembles the chain, unsolved.
-    fn build(
+impl Plan {
+    /// Fits the busy periods and lays out the phases of a chain whose
+    /// short arrivals have `ka` phases.
+    fn new(
         hosts: Hosts,
         params: &SystemParams,
         fit: BusyPeriodFit,
-        arrivals: Arrivals,
+        cache: Option<&SolveCache>,
+        ka: usize,
     ) -> Result<Self, AnalysisError> {
-        let (cache, map) = arrivals.split(params)?;
         let fits = fit_slot_busy_periods(hosts, params, fit, cache)?;
-        let phs = slot_phs(&fits);
-        let layout = KmLayout::new(hosts, phs, map.dim());
-        let qbd = build_with_layout(&layout, params, phs, &map)?;
-        let quality = match &fits {
-            Some(((_, blq), (_, bnq))) => (*blq, *bnq),
-            // m = 0: no busy periods exist; report the trivial quality.
-            None => (MatchQuality::MeanOnly, MatchQuality::MeanOnly),
-        };
-        Ok(Chain {
+        let layout = KmLayout::new(hosts, slot_phs(&fits), ka);
+        Ok(Plan {
             hosts,
             params: *params,
             layout,
-            quality,
-            qbd,
+            fits,
         })
+    }
+
+    /// Assembles the generator blocks for `arrivals`, a MAP with the
+    /// plan's `ka` phases.
+    fn build(&self, arrivals: &Map) -> Result<Qbd, AnalysisError> {
+        debug_assert_eq!(arrivals.dim(), self.layout.ka);
+        build_with_layout(&self.layout, &self.params, slot_phs(&self.fits), arrivals)
+    }
+
+    /// Rows of `B00`: every boundary phase times every arrival phase.
+    fn boundary_dim(&self) -> usize {
+        self.layout.offsets[self.hosts.k + self.hosts.m] * self.layout.ka
+    }
+
+    /// Rows of `A1`: every slot phase times every arrival phase.
+    fn phase_dim(&self) -> usize {
+        self.layout.np() * self.layout.ka
+    }
+
+    /// Qualities of the `(B_L, B_{N+1})` fits.
+    fn quality(&self) -> (MatchQuality, MatchQuality) {
+        match &self.fits {
+            Some(((_, blq), (_, bnq))) => (*blq, *bnq),
+            // m = 0: no busy periods exist; report the trivial quality.
+            None => (MatchQuality::MeanOnly, MatchQuality::MeanOnly),
+        }
     }
 }
 
-/// The one report-assembly body: reads `chain`'s report off `sol`, a
-/// solution of it. Every analysis runs it once per report it computes,
-/// the cached one, the uncached one and the batch presolve alike.
-fn assemble_report(chain: &Chain, sol: &QbdSolution) -> Result<CsCqReport, AnalysisError> {
+/// The one report-assembly body: reads the report of `plan`'s chain off
+/// `sol`, a solution of it. Every analysis runs it once per report it
+/// computes, the cached one, the uncached one and the batch presolve
+/// alike.
+fn assemble_report(plan: &Plan, sol: &QbdSolution) -> Result<CsCqReport, AnalysisError> {
     cyclesteal_obs::span!("core.cs_cq.analyze");
     cyclesteal_obs::counter!("core.cs_cq.analyze");
-    let Chain {
+    let Plan {
         hosts,
         params,
         layout,
-        quality: (bl_match, bn_match),
         ..
-    } = chain;
+    } = plan;
+    let (bl_match, bn_match) = plan.quality();
     // E[N_S]: boundary level n holds n shorts; repeating level j holds
     // (k + m) + j. At (1, 1) this is the paper's expression
     // `level1_mass + 2·repeating_mass + expected_level_index`.
@@ -671,8 +736,8 @@ fn assemble_report(chain: &Chain, sol: &QbdSolution) -> Result<CsCqReport, Analy
         p_region2,
         p_region5,
         setup_probability,
-        bl_match: *bl_match,
-        bn_match: *bn_match,
+        bl_match,
+        bn_match,
         total_mass: sol.total_mass(),
     })
 }
@@ -1245,9 +1310,9 @@ mod tests {
         let plan = plan_qbd_cached(hosts, &p, fit, &cache).unwrap();
         assert_eq!(plan.key(), report_key(hosts, &p, fit));
         let built = build_qbd_model(hosts, &p, fit).unwrap();
-        assert_eq!(plan.signature(), built.signature());
+        assert_eq!(plan.build().unwrap().signature(), built.signature());
         assert!(!cache.has_report(&plan.key()));
-        let sol = plan.solve().unwrap();
+        let sol = plan.build().unwrap().solve().unwrap();
         assert!(cache.seed_qbd_solution(&plan, sol));
         assert!(cache.has_report(&plan.key()));
         // Planner: 2 fit misses; seed: 1 report miss.

@@ -491,6 +491,16 @@ impl Matrix {
     /// is exhausted, whichever comes first. Allocates three buffers per
     /// call (the two iteration vectors and `|A|ᵀ`); see
     /// [`Matrix::spectral_radius_estimate_in`] for the pooled form.
+    ///
+    /// Two agreeing estimates can be a transient, so the result is neither
+    /// an upper nor a lower bound on the spectral radius. A 6 × 6 matrix
+    /// with entries `1e200` on `0 → 1 → 2 → 3` (row 3 zero), `1e-200` on
+    /// `4 → 0` and a self-loop of 1.5 on 4 has spectral radius 1.5, yet
+    /// returns `(1e200, 3)`: the nilpotent chain's equal entries make the
+    /// second and third estimates agree before its iterate dies out. The
+    /// QBD solve's `sp(R) < 1` test rests on
+    /// [`Matrix::spectral_radius_below_in`] whenever that certifies, which
+    /// is a proof; only when it does not does this estimate decide.
     pub fn spectral_radius_estimate_converged(&self, max_iters: usize) -> (f64, usize) {
         self.spectral_radius_estimate_in(max_iters, &mut Workspace::new())
     }

@@ -460,13 +460,15 @@ fn multi_rhs_solves_match_the_per_column_oracle() {
 /// The stability margin the QBD solver certifies `sp(R)` against.
 const MARGIN: f64 = 1.0 - 1e-9;
 
-/// Nonnegative `n x n` matrices of six kinds: dense; salted with `±0.0`;
-/// with zero rows and zero columns; reducible (block upper triangular,
-/// either diagonal block the larger); equal row sums of `radius`, so the
-/// uniform start vector is already the Perron vector and only rounding
-/// tells the ratios apart; and a nilpotent chain of huge entries beside a
-/// self-loop, whose start-up transient underflows the self-loop's iterate
-/// entry to `0.0` while the chain still feeds it.
+/// Nonnegative `n x n` matrices of seven kinds: dense; salted with
+/// `±0.0`; with zero rows and zero columns; reducible (block upper
+/// triangular, either diagonal block the larger); equal row sums of
+/// `radius`, so the uniform start vector is already the Perron vector and
+/// only rounding tells the ratios apart; and a nilpotent chain of huge
+/// entries beside a self-loop, whose start-up transient underflows the
+/// self-loop's iterate entry to `0.0` while the chain still feeds it, with
+/// distinct chain entries (kind 5) or equal ones (kind 6), on which the
+/// full estimate stops on the transient and returns the chain's entry.
 fn nonnegative(n: usize, kind: u8, radius: f64, rng: &mut SmallRng) -> Matrix {
     let mut a = Matrix::zeros(n, n);
     match kind {
@@ -530,7 +532,8 @@ fn nonnegative(n: usize, kind: u8, radius: f64, rng: &mut SmallRng) -> Matrix {
             // certificate that skipped v_i = 0 would find every ratio 0.
             assert!(n >= 6);
             let big = 1e200 * rng.random_range(1.0, 2.0);
-            for (i, scale) in [1.0, 2.0, 4.0].into_iter().enumerate() {
+            let scales = if kind == 5 { [1.0, 2.0, 4.0] } else { [1.0; 3] };
+            for (i, scale) in scales.into_iter().enumerate() {
                 a[(i, i + 1)] = scale * big;
             }
             a[(4, 0)] = 1e-200;
@@ -598,9 +601,9 @@ props! {
     /// estimate is below the bound; when it does not, the certified
     /// iteration returned the full estimate bit for bit. Radii are scaled
     /// to within `1e-15`–`1e-10` of the bound, on both sides, and
-    /// farther off; the underflow chain must never certify.
+    /// farther off; the underflow chains must never certify.
     fn the_spectral_certificate_never_outruns_the_full_estimate(
-        (size, kind, offset, seed) in (0usize..5, 0u8..6, 0usize..13, 0u64..u64::MAX),
+        (size, kind, offset, seed) in (0usize..5, 0u8..7, 0usize..13, 0u64..u64::MAX),
     ) {
         const SIZES: [usize; 5] = [1, 2, 6, 21, 85];
         const OFFSETS: [f64; 13] = [
@@ -608,7 +611,7 @@ props! {
             0.5,
         ];
         let mut rng = SmallRng::seed_from_u64(seed);
-        let n = SIZES[size].max(if kind == 5 { 6 } else { 0 });
+        let n = SIZES[size].max(if kind >= 5 { 6 } else { 0 });
         let radius = MARGIN * (1.0 + OFFSETS[offset]);
         let mut a = nonnegative(n, kind, radius, &mut rng);
         if kind < 4 {
@@ -620,6 +623,22 @@ props! {
             }
         }
         let fired = check_certificate(&a, &mut Workspace::new());
-        assert!(!(fired && kind == 5), "the underflow chain certified");
+        assert!(!(fired && kind >= 5), "an underflow chain certified");
     }
+}
+
+/// The transient of [`Matrix::spectral_radius_estimate_converged`]'s doc
+/// comment: equal `1e200` entries on the nilpotent chain make the full
+/// estimate stop after 3 steps at `1e200`, though the spectral radius is
+/// the self-loop's 1.5, and the certificate must not fire on it.
+#[test]
+fn the_certificate_never_fires_where_the_estimate_stops_on_a_transient() {
+    let mut a = Matrix::zeros(6, 6);
+    for i in 0..3 {
+        a[(i, i + 1)] = 1e200;
+    }
+    a[(4, 0)] = 1e-200;
+    a[(4, 4)] = 1.5;
+    assert_eq!(a.spectral_radius_estimate_converged(200), (1e200, 3));
+    assert!(!check_certificate(&a, &mut Workspace::new()));
 }

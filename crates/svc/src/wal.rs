@@ -238,7 +238,11 @@ pub fn decode_wal(bytes: &[u8]) -> (Vec<(ReportKey, CsCqReport)>, u64) {
     if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return (Vec::new(), 0);
     }
-    let mut entries = Vec::new();
+    // Every record is a header and a fixed-length payload, so the bytes
+    // after the magic hold at most this many: one allocation, however long
+    // the log a killed daemon left to replay.
+    let most = (bytes.len() - WAL_MAGIC.len()) / (RECORD_HEADER + RECORD_LEN);
+    let mut entries = Vec::with_capacity(most);
     let mut pos = WAL_MAGIC.len();
     while let Some(header) = bytes.get(pos..pos + RECORD_HEADER) {
         let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;

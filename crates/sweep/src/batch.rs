@@ -1,18 +1,26 @@
 //! The presolve planner: collects a sweep's pending CS-CQ analysis
-//! points, builds each distinct chain once, and solves it through
-//! [`Qbd::solve_in`] **before** the per-point evaluation phase, finishing
-//! each solution into its question's report in the shared [`SolveCache`],
-//! so evaluation finds every answer already there, under the report key
-//! it looks it up by.
+//! points, plans each distinct question once, and then, one question at a
+//! time, builds its chain, solves it through [`Qbd::solve_in`] and drops
+//! it, **before** the per-point evaluation phase, finishing each solution
+//! into its question's report in the shared [`SolveCache`], so evaluation
+//! finds every answer already there, under the report key it looks it up
+//! by.
+//!
+//! A plan holds the question's busy-period fits and its phase layout,
+//! which give the chain's dimensions without its blocks, so the planner
+//! orders the questions by shape and at most one chain is built at a
+//! time: a presolve of `n` questions holds `n` plans and one chain, not
+//! `n` chains.
 //!
 //! # Why this cannot change a report
 //!
-//! The planner builds each chain through [`cs_cq_km::plan_qbd_cached`],
-//! the exact construction path the cached evaluation uses on a miss, for
-//! every fleet shape alike, solves it with the same [`Qbd::solve_in`],
-//! and reads the report off the solution by the same assembly body. A
-//! seeded report is therefore the same bits evaluation would have
-//! computed itself; the presolve phase is a pure reordering of work.
+//! The planner plans each question through [`cs_cq_km::plan_qbd_cached`]
+//! and builds its chain through [`PlannedChain::build`], the exact
+//! construction path the cached evaluation uses on a miss, for every
+//! fleet shape alike, solves it with the same [`Qbd::solve_in`], and
+//! reads the report off the solution by the same assembly body. A seeded
+//! report is therefore the same bits evaluation would have computed
+//! itself; the presolve phase is a pure reordering of work.
 //! Error results are never seeded — a failing point re-runs the scalar
 //! pipeline (recovery ladder included) during evaluation and gets its
 //! ordinary attributed failure record.
@@ -48,7 +56,8 @@ pub struct BatchStats {
     /// counted before deduplication).
     pub eligible: usize,
     /// Distinct report keys planned whose report was not already cached
-    /// — the solves the presolve phase actually performed. An eligible
+    /// and whose chain built — the solves the presolve phase actually
+    /// performed. An eligible
     /// point whose three-moment report is already cached or being computed
     /// (say, recovered from the daemon's WAL, or seeded by an earlier
     /// presolve), or whose key an earlier point of the same presolve
@@ -64,7 +73,7 @@ pub struct BatchStats {
     pub batched: usize,
     /// Chains solved, one by one, through
     /// [`Qbd::solve_in`](cyclesteal_markov::Qbd::solve_in): every planned
-    /// chain, so this equals `unique`.
+    /// chain that built, so this equals `unique`.
     pub scalar: usize,
     /// Reports filed from successful solves (failed solves are never
     /// seeded; evaluation re-attributes them scalar-side).
@@ -87,7 +96,7 @@ impl std::ops::AddAssign for BatchStats {
     }
 }
 
-/// Plans and presolves the batchable chains of `points`, seeding `cache`.
+/// Plans and presolves the CS-CQ questions of `points`, seeding `cache`.
 ///
 /// Runs serially on the caller's thread (the engine invokes it before the
 /// evaluation phase fans out), so the stats — like everything else about
@@ -124,8 +133,9 @@ pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
 }
 
 /// The planning half of a presolve: filter to batch-eligible points, skip
-/// each whose report key is already answered or already planned, build each remaining chain through the exact cached
-/// construction path evaluation uses, and return the plans in canonical
+/// each whose report key is already answered or already planned, plan
+/// each remaining question through the exact cached construction path
+/// evaluation uses, building no chain, and return the plans in canonical
 /// order (tallying `stats`).
 fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<PlannedChain> {
     let mut seen = HashSet::new();
@@ -173,18 +183,23 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<Pla
     planned
 }
 
-/// The solving half of a presolve: solve each planned chain and file the
-/// report of each successful solution.
+/// The solving half of a presolve: for each plan in turn, build its
+/// chain, solve it, file the report of a successful solution, and drop
+/// the chain before the next one is built.
 fn solve_and_seed(
     planned: Vec<PlannedChain>,
     cache: &SolveCache,
     ws: &mut Workspace,
     stats: &mut BatchStats,
 ) {
-    stats.unique = planned.len();
-    stats.scalar = planned.len();
     for plan in &planned {
-        if plan
+        let Ok(chain) = plan.build() else {
+            // Evaluation rebuilds it and attributes the failure.
+            continue;
+        };
+        stats.unique += 1;
+        stats.scalar += 1;
+        if chain
             .solve_in(ws)
             .is_ok_and(|sol| cache.seed_qbd_solution(plan, sol))
         {
@@ -196,7 +211,7 @@ fn solve_and_seed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::GridSpec;
+    use crate::grid::{GridSpec, LongLaw};
     use cyclesteal_xtest::fault::{Armed, FaultPlan};
 
     /// Holds a fault plan that never fires for the test's duration:
@@ -244,6 +259,59 @@ mod tests {
         let stats = presolve(&twice, &SolveCache::new(), &mut Workspace::new());
         assert_eq!(stats.eligible, twice.len());
         assert_eq!(stats.unique, points.len(), "{stats:?}");
+    }
+
+    /// Planning without building keeps the order of the presolve that
+    /// built every chain before solving the first: by the built chain's
+    /// shape, then by key, each repeated key once. The reports are filed,
+    /// and so journaled, in that order.
+    #[test]
+    fn chains_are_solved_in_the_order_of_their_built_shapes() {
+        let _quiet = quiet();
+        let mut spec = GridSpec::analysis("order", vec![0.3, 0.9, 1.1], vec![0.3, 0.6]);
+        spec.policies = vec![Policy::CsCq];
+        spec.long_laws = vec![
+            LongLaw::exponential(1.0).unwrap(),
+            LongLaw::balanced(1.0, 8.0).unwrap(),
+        ];
+        spec.hosts = vec![(2, 2), (1, 1)];
+        let grid = spec.points();
+        let points: Vec<Point> = grid.iter().chain(grid.iter().rev()).copied().collect();
+
+        let fit = BusyPeriodFit::ThreeMoment;
+        let mut seen = HashSet::new();
+        let mut built = Vec::new();
+        for point in &points {
+            let hosts = Hosts::new(point.hosts.0, point.hosts.1).unwrap();
+            let params = SystemParams::from_loads(
+                point.rho_s,
+                point.mean_s,
+                point.rho_l,
+                point.long.moments(),
+            )
+            .unwrap();
+            if seen.insert(cs_cq_km::report_key(hosts, &params, fit)) {
+                let plan =
+                    cs_cq_km::plan_qbd_cached(hosts, &params, fit, &SolveCache::new()).unwrap();
+                let chain = plan.build().unwrap();
+                built.push((chain.boundary_dim(), chain.phase_dim(), plan.key()));
+            }
+        }
+        built.sort();
+        assert_eq!(built.len(), grid.len());
+        assert_ne!(built[0].0, built[built.len() - 1].0, "two shapes");
+
+        let root = SolveCache::new();
+        let scope = root.scope();
+        let stats = presolve(&points, &scope, &mut Workspace::new());
+        assert_eq!(stats.unique, built.len(), "{stats:?}");
+        let filed: Vec<_> = scope
+            .take_new_reports()
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        let want: Vec<_> = built.into_iter().map(|(.., key)| key).collect();
+        assert_eq!(filed, want);
     }
 
     #[test]

@@ -1,0 +1,248 @@
+//! Heap gates measured by this binary's own allocator: the peak live
+//! bytes of one presolve, and exact allocation counts for one answer.
+//!
+//! The allocator keeps its counts per thread, so the test harness's own
+//! threads never show in a figure, and every path measured here runs on
+//! the calling thread. Every test still holds one lock, so no two
+//! measurements share the process's other state (the armed fault plan,
+//! the telemetry registry).
+//!
+//! The peak gate complements `a_daemon_keeps_only_reports_across_drains`
+//! in `serving_counts.rs`, which bounds what a daemon keeps *across*
+//! drains: this one bounds what one presolve holds *within* a drain.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use cyclesteal::core::cache::SolveCache;
+use cyclesteal::core::stability::{self, Policy};
+use cyclesteal_svc::client::QueryRequest;
+use cyclesteal_svc::json;
+use cyclesteal_sweep::{presolve_points, run_query, Evaluator, LongLaw, Point};
+
+/// Forwards to the system allocator, counting on the calling thread every
+/// fresh block (`alloc` or `realloc`) and the bytes live, with their peak.
+struct Tracking;
+
+/// One thread's heap figures. Bytes freed on a thread other than the one
+/// that allocated them count where they are freed, so a thread's live
+/// figure can go negative; only differences are read.
+struct Counts {
+    allocs: Cell<u64>,
+    live: Cell<isize>,
+    peak: Cell<isize>,
+}
+
+thread_local! {
+    static COUNTS: Counts = const {
+        Counts {
+            allocs: Cell::new(0),
+            live: Cell::new(0),
+            peak: Cell::new(0),
+        }
+    };
+}
+
+/// Adds one fresh block (when `fresh`) and `delta` live bytes to the
+/// calling thread's figures.
+fn note(fresh: bool, delta: isize) {
+    // `try_with`: a thread being torn down may still free memory.
+    let _ = COUNTS.try_with(|c| {
+        if fresh {
+            c.allocs.set(c.allocs.get() + 1);
+        }
+        let live = c.live.get() + delta;
+        c.live.set(live);
+        c.peak.set(c.peak.get().max(live));
+    });
+}
+
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(true, layout.size() as isize);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(true, layout.size() as isize);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, -(layout.size() as isize));
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(true, new_size as isize - layout.size() as isize);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Tracking = Tracking;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Heap allocations `f` makes on this thread.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = COUNTS.with(|c| c.allocs.get());
+    let out = f();
+    (out, COUNTS.with(|c| c.allocs.get()) - before)
+}
+
+/// The most bytes live on this thread while `f` ran, above the live bytes
+/// when it started.
+fn peak_bytes_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = COUNTS.with(|c| {
+        c.peak.set(c.live.get());
+        c.live.get()
+    });
+    let out = f();
+    let peak = COUNTS.with(|c| c.peak.get());
+    (out, (peak - start) as usize)
+}
+
+fn point(rho_s: f64, rho_l: f64, scv: f64, hosts: (usize, usize)) -> Point {
+    let long = if scv == 1.0 {
+        LongLaw::exponential(1.0)
+    } else {
+        LongLaw::balanced(1.0, scv)
+    };
+    Point {
+        rho_s,
+        rho_l,
+        mean_s: 1.0,
+        long: long.unwrap(),
+        policy: Policy::CsCq,
+        evaluator: Evaluator::Analysis,
+        extend_longs: false,
+        hosts,
+    }
+}
+
+/// A 16-wide drain of distinct heavy (2, 2) questions.
+fn heavy_drain() -> Vec<Point> {
+    (0..16)
+        .map(|i| point(2.0 + 0.005 * i as f64, 0.5, 1.0, (2, 2)))
+        .collect()
+}
+
+/// A 64-point grid of distinct questions shaped like the benchmark's
+/// `sweep_grid` grids: 48 (1, 1) points and 16 (2, 2) points, over three
+/// long-job C² values.
+fn mixed_grid() -> Vec<Point> {
+    const SCV: [f64; 3] = [1.0, 4.0, 16.0];
+    let mut points = Vec::new();
+    for (i, rho_l) in [0.2, 0.5, 0.8].into_iter().enumerate() {
+        let max = stability::max_rho_s(Policy::CsCq, rho_l);
+        for j in 0..16 {
+            let rho_s = (0.05 + 0.05 * j as f64) * max;
+            points.push(point(rho_s, rho_l, SCV[(i + j) % 3], (1, 1)));
+        }
+    }
+    for (i, rho_l) in [0.4, 1.2].into_iter().enumerate() {
+        let max = stability::max_rho_s_km(2, 2, rho_l);
+        for j in 0..8 {
+            let rho_s = (0.1 + 0.1 * j as f64) * max;
+            points.push(point(rho_s, rho_l, SCV[(i + j) % 3], (2, 2)));
+        }
+    }
+    points
+}
+
+/// Peak live bytes allowed above the start of a presolve of
+/// [`heavy_drain`] and of [`mixed_grid`]: about twice the measured
+/// 122,676 and 202,600 bytes, and under a third of what the presolve
+/// held when it built every chain before solving the first (1,091,036
+/// and 1,283,472 bytes).
+const DRAIN_BOUND: usize = 256 * 1024;
+const GRID_BOUND: usize = 384 * 1024;
+
+/// Presolves `points` into a fresh cache and returns the peak live bytes
+/// above the start, after checking that every question was presolved.
+/// A presolve of a heavy (2, 2) question first warms this thread's solve
+/// workspace, as a serving worker's is after its first drain, so the
+/// figure counts what the presolve itself holds.
+fn presolve_peak(points: &[Point]) -> usize {
+    presolve_points(&[point(1.9, 0.5, 1.0, (2, 2))], &SolveCache::new());
+    let cache = SolveCache::new();
+    let (stats, peak) = peak_bytes_during(|| presolve_points(points, &cache));
+    assert_eq!(stats.unique, points.len(), "{stats:?}");
+    assert_eq!(stats.seeded, stats.unique, "{stats:?}");
+    peak
+}
+
+/// A presolve builds one chain at a time: its peak is about one (2, 2)
+/// chain's blocks plus the filed reports, not the sum of every planned
+/// chain's blocks.
+#[test]
+fn a_drain_presolve_holds_one_chain_at_a_time() {
+    let _serial = serial();
+    let peak = presolve_peak(&heavy_drain());
+    println!("drain presolve peak: {peak} bytes");
+    assert!(peak < DRAIN_BOUND, "{peak} bytes");
+}
+
+#[test]
+fn a_grid_presolve_holds_one_chain_at_a_time() {
+    let _serial = serial();
+    let peak = presolve_peak(&mixed_grid());
+    println!("grid presolve peak: {peak} bytes");
+    assert!(peak < GRID_BOUND, "{peak} bytes");
+}
+
+/// Allocations of one cold answer of `p`, on a workspace that has already
+/// solved a chain of the same shape.
+fn cold_answer_allocs(p: &Point, warm_up: &Point) -> u64 {
+    run_query(warm_up, &SolveCache::new(), None);
+    let cache = SolveCache::new();
+    let (answer, allocs) = allocs_during(|| run_query(p, &cache, None));
+    assert!(answer.row.failure.is_none(), "{answer:?}");
+    allocs
+}
+
+#[test]
+fn a_cold_11_answer_makes_pinned_allocations() {
+    let _serial = serial();
+    let allocs = cold_answer_allocs(&point(0.7, 0.5, 1.0, (1, 1)), &point(0.6, 0.5, 1.0, (1, 1)));
+    assert_eq!(allocs, 66);
+}
+
+#[test]
+fn a_cold_22_answer_makes_pinned_allocations() {
+    let _serial = serial();
+    let allocs = cold_answer_allocs(&point(2.1, 0.5, 1.0, (2, 2)), &point(2.0, 0.5, 1.0, (2, 2)));
+    assert_eq!(allocs, 67);
+}
+
+#[test]
+fn a_report_hit_makes_pinned_allocations() {
+    let _serial = serial();
+    let p = point(0.7, 0.5, 1.0, (1, 1));
+    let cache = SolveCache::new();
+    let cold = run_query(&p, &cache, None);
+    let (hit, allocs) = allocs_during(|| run_query(&p, &cache, None));
+    assert_eq!(hit, cold);
+    assert_eq!(allocs, 2);
+}
+
+#[test]
+fn parsing_a_query_frame_makes_pinned_allocations() {
+    let _serial = serial();
+    let frame = QueryRequest {
+        rho_s: 2.0,
+        rho_l: 0.5,
+        hosts: (2, 2),
+        ..QueryRequest::default()
+    }
+    .to_json();
+    let (doc, allocs) = allocs_during(|| json::parse(&frame));
+    assert!(doc.is_ok(), "{frame}");
+    assert_eq!(allocs, 15);
+}

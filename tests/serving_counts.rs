@@ -155,8 +155,8 @@ fn two_scopes_seeding_one_key_file_and_journal_it_once() {
     let plan_a = cs_cq_km::plan_qbd_cached(hosts, &params, fit, &a).unwrap();
     let plan_b = cs_cq_km::plan_qbd_cached(hosts, &params, fit, &b).unwrap();
     assert_eq!(plan_a.key(), plan_b.key());
-    assert!(a.seed_qbd_solution(&plan_a, plan_a.solve().unwrap()));
-    assert!(b.seed_qbd_solution(&plan_b, plan_b.solve().unwrap()));
+    assert!(a.seed_qbd_solution(&plan_a, plan_a.build().unwrap().solve().unwrap()));
+    assert!(b.seed_qbd_solution(&plan_b, plan_b.build().unwrap().solve().unwrap()));
 
     // With both scopes alive the root counts the shared report layer
     // alone (each scope's fits join on drop): one miss, one hit.

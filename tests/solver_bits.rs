@@ -260,7 +260,7 @@ enum Report {
     /// The cached analysis (Poisson shorts); the batched path seeds the
     /// cache with the batch's solution first, under the planned chain's
     /// key, as the sweep presolve does.
-    Cached(Hosts, SystemParams, PlannedChain),
+    Cached(Hosts, SystemParams, Box<PlannedChain>),
     /// The MAP analysis, which solves on its own (scalar only).
     Map(SystemParams, Map),
     None,
@@ -291,8 +291,8 @@ fn cs_cq_case(hosts: Hosts, rho_s: f64, rho_l: f64, scv: f64) -> Case {
             hosts.k(),
             hosts.m()
         ),
-        qbd: Qbd::clone(&plan),
-        report: Report::Cached(hosts, p, plan),
+        qbd: plan.build().unwrap(),
+        report: Report::Cached(hosts, p, Box::new(plan)),
         alg: None,
     }
 }
