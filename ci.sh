@@ -28,11 +28,12 @@ echo "==> cargo test (workspace, offline)"
 #   scrape-vs-registry bit-match, slow log, periodic flush.
 # * presolve differential oracle (tests/batch_vs_scalar_props.rs,
 #   tests/golden_batched.rs, and the `batch` unit tests of
-#   cyclesteal-markov): a group solve and a presolved sweep are
-#   bit-identical to solving each chain alone. Random
-#   same-shape/mixed-shape/frontier groups shrink on failure, and the
-#   golden suite replays the Figure-4 sweep presolved-vs-scalar at 1/2/8
-#   threads.
+#   cyclesteal-markov): `Qbd::solve_batch_in` over random
+#   same-shape/mixed-shape/frontier groups, which shrink on failure, is
+#   bit-identical to solving each chain alone, and the golden suite
+#   holds the presolved Figure-4 sweep at 1/2/8 threads and under
+#   shuffling to `run_queries`, each point answered on its own through
+#   `run_query`, byte for byte.
 # * (k, m) fleet reduction gate (tests/km_reduction.rs, tests/km_props.rs):
 #   the fleet chain is the only CS-CQ builder, trusted through its
 #   reduction. The differential suite proves the (1, 1) fleet chain IS

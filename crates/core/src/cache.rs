@@ -17,10 +17,11 @@
 //! One memo per question: every cached chain has Poisson arrivals at the
 //! snapped `λ_S` (see `cs_cq_km`), so its report is a pure function of
 //! its key, and the cached analysis builds and solves a chain only on a
-//! report miss. The batch presolve files its answers in the same layer:
-//! [`SolveCache::seed_qbd_solution`] reads the report off a presolved
-//! solution and files it under the question's key, so the evaluation
-//! that follows is a report hit.
+//! report miss. The presolve files its answers in the same layer, through
+//! the same cached analysis, so the evaluation that follows is a report
+//! hit. [`SolveCache::seed_qbd_solution`] files a report read off a
+//! solution of a planned chain instead; the benchmark harness in
+//! `perfbench/` and tests call it.
 //!
 //! # Drain scopes versus the sweep memo
 //!
@@ -562,8 +563,9 @@ pub struct SolveCache {
     /// The report layer and what goes with it, shared by this cache and
     /// every scope made from it.
     store: Arc<ReportStore>,
-    /// A scope's reports *computed* through it (by a miss's analysis or by
-    /// [`SolveCache::seed_qbd_solution`]) and not yet taken by
+    /// A scope's reports *computed* through it (by a miss's analysis, the
+    /// presolve's included, or by [`SolveCache::seed_qbd_solution`]) and
+    /// not yet taken by
     /// [`SolveCache::take_new_reports`]; `None` for a root cache. Reports
     /// seeded by [`SolveCache::restore_reports`] are never journaled — they
     /// came from the persistence layer, which must not re-append its own
@@ -686,11 +688,11 @@ impl SolveCache {
         self.fits.get_or_compute(key, compute)
     }
 
-    /// Finishes a planned question with a solution of its chain (the sweep
-    /// engine's presolve): reads the question's report off `sol` and
-    /// files it under the key the chain was planned for, through
-    /// the same once-per-key protocol as a report miss, so a scope
-    /// journals it and the telemetry of a presolved sweep stays
+    /// Finishes a planned question with a solution of its chain (the
+    /// benchmark harness in `perfbench/` and tests call it): reads the
+    /// question's report off `sol` and files it under the key the chain
+    /// was planned for, through the same once-per-key protocol as a
+    /// report miss, so a scope journals it and the counts stay
     /// deterministic. If the key is already present the existing report
     /// wins and `sol` is discarded (both are pure functions of the key,
     /// hence identical); if assembly fails nothing is filed. Returns
@@ -740,7 +742,7 @@ impl SolveCache {
     }
 
     /// `true` when `key` has a report, ready or still being computed by
-    /// another thread: the batch planner's "already answered" test, which
+    /// another thread: the presolve's "already answered" test, which
     /// leaves a pending key to its designated computer. Touches no hit/miss
     /// counter and never waits.
     pub fn has_report(&self, key: &ReportKey) -> bool {

@@ -385,8 +385,8 @@ pub fn build_qbd_model_map(params: &SystemParams, arrivals: &Map) -> Result<Qbd,
 
 /// Plans the CS-CQ QBD exactly as [`analyze_cached`] would on a report
 /// miss, **without building it**, together with the report key it
-/// answers — [`cs_cq_km::plan_qbd_cached`], the batch planner's hook, at
-/// `(1, 1)`.
+/// answers — [`cs_cq_km::plan_qbd_cached`] at `(1, 1)`, which the
+/// benchmark harness in `perfbench/` and tests call.
 ///
 /// # Errors
 ///

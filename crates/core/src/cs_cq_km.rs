@@ -318,11 +318,13 @@ pub fn build_qbd_model(
 /// Plans the fleet chain exactly as [`analyze_cached_in`] would on a
 /// report miss — parameters snapped, fits served through the cache —
 /// **without building it**, and returns the plan with its [`report_key`].
-/// The sweep batch planner's hook: [`PlannedChain::build`] then assembles
-/// the blocks bit for bit as the cached analysis path does, and the report
+/// [`PlannedChain::build`] then assembles the blocks bit for bit as the
+/// cached analysis path does, and the report
 /// [`SolveCache::seed_qbd_solution`] reads off a solution is the one
 /// evaluation would compute, filed under the key evaluation looks it up
-/// by. Nothing about the chain itself is cached.
+/// by. Nothing about the chain itself is cached. The benchmark harness in
+/// `perfbench/` and tests are its remaining callers; the presolve files
+/// its questions through [`analyze_cached_in`] itself.
 ///
 /// # Errors
 ///
@@ -348,13 +350,12 @@ pub fn plan_qbd_cached(
 }
 
 /// A chain planned for one question and not yet built, with the
-/// [`ReportKey`] it answers: what [`plan_qbd_cached`] hands the batch
-/// planner, and what [`SolveCache::seed_qbd_solution`] finishes into that
-/// question's report. It holds the busy-period fits and the phase layout,
-/// a small fraction of the generator blocks, so a planner can hold many;
-/// [`PlannedChain::build`] assembles the blocks, which need live only for
-/// their solve. Only the planner hook makes one, so the key is always the
-/// key the cached analysis looks the report up by.
+/// [`ReportKey`] it answers: what [`plan_qbd_cached`] returns, and what
+/// [`SolveCache::seed_qbd_solution`] finishes into that question's
+/// report. It holds the busy-period fits and the phase layout;
+/// [`PlannedChain::build`] assembles the blocks. Only
+/// [`plan_qbd_cached`] makes one, so the key is always the key the cached
+/// analysis looks the report up by.
 #[derive(Debug, Clone)]
 pub struct PlannedChain {
     key: ReportKey,
@@ -369,16 +370,6 @@ impl PlannedChain {
         self.key
     }
 
-    /// The built chain's [`Qbd::boundary_dim`], read off the layout.
-    pub fn boundary_dim(&self) -> usize {
-        self.plan.boundary_dim()
-    }
-
-    /// The built chain's [`Qbd::phase_dim`], read off the layout.
-    pub fn phase_dim(&self) -> usize {
-        self.plan.phase_dim()
-    }
-
     /// Assembles the chain's generator blocks: the chain
     /// [`analyze_cached_in`] builds for this question, bit for bit.
     ///
@@ -391,8 +382,7 @@ impl PlannedChain {
 
     /// Builds the chain, solves it out of `ws` and drops it: the blocks
     /// live for this call only. The benchmark harness in `perfbench/`
-    /// calls it; the presolve builds and solves in two steps, to count
-    /// the chains that built.
+    /// calls it.
     ///
     /// # Errors
     ///
@@ -635,16 +625,6 @@ impl Plan {
         build_with_layout(&self.layout, &self.params, slot_phs(&self.fits), arrivals)
     }
 
-    /// Rows of `B00`: every boundary phase times every arrival phase.
-    fn boundary_dim(&self) -> usize {
-        self.layout.offsets[self.hosts.k + self.hosts.m] * self.layout.ka
-    }
-
-    /// Rows of `A1`: every slot phase times every arrival phase.
-    fn phase_dim(&self) -> usize {
-        self.layout.np() * self.layout.ka
-    }
-
     /// Qualities of the `(B_L, B_{N+1})` fits.
     fn quality(&self) -> (MatchQuality, MatchQuality) {
         match &self.fits {
@@ -657,8 +637,8 @@ impl Plan {
 
 /// The one report-assembly body: reads the report of `plan`'s chain off
 /// `sol`, a solution of it. Every analysis runs it once per report it
-/// computes, the cached one, the uncached one and the batch presolve
-/// alike.
+/// computes, the cached one (which the presolve calls) and the uncached
+/// one alike.
 fn assemble_report(plan: &Plan, sol: &QbdSolution) -> Result<CsCqReport, AnalysisError> {
     cyclesteal_obs::span!("core.cs_cq.analyze");
     cyclesteal_obs::counter!("core.cs_cq.analyze");

@@ -40,7 +40,10 @@
 //!   totals when the scope drops);
 //! * [`DurableCache`](crate::wal::DurableCache) owns `svc_wal_*`;
 //! * the server's [`BatchTotals`] own `svc_batch_*`, added once per
-//!   drain; `svc_batch_dedup_hits_total` is `presolved − unique`;
+//!   drain: a drain's presolve files each distinct question of the
+//!   drain once, so `svc_batch_unique_total` counts questions filed,
+//!   `svc_batch_seeded_total` those filed successfully, and
+//!   `svc_batch_dedup_hits_total` is `presolved − unique`;
 //! * the server owns `svc_slow_queries_total` and `svc_recovery_seconds`
 //!   (the start-up store open, timed under the `svc.recovery.open` span);
 //! * the [`RecoveryReport`] of that open owns the other `svc_recovery_*`
@@ -72,14 +75,14 @@ pub struct BatchTotals {
     pub drains: u64,
     /// High-water mark of jobs drained in a single worker wakeup.
     pub width_max: u64,
-    /// Points handed to the batch presolve planner.
+    /// Points handed to the presolve.
     pub presolved: u64,
     /// Jobs excluded from a presolve because their deadline had already
     /// expired at drain time (they still time out with `stage:
     /// "admission"`, spending no solver work).
     pub skipped_deadline: u64,
-    /// The planner's own counts, summed: `unique`, `batched`, `scalar`,
-    /// `seeded` and `skipped_faulted` feed the `svc_batch_*` series.
+    /// The presolve's own counts, summed: `unique`, `seeded` and
+    /// `skipped_faulted` feed the `svc_batch_*` series.
     pub presolve: BatchStats,
 }
 
@@ -161,8 +164,6 @@ impl NativeMetrics {
         let dedup_hits = batch.presolved - presolve.unique as u64;
         counter(&mut s, "svc_batch_dedup_hits_total", dedup_hits);
         counter(&mut s, "svc_batch_unique_total", presolve.unique as u64);
-        counter(&mut s, "svc_batch_batched_total", presolve.batched as u64);
-        counter(&mut s, "svc_batch_scalar_total", presolve.scalar as u64);
         counter(&mut s, "svc_batch_seeded_total", presolve.seeded as u64);
         labeled(
             &mut s,

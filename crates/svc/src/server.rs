@@ -102,7 +102,9 @@ pub struct ServerConfig {
     pub obs_flush_secs: u64,
     /// Micro-batching width: the most jobs one worker wakeup drains from
     /// the admission queue. A drain dedupes its points by report key and
-    /// solves the unique chains one by one before it answers each query.
+    /// files each distinct question's report, in key order, through the
+    /// cached analysis evaluation calls first, before it answers each
+    /// query.
     /// `1` (or `0`) disables batching — the scalar control
     /// configuration; responses are byte-identical either way.
     pub batch_max: usize,
@@ -721,12 +723,12 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// The micro-batch presolve of one drained job batch: dedupe the batch's
-/// points by report key, solve each unique chain once, and file each
-/// question's report in the drain's `scope` — so the per-query
-/// evaluations below are report hits and build no chain, and the first
-/// answer's WAL write carries every presolved record. A seeded report is
-/// bit-identical to what the scalar path would compute, so responses
-/// cannot change; only the duplicated work does.
+/// points by report key and file each distinct question's report in the
+/// drain's `scope` — so the per-query evaluations below are report hits
+/// and build no chain, and the first answer's WAL write carries every
+/// presolved record. A filed report is the one the scalar path's first
+/// call would compute, so responses cannot change; only the duplicated
+/// work does.
 fn presolve_batch(shared: &Arc<Shared>, scope: &SolveCache, jobs: &[Job], clock: &MonotonicClock) {
     let now = clock.now_ns();
     // A job whose budget already expired in the queue must spend no

@@ -142,8 +142,15 @@ fn quality_from_byte(b: u8) -> Option<MatchQuality> {
 
 /// Packs one cache entry into a fixed-size record payload.
 pub fn encode_record(key: &ReportKey, report: &CsCqReport) -> Vec<u8> {
-    let (params, tag, (k, m)) = key;
     let mut out = Vec::with_capacity(RECORD_LEN);
+    encode_record_into(&mut out, key, report);
+    out
+}
+
+/// Appends the [`encode_record`] payload of one cache entry to `out`.
+fn encode_record_into(out: &mut Vec<u8>, key: &ReportKey, report: &CsCqReport) {
+    let start = out.len();
+    let (params, tag, (k, m)) = key;
     for p in params {
         out.extend_from_slice(&p.to_le_bytes());
     }
@@ -164,8 +171,7 @@ pub fn encode_record(key: &ReportKey, report: &CsCqReport) -> Vec<u8> {
     }
     out.push(quality_to_byte(report.bl_match));
     out.push(quality_to_byte(report.bn_match));
-    debug_assert_eq!(out.len(), RECORD_LEN);
-    out
+    debug_assert_eq!(out.len() - start, RECORD_LEN);
 }
 
 /// Unpacks a record payload; `None` if it is structurally invalid.
@@ -265,17 +271,18 @@ pub fn decode_wal(bytes: &[u8]) -> (Vec<(ReportKey, CsCqReport)>, u64) {
     (entries, pos as u64)
 }
 
-/// Encodes a snapshot image from `entries`.
+/// Encodes a snapshot image from `entries`: the magic, then a body of the
+/// entry count and every record payload, then the body's CRC, written
+/// into one buffer.
 pub fn encode_snapshot(entries: &[(ReportKey, CsCqReport)]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4 + entries.len() * RECORD_LEN);
-    body.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (key, report) in entries {
-        body.extend_from_slice(&encode_record(key, report));
-    }
-    let mut out = Vec::with_capacity(SNAP_MAGIC.len() + body.len() + 4);
+    let body_start = SNAP_MAGIC.len();
+    let mut out = Vec::with_capacity(body_start + 4 + entries.len() * RECORD_LEN + 4);
     out.extend_from_slice(SNAP_MAGIC);
-    let crc = crc32(&body);
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (key, report) in entries {
+        encode_record_into(&mut out, key, report);
+    }
+    let crc = crc32(&out[body_start..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
@@ -436,18 +443,21 @@ impl DurableCache {
     /// still correct; the worst on-disk outcome is a torn tail that the
     /// next recovery truncates.
     pub fn append(&self, key: &ReportKey, report: &CsCqReport) -> io::Result<()> {
-        let payload = encode_record(key, report);
-        let mut rec = Vec::with_capacity(RECORD_HEADER + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
+        // The header (length, then the payload's CRC, filled in below) and
+        // the payload, encoded into one buffer.
+        let mut rec = Vec::with_capacity(RECORD_HEADER + RECORD_LEN);
+        rec.extend_from_slice(&(RECORD_LEN as u32).to_le_bytes());
+        rec.extend_from_slice(&[0; 4]);
+        encode_record_into(&mut rec, key, report);
+        let crc = crc32(&rec[RECORD_HEADER..]);
+        rec[4..RECORD_HEADER].copy_from_slice(&crc.to_le_bytes());
 
         let mut wal = lock(&self.wal);
         if wal.kill_after_appends == Some(wal.stats.appends) {
             // The crash gate: leave a torn record (header + part of the
             // payload) on disk, then die without unwinding — exactly the
             // failure recovery must survive.
-            let torn = &rec[..RECORD_HEADER + payload.len() / 2];
+            let torn = &rec[..RECORD_HEADER + RECORD_LEN / 2];
             let _ = wal.file.write_all(torn);
             let _ = wal.file.sync_data();
             crate::raw_self_sigkill();

@@ -1,82 +1,66 @@
-//! The presolve planner: collects a sweep's pending CS-CQ analysis
-//! points, plans each distinct question once, and then, one question at a
-//! time, builds its chain, solves it through [`Qbd::solve_in`] and drops
-//! it, **before** the per-point evaluation phase, finishing each solution
-//! into its question's report in the shared [`SolveCache`], so evaluation
-//! finds every answer already there, under the report key it looks it up
-//! by.
-//!
-//! A plan holds the question's busy-period fits and its phase layout,
-//! which give the chain's dimensions without its blocks, so the planner
-//! orders the questions by shape and at most one chain is built at a
-//! time: a presolve of `n` questions holds `n` plans and one chain, not
-//! `n` chains.
+//! The presolve: collects a sweep's or a drain's pending CS-CQ analysis
+//! points and, **before** the per-point evaluation phase, files each
+//! distinct question's report in the shared [`SolveCache`], so
+//! evaluation finds every answer already there.
 //!
 //! # Why this cannot change a report
 //!
-//! The planner plans each question through [`cs_cq_km::plan_qbd_cached`]
-//! and builds its chain through [`PlannedChain::build`], the exact
-//! construction path the cached evaluation uses on a miss, for every
-//! fleet shape alike, solves it with the same [`Qbd::solve_in`], and
-//! reads the report off the solution by the same assembly body. A seeded
-//! report is therefore the same bits evaluation would have computed
-//! itself; the presolve phase is a pure reordering of work.
-//! Error results are never seeded — a failing point re-runs the scalar
-//! pipeline (recovery ladder included) during evaluation and gets its
-//! ordinary attributed failure record.
+//! Each distinct question is filed through
+//! [`cs_cq_km::analyze_cached_in`] with the three-moment fit: the first
+//! rung the evaluation's recovery ladder
+//! ([`recover::analyze_cached_in`]) runs, under the same report key. A
+//! presolved report is therefore the evaluation's own call, made earlier;
+//! the presolve is a pure reordering of work. The chain is built just
+//! before its solve and dropped right after it, so a presolve holds one
+//! chain at a time. Errors are never cached, so a failing question
+//! re-runs the whole ladder during evaluation and gets its ordinary
+//! attributed failure record.
+//!
+//! Questions are filed in [`ReportKey`] order, which makes the order of
+//! the reports a drain journals independent of the order its points
+//! arrived in.
 //!
 //! Points with a planned fault on their scope are skipped wholesale:
 //! faulted points bypass the shared cache during evaluation (see the
 //! engine), so presolving them would be wasted work at best and at worst
 //! would let a clean presolve mask an injection site.
 //!
-//! [`Qbd::solve_in`]: cyclesteal_markov::Qbd::solve_in
+//! [`recover::analyze_cached_in`]: cyclesteal_core::recover::analyze_cached_in
 
 use std::collections::HashSet;
 
-use cyclesteal_core::cache::{PlannedChain, SolveCache};
+use cyclesteal_core::cache::{ReportKey, SolveCache};
 use cyclesteal_core::cs_cq::BusyPeriodFit;
 use cyclesteal_core::cs_cq_km::{self, Hosts};
 use cyclesteal_core::stability::Policy;
 use cyclesteal_core::SystemParams;
-use cyclesteal_linalg::Workspace;
 use cyclesteal_xtest::fault;
 
 use crate::grid::{Evaluator, Point};
 use crate::report::SweepRow;
 
-/// What the batch presolve phase did, surfaced through
+/// What the presolve did, surfaced through
 /// [`SweepMetrics::batch`](crate::SweepMetrics::batch). Purely
 /// informational — the report is bit-identical whether or not a presolve
 /// ran at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// CS-CQ analysis points that passed the stability precheck and had
-    /// no fault planned on their scope (the planner's candidates,
+    /// no fault planned on their scope (the presolve's candidates,
     /// counted before deduplication).
     pub eligible: usize,
-    /// Distinct report keys planned whose report was not already cached
-    /// and whose chain built — the solves the presolve phase actually
-    /// performed. An eligible
-    /// point whose three-moment report is already cached or being computed
-    /// (say, recovered from the daemon's WAL, or seeded by an earlier
-    /// presolve), or whose key an earlier point of the same presolve
-    /// carried, is not planned at all, so it never counts here; the
-    /// daemon's `svc_batch_dedup_hits`, computed as `points − unique`,
-    /// counts it as a dedup hit.
+    /// Distinct questions filed. An eligible point whose three-moment
+    /// report is already cached or being computed (say, recovered from
+    /// the daemon's WAL, or filed by an earlier presolve), or whose key
+    /// an earlier point of the same presolve carried, is not filed again,
+    /// so it never counts here; the daemon's `svc_batch_dedup_hits`,
+    /// computed as `points − unique`, counts it as a dedup hit.
     pub unique: usize,
-    /// Always 0: no chains are solved in groups any more.
-    pub batches: usize,
-    /// Always 0: every planned chain is solved on its own. Kept because
-    /// the benchmark harness in `perfbench/` reads it as a share of
-    /// `unique`.
+    /// Always 0: no chains are solved in groups. Kept because the
+    /// benchmark harness in `perfbench/` reads it as a share of `unique`.
     pub batched: usize,
-    /// Chains solved, one by one, through
-    /// [`Qbd::solve_in`](cyclesteal_markov::Qbd::solve_in): every planned
-    /// chain that built, so this equals `unique`.
-    pub scalar: usize,
-    /// Reports filed from successful solves (failed solves are never
-    /// seeded; evaluation re-attributes them scalar-side).
+    /// Questions whose report was filed: the filings that succeeded
+    /// (errors are never cached; evaluation re-attributes them).
     pub seeded: usize,
     /// Otherwise-eligible points skipped because the armed fault plan
     /// targets their scope.
@@ -88,58 +72,55 @@ impl std::ops::AddAssign for BatchStats {
     fn add_assign(&mut self, o: BatchStats) {
         self.eligible += o.eligible;
         self.unique += o.unique;
-        self.batches += o.batches;
         self.batched += o.batched;
-        self.scalar += o.scalar;
         self.seeded += o.seeded;
         self.skipped_faulted += o.skipped_faulted;
     }
 }
 
-/// Plans and presolves the CS-CQ questions of `points`, seeding `cache`.
+/// Presolves the CS-CQ questions of `points` into `cache`, on the calling
+/// thread, out of the calling thread's scratch workspace (the same
+/// per-thread workspace [`crate::run_query`] evaluates with).
 ///
-/// Runs serially on the caller's thread (the engine invokes it before the
-/// evaluation phase fans out), so the stats — like everything else about
-/// the presolve — are independent of the sweep's thread count.
-pub(crate) fn presolve(points: &[Point], cache: &SolveCache, ws: &mut Workspace) -> BatchStats {
+/// The sweep engine calls it before its evaluation phase fans out, so
+/// its stats, like everything else about the presolve, are independent
+/// of the sweep's thread count. A serving daemon calls it on the points
+/// of a drain, then answers each query individually through
+/// [`crate::run_query`], which finds every filed report in `cache`. In a
+/// drain scope those reports are journaled here, before the first
+/// answer. A filed report is the bits the per-query evaluation would have
+/// computed itself, deadline or no deadline, so a presolve cannot move a
+/// byte of any response.
+///
+/// Fault-planned points are skipped (their ids are the same canonical
+/// per-point fault scopes `run_query` enters), so injected failures
+/// neither poison the shared cache nor get masked by a clean presolve.
+pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
     let mut stats = BatchStats::default();
-    let planned = plan(points, cache, &mut stats);
-    solve_and_seed(planned, cache, ws, &mut stats);
+    let questions = plan(points, cache, &mut stats);
+    crate::engine::WORKSPACE.with(|ws| {
+        let ws = &mut ws.borrow_mut();
+        for (_, hosts, params) in &questions {
+            stats.unique += 1;
+            let fit = BusyPeriodFit::ThreeMoment;
+            if cs_cq_km::analyze_cached_in(*hosts, params, fit, cache, ws).is_ok() {
+                stats.seeded += 1;
+            }
+        }
+    });
     stats
 }
 
-/// The query-stream presolve entry: plan, solve, and seed the
-/// chains of `points` on the calling thread, using the calling thread's
-/// scratch [`Workspace`] (the same per-thread workspace
-/// [`crate::run_query`] evaluates with).
-///
-/// This is the seam a serving daemon shares with the sweep engine: a
-/// worker that drained several compatible queries hands their points
-/// here, then answers each query individually through the ordinary
-/// scalar path — which now finds every planned question's report already
-/// in `cache`. In a drain scope those reports are journaled here, before
-/// the first answer. The bit-identity argument of the module docs applies
-/// unchanged: a seeded report is the same bits the per-query evaluation
-/// would have computed itself, deadline or no deadline, so batching can
-/// coalesce a burst's factorizations without moving a byte of any
-/// response.
-///
-/// Fault-planned points are skipped exactly as in a sweep presolve
-/// (their ids are the same canonical per-point fault scopes `run_query`
-/// enters), so injected failures neither poison the shared cache nor get
-/// masked by a clean presolve.
-pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
-    crate::engine::WORKSPACE.with(|ws| presolve(points, cache, &mut ws.borrow_mut()))
-}
-
-/// The planning half of a presolve: filter to batch-eligible points, skip
-/// each whose report key is already answered or already planned, plan
-/// each remaining question through the exact cached construction path
-/// evaluation uses, building no chain, and return the plans in canonical
-/// order (tallying `stats`).
-fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<PlannedChain> {
+/// The planning half of a presolve: filter to eligible points, skip each
+/// whose report key is already answered or already planned, and return
+/// the remaining questions in key order (tallying `stats`).
+fn plan(
+    points: &[Point],
+    cache: &SolveCache,
+    stats: &mut BatchStats,
+) -> Vec<(ReportKey, Hosts, SystemParams)> {
     let mut seen = HashSet::new();
-    let mut planned = Vec::new();
+    let mut questions = Vec::new();
     for point in points {
         // Only what the evaluator would solve: CS-CQ analysis points with
         // a model on their fleet shape that pass the same Theorem-1
@@ -165,47 +146,17 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<Pla
             continue;
         };
         // The first rung of the recovery ladder — the fit the evaluator
-        // will try first; deeper rungs are rare and stay scalar. A key
-        // already answered (or being answered) or planned needs no chain.
-        let fit = BusyPeriodFit::ThreeMoment;
-        let key = cs_cq_km::report_key(hosts, &params, fit);
+        // will try first; deeper rungs are rare and stay with evaluation.
+        // A key already answered (or being answered) or planned needs no
+        // filing.
+        let key = cs_cq_km::report_key(hosts, &params, BusyPeriodFit::ThreeMoment);
         if cache.has_report(&key) || !seen.insert(key) {
             continue;
         }
-        if let Ok(plan) = cs_cq_km::plan_qbd_cached(hosts, &params, fit, cache) {
-            planned.push(plan);
-        }
+        questions.push((key, hosts, params));
     }
-    // Canonical order: by shape, then by key within a shape. It makes the
-    // order of the solves, and of the reports they file, independent of
-    // the input permutation.
-    planned.sort_by_key(|p| (p.boundary_dim(), p.phase_dim(), p.key()));
-    planned
-}
-
-/// The solving half of a presolve: for each plan in turn, build its
-/// chain, solve it, file the report of a successful solution, and drop
-/// the chain before the next one is built.
-fn solve_and_seed(
-    planned: Vec<PlannedChain>,
-    cache: &SolveCache,
-    ws: &mut Workspace,
-    stats: &mut BatchStats,
-) {
-    for plan in &planned {
-        let Ok(chain) = plan.build() else {
-            // Evaluation rebuilds it and attributes the failure.
-            continue;
-        };
-        stats.unique += 1;
-        stats.scalar += 1;
-        if chain
-            .solve_in(ws)
-            .is_ok_and(|sol| cache.seed_qbd_solution(plan, sol))
-        {
-            stats.seeded += 1;
-        }
-    }
+    questions.sort_unstable_by_key(|(key, ..)| *key);
+    questions
 }
 
 #[cfg(test)]
@@ -233,22 +184,20 @@ mod tests {
         let _quiet = quiet();
         let points = cs_cq_points();
         let cache = SolveCache::new();
-        let mut ws = Workspace::new();
-        let stats = presolve(&points, &cache, &mut ws);
+        let stats = presolve_points(&points, &cache);
         assert_eq!(stats.eligible, points.len(), "all points stable and CS-CQ");
         assert!(stats.unique > 0);
-        assert_eq!(stats.batched + stats.scalar, stats.unique);
+        assert_eq!(stats.batched, 0);
         assert_eq!(
             stats.seeded, stats.unique,
             "every planned chain solves cleanly"
         );
         assert_eq!(stats.skipped_faulted, 0);
         // A second presolve over the same grid finds everything cached.
-        let again = presolve(&points, &cache, &mut ws);
+        let again = presolve_points(&points, &cache);
         assert_eq!(again.eligible, points.len());
         assert_eq!(again.unique, 0);
         assert_eq!(again.seeded, 0);
-        assert_eq!(again.batches, 0);
     }
 
     #[test]
@@ -256,17 +205,16 @@ mod tests {
         let _quiet = quiet();
         let points = cs_cq_points();
         let twice: Vec<Point> = points.iter().chain(&points).copied().collect();
-        let stats = presolve(&twice, &SolveCache::new(), &mut Workspace::new());
+        let stats = presolve_points(&twice, &SolveCache::new());
         assert_eq!(stats.eligible, twice.len());
         assert_eq!(stats.unique, points.len(), "{stats:?}");
     }
 
-    /// Planning without building keeps the order of the presolve that
-    /// built every chain before solving the first: by the built chain's
-    /// shape, then by key, each repeated key once. The reports are filed,
-    /// and so journaled, in that order.
+    /// A presolve files, and so journals, its questions in key order,
+    /// each repeated key once, whatever the fleet shapes and the order the
+    /// points arrive in.
     #[test]
-    fn chains_are_solved_in_the_order_of_their_built_shapes() {
+    fn reports_are_journaled_in_key_order() {
         let _quiet = quiet();
         let mut spec = GridSpec::analysis("order", vec![0.3, 0.9, 1.1], vec![0.3, 0.6]);
         spec.policies = vec![Policy::CsCq];
@@ -278,40 +226,36 @@ mod tests {
         let grid = spec.points();
         let points: Vec<Point> = grid.iter().chain(grid.iter().rev()).copied().collect();
 
-        let fit = BusyPeriodFit::ThreeMoment;
-        let mut seen = HashSet::new();
-        let mut built = Vec::new();
-        for point in &points {
-            let hosts = Hosts::new(point.hosts.0, point.hosts.1).unwrap();
-            let params = SystemParams::from_loads(
-                point.rho_s,
-                point.mean_s,
-                point.rho_l,
-                point.long.moments(),
-            )
-            .unwrap();
-            if seen.insert(cs_cq_km::report_key(hosts, &params, fit)) {
-                let plan =
-                    cs_cq_km::plan_qbd_cached(hosts, &params, fit, &SolveCache::new()).unwrap();
-                let chain = plan.build().unwrap();
-                built.push((chain.boundary_dim(), chain.phase_dim(), plan.key()));
-            }
-        }
-        built.sort();
-        assert_eq!(built.len(), grid.len());
-        assert_ne!(built[0].0, built[built.len() - 1].0, "two shapes");
+        let mut keys: Vec<ReportKey> = grid
+            .iter()
+            .map(|point| {
+                let hosts = Hosts::new(point.hosts.0, point.hosts.1).unwrap();
+                let params = SystemParams::from_loads(
+                    point.rho_s,
+                    point.mean_s,
+                    point.rho_l,
+                    point.long.moments(),
+                )
+                .unwrap();
+                cs_cq_km::report_key(hosts, &params, BusyPeriodFit::ThreeMoment)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), grid.len());
+        let shapes: HashSet<_> = keys.iter().map(|&(.., hosts)| hosts).collect();
+        assert_eq!(shapes.len(), 2, "two shapes");
 
         let root = SolveCache::new();
         let scope = root.scope();
-        let stats = presolve(&points, &scope, &mut Workspace::new());
-        assert_eq!(stats.unique, built.len(), "{stats:?}");
+        let stats = presolve_points(&points, &scope);
+        assert_eq!(stats.unique, keys.len(), "{stats:?}");
         let filed: Vec<_> = scope
             .take_new_reports()
             .into_iter()
             .map(|(key, _)| key)
             .collect();
-        let want: Vec<_> = built.into_iter().map(|(.., key)| key).collect();
-        assert_eq!(filed, want);
+        assert_eq!(filed, keys);
     }
 
     #[test]
@@ -319,27 +263,21 @@ mod tests {
         let _quiet = quiet();
         let mut spec = GridSpec::analysis("filters", vec![0.5, 2.5], vec![0.5]);
         spec.policies = vec![Policy::Dedicated, Policy::CsId, Policy::CsCq];
-        let cache = SolveCache::new();
-        let mut ws = Workspace::new();
-        let stats = presolve(&spec.points(), &cache, &mut ws);
+        let stats = presolve_points(&spec.points(), &SolveCache::new());
         // Only the stable CS-CQ point (rho_s = 0.5) qualifies; rho_s = 2.5
         // is past the frontier at rho_l = 0.5.
         assert_eq!(stats.eligible, 1);
         assert_eq!(stats.unique, 1);
-        assert_eq!(stats.scalar, 1, "a lone chain degenerates to scalar");
-        assert_eq!(stats.batches, 0);
+        assert_eq!(stats.batched, 0);
     }
 
     #[test]
     fn presolve_stats_are_input_order_independent() {
         let _quiet = quiet();
         let mut fwd = cs_cq_points();
-        let cache_a = SolveCache::new();
-        let cache_b = SolveCache::new();
-        let mut ws = Workspace::new();
-        let a = presolve(&fwd, &cache_a, &mut ws);
+        let a = presolve_points(&fwd, &SolveCache::new());
         fwd.reverse();
-        let b = presolve(&fwd, &cache_b, &mut ws);
+        let b = presolve_points(&fwd, &SolveCache::new());
         assert_eq!(a, b);
     }
 
@@ -364,7 +302,7 @@ mod tests {
         }
         let restored = SolveCache::new();
         restored.restore_reports(warm.export_reports());
-        let stats = presolve(&points, &restored, &mut Workspace::new());
+        let stats = presolve_points(&points, &restored);
         assert_eq!(stats.eligible, points.len());
         assert_eq!(stats.unique, 0, "{stats:?}");
         assert_eq!(stats.seeded, 0, "{stats:?}");
@@ -377,9 +315,7 @@ mod tests {
         // Rate 1.0: every scope draws a fault, so every point is skipped.
         let plan = FaultPlan::new(7, 1.0, &["qbd.solve"]);
         let _armed = fault::arm(plan);
-        let cache = SolveCache::new();
-        let mut ws = Workspace::new();
-        let stats = presolve(&points, &cache, &mut ws);
+        let stats = presolve_points(&points, &SolveCache::new());
         assert_eq!(stats.skipped_faulted, points.len());
         assert_eq!(stats.eligible, 0);
         assert_eq!(stats.unique, 0);

@@ -27,36 +27,27 @@ use cyclesteal_markov::MarkovError;
 use cyclesteal_sim::{parallel_map_isolated, replicate, PolicyKind, SimConfig, SimParams};
 use cyclesteal_xtest::{fault, fault_point};
 
-use crate::batch::{self, BatchStats};
+use crate::batch::presolve_points;
 use crate::grid::{Evaluator, GridSpec, Point};
 use crate::report::{FailureCounts, FailureKind, SweepMetrics, SweepReport, SweepRow};
 
 /// Execution knobs of a sweep run. Only wall-clock time depends on them —
 /// never the report: the presolve files the reports evaluation would
-/// have computed itself (see [`crate::BatchStats`]), so `batch` on/off,
-/// like thread count and chunking, cannot move a single row.
+/// have computed itself (see [`crate::BatchStats`]), so, like the thread
+/// count, they cannot move a single row.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Worker threads (`0` or `1` = serial on the calling thread).
     pub threads: usize,
-    /// Points claimed per work-stealing step (`0` is clamped to 1).
-    pub chunk: usize,
     /// A cache to reuse across runs; a fresh one is created when `None`.
     pub cache: Option<Arc<SolveCache>>,
-    /// When `true`, a serial presolve phase builds and solves each
-    /// distinct CS-CQ chain of the sweep once, before evaluation fans
-    /// out.
-    pub batch: bool,
 }
 
 impl SweepOptions {
-    /// Options with `threads` workers, default chunking, and the presolve
-    /// enabled.
+    /// Options with `threads` workers.
     pub fn threads(threads: usize) -> Self {
         SweepOptions {
             threads,
-            chunk: 4,
-            batch: true,
             ..SweepOptions::default()
         }
     }
@@ -67,14 +58,10 @@ impl SweepOptions {
         self.cache = Some(cache);
         self
     }
-
-    /// Forces the presolve on or off — `with_batch(false)` is the
-    /// differential harness's scalar oracle configuration.
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
 }
+
+/// Points a pool worker claims per work-stealing step.
+const CHUNK: usize = 4;
 
 /// Runs a declarative grid sweep. Equivalent to
 /// `run_points(&spec.name, &spec.points(), opts)`.
@@ -87,8 +74,8 @@ pub fn run(spec: &GridSpec, opts: &SweepOptions) -> (SweepReport, SweepMetrics) 
 /// The report's rows are sorted by canonical id and every row is a pure
 /// function of its point (analysis rows via the quantized-key
 /// [`SolveCache`], simulation rows via parameter-derived seeds), so the
-/// report — and its JSON — is bit-identical for any thread count, chunk
-/// size, and input permutation of the same multiset of points. Timings and
+/// report — and its JSON — is bit-identical for any thread count and
+/// input permutation of the same multiset of points. Timings and
 /// cache counters land in the separate [`SweepMetrics`].
 ///
 /// A point whose evaluation panics yields a row with a
@@ -112,16 +99,14 @@ pub fn run_points(
     // The presolve: serial, on the calling thread, before the pool
     // fans out — so its work (and its telemetry) is identical for every
     // thread count and input order of the same multiset of points.
-    let batch_stats = if opts.batch {
+    let batch_stats = {
         cyclesteal_obs::span!("sweep.phase.presolve");
-        WORKSPACE.with(|ws| batch::presolve(points, &cache, &mut ws.borrow_mut()))
-    } else {
-        BatchStats::default()
+        presolve_points(points, &cache)
     };
     let evaluated = {
         cyclesteal_obs::span!("sweep.phase.evaluate");
         cyclesteal_obs::counter!("sweep.points", points.len() as u64);
-        parallel_map_isolated(points, opts.threads, opts.chunk, |point| {
+        parallel_map_isolated(points, opts.threads, CHUNK, |point| {
             let t = Instant::now();
             // Root span: per-point span paths aggregate identically whether
             // the point ran inline (serial sweep) or on a pool worker thread.
@@ -194,9 +179,9 @@ thread_local! {
     /// Per-worker scratch workspace for the QBD solver. One lives on each
     /// pool thread (and one on the caller's thread for serial sweeps); the
     /// solver resets every buffer it checks out, so reuse across points
-    /// never changes a row. `pub(crate)` so the query-stream presolve
-    /// entry ([`crate::presolve_points`]) shares the calling thread's
-    /// workspace with the evaluations that follow it.
+    /// never changes a row. `pub(crate)` so the presolve
+    /// ([`crate::presolve_points`]) shares the calling thread's workspace
+    /// with the evaluations that follow it.
     pub(crate) static WORKSPACE: std::cell::RefCell<Workspace> = std::cell::RefCell::new(Workspace::new());
 }
 
@@ -551,7 +536,7 @@ mod tests {
     fn batched_and_scalar_runs_agree_bitwise() {
         let spec = small_spec();
         let (batched, bm) = run(&spec, &SweepOptions::threads(2));
-        let (scalar, sm) = run(&spec, &SweepOptions::threads(2).with_batch(false));
+        let scalar = crate::run_queries(&spec.name, &spec.points());
         assert_eq!(batched.to_json(), scalar.to_json());
         assert!(
             bm.batch.seeded > 0,
@@ -559,7 +544,6 @@ mod tests {
             bm.batch
         );
         assert_eq!(bm.batch.eligible, 6, "six stable CS-CQ points");
-        assert_eq!(sm.batch, BatchStats::default(), "scalar run skips presolve");
     }
 
     #[test]

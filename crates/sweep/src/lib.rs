@@ -44,5 +44,5 @@ mod report;
 pub use batch::{presolve_points, BatchStats};
 pub use engine::{run, run_points, SweepOptions};
 pub use grid::{policy_name, Evaluator, GridSpec, LongLaw, Point};
-pub use query::{run_query, QueryOutcome};
+pub use query::{run_queries, run_query, QueryOutcome};
 pub use report::{FailureCounts, FailureKind, PointFailure, SweepMetrics, SweepReport, SweepRow};

@@ -29,7 +29,7 @@ use cyclesteal_core::recover::Deadline;
 
 use crate::engine;
 use crate::grid::Point;
-use crate::report::{FailureKind, SweepRow};
+use crate::report::{FailureKind, SweepReport, SweepRow};
 
 /// One answered query: the evaluated row plus deadline metadata the row
 /// itself cannot express.
@@ -93,6 +93,25 @@ pub fn run_query(
         cyclesteal_obs::counter!("sweep.query.timeout");
     }
     QueryOutcome { row, steered }
+}
+
+/// Answers each of `points` on its own through [`run_query`], un-budgeted,
+/// on one fresh [`SolveCache`], and collects the rows, sorted by id, into
+/// a report named `name`: the one evaluation body, with no presolve and
+/// no pool. It is the oracle the tests hold a sweep's report to, byte for
+/// byte.
+pub fn run_queries(name: &str, points: &[Point]) -> SweepReport {
+    let cache = SolveCache::new();
+    let mut rows: Vec<SweepRow> = points
+        .iter()
+        .map(|point| run_query(point, &cache, None).row)
+        .collect();
+    rows.sort_by(|a, b| a.id.cmp(&b.id));
+    SweepReport {
+        name: name.to_string(),
+        rows,
+        obs: None,
+    }
 }
 
 #[cfg(test)]

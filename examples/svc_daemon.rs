@@ -15,8 +15,8 @@
 //! * `--data-dir DIR`          enable the durable WAL + snapshot in DIR
 //! * `--default-budget-ns NS`  budget for queries that carry none
 //! * `--batch N`               max jobs a worker wakeup drains (default
-//!   16); a drain dedupes its chains and solves the unique ones one by
-//!   one before it answers
+//!   16); a drain files each distinct question's report once, in key
+//!   order, before it answers
 //! * `--no-batch`              shorthand for `--batch 1`: every job is
 //!   served on its own (the byte-identity comparison baseline)
 //! * `--metrics-addr HOST:PORT` serve HTTP `GET /metrics` + `/healthz`

@@ -1,14 +1,14 @@
 //! Golden regression for the presolved sweep path: the presolve must be
-//! a pure performance transform of the scalar engine. The Figure-4 grid
+//! a pure performance transform of the evaluation. The Figure-4 grid
 //! (exponential longs, `ρ_L = 0.5`) and a `C² = 8` grid run through
-//! `run_points` with the presolve on and off, at 1/2/8 worker threads
-//! and under input shuffling — every report must be **byte-identical**
-//! JSON, the presolved run must demonstrably seed reports (non-vacuous
-//! [`BatchStats`]), and the presolved Figure-4 numbers must still sit on
-//! the golden curve.
+//! `run_points` at 1/2/8 worker threads and under input shuffling, and
+//! through `run_queries`, each point answered on its own — every report
+//! must be **byte-identical** JSON, the presolved run must demonstrably
+//! seed reports (a non-vacuous `SweepMetrics::batch`), and the presolved
+//! Figure-4 numbers must still sit on the golden curve.
 
 use cyclesteal::core::stability::Policy;
-use cyclesteal_sweep::{run_points, BatchStats, Evaluator, LongLaw, Point, SweepOptions};
+use cyclesteal_sweep::{run_points, run_queries, Evaluator, LongLaw, Point, SweepOptions};
 
 /// `(ρ_S, E[T_short])` under CS-CQ for the Figure 4 workload — the same
 /// golden values `tests/golden_fig4.rs` freezes for the direct API.
@@ -33,11 +33,11 @@ fn point(rho_s: f64, rho_l: f64, long: LongLaw) -> Point {
     }
 }
 
-/// Figure-4 grid plus a `C² = 8` grid. (Both ride one batched group: the
+/// Figure-4 grid plus a `C² = 8` grid. (One chain shape: the
 /// three-moment busy-period fit always produces two-phase PHs, so every
-/// CS-CQ chain shares one shape regardless of workload — the mixed-shape
-/// split path is covered by `tests/batch_vs_scalar_props.rs` and the
-/// solver's unit tests instead.)
+/// 2-host CS-CQ chain shares one shape regardless of workload — mixed
+/// shapes are covered by `tests/batch_vs_scalar_props.rs` and
+/// `tests/serving_counts.rs` instead.)
 fn grids() -> Vec<Point> {
     let exp = LongLaw::exponential(1.0).unwrap();
     let scv8 = LongLaw::balanced(1.0, 8.0).unwrap();
@@ -56,13 +56,7 @@ fn grids() -> Vec<Point> {
 #[test]
 fn batched_sweep_is_byte_identical_to_scalar_across_threads_and_order() {
     let points = grids();
-    let (scalar, sm) = run_points(
-        "golden_batched",
-        &points,
-        &SweepOptions::threads(2).with_batch(false),
-    );
-    assert_eq!(sm.batch, BatchStats::default(), "batch off must stay off");
-    let scalar_json = scalar.to_json();
+    let scalar_json = run_queries("golden_batched", &points).to_json();
 
     for threads in [1, 2, 8] {
         let (batched, bm) = run_points("golden_batched", &points, &SweepOptions::threads(threads));
@@ -77,9 +71,8 @@ fn batched_sweep_is_byte_identical_to_scalar_across_threads_and_order() {
             bm.batch
         );
         assert_eq!(
-            bm.batch.batched + bm.batch.scalar,
-            bm.batch.unique,
-            "every planned chain is either batched or scalar: {:?}",
+            bm.batch.seeded, bm.batch.unique,
+            "every golden question is filed: {:?}",
             bm.batch
         );
     }

@@ -6,8 +6,7 @@
 //! shorts; more short load never helps them; the stability frontier
 //! widens with every stealing host). One more property guards the solve
 //! cache, which keys QBD solutions by the report key: workloads that
-//! share a key build the same chain. A last one guards the presolve's
-//! order: a plan reports the dimensions of the chain it builds.
+//! share a key build the same chain.
 
 use cyclesteal::core::cache::SolveCache;
 use cyclesteal::core::cs_cq::BusyPeriodFit;
@@ -16,7 +15,6 @@ use cyclesteal::core::stability::{self, Policy};
 use cyclesteal::core::SystemParams;
 use cyclesteal::dist::{Map, Moments3};
 use cyclesteal::mg1::mmc;
-use cyclesteal_svc::server::MAX_CHAIN_PHASES;
 use cyclesteal_xtest::{props, xassume};
 
 mod support;
@@ -192,52 +190,5 @@ props! {
             plan_b.build().unwrap().signature(),
             "({k}, {m}) rho_s={rho_s} rho_l={rho_l} scv={scv} {fit:?}: one key, two chains"
         );
-    }
-}
-
-props! {
-    cases = 4;
-
-    /// The presolve orders its questions by the chain shape a plan
-    /// reports without building the chain: for every fleet the daemon
-    /// admits and every busy-period fit rung, the planned
-    /// `(boundary_dim, phase_dim)` are those of the chain the plan builds.
-    fn a_plan_reports_the_dimensions_of_the_chain_it_builds(
-        util in 0.05f64..0.95,
-        long_util in 0.05f64..0.9,
-        scv in 1.0f64..16.0,
-    ) {
-        let mut shapes = 0;
-        for m in 0..=32usize {
-            for k in 1..=32 - m {
-                let hosts = Hosts::new(k, m).unwrap();
-                if hosts.chain_phases(2) > MAX_CHAIN_PHASES {
-                    continue;
-                }
-                shapes += 1;
-                let rho_l = long_util * m.max(1) as f64;
-                let rho_s = util * if m == 0 {
-                    k as f64
-                } else {
-                    stability::max_rho_s_km(k, m, rho_l)
-                };
-                let p = workload(rho_s, rho_l, scv);
-                for fit in [
-                    BusyPeriodFit::MeanOnly,
-                    BusyPeriodFit::TwoMoment,
-                    BusyPeriodFit::ThreeMoment,
-                ] {
-                    let plan = cs_cq_km::plan_qbd_cached(hosts, &p, fit, &SolveCache::new())
-                        .unwrap_or_else(|e| panic!("({k}, {m}) {fit:?}: {e}"));
-                    let chain = plan.build().unwrap();
-                    assert_eq!(
-                        (plan.boundary_dim(), plan.phase_dim()),
-                        (chain.boundary_dim(), chain.phase_dim()),
-                        "({k}, {m}) {fit:?}"
-                    );
-                }
-            }
-        }
-        assert_eq!(shapes, 123, "every admitted fleet, m = 0 included");
     }
 }

@@ -1,5 +1,6 @@
 //! Heap gates measured by this binary's own allocator: the peak live
-//! bytes of one presolve, and exact allocation counts for one answer.
+//! bytes of one presolve, and exact allocation counts for one answer,
+//! one query frame's parse, one WAL append and one snapshot image.
 //!
 //! The allocator keeps its counts per thread, so the test harness's own
 //! threads never show in a figure, and every path measured here runs on
@@ -19,6 +20,7 @@ use cyclesteal::core::cache::SolveCache;
 use cyclesteal::core::stability::{self, Policy};
 use cyclesteal_svc::client::QueryRequest;
 use cyclesteal_svc::json;
+use cyclesteal_svc::wal::{encode_snapshot, DurableCache};
 use cyclesteal_sweep::{presolve_points, run_query, Evaluator, LongLaw, Point};
 
 /// Forwards to the system allocator, counting on the calling thread every
@@ -157,10 +159,12 @@ fn mixed_grid() -> Vec<Point> {
 }
 
 /// Peak live bytes allowed above the start of a presolve of
-/// [`heavy_drain`] and of [`mixed_grid`]: about twice the measured
-/// 122,676 and 202,600 bytes, and under a third of what the presolve
-/// held when it built every chain before solving the first (1,091,036
-/// and 1,283,472 bytes).
+/// [`heavy_drain`] and of [`mixed_grid`]: about twice the 122,676 and
+/// 202,600 bytes measured when the presolve held every question's plan
+/// until its solve (82,286 and 107,970 since it holds only each
+/// question's key and parameters), and under a third of what the
+/// presolve held when it built every chain before solving the first
+/// (1,091,036 and 1,283,472 bytes).
 const DRAIN_BOUND: usize = 256 * 1024;
 const GRID_BOUND: usize = 384 * 1024;
 
@@ -245,4 +249,55 @@ fn parsing_a_query_frame_makes_pinned_allocations() {
     let (doc, allocs) = allocs_during(|| json::parse(&frame));
     assert!(doc.is_ok(), "{frame}");
     assert_eq!(allocs, 15);
+}
+
+/// The reports of a few distinct (1, 1) questions, as a cache exports them.
+fn some_reports(
+    n: usize,
+) -> Vec<(
+    cyclesteal::core::cache::ReportKey,
+    cyclesteal::core::cs_cq::CsCqReport,
+)> {
+    let cache = SolveCache::new();
+    for i in 0..n {
+        run_query(
+            &point(0.5 + 0.05 * i as f64, 0.5, 1.0, (1, 1)),
+            &cache,
+            None,
+        );
+    }
+    let reports = cache.export_reports();
+    assert_eq!(reports.len(), n);
+    reports
+}
+
+/// A WAL append encodes its header and payload into one buffer.
+#[test]
+fn a_wal_append_makes_pinned_allocations() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!(
+        "cyclesteal-presolve-memory-wal-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (durable, _) = DurableCache::open(&dir, &SolveCache::new()).unwrap();
+    let reports = some_reports(2);
+    durable.append(&reports[0].0, &reports[0].1).unwrap();
+    let (appended, allocs) = allocs_during(|| durable.append(&reports[1].0, &reports[1].1));
+    appended.unwrap();
+    assert_eq!(durable.stats().appends, 2);
+    assert_eq!(allocs, 1);
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot image is encoded into one buffer, however many entries it
+/// holds.
+#[test]
+fn a_snapshot_image_makes_pinned_allocations() {
+    let _serial = serial();
+    let reports = some_reports(8);
+    let (image, allocs) = allocs_during(|| encode_snapshot(&reports));
+    assert!(!image.is_empty());
+    assert_eq!(allocs, 1);
 }
