@@ -565,11 +565,10 @@ pub struct SolveCache {
     store: Arc<ReportStore>,
     /// A scope's reports *computed* through it (by a miss's analysis, the
     /// presolve's included, or by [`SolveCache::seed_qbd_solution`]) and
-    /// not yet taken by
-    /// [`SolveCache::take_new_reports`]; `None` for a root cache. Reports
-    /// seeded by [`SolveCache::restore_reports`] are never journaled — they
-    /// came from the persistence layer, which must not re-append its own
-    /// records.
+    /// not yet taken by [`SolveCache::take_new_reports`]; `None` for a
+    /// root cache. Reports seeded by [`SolveCache::restore_reports`] are
+    /// never journaled — they came from the persistence layer, which must
+    /// not re-append its own records.
     journal: Option<Journal>,
 }
 
