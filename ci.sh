@@ -24,6 +24,10 @@ echo "==> cargo test (workspace, offline)"
 #   3,000-point sweep, 5% injected faults, 1/2/8 threads.
 # * obs determinism (crates/sweep/tests/obs_determinism.rs): telemetry
 #   counts bit-identical across 1/2/8 threads.
+# * worker pool lifecycle (crates/sweep/tests/pool_lifecycle.rs): 50
+#   2-thread sweeps leave one helper thread, nested calls run serially,
+#   concurrent callers share the helpers, a panicking item leaves its
+#   helper serving.
 # * svc telemetry e2e (crates/svc/tests/metrics.rs): healthz,
 #   scrape-vs-registry bit-match, slow log, periodic flush.
 # * presolve differential oracle (tests/batch_vs_scalar_props.rs,
@@ -171,6 +175,11 @@ echo "==> obs overhead gate (<1% of a sweep with recording off)"
 cargo bench -p cyclesteal-bench --offline --bench obs_overhead
 
 echo "==> sweep bench smoke (--quick)"
+# Asserts the reports are bit-identical at 1 and 8 threads, and prints the
+# 8-over-1-thread speedup of the grid's CS-CQ points, whose QBD solves the
+# presolve spreads over the sweep's threads. The speedup is a wall-clock
+# ratio and report-only; that the pool's helpers persist is gated by
+# crates/sweep/tests/pool_lifecycle.rs in the workspace test step.
 cargo run --release --offline --example sweep -- --quick --threads 1,8 --out crates/bench
 
 # Bench binaries run with the package directory as CWD, so the JSON

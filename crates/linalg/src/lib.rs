@@ -31,7 +31,8 @@ mod workspace;
 
 pub use error::LinalgError;
 pub use lu::{
-    lu_factor_into, lu_inverse_into, lu_solve_cols_into, lu_solve_into, lu_solve_rows_into, Lu,
+    lu_factor_in_place, lu_factor_into, lu_inverse_into, lu_solve_cols_into, lu_solve_into,
+    lu_solve_rows_into, Lu,
 };
 pub use matrix::{Matrix, SpectralBound, SPECTRAL_RADIUS_RTOL};
 pub use workspace::Workspace;

@@ -202,13 +202,9 @@ fn sweep_rows_in_place(lu: &Matrix, x: &mut [f64], c: usize) {
 /// [`lu_solve_rows_into`], or [`lu_inverse_into`]).
 ///
 /// [`Lu::factor`] is this kernel on fresh storage; here `lu` and
-/// `pivots` reuse the caller's capacity instead of allocating. Step `k`
-/// picks the first row at or below `k` with the largest `|entry|` in
-/// column `k`, swaps it up, and updates every row below as
-/// `row_i[j] -= factor · row_k[j]` over row slices. A row whose factor is
-/// zero skips its update where that is exact (see
-/// `zero_factor_skips_are_exact`): the factors are the same bits as with
-/// every update done.
+/// `pivots` reuse the caller's capacity instead of allocating. It copies
+/// `a` into `lu` and runs [`lu_factor_in_place`] there, so both give the
+/// same bits.
 ///
 /// # Errors
 ///
@@ -219,6 +215,27 @@ pub fn lu_factor_into(
     lu: &mut Matrix,
     pivots: &mut Vec<usize>,
 ) -> Result<(), LinalgError> {
+    lu.copy_from(a);
+    lu_factor_in_place(lu, pivots)
+}
+
+/// Factors `a` as `P A = L U` over its own storage, for a caller that has
+/// no further use for `a`: on success `a` holds the factors
+/// [`lu_factor_into`] would have written (the same bits), and on error
+/// its contents are unspecified.
+///
+/// Step `k` picks the first row at or below `k` with the largest
+/// `|entry|` in column `k`, swaps it up, and updates every row below as
+/// `row_i[j] -= factor · row_k[j]` over row slices. A row whose factor is
+/// zero skips its update where that is exact (see
+/// `zero_factor_skips_are_exact`): the factors are the same bits as with
+/// every update done.
+///
+/// # Errors
+///
+/// Same conditions as [`Lu::factor`]: [`LinalgError::NotSquare`],
+/// [`LinalgError::NonFinite`], or [`LinalgError::Singular`].
+pub fn lu_factor_in_place(a: &mut Matrix, pivots: &mut Vec<usize>) -> Result<(), LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
             dims: (a.rows(), a.cols()),
@@ -230,10 +247,9 @@ pub fn lu_factor_into(
     cyclesteal_obs::counter!("linalg.lu.factor");
     cyclesteal_obs::histogram!("linalg.lu.dim", a.rows() as u64);
     let n = a.rows();
-    lu.copy_from(a);
     pivots.clear();
     pivots.extend(0..n);
-    let data = lu.as_mut_slice();
+    let data = a.as_mut_slice();
     let skips = zero_factor_skips_are_exact(data);
 
     for k in 0..n {

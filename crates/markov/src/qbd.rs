@@ -21,8 +21,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cyclesteal_linalg::{
-    lu_factor_into, lu_inverse_into, lu_solve_cols_into, lu_solve_into, lu_solve_rows_into,
-    max_abs_diff, Matrix, SpectralBound, Workspace,
+    lu_factor_in_place, lu_factor_into, lu_inverse_into, lu_solve_cols_into, lu_solve_into,
+    lu_solve_rows_into, max_abs_diff, Matrix, SpectralBound, Workspace,
 };
 
 use crate::MarkovError;
@@ -783,7 +783,6 @@ impl Qbd {
     ) -> Result<QbdSolution, MarkovError> {
         let n = system.w.len();
         let mut sys = ws.take_mat(n, n);
-        let mut lu = ws.take_mat(n, n);
         let mut piv = ws.take_idx();
         let mut rhs = ws.take_vec(n);
         let mut xsol = ws.take_vec(n);
@@ -791,13 +790,14 @@ impl Qbd {
         let mut best_x = ws.take_vec(n);
         let mut best: Option<(f64, usize)> = None;
         for replace in [n - 1, 0] {
+            // Each try rewrites all of `sys`, so it is factored in place.
             system.equations_into(replace, &mut sys);
             rhs.fill(0.0);
             rhs[replace] = 1.0;
-            if lu_factor_into(&sys, &mut lu, &mut piv).is_err() {
+            if lu_factor_in_place(&mut sys, &mut piv).is_err() {
                 continue;
             }
-            lu_solve_into(&lu, &piv, &rhs, &mut xsol);
+            lu_solve_into(&sys, &piv, &rhs, &mut xsol);
             let resid = system.residual(&xsol, replace, &mut resid_vec);
             if best.as_ref().is_none_or(|(b, _)| resid < *b) {
                 best = Some((resid, replace));
@@ -812,7 +812,6 @@ impl Qbd {
         ))?;
         let sol = system.solution(r, &best_x, pivot, ws);
         ws.give_mat(sys);
-        ws.give_mat(lu);
         ws.give_idx(piv);
         ws.give_vec(rhs);
         ws.give_vec(xsol);

@@ -11,13 +11,14 @@
 //! itself calls [`snapshot`], and as a backstop when a thread exits (TLS
 //! destructor).
 //!
-//! **Worker threads must call [`flush_thread`] at the end of their
-//! closure** before a snapshot can see their records: `std::thread::scope`
-//! signals completion when the closure *returns*, which is before TLS
-//! destructors run, so a snapshot taken right after a scope can race a
-//! Drop-based merge. The workspace's pool (`cyclesteal_sim::pool`) does
-//! this; the TLS destructor still catches threads that forget, just with
-//! no ordering guarantee against snapshots.
+//! **Worker threads must call [`flush_thread`] at the end of each unit of
+//! work** before a snapshot can see their records: a persistent worker
+//! never exits, and `std::thread::scope` signals completion when the
+//! closure *returns*, before TLS destructors run, so a snapshot taken
+//! right after the work can miss or race a Drop-based merge. The
+//! workspace's pool (`cyclesteal_sim::pool`) flushes at the end of every
+//! helper job; the TLS destructor still catches threads that forget, just
+//! with no ordering guarantee against snapshots.
 //!
 //! # The runtime switch
 //!

@@ -1,6 +1,17 @@
-//! A minimal chunked work-stealing worker pool on `std::thread` — the
-//! shared parallel substrate for simulator replications (this crate) and
-//! scenario sweeps (`cyclesteal-sweep`), with no external dependencies.
+//! A persistent chunked work-stealing worker pool on `std::thread` — the
+//! shared parallel substrate for simulator replications (this crate),
+//! scenario sweeps and the sweep's presolve (`cyclesteal-sweep`), with no
+//! external dependencies.
+//!
+//! The helper threads are spawned when a call first needs them and then
+//! live for the life of the process: a call at `threads` workers grows the
+//! pool to `threads − 1` helpers and keeps them, and the calling thread
+//! works as worker 0. A helper's thread-locals (a solver workspace, the
+//! allocator's arena) therefore stay warm from one call to the next.
+//! Each helper takes jobs from a channel of its own; one job is one
+//! helper's share of one call, and it ends by flushing the helper's
+//! telemetry buffer (`obs::flush_thread`), so a snapshot taken after the
+//! call sees every record it made.
 //!
 //! Work is claimed in chunks off a shared atomic cursor (cheap dynamic load
 //! balancing: a worker stuck on an expensive item doesn't strand the rest
@@ -9,17 +20,140 @@
 //! result of [`parallel_map`] is a pure function of `(items, f)`,
 //! independent of thread count and scheduling.
 //!
+//! A call made from inside a pool call (by an item running on a helper or
+//! on the calling thread) runs serially on its thread: it never waits on
+//! helpers that may be busy with the call around it.
+//!
 //! [`parallel_map_isolated`] is the panic-isolating primitive underneath:
 //! each item runs under `catch_unwind`, a panicking item yields
 //! `Err(message)` in its slot, and the worker keeps draining the queue —
-//! one poisoned task cannot abort the batch or silently drop other
-//! results. [`parallel_map`] is the strict wrapper that re-raises the
-//! first (input-order) panic after every worker has finished.
+//! one poisoned task cannot abort the batch, silently drop other results
+//! or take a helper down. [`parallel_map`] is the strict wrapper that
+//! re-raises the first (input-order) panic after every worker has
+//! finished.
 
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
+
+/// One helper's share of one pool call.
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The job channels of the pool's helper threads, in helper order.
+static HELPERS: Mutex<Vec<Sender<Job>>> = Mutex::new(Vec::new());
+
+thread_local! {
+    /// Whether this thread is working a pool call: always on a helper, and
+    /// on a caller for the length of its call. A call made while it is set
+    /// runs serially.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Spawns helper `index`, which runs the jobs sent on the returned channel
+/// until the process ends; `None` when the OS refuses a thread.
+fn spawn_helper(index: usize) -> Option<Sender<Job>> {
+    let (tx, rx) = mpsc::channel::<Job>();
+    thread::Builder::new()
+        .name(format!("cyclesteal-pool-{index}"))
+        .spawn(move || {
+            IN_POOL.with(|flag| flag.set(true));
+            for job in rx {
+                job();
+            }
+        })
+        .ok()?;
+    Some(tx)
+}
+
+/// Counts the helper jobs of one call that have not been dropped yet.
+#[derive(Default)]
+struct Latch {
+    pending: Mutex<usize>,
+    zero: Condvar,
+}
+
+/// A helper job's hold on its call's [`Latch`], released when the job is
+/// dropped: after it ran, while it unwinds, or unrun.
+struct Hold(Arc<Latch>);
+
+impl Drop for Hold {
+    fn drop(&mut self) {
+        let mut pending = lock(&self.0.pending);
+        *pending -= 1;
+        if *pending == 0 {
+            self.0.zero.notify_all();
+        }
+    }
+}
+
+/// The calling thread's side of one call. Dropping it, on return or while
+/// unwinding, waits until every hold on the latch is released and then
+/// clears the caller's [`IN_POOL`] flag.
+struct Call(Arc<Latch>);
+
+impl Drop for Call {
+    fn drop(&mut self) {
+        let mut pending = lock(&self.0.pending);
+        while *pending > 0 {
+            pending = self
+                .0
+                .zero
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        IN_POOL.with(|flag| flag.set(false));
+    }
+}
+
+/// Runs `work` on the calling thread and on `helpers` pool helpers at
+/// once, growing the pool to `helpers` threads if it is smaller, and
+/// returns once every helper's copy has returned. If the OS refuses a
+/// thread, the call goes ahead on the helpers there are.
+fn run_on_pool(helpers: usize, work: &(dyn Fn() + Sync)) {
+    let call = Call(Arc::new(Latch::default()));
+    IN_POOL.with(|flag| flag.set(true));
+    // SAFETY: the jobs below are the only users of `shared`, and each
+    // holds the latch until it is dropped: after `shared()` returns, while
+    // it unwinds, or without ever running (a failed send). `call` was
+    // created before any job went out, so it is dropped before this
+    // function returns or finishes unwinding, and its drop blocks until
+    // every hold is released. No job can therefore call `shared` after
+    // `work`'s borrow ends.
+    let shared: &'static (dyn Fn() + Sync) = unsafe {
+        std::mem::transmute::<&(dyn Fn() + Sync + '_), &'static (dyn Fn() + Sync + 'static)>(work)
+    };
+    {
+        let mut senders = lock(&HELPERS);
+        while senders.len() < helpers {
+            let Some(tx) = spawn_helper(senders.len() + 1) else {
+                break;
+            };
+            senders.push(tx);
+        }
+        for tx in senders.iter().take(helpers) {
+            *lock(&call.0.pending) += 1;
+            let hold = Hold(Arc::clone(&call.0));
+            let job: Job = Box::new(move || {
+                shared();
+                cyclesteal_obs::flush_thread();
+                drop(hold);
+            });
+            // Items cannot take a helper down, so its channel stays open;
+            // were it closed, the unsent job would drop its hold and the
+            // calling thread would claim the helper's share.
+            let _ = tx.send(job);
+        }
+    }
+    work();
+    drop(call);
+}
 
 /// Extracts a human-readable message from a caught panic payload
 /// (`panic!("...")` carries `&str` or `String`; anything else is opaque).
@@ -42,11 +176,13 @@ fn run_isolated<T, R>(item: &T, f: &(impl Fn(&T) -> R + Sync)) -> Result<R, Stri
     out
 }
 
-/// Maps `f` over `items` on `threads` worker threads with **per-item panic
-/// isolation**, returning `Ok(result)` or `Err(panic message)` per item,
-/// in input order. `chunk` is the number of items a worker claims at a
-/// time (clamped to at least 1). With `threads <= 1` (or a single item)
-/// this degrades to a serial map on the calling thread — still isolated.
+/// Maps `f` over `items` on `threads` workers — the calling thread and
+/// `threads − 1` pool helpers — with **per-item panic isolation**,
+/// returning `Ok(result)` or `Err(panic message)` per item, in input
+/// order. `chunk` is the number of items a worker claims at a time
+/// (clamped to at least 1). With `threads <= 1`, a single item, or a
+/// call from inside a pool call, this degrades to a serial map on the
+/// calling thread — still isolated.
 ///
 /// A panicking item never takes its worker down: the unwind is caught at
 /// the item boundary, recorded in that item's slot, and the worker moves
@@ -89,7 +225,7 @@ where
     // must stay out of the deterministic count-metrics. Per-item counters
     // live in `run_isolated`, whose totals depend only on `(items, f)`.
     cyclesteal_obs::gauge_max!("sim.pool.queue_hwm", n as u64);
-    if workers <= 1 {
+    if workers <= 1 || IN_POOL.with(Cell::get) {
         return items.iter().map(|item| run_isolated(item, &f)).collect();
     }
     cyclesteal_obs::gauge_max!("sim.pool.workers_hwm", workers as u64);
@@ -97,51 +233,37 @@ where
 
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Result<R, String>)>();
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || {
-                let mut chunks_claimed = 0u64;
-                let mut executed = 0u64;
-                'work: loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    chunks_claimed += 1;
-                    let end = (start + chunk).min(n);
-                    for (offset, item) in items[start..end].iter().enumerate() {
-                        executed += 1;
-                        if tx.send((start + offset, run_isolated(item, f))).is_err() {
-                            break 'work; // receiver gone: the scope is tearing down
-                        }
-                    }
-                }
-                cyclesteal_obs::gauge_max!("sim.pool.chunks_claimed_hwm", chunks_claimed);
-                cyclesteal_obs::gauge_max!(
-                    "sim.pool.tasks_stolen_hwm",
-                    executed.saturating_sub(fair_share)
-                );
-                // Scoped threads signal completion when this closure
-                // returns — *before* TLS destructors run — so telemetry
-                // must be pushed to the global table here, not left to
-                // the thread-local Drop, or a snapshot taken right after
-                // the scope could miss this worker's records.
-                cyclesteal_obs::flush_thread();
-            });
+    run_on_pool(workers - 1, &|| {
+        let mut chunks_claimed = 0u64;
+        let mut executed = 0u64;
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            chunks_claimed += 1;
+            let end = (start + chunk).min(n);
+            for (offset, item) in items[start..end].iter().enumerate() {
+                executed += 1;
+                // The receiver outlives every worker: a send cannot fail.
+                let _ = tx.send((start + offset, run_isolated(item, &f)));
+            }
         }
-        drop(tx);
+        cyclesteal_obs::gauge_max!("sim.pool.chunks_claimed_hwm", chunks_claimed);
+        cyclesteal_obs::gauge_max!(
+            "sim.pool.tasks_stolen_hwm",
+            executed.saturating_sub(fair_share)
+        );
+    });
+    drop(tx);
 
-        let mut out: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
-        for (i, r) in rx {
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every index produced exactly once"))
-            .collect()
-    })
+    let mut out: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
+    for (i, r) in rx {
+        out[i] = Some(r);
+    }
+    out.into_iter()
+        .map(|slot| slot.expect("every index produced exactly once"))
+        .collect()
 }
 
 /// Maps `f` over `items` on `threads` worker threads, returning results in

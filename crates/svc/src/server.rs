@@ -749,7 +749,8 @@ fn presolve_batch(shared: &Arc<Shared>, scope: &SolveCache, jobs: &[Job], clock:
         cyclesteal_obs::span!("svc.batch.presolve");
         // Fault-planned points are excluded inside (same per-query fault
         // scopes run_query enters), so injections neither poison nor get
-        // masked by the shared cache.
+        // masked by the shared cache. It files on this worker alone, in
+        // key order, so the drain journals its reports in key order.
         presolve_points(&points, scope)
     });
     let mut totals = lock(&shared.batch);

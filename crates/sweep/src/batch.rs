@@ -16,9 +16,12 @@
 //! re-runs the whole ladder during evaluation and gets its ordinary
 //! attributed failure record.
 //!
-//! Questions are filed in [`ReportKey`] order, which makes the order of
-//! the reports a drain journals independent of the order its points
-//! arrived in.
+//! Planning is serial; filing runs on the shared worker pool at the
+//! caller's thread count, each question on whichever worker claims it,
+//! out of that thread's workspace. A sweep files across all its threads.
+//! A daemon drain files at 1 thread, in [`ReportKey`] order, which makes
+//! the order of the reports it journals independent of the order its
+//! points arrived in.
 //!
 //! Points with a planned fault on their scope are skipped wholesale:
 //! faulted points bypass the shared cache during evaluation (see the
@@ -34,6 +37,7 @@ use cyclesteal_core::cs_cq::BusyPeriodFit;
 use cyclesteal_core::cs_cq_km::{self, Hosts};
 use cyclesteal_core::stability::Policy;
 use cyclesteal_core::SystemParams;
+use cyclesteal_sim::parallel_map_isolated;
 use cyclesteal_xtest::fault;
 
 use crate::grid::{Evaluator, Point};
@@ -78,36 +82,52 @@ impl std::ops::AddAssign for BatchStats {
     }
 }
 
-/// Presolves the CS-CQ questions of `points` into `cache`, on the calling
-/// thread, out of the calling thread's scratch workspace (the same
-/// per-thread workspace [`crate::run_query`] evaluates with).
+/// Presolves the CS-CQ questions of `points` into `cache`, serially on
+/// the calling thread, out of its scratch workspace (the same per-thread
+/// workspace [`crate::run_query`] evaluates with): the presolve of one
+/// worker, [`presolve_points_on`] at 1 thread.
 ///
-/// The sweep engine calls it before its evaluation phase fans out, so
-/// its stats, like everything else about the presolve, are independent
-/// of the sweep's thread count. A serving daemon calls it on the points
-/// of a drain, then answers each query individually through
-/// [`crate::run_query`], which finds every filed report in `cache`. In a
-/// drain scope those reports are journaled here, before the first
-/// answer. A filed report is the bits the per-query evaluation would have
-/// computed itself, deadline or no deadline, so a presolve cannot move a
-/// byte of any response.
+/// A serving daemon calls it on the points of a drain, then answers each
+/// query individually through [`crate::run_query`], which finds every
+/// filed report in `cache`. In a drain scope those reports are journaled
+/// here, in key order, before the first answer. A filed report is the
+/// bits the per-query evaluation would have computed itself, deadline or
+/// no deadline, so a presolve cannot move a byte of any response.
 ///
 /// Fault-planned points are skipped (their ids are the same canonical
 /// per-point fault scopes `run_query` enters), so injected failures
 /// neither poison the shared cache nor get masked by a clean presolve.
 pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
+    presolve_points_on(points, cache, 1)
+}
+
+/// Presolves the CS-CQ questions of `points` into `cache` on `threads`
+/// workers of the shared pool (`cyclesteal_sim::parallel_map_isolated`):
+/// the calling thread and `threads − 1` persistent helpers each claim
+/// questions and file them out of their own thread's workspace.
+///
+/// The sweep engine calls it before its evaluation phase, at the sweep's
+/// thread count. Planning (the filters, the dedupe, the key sort and
+/// every tally) is serial, so the stats are independent of `threads`;
+/// which thread files which question is not, and neither is the order
+/// the reports land in, which only a journaling scope could see. At 1
+/// thread the questions are filed in key order on the calling thread.
+/// A question whose filing panics counts as not seeded, and evaluation
+/// re-runs and attributes it.
+pub fn presolve_points_on(points: &[Point], cache: &SolveCache, threads: usize) -> BatchStats {
     let mut stats = BatchStats::default();
     let questions = plan(points, cache, &mut stats);
-    crate::engine::WORKSPACE.with(|ws| {
-        let ws = &mut ws.borrow_mut();
-        for (_, hosts, params) in &questions {
-            stats.unique += 1;
-            let fit = BusyPeriodFit::ThreeMoment;
-            if cs_cq_km::analyze_cached_in(*hosts, params, fit, cache, ws).is_ok() {
-                stats.seeded += 1;
-            }
-        }
+    stats.unique = questions.len();
+    let filed = parallel_map_isolated(&questions, threads, 1, |(_, hosts, params)| {
+        // Root span: a question's spans aggregate under one path whichever
+        // thread filed it.
+        cyclesteal_obs::span_root!("sweep.presolve.question");
+        let fit = BusyPeriodFit::ThreeMoment;
+        crate::engine::WORKSPACE.with(|ws| {
+            cs_cq_km::analyze_cached_in(*hosts, params, fit, cache, &mut ws.borrow_mut()).is_ok()
+        })
     });
+    stats.seeded = filed.into_iter().filter(|r| *r == Ok(true)).count();
     stats
 }
 

@@ -27,7 +27,7 @@ use cyclesteal_markov::MarkovError;
 use cyclesteal_sim::{parallel_map_isolated, replicate, PolicyKind, SimConfig, SimParams};
 use cyclesteal_xtest::{fault, fault_point};
 
-use crate::batch::presolve_points;
+use crate::batch::presolve_points_on;
 use crate::grid::{Evaluator, GridSpec, Point};
 use crate::report::{FailureCounts, FailureKind, SweepMetrics, SweepReport, SweepRow};
 
@@ -71,6 +71,12 @@ pub fn run(spec: &GridSpec, opts: &SweepOptions) -> (SweepReport, SweepMetrics) 
 
 /// Evaluates an explicit point list on the worker pool.
 ///
+/// Two phases run on `opts.threads` workers, the calling thread and the
+/// pool's persistent helpers: the presolve files every distinct CS-CQ
+/// question ([`crate::presolve_points_on`]), so the thread count
+/// parallelizes the CS-CQ solves, and evaluation then builds each row,
+/// finding those answers in the cache.
+///
 /// The report's rows are sorted by canonical id and every row is a pure
 /// function of its point (analysis rows via the quantized-key
 /// [`SolveCache`], simulation rows via parameter-derived seeds), so the
@@ -96,12 +102,13 @@ pub fn run_points(
     // this run only the work it actually did.
     let obs_before = cyclesteal_obs::snapshot_if_active();
     let start = Instant::now();
-    // The presolve: serial, on the calling thread, before the pool
-    // fans out — so its work (and its telemetry) is identical for every
-    // thread count and input order of the same multiset of points.
+    // The presolve files every distinct CS-CQ question across the
+    // sweep's threads before evaluation fans out. Which questions it
+    // files (and its telemetry counts) depend only on the multiset of
+    // points, never on the thread count or input order.
     let batch_stats = {
         cyclesteal_obs::span!("sweep.phase.presolve");
-        presolve_points(points, &cache)
+        presolve_points_on(points, &cache, opts.threads)
     };
     let evaluated = {
         cyclesteal_obs::span!("sweep.phase.evaluate");
@@ -177,11 +184,11 @@ pub fn run_points(
 
 thread_local! {
     /// Per-worker scratch workspace for the QBD solver. One lives on each
-    /// pool thread (and one on the caller's thread for serial sweeps); the
-    /// solver resets every buffer it checks out, so reuse across points
-    /// never changes a row. `pub(crate)` so the presolve
-    /// ([`crate::presolve_points`]) shares the calling thread's workspace
-    /// with the evaluations that follow it.
+    /// pool thread, the caller's included, and persists with it across
+    /// sweeps; the solver resets every buffer it checks out, so reuse
+    /// across points never changes a row. `pub(crate)` so the presolve
+    /// ([`crate::presolve_points_on`]) files its questions out of the same
+    /// workspaces as the evaluations that follow it.
     pub(crate) static WORKSPACE: std::cell::RefCell<Workspace> = std::cell::RefCell::new(Workspace::new());
 }
 

@@ -41,7 +41,7 @@ mod grid;
 mod query;
 mod report;
 
-pub use batch::{presolve_points, BatchStats};
+pub use batch::{presolve_points, presolve_points_on, BatchStats};
 pub use engine::{run, run_points, SweepOptions};
 pub use grid::{policy_name, Evaluator, GridSpec, LongLaw, Point};
 pub use query::{run_queries, run_query, QueryOutcome};

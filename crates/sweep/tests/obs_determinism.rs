@@ -53,7 +53,11 @@ fn embedded_counts_are_bit_identical_across_threads_and_input_order() {
     // Sanity: the embedded snapshot actually covers the whole pipeline.
     assert_eq!(counts.counter("sweep.points"), 3_000);
     assert_eq!(counts.span_count("sweep.point"), 3_000);
-    assert_eq!(counts.counter("sim.pool.tasks"), 3_000);
+    // One pool task per point, plus one per question the presolve filed.
+    assert_eq!(
+        counts.counter("sim.pool.tasks"),
+        3_000 + metrics.batch.unique as u64
+    );
     assert!(counts.counter("core.cs_cq.analyze") > 0, "solver counters");
     assert!(counts.counter("markov.qbd.solve") > 0, "QBD counters");
     assert!(counts.counter("linalg.lu.factor") > 0, "linalg counters");

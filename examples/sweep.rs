@@ -118,6 +118,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    if json_reports.len() > 1 {
+        // The CS-CQ points alone: the presolve files their QBD solves
+        // across the sweep's threads, so this ratio is what the thread
+        // count buys the solver. Best of 5 fresh-cache runs per count;
+        // a wall-clock ratio, so report-only.
+        let mut cs_cq = spec.clone();
+        cs_cq.policies = vec![cyclesteal_core::stability::Policy::CsCq];
+        let best_ns = |t: usize| {
+            (0..5)
+                .map(|_| {
+                    let start = Instant::now();
+                    run(&cs_cq, &SweepOptions::threads(t));
+                    start.elapsed().as_nanos() as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (t0, t1) = (threads[0], threads[threads.len() - 1]);
+        println!(
+            "CS-CQ grid ({} points) speedup {t1} threads vs {t0}: {:.2}x (best of 5, report-only)",
+            cs_cq.len(),
+            best_ns(t0) / best_ns(t1)
+        );
+    }
+
     if obs {
         // All runs record into one registry; the per-run (delta) counts are
         // embedded in each report's "obs" field and already checked
