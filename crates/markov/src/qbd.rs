@@ -740,32 +740,19 @@ impl Qbd {
         let mut i_minus_r_inv = Matrix::zeros(m, m);
         lu_inverse_into(&lu, &piv, &mut i_minus_r_inv);
         let nb = self.boundary_dim();
-        let n = nb + m;
-        let mut f = ws.take_mat(n, n);
-        for i in 0..nb {
-            let row = f.row_mut(i);
-            row[..nb].copy_from_slice(self.b00.row(i));
-            row[nb..].copy_from_slice(self.b01.row(i));
-        }
-        for i in 0..m {
-            let row = f.row_mut(nb + i);
-            row[..nb].copy_from_slice(self.b10.row(i));
-            row[nb..].copy_from_slice(level0_local.row(i));
-        }
         let mut ones = ws.take_vec(m);
         ones.fill(1.0);
-        let mut w = ws.take_vec(n);
+        let mut w = ws.take_vec(nb + m);
         w[..nb].fill(1.0);
         i_minus_r_inv.mul_vec_into(&ones, &mut w[nb..]);
         ws.give_vec(ones);
         ws.give_mat(tmp);
-        ws.give_mat(level0_local);
         ws.give_mat(id);
         ws.give_mat(lu);
         ws.give_idx(piv);
         Ok(BoundarySystem {
             nb,
-            f,
+            level0_local,
             w,
             i_minus_r_inv,
         })
@@ -791,14 +778,14 @@ impl Qbd {
         let mut best: Option<(f64, usize)> = None;
         for replace in [n - 1, 0] {
             // Each try rewrites all of `sys`, so it is factored in place.
-            system.equations_into(replace, &mut sys);
+            system.equations_into(self, replace, &mut sys);
             rhs.fill(0.0);
             rhs[replace] = 1.0;
             if lu_factor_in_place(&mut sys, &mut piv).is_err() {
                 continue;
             }
             lu_solve_into(&sys, &piv, &rhs, &mut xsol);
-            let resid = system.residual(&xsol, replace, &mut resid_vec);
+            let resid = system.residual(self, &xsol, replace, &mut resid_vec);
             if best.as_ref().is_none_or(|(b, _)| resid < *b) {
                 best = Some((resid, replace));
                 best_x.copy_from_slice(&xsol);
@@ -982,12 +969,14 @@ const BOUNDARY_RESID_TOL: f64 = 1e-9;
 
 /// The linear system of a QBD's boundary solve (see
 /// [`Qbd::boundary_system_in`]), its buffers borrowed from a workspace.
+/// The matrix `F = [[B00, B01], [B10, A1 + R A2]]` is never assembled:
+/// its rows are read from the chain's blocks and `level0_local`, so a
+/// solve holds one `n × n` matrix, the factored equations.
 struct BoundarySystem {
     /// Number of boundary states.
     nb: usize,
-    /// `F = [[B00, B01], [B10, A1 + R A2]]`; column `j` is balance
-    /// equation `j` in the unknowns `x`.
-    f: Matrix,
+    /// `A1 + R A2`, the bottom-right block of `F`.
+    level0_local: Matrix,
     /// The normalization weights `[1, (I − R)⁻¹ 1]`.
     w: Vec<f64>,
     /// `(I − R)⁻¹`, which the solution keeps.
@@ -998,16 +987,54 @@ impl BoundarySystem {
     /// Writes the system in the unknowns — `Fᵀ`, so that row `j` is
     /// balance equation `j` — with equation `replace` swapped for the
     /// normalization `x·w = 1` into `sys`.
-    fn equations_into(&self, replace: usize, sys: &mut Matrix) {
-        self.f.transpose_into(sys);
+    fn equations_into(&self, q: &Qbd, replace: usize, sys: &mut Matrix) {
+        let nb = self.nb;
+        let n = self.w.len();
+        sys.reshape(n, n);
+        for j in 0..n {
+            // Row `j` of `Fᵀ` is column `j` of `F`: one column of the
+            // blocks above the boundary split, then one of those below.
+            let (upper, lower, col) = if j < nb {
+                (&q.b00, &q.b10, j)
+            } else {
+                (&q.b01, &self.level0_local, j - nb)
+            };
+            let (left, right) = sys.row_mut(j).split_at_mut(nb);
+            for (block, out) in [(upper, left), (lower, right)] {
+                let column = block.as_slice()[col..].iter().step_by(block.cols());
+                for (o, &v) in out.iter_mut().zip(column) {
+                    *o = v;
+                }
+            }
+        }
         sys.row_mut(replace).copy_from_slice(&self.w);
     }
 
     /// The largest balance-equation residual `|(x F)_j|` over `j ≠
     /// replace` (the replaced equation is exact by construction); `scratch`
-    /// holds `x F`.
-    fn residual(&self, x: &[f64], replace: usize, scratch: &mut [f64]) -> f64 {
-        self.f.vec_mul_into(x, scratch);
+    /// holds `x F`, summed row by row in ascending order, zero entries of
+    /// `x` skipped, as `Matrix::vec_mul_into` sums it.
+    fn residual(&self, q: &Qbd, x: &[f64], replace: usize, scratch: &mut [f64]) -> f64 {
+        let nb = self.nb;
+        scratch.fill(0.0);
+        let (out_left, out_right) = scratch.split_at_mut(nb);
+        for (i, &xi) in x.iter().enumerate() {
+            if xi == 0.0 {
+                continue;
+            }
+            // Row `i` of `F`, split at the boundary.
+            let (left, right) = if i < nb {
+                (q.b00.row(i), q.b01.row(i))
+            } else {
+                (q.b10.row(i - nb), self.level0_local.row(i - nb))
+            };
+            for (o, &m) in out_left.iter_mut().zip(left) {
+                *o += xi * m;
+            }
+            for (o, &m) in out_right.iter_mut().zip(right) {
+                *o += xi * m;
+            }
+        }
         scratch
             .iter()
             .enumerate()
@@ -1026,7 +1053,7 @@ impl BoundarySystem {
             i_minus_r_inv: self.i_minus_r_inv,
             pivot,
         };
-        ws.give_mat(self.f);
+        ws.give_mat(self.level0_local);
         ws.give_vec(self.w);
         sol
     }
