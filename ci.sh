@@ -247,7 +247,22 @@ svc_addr=$(svc_wait_addr "$SVC_TMP/d_oracle.log")
 wait "$svc_pid"
 cmp "$SVC_TMP/recovered.txt" "$SVC_TMP/oracle.txt" \
     || { echo "crash gate: recovered answers differ from the never-crashed run" >&2; exit 1; }
-echo "crash gate: 6 entries recovered, torn tail truncated, 12 replayed answers bit-identical"
+
+# 4. Both drains compacted the same 12 answers through the streaming
+# snapshot writer: the two snapshots must be byte-identical, and one more
+# restart on the crashed dir must read all 12 back through the streaming
+# reader, with nothing left in its WAL.
+cmp "$SVC_TMP/crashdir/snapshot.bin" "$SVC_TMP/freshdir/snapshot.bin" \
+    || { echo "crash gate: the compacted snapshots differ" >&2; exit 1; }
+"$SVC_DAEMON" --workers 1 --data-dir "$SVC_TMP/crashdir" > "$SVC_TMP/d_compacted.log" 2>&1 &
+svc_pid=$!
+svc_addr=$(svc_wait_addr "$SVC_TMP/d_compacted.log")
+grep -qx "recovered: 12 snapshot + 0 wal entries" "$SVC_TMP/d_compacted.log" \
+    || { echo "crash gate: wrong recovery of the compacted store" >&2; cat "$SVC_TMP/d_compacted.log" >&2; exit 1; }
+"$SVC_CLIENT" --addr "$svc_addr" drain > /dev/null
+wait "$svc_pid"
+echo "crash gate: 6 entries recovered, torn tail truncated, 12 replayed answers bit-identical," \
+     "compacted snapshots identical and recovered whole"
 
 echo "==> daemon overload smoke (slowed worker, bounded queue -> structured sheds, live scrape)"
 # 10x the daemon's drain rate: a 20-query burst into a 2-slot queue behind

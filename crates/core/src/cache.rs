@@ -463,9 +463,18 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     /// value wins — every value is a pure function of its key), and the
     /// same LRU evictions. The counts are added once per call. Meant for a
     /// cache nothing else is using yet (restart recovery): a pending entry
-    /// is counted as a hit without waiting for it.
+    /// is counted as a hit without waiting for it. The map is sized once
+    /// for the entries' size hint (at most the capacity of a bounded memo),
+    /// so a large restore does not rehash through the growth doublings.
     fn restore(&self, entries: impl IntoIterator<Item = (K, V)>) {
+        let entries = entries.into_iter();
         let mut table = lock(&self.table);
+        let expected = entries.size_hint().0;
+        table.entries.reserve(if self.capacity > 0 {
+            expected.min(self.capacity)
+        } else {
+            expected
+        });
         let (mut hits, mut misses, mut evictions) = (0, 0, 0);
         for (key, value) in entries {
             let t = self.touch(&mut table, key, || SlotState::Ready(value), |_| ());
@@ -756,7 +765,9 @@ impl SolveCache {
     /// record is the persistence layer's job to reject before this) — and,
     /// on a bounded cache, the same LRU evictions: a restore takes the
     /// same insert-and-evict path as a lookup, off the layer's one recency
-    /// queue. Restored entries are not journaled.
+    /// queue. Restored entries are not journaled. The map is sized once
+    /// from the entries' size hint, so give an iterator whose lower bound
+    /// is the count when it is known.
     pub fn restore_reports(&self, entries: impl IntoIterator<Item = (ReportKey, CsCqReport)>) {
         self.store.reports.restore(entries);
     }

@@ -45,9 +45,21 @@
 //! [`SolveCache::restore_reports`] call, which takes the report map's lock
 //! once and evicts from a recency queue rather than rescanning the map,
 //! so a store larger than a bounded cache also recovers in linear time.
+//!
+//! A restart also runs in a fixed amount of memory beyond the entries it
+//! keeps. The snapshot is read twice through one 64 KiB buffer: the first
+//! pass validates it (magic, count against length, running CRC, every
+//! record decodes), and only then does the second decode each record
+//! straight into the cache, whose report table is sized once from the
+//! count. The WAL is one streaming pass. Reading the whole snapshot into
+//! one buffer and decoding it into a list first held 327 bytes per record
+//! (1.34 MB at 4096 records); the streaming reader holds 65.5 KB whatever
+//! the store's size. [`DurableCache::compact`] streams the image to disk
+//! through a small buffer as it checksums it, where it used to build the
+//! whole image first (123 bytes per record).
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -103,24 +115,48 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 /// record, snapshot image and recovery check runs through it, so a
 /// restart pays about one table lookup per byte of the store.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][usize::from(w[4])]
-            ^ t[2][usize::from(w[5])]
-            ^ t[1][usize::from(w[6])]
-            ^ t[0][usize::from(w[7])];
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// A running [`crc32`]: feeding a byte string in pieces gives the CRC of
+/// the whole, so a snapshot is checksummed as it streams to or from disk.
+struct Crc32(u32);
+
+impl Crc32 {
+    /// The CRC of no bytes yet.
+    fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
     }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+
+    /// Folds `bytes` into the register, eight at a time through the
+    /// slice-by-8 tables.
+    fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][usize::from(w[4])]
+                ^ t[2][usize::from(w[5])]
+                ^ t[1][usize::from(w[6])]
+                ^ t[0][usize::from(w[7])];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.0 = crc;
     }
-    !crc
+
+    /// The CRC of every byte fed so far.
+    fn finish(self) -> u32 {
+        !self.0
+    }
 }
 
 fn quality_to_byte(q: MatchQuality) -> u8 {
@@ -140,23 +176,21 @@ fn quality_from_byte(b: u8) -> Option<MatchQuality> {
     }
 }
 
-/// Packs one cache entry into a fixed-size record payload.
-pub fn encode_record(key: &ReportKey, report: &CsCqReport) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_LEN);
-    encode_record_into(&mut out, key, report);
-    out
-}
-
-/// Appends the [`encode_record`] payload of one cache entry to `out`.
-fn encode_record_into(out: &mut Vec<u8>, key: &ReportKey, report: &CsCqReport) {
-    let start = out.len();
+/// Packs one cache entry into a fixed-size record payload, on the stack.
+pub fn encode_record(key: &ReportKey, report: &CsCqReport) -> [u8; RECORD_LEN] {
+    let mut out = [0u8; RECORD_LEN];
+    let mut at = 0;
+    let mut put = |bytes: &[u8]| {
+        out[at..at + bytes.len()].copy_from_slice(bytes);
+        at += bytes.len();
+    };
     let (params, tag, (k, m)) = key;
     for p in params {
-        out.extend_from_slice(&p.to_le_bytes());
+        put(&p.to_le_bytes());
     }
-    out.push(*tag);
-    out.extend_from_slice(&k.to_le_bytes());
-    out.extend_from_slice(&m.to_le_bytes());
+    put(&[*tag]);
+    put(&k.to_le_bytes());
+    put(&m.to_le_bytes());
     for v in [
         report.short_response,
         report.long_response,
@@ -167,11 +201,14 @@ fn encode_record_into(out: &mut Vec<u8>, key: &ReportKey, report: &CsCqReport) {
         report.setup_probability,
         report.total_mass,
     ] {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+        put(&v.to_bits().to_le_bytes());
     }
-    out.push(quality_to_byte(report.bl_match));
-    out.push(quality_to_byte(report.bn_match));
-    debug_assert_eq!(out.len() - start, RECORD_LEN);
+    put(&[
+        quality_to_byte(report.bl_match),
+        quality_to_byte(report.bn_match),
+    ]);
+    debug_assert_eq!(at, RECORD_LEN);
+    out
 }
 
 /// Unpacks a record payload; `None` if it is structurally invalid.
@@ -237,77 +274,272 @@ pub struct RecoveryReport {
     pub snapshot_rejected: bool,
 }
 
-/// Decodes a WAL image: the valid-prefix entries and that prefix's length
-/// in bytes (including the magic). A missing or mismatched magic yields
-/// `(vec![], 0)` — the whole file is invalid.
-pub fn decode_wal(bytes: &[u8]) -> (Vec<(ReportKey, CsCqReport)>, u64) {
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return (Vec::new(), 0);
-    }
-    // Every record is a header and a fixed-length payload, so the bytes
-    // after the magic hold at most this many: one allocation, however long
-    // the log a killed daemon left to replay.
-    let most = (bytes.len() - WAL_MAGIC.len()) / (RECORD_HEADER + RECORD_LEN);
-    let mut entries = Vec::with_capacity(most);
-    let mut pos = WAL_MAGIC.len();
-    while let Some(header) = bytes.get(pos..pos + RECORD_HEADER) {
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        if len != RECORD_LEN {
-            break;
-        }
-        let Some(payload) = bytes.get(pos + RECORD_HEADER..pos + RECORD_HEADER + len) else {
-            break;
-        };
-        if crc32(payload) != crc {
-            break;
-        }
-        let Some(entry) = decode_record(payload) else {
-            break;
-        };
-        entries.push(entry);
-        pos += RECORD_HEADER + len;
-    }
-    (entries, pos as u64)
+/// Bytes of the snapshot header after the magic: the entry count.
+const SNAP_COUNT: usize = 4;
+/// Bytes of the trailing snapshot CRC.
+const SNAP_CRC: usize = 4;
+
+/// Size of the buffer recovery reads each store file through, one file at
+/// a time: what a restart holds beyond the entries it keeps.
+const READ_BUF: usize = 64 * 1024;
+
+/// The length of a snapshot image holding `count` entries (a `u32` count
+/// cannot overflow it).
+fn snapshot_len(count: u64) -> u64 {
+    (SNAP_MAGIC.len() + SNAP_COUNT + SNAP_CRC) as u64 + count * RECORD_LEN as u64
 }
 
-/// Encodes a snapshot image from `entries`: the magic, then a body of the
-/// entry count and every record payload, then the body's CRC, written
-/// into one buffer.
-pub fn encode_snapshot(entries: &[(ReportKey, CsCqReport)]) -> Vec<u8> {
-    let body_start = SNAP_MAGIC.len();
-    let mut out = Vec::with_capacity(body_start + 4 + entries.len() * RECORD_LEN + 4);
-    out.extend_from_slice(SNAP_MAGIC);
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (key, report) in entries {
-        encode_record_into(&mut out, key, report);
+/// Fills `buf` from `src`: `Ok(false)` when the source ends first (a
+/// short or torn image), any other read error as is.
+fn read_full(src: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+    match src.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
     }
-    let crc = crc32(&out[body_start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Writes the snapshot image of `entries` to `out` as it checksums it:
+/// the magic, then a body of the entry count and every record payload,
+/// then the body's CRC. The one snapshot encoder: [`encode_snapshot`]
+/// runs it into a buffer, [`DurableCache::compact`] into the file.
+fn write_snapshot(out: &mut impl Write, entries: &[(ReportKey, CsCqReport)]) -> io::Result<()> {
+    let count = u32::try_from(entries.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "too many snapshot entries"))?
+        .to_le_bytes();
+    let mut crc = Crc32::new();
+    crc.update(&count);
+    out.write_all(SNAP_MAGIC)?;
+    out.write_all(&count)?;
+    for (key, report) in entries {
+        let payload = encode_record(key, report);
+        crc.update(&payload);
+        out.write_all(&payload)?;
+    }
+    out.write_all(&crc.finish().to_le_bytes())
+}
+
+/// Encodes a snapshot image from `entries` into one buffer.
+pub fn encode_snapshot(entries: &[(ReportKey, CsCqReport)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(snapshot_len(entries.len() as u64) as usize);
+    write_snapshot(&mut out, entries)
+        .expect("a snapshot fits its count and a Vec takes every write");
     out
+}
+
+/// The records of a snapshot that [`read_snapshot`] accepted, decoded one
+/// at a time from a source positioned at the first. Its size hint is the
+/// count left, so the report table is sized once.
+struct SnapshotRecords<R> {
+    src: R,
+    left: usize,
+    /// Why the records stopped before the count: a read error, or a
+    /// record that no longer decodes (the file changed between passes).
+    error: Option<io::Error>,
+}
+
+impl<R: Read> Iterator for SnapshotRecords<R> {
+    type Item = (ReportKey, CsCqReport);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let mut payload = [0u8; RECORD_LEN];
+        let entry = self.src.read_exact(&mut payload).and_then(|()| {
+            decode_record(&payload).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "the snapshot changed while it was recovered",
+                )
+            })
+        });
+        match entry {
+            Ok(entry) => {
+                self.left -= 1;
+                Some(entry)
+            }
+            Err(e) => {
+                self.error = Some(e);
+                self.left = 0;
+                None
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// Reads a snapshot image of `len` bytes from `src` in two passes through
+/// the source's buffer, and returns the entry count, or `None` when the
+/// image is rejected wholesale.
+///
+/// Pass 1 checks the magic and that the count agrees with `len`, feeds the
+/// count and every record to a running CRC, checks that each record
+/// decodes, and compares the stored CRC. Only if it accepts does pass 2
+/// seek back to the first record and hand every record to `restore`, so
+/// no record of a defective image is ever restored. `restore` must run
+/// the records to their end.
+///
+/// # Errors
+///
+/// A read or seek error, or a pass 2 that finds what pass 1 accepted
+/// changed.
+fn read_snapshot<R: Read + Seek>(
+    mut src: R,
+    len: u64,
+    restore: impl FnOnce(&mut SnapshotRecords<R>),
+) -> io::Result<Option<usize>> {
+    let mut head = [0u8; SNAP_MAGIC.len() + SNAP_COUNT];
+    if !read_full(&mut src, &mut head)? || !head.starts_with(SNAP_MAGIC) {
+        return Ok(None);
+    }
+    let count_bytes = &head[SNAP_MAGIC.len()..];
+    let count = u32::from_le_bytes([
+        count_bytes[0],
+        count_bytes[1],
+        count_bytes[2],
+        count_bytes[3],
+    ]);
+    if snapshot_len(u64::from(count)) != len {
+        return Ok(None);
+    }
+    let mut crc = Crc32::new();
+    crc.update(count_bytes);
+    let mut payload = [0u8; RECORD_LEN];
+    for _ in 0..count {
+        if !read_full(&mut src, &mut payload)? {
+            return Ok(None);
+        }
+        crc.update(&payload);
+        if decode_record(&payload).is_none() {
+            return Ok(None);
+        }
+    }
+    let mut stored = [0u8; SNAP_CRC];
+    if !read_full(&mut src, &mut stored)? || u32::from_le_bytes(stored) != crc.finish() {
+        return Ok(None);
+    }
+
+    src.seek(SeekFrom::Start(head.len() as u64))?;
+    let mut records = SnapshotRecords {
+        src,
+        left: count as usize,
+        error: None,
+    };
+    restore(&mut records);
+    match records.error {
+        Some(e) => Err(e),
+        None => Ok(Some(count as usize)),
+    }
 }
 
 /// Decodes a snapshot image; `None` rejects it wholesale on any defect.
 pub fn decode_snapshot(bytes: &[u8]) -> Option<Vec<(ReportKey, CsCqReport)>> {
-    let body = bytes.strip_prefix(SNAP_MAGIC)?;
-    if body.len() < 8 {
-        return None;
-    }
-    let (body, crc_bytes) = body.split_at(body.len() - 4);
-    let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if crc32(body) != stored {
-        return None;
-    }
-    let count = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-    let payloads = &body[4..];
-    if payloads.len() != count.checked_mul(RECORD_LEN)? {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(count);
-    for chunk in payloads.chunks_exact(RECORD_LEN) {
-        entries.push(decode_record(chunk)?);
-    }
+    let mut entries = Vec::new();
+    read_snapshot(io::Cursor::new(bytes), bytes.len() as u64, |records| {
+        entries.extend(records);
+    })
+    .expect("an in-memory image neither fails to read nor changes")?;
     Some(entries)
+}
+
+/// The valid prefix of a WAL's records, decoded one at a time from a
+/// source positioned after the magic: each record's length, CRC and
+/// structure are checked before it is yielded, and the first that fails
+/// (a short header, an impossible length, a CRC mismatch, an undecodable
+/// payload or the end of the source) ends it.
+struct WalRecords<R> {
+    src: R,
+    /// Records yielded so far.
+    entries: usize,
+    /// Set once the prefix has ended.
+    done: bool,
+    /// A read error other than the source ending.
+    error: Option<io::Error>,
+}
+
+impl<R: Read> WalRecords<R> {
+    fn read_record(&mut self) -> io::Result<Option<(ReportKey, CsCqReport)>> {
+        let mut header = [0u8; RECORD_HEADER];
+        if !read_full(&mut self.src, &mut header)? {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        if len != RECORD_LEN {
+            return Ok(None);
+        }
+        let mut payload = [0u8; RECORD_LEN];
+        if !read_full(&mut self.src, &mut payload)? || crc32(&payload) != crc {
+            return Ok(None);
+        }
+        Ok(decode_record(&payload))
+    }
+}
+
+impl<R: Read> Iterator for WalRecords<R> {
+    type Item = (ReportKey, CsCqReport);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let entry = self.read_record().unwrap_or_else(|e| {
+            self.error = Some(e);
+            None
+        });
+        match entry {
+            Some(_) => self.entries += 1,
+            None => self.done = true,
+        }
+        entry
+    }
+}
+
+/// Replays a WAL image from `src` in one pass: hands its valid prefix to
+/// `restore`, which must run the records to their end, and returns how
+/// many records that prefix holds and its length in bytes, the magic
+/// included. A missing or mismatched magic yields `(0, 0)`: the whole file
+/// is invalid.
+///
+/// # Errors
+///
+/// A read error other than the source ending.
+fn replay_wal<R: Read>(
+    mut src: R,
+    restore: impl FnOnce(&mut WalRecords<R>),
+) -> io::Result<(usize, u64)> {
+    let mut magic = [0u8; WAL_MAGIC.len()];
+    if !read_full(&mut src, &mut magic)? || &magic != WAL_MAGIC {
+        return Ok((0, 0));
+    }
+    let mut records = WalRecords {
+        src,
+        entries: 0,
+        done: false,
+        error: None,
+    };
+    restore(&mut records);
+    match records.error {
+        Some(e) => Err(e),
+        None => {
+            let valid = WAL_MAGIC.len() + records.entries * (RECORD_HEADER + RECORD_LEN);
+            Ok((records.entries, valid as u64))
+        }
+    }
+}
+
+/// Decodes a WAL image: the valid-prefix entries and that prefix's length
+/// in bytes (including the magic). A missing or mismatched magic yields
+/// `(vec![], 0)` — the whole file is invalid.
+pub fn decode_wal(bytes: &[u8]) -> (Vec<(ReportKey, CsCqReport)>, u64) {
+    let mut entries = Vec::new();
+    let (_, valid) = replay_wal(bytes, |records| entries.extend(records))
+        .expect("an in-memory image never fails to read");
+    (entries, valid)
 }
 
 struct WalFile {
@@ -365,18 +597,18 @@ impl DurableCache {
         fs::create_dir_all(dir)?;
         let mut report = RecoveryReport::default();
 
-        let snap_path = Self::snapshot_path(dir);
-        match fs::read(&snap_path) {
-            Ok(bytes) => match decode_snapshot(&bytes) {
-                Some(entries) => {
-                    report.snapshot_entries = entries.len();
-                    cache.restore_reports(entries);
+        match File::open(Self::snapshot_path(dir)) {
+            Ok(file) => {
+                let len = file.metadata()?.len();
+                let src = BufReader::with_capacity(READ_BUF, file);
+                match read_snapshot(src, len, |records| cache.restore_reports(records))? {
+                    Some(entries) => report.snapshot_entries = entries,
+                    None => {
+                        report.snapshot_rejected = true;
+                        cyclesteal_obs::counter!("svc.wal.snapshot_rejected");
+                    }
                 }
-                None => {
-                    report.snapshot_rejected = true;
-                    cyclesteal_obs::counter!("svc.wal.snapshot_rejected");
-                }
-            },
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
@@ -387,13 +619,13 @@ impl DurableCache {
             .create(true)
             .truncate(false)
             .open(Self::wal_path(dir))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        if bytes.is_empty() {
+        let len = file.metadata()?.len();
+        if len == 0 {
             file.write_all(WAL_MAGIC)?;
             file.sync_data()?;
         } else {
-            let (entries, valid_len) = decode_wal(&bytes);
+            let src = BufReader::with_capacity(READ_BUF, &file);
+            let (entries, valid_len) = replay_wal(src, |records| cache.restore_reports(records))?;
             if valid_len == 0 {
                 // Unrecognizable file: start a fresh log rather than
                 // appending records a future recovery would discard.
@@ -404,15 +636,14 @@ impl DurableCache {
                 file.write_all(WAL_MAGIC)?;
                 file.sync_data()?;
             } else {
-                if valid_len < bytes.len() as u64 {
+                if valid_len < len {
                     report.wal_truncated_to = Some(valid_len);
                     cyclesteal_obs::counter!("svc.wal.truncated");
                     file.set_len(valid_len)?;
                     file.sync_data()?;
                 }
                 file.seek(SeekFrom::End(0))?;
-                report.wal_entries = entries.len();
-                cache.restore_reports(entries);
+                report.wal_entries = entries;
             }
         }
 
@@ -443,14 +674,13 @@ impl DurableCache {
     /// still correct; the worst on-disk outcome is a torn tail that the
     /// next recovery truncates.
     pub fn append(&self, key: &ReportKey, report: &CsCqReport) -> io::Result<()> {
-        // The header (length, then the payload's CRC, filled in below) and
-        // the payload, encoded into one buffer.
+        // The header (length, then the payload's CRC) and the payload, in
+        // one buffer.
+        let payload = encode_record(key, report);
         let mut rec = Vec::with_capacity(RECORD_HEADER + RECORD_LEN);
         rec.extend_from_slice(&(RECORD_LEN as u32).to_le_bytes());
-        rec.extend_from_slice(&[0; 4]);
-        encode_record_into(&mut rec, key, report);
-        let crc = crc32(&rec[RECORD_HEADER..]);
-        rec[4..RECORD_HEADER].copy_from_slice(&crc.to_le_bytes());
+        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
+        rec.extend_from_slice(&payload);
 
         let mut wal = lock(&self.wal);
         if wal.kill_after_appends == Some(wal.stats.appends) {
@@ -479,7 +709,8 @@ impl DurableCache {
     }
 
     /// Writes `entries` as a new snapshot (temp file + atomic rename) and
-    /// resets the WAL to empty.
+    /// resets the WAL to empty. The image streams to the file through a
+    /// small buffer as it is checksummed, so it is never held whole.
     ///
     /// # Errors
     ///
@@ -488,13 +719,12 @@ impl DurableCache {
     /// reset merely replays entries the snapshot already holds (inserts
     /// are idempotent — same key, bit-identical value).
     pub fn compact(&self, entries: &[(ReportKey, CsCqReport)]) -> io::Result<()> {
-        let image = encode_snapshot(entries);
         let tmp = self.dir.join("snapshot.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&image)?;
-            f.sync_all()?;
-        }
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        write_snapshot(&mut out, entries)?;
+        out.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()?;
         fs::rename(&tmp, Self::snapshot_path(&self.dir))?;
         // Make the rename durable before truncating the WAL that the old
         // snapshot + log state depended on.
@@ -641,13 +871,13 @@ mod tests {
     fn structurally_invalid_records_are_rejected() {
         let (key, report) = sample_entry(1);
         let good = encode_record(&key, &report);
-        let mut bad_tag = good.clone();
+        let mut bad_tag = good;
         bad_tag[48] = 7;
         assert!(decode_record(&bad_tag).is_none());
-        let mut bad_quality = good.clone();
+        let mut bad_quality = good;
         bad_quality[121] = 0;
         assert!(decode_record(&bad_quality).is_none());
-        let mut bad_hosts = good.clone();
+        let mut bad_hosts = good;
         bad_hosts[49..53].copy_from_slice(&0u32.to_le_bytes());
         assert!(decode_record(&bad_hosts).is_none());
         assert!(decode_record(&good[..RECORD_LEN - 1]).is_none());

@@ -6,15 +6,19 @@
 //! 1. the recovered cache holds a *valid prefix* of the appended entries,
 //!    bit-identical to the originals (no corrupted entry is ever served);
 //! 2. re-serving the same query stream after recovery yields answers
-//!    byte-identical to the never-crashed run.
+//!    byte-identical to the never-crashed run;
+//! 3. a defective snapshot is rejected wholesale — none of its records
+//!    reaches the cache — and the WAL still replays in full.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use cyclesteal_core::cache::{ReportKey, SolveCache};
+use cyclesteal_core::cache::{CacheStats, ReportKey, SolveCache};
 use cyclesteal_core::cs_cq::CsCqReport;
 use cyclesteal_core::stability::Policy;
-use cyclesteal_svc::wal::{decode_wal, DurableCache, RECORD_HEADER, RECORD_LEN, WAL_MAGIC};
+use cyclesteal_svc::wal::{
+    crc32, decode_wal, DurableCache, RECORD_HEADER, RECORD_LEN, SNAP_MAGIC, WAL_MAGIC,
+};
 use cyclesteal_sweep::{run_query, Evaluator, LongLaw, Point, SweepRow};
 use cyclesteal_xtest::props;
 
@@ -253,6 +257,116 @@ fn a_torn_half_record_keeps_every_earlier_record() {
     for (p, want) in query_stream().iter().zip(&oracle.rows) {
         let got = run_query(p, &cache2, None).row;
         assert_eq!(&got, want);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Opens `dir` with `snapshot` as its snapshot file and asserts that it is
+/// rejected wholesale: no snapshot record reaches the cache, and the WAL's
+/// `wal` records replay in full, each one a miss on an empty cache.
+fn assert_rejected_wholesale(
+    dir: &Path,
+    snapshot: &[u8],
+    snap_entries: &[(ReportKey, CsCqReport)],
+    wal: &[(ReportKey, CsCqReport)],
+    what: &str,
+) {
+    fs::write(DurableCache::snapshot_path(dir), snapshot).expect("write snapshot");
+    let cache = SolveCache::new();
+    let (_durable, rec) = DurableCache::open(dir, &cache).expect("recover");
+    assert!(rec.snapshot_rejected, "{what}: {rec:?}");
+    assert_eq!(rec.snapshot_entries, 0, "{what}");
+    assert_eq!(
+        rec.wal_entries,
+        wal.len(),
+        "{what}: the WAL replays in full"
+    );
+    assert_eq!(rec.wal_truncated_to, None, "{what}");
+    assert_eq!(cache.report_len(), wal.len(), "{what}");
+    assert_eq!(
+        cache.stats(),
+        CacheStats {
+            misses: wal.len() as u64,
+            ..CacheStats::default()
+        },
+        "{what}: only the WAL's records were restored, into an empty cache"
+    );
+    for (key, _) in snap_entries {
+        assert!(
+            !cache.has_report(key),
+            "{what}: a snapshot record was restored"
+        );
+    }
+    for (key, want) in wal {
+        let got = cache.peek_report(key).expect("a WAL record was lost");
+        assert!(reports_bit_identical(&got, want), "{what}");
+    }
+}
+
+/// Rewrites a snapshot image's trailing CRC to match its body, so the
+/// checksum passes whatever else is wrong with the image.
+fn reseal(image: &mut [u8]) {
+    let end = image.len() - 4;
+    let crc = crc32(&image[SNAP_MAGIC.len()..end]);
+    image[end..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Every defect of a snapshot rejects it wholesale, whether the check that
+/// catches it is the length, the CRC or a record's structure.
+#[test]
+fn a_defective_snapshot_is_rejected_wholesale_and_the_wal_replays() {
+    let oracle = oracle();
+    let (snap_entries, wal) = oracle.appended.split_at(2);
+    let dir = tmp_dir("snapreject");
+    let (durable, _) = DurableCache::open(&dir, &SolveCache::new()).expect("open");
+    durable.compact(snap_entries).expect("compact");
+    for (k, r) in wal {
+        durable.append(k, r).expect("append");
+    }
+    drop(durable);
+    let image = fs::read(DurableCache::snapshot_path(&dir)).expect("read snapshot");
+    let count_at = SNAP_MAGIC.len();
+    assert_eq!(image.len(), count_at + 4 + 2 * RECORD_LEN + 4);
+
+    // The intact image restores both its records, then the WAL's.
+    let cache = SolveCache::new();
+    let (_durable, rec) = DurableCache::open(&dir, &cache).expect("recover");
+    assert_eq!((rec.snapshot_entries, rec.wal_entries), (2, 1), "{rec:?}");
+    assert!(!rec.snapshot_rejected);
+    drop(_durable);
+
+    for cut in 0..image.len() {
+        assert_rejected_wholesale(
+            &dir,
+            &image[..cut],
+            snap_entries,
+            wal,
+            &format!("cut at {cut}"),
+        );
+    }
+
+    let mut flipped = image.clone();
+    *flipped.last_mut().unwrap() ^= 0x01;
+    assert_rejected_wholesale(&dir, &flipped, snap_entries, wal, "last CRC byte flipped");
+
+    // An out-of-range match-quality byte in the last record, under a CRC
+    // that matches: only decoding the record catches it.
+    let mut undecodable = image.clone();
+    undecodable[count_at + 4 + RECORD_LEN + RECORD_LEN - 2] = 0;
+    reseal(&mut undecodable);
+    assert_rejected_wholesale(&dir, &undecodable, snap_entries, wal, "undecodable record");
+
+    for count in [1u32, 3] {
+        let mut miscounted = image.clone();
+        miscounted[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        reseal(&mut miscounted);
+        assert_rejected_wholesale(
+            &dir,
+            &miscounted,
+            snap_entries,
+            wal,
+            &format!("count {count}"),
+        );
     }
     let _ = fs::remove_dir_all(&dir);
 }

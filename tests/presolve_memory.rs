@@ -1,6 +1,8 @@
 //! Heap gates measured by this binary's own allocator: the peak live
-//! bytes of one presolve, and exact allocation counts for one answer,
-//! one query frame's parse, one WAL append and one snapshot image.
+//! bytes of one presolve, the transient bytes of one store recovery and
+//! one compaction, and exact allocation counts for one answer, one query
+//! frame's read and parse, one response frame's write, one WAL append and
+//! one snapshot image.
 //!
 //! The allocator keeps its counts per thread, so the test harness's own
 //! threads never show in a figure, and every path measured here runs on
@@ -16,11 +18,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use cyclesteal::core::cache::SolveCache;
+use cyclesteal::core::cache::{ReportKey, SolveCache};
+use cyclesteal::core::cs_cq::CsCqReport;
 use cyclesteal::core::stability::{self, Policy};
+use cyclesteal::dist::match3::MatchQuality;
 use cyclesteal_svc::client::QueryRequest;
-use cyclesteal_svc::json;
 use cyclesteal_svc::wal::{encode_snapshot, DurableCache};
+use cyclesteal_svc::{json, proto};
 use cyclesteal_sweep::{presolve_points, run_query, Evaluator, LongLaw, Point};
 
 /// Forwards to the system allocator, counting on the calling thread every
@@ -96,6 +100,11 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = COUNTS.with(|c| c.allocs.get());
     let out = f();
     (out, COUNTS.with(|c| c.allocs.get()) - before)
+}
+
+/// Bytes live on this thread now.
+fn live_bytes() -> isize {
+    COUNTS.with(|c| c.live.get())
 }
 
 /// The most bytes live on this thread while `f` ran, above the live bytes
@@ -251,13 +260,38 @@ fn parsing_a_query_frame_makes_pinned_allocations() {
     assert_eq!(allocs, 15);
 }
 
+/// One query frame's bytes are read into one buffer.
+#[test]
+fn reading_a_query_frame_makes_pinned_allocations() {
+    let _serial = serial();
+    let query = QueryRequest {
+        rho_s: 2.0,
+        rho_l: 0.5,
+        hosts: (2, 2),
+        ..QueryRequest::default()
+    }
+    .to_json();
+    let mut wire = Vec::new();
+    proto::write_frame(&mut wire, query.as_bytes()).unwrap();
+    let (frame, allocs) = allocs_during(|| proto::read_frame(&mut wire.as_slice()));
+    assert_eq!(frame.unwrap().as_deref(), Some(query.as_bytes()));
+    assert_eq!(allocs, 1);
+}
+
+/// Writing a frame into a buffer with room for it allocates nothing.
+#[test]
+fn writing_a_frame_makes_pinned_allocations() {
+    let _serial = serial();
+    let payload = br#"{"ok": true, "short_response": 1.5}"#;
+    let mut out = Vec::with_capacity(4 + payload.len());
+    let (written, allocs) = allocs_during(|| proto::write_frame(&mut out, payload));
+    written.unwrap();
+    assert_eq!(out.len(), 4 + payload.len());
+    assert_eq!(allocs, 0);
+}
+
 /// The reports of a few distinct (1, 1) questions, as a cache exports them.
-fn some_reports(
-    n: usize,
-) -> Vec<(
-    cyclesteal::core::cache::ReportKey,
-    cyclesteal::core::cs_cq::CsCqReport,
-)> {
+fn some_reports(n: usize) -> Vec<(ReportKey, CsCqReport)> {
     let cache = SolveCache::new();
     for i in 0..n {
         run_query(
@@ -300,4 +334,95 @@ fn a_snapshot_image_makes_pinned_allocations() {
     let (image, allocs) = allocs_during(|| encode_snapshot(&reports));
     assert!(!image.is_empty());
     assert_eq!(allocs, 1);
+}
+
+/// Transient bytes allowed above what a recovery keeps, and above the
+/// caller's entries during a compaction: the store streams through one
+/// fixed buffer, so the figure does not grow with the store. Reading the
+/// snapshot into one image and decoding it into a list before restoring
+/// held 327 bytes per record (1.34 MB at 4096 records), and encoding the
+/// whole image before writing it held 123 (0.50 MB).
+const STORE_TRANSIENT_BOUND: usize = 128 * 1024;
+
+/// `n` distinct synthetic entries with valid records, sorted by key as a
+/// drain exports them.
+fn synthetic_reports(n: u64) -> Vec<(ReportKey, CsCqReport)> {
+    (0..n)
+        .map(|i| {
+            let key = (
+                [i, 0x3FF0_0000_0000_0000 ^ i, 7, i * 3, 11, 13],
+                (i % 3) as u8 + 1,
+                if i % 4 == 0 { (2, 2) } else { (1, 1) },
+            );
+            let report = CsCqReport {
+                short_response: 1.0 + i as f64 / n as f64,
+                long_response: 4.5,
+                mean_shorts_in_system: 0.75,
+                p_region1: 0.5,
+                p_region2: 0.25,
+                p_region5: 0.125,
+                setup_probability: 0.0625,
+                total_mass: 1.0,
+                bl_match: MatchQuality::ExactThree,
+                bn_match: MatchQuality::ExactTwo,
+            };
+            (key, report)
+        })
+        .collect()
+}
+
+fn store_dir(name: &str, n: u64) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "cyclesteal-presolve-memory-{name}-{n}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Restarting on an `n`-record snapshot holds the recovered reports and a
+/// fixed buffer, not a second copy of the store.
+#[test]
+fn recovering_a_store_holds_a_fixed_transient() {
+    let _serial = serial();
+    for n in [4096, 16384] {
+        let dir = store_dir("open", n);
+        let (durable, _) = DurableCache::open(&dir, &SolveCache::new()).unwrap();
+        durable.compact(&synthetic_reports(n)).unwrap();
+        drop(durable);
+
+        let cache = SolveCache::new();
+        let start = live_bytes();
+        let ((durable, recovery), peak) =
+            peak_bytes_during(|| DurableCache::open(&dir, &cache).unwrap());
+        let kept = (live_bytes() - start) as usize;
+        assert_eq!(recovery.snapshot_entries, n as usize, "{recovery:?}");
+        assert_eq!(cache.report_len(), n as usize);
+        let transient = peak - kept;
+        println!("open of {n} records: peak {peak}, kept {kept}, transient {transient} bytes");
+        assert!(
+            transient <= STORE_TRANSIENT_BOUND,
+            "{transient} bytes at {n} records"
+        );
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A compaction streams its snapshot to disk: its peak does not grow with
+/// the entries it writes.
+#[test]
+fn compacting_a_store_holds_a_fixed_transient() {
+    let _serial = serial();
+    for n in [4096, 16384] {
+        let dir = store_dir("compact", n);
+        let (durable, _) = DurableCache::open(&dir, &SolveCache::new()).unwrap();
+        let entries = synthetic_reports(n);
+        let (written, peak) = peak_bytes_during(|| durable.compact(&entries));
+        written.unwrap();
+        println!("compaction of {n} records: peak {peak} bytes");
+        assert!(peak <= STORE_TRANSIENT_BOUND, "{peak} bytes at {n} records");
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
